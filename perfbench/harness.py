@@ -14,6 +14,7 @@ two kinds of run:
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -26,6 +27,7 @@ from common import (
     MIN_PROBES,
     SpanRecorder,
     SpeedProbe,
+    frozen_heap,
     program_counters,
     latency_summary,
     peak_rss_mb,
@@ -144,15 +146,17 @@ def run_untraced(workload, seconds: float, workdir: str) -> dict:
     session, setup_raw, setup_corr = timed_setups(
         workload.build, repeats, workload.reset, probe, after)
     workload.warmup(session)
-    loop = run_loop(workload.ops(), lambda op: workload.execute(session, op),
-                    lambda op, res: workload.check(session, op, res), probe,
-                    seconds=seconds, tail=workload.tail())
-    # Peak memory over set-up, warm-up and the loop; the checkpoints and
-    # set-ups that follow only repeat work for the timings.
-    rss = peak_rss_mb()
-    if not ckpts:
-        ckpts = [checkpoint(session.db, workdir, probe)
-                 for _ in range(workload.checkpoint_repeats)]
+    with frozen_heap():
+        loop = run_loop(workload.ops(),
+                        lambda op: workload.execute(session, op),
+                        lambda op, res: workload.check(session, op, res),
+                        probe, seconds=seconds, tail=workload.tail())
+        # Peak memory over set-up, warm-up and the loop; the checkpoints
+        # and set-ups that follow only repeat work for the timings.
+        rss = peak_rss_mb()
+        if not ckpts:
+            ckpts = [checkpoint(session.db, workdir, probe)
+                     for _ in range(workload.checkpoint_repeats)]
     checks = workload.final_checks(session)
     extra = workload.extra_metrics(session, loop)
     session = None
@@ -195,6 +199,7 @@ def run_untraced(workload, seconds: float, workdir: str) -> dict:
         "reference_median_s": median(probe.took),
         "failures": loop.failures + failed_checks,
         "ops": loop.attempted, "elapsed_s": loop.elapsed,
+        "stream_exhausted": loop.exhausted,
         "extra": extra,
     }
 
@@ -204,15 +209,19 @@ def untraced_pass(workload, seconds: float) -> dict:
 
     Also returns the deltas of the program's own counters over the loop,
     read here rather than in the traced pass because the traced twins
-    bypass the registry's memo (they keep their own).
+    split first-touch ops into separate layer calls, which skip the
+    program's own memo and cache bookkeeping for them.
     """
     probe = SpeedProbe()
     session, _, _ = timed_setups(workload.build, 1, workload.reset, probe)
     workload.warmup(session)
     before = workload.counters(session)
     tail = workload.tail()
-    loop = run_loop(workload.ops(), lambda op: workload.execute(session, op),
-                    lambda op, res: True, probe, seconds=seconds, tail=tail)
+    with frozen_heap():
+        loop = run_loop(workload.ops(),
+                        lambda op: workload.execute(session, op),
+                        lambda op, res: True, probe, seconds=seconds,
+                        tail=tail)
     after = workload.counters(session)
     return {"ops": loop.attempted - len(tail),
             "busy_s": sum(sum(s) for s in loop.corrected.values()),
@@ -251,30 +260,30 @@ def run_traced(workload, baseline: dict, workdir: str,
     session = workload.build(rec, probe=probe)
     stats = {"generated": 0, "served": 0, "rewrites": 0, "cold_ops": 0,
              "ops": 0}
-    memo: dict = {}
     if workload.checkpoint_before_loop:
         ckpt = checkpoint(session.db, workdir, probe, rec)
-    workload.traced_warmup(session, memo)
+    workload.warmup(session)
     attempted = failed = 0
     failures: list[str] = []
-    ops = workload.ops()
-    stream = [next(ops) for _ in range(baseline["ops"])] + workload.tail()
-    for op in stream:
-        attempted += 1
-        stats["ops"] += 1
-        stats["cold_ops"] += op.cls == "cold"
-        try:
-            with rec.op(f"op.{op.cls}"):
-                result = workload.traced(session, op, rec, memo, stats)
-            ok = workload.traced_check(session, op, result)
-        except Exception as exc:  # noqa: BLE001 - op boundary, reported
-            ok = False
-            if len(failures) < 5:
-                failures.append(f"{op.kind}: {type(exc).__name__}: {exc}")
-        failed += not ok
-        probe.tick()
-    if not workload.checkpoint_before_loop:
-        ckpt = checkpoint(session.db, workdir, probe, rec)
+    with frozen_heap():
+        stream = list(itertools.islice(workload.ops(), baseline["ops"]))
+        stream += workload.tail()
+        for op in stream:
+            attempted += 1
+            stats["ops"] += 1
+            stats["cold_ops"] += op.cls == "cold"
+            try:
+                with rec.op(f"op.{op.cls}"):
+                    result = workload.traced(session, op, rec, stats)
+                ok = workload.traced_check(session, op, result)
+            except Exception as exc:  # noqa: BLE001 - op boundary, reported
+                ok = False
+                if len(failures) < 5:
+                    failures.append(f"{op.kind}: {type(exc).__name__}: {exc}")
+            failed += not ok
+            probe.tick()
+        if not workload.checkpoint_before_loop:
+            ckpt = checkpoint(session.db, workdir, probe, rec)
     probe.sample(MIN_PROBES)
     failed += not ckpt["ok"]
     attempted += 1
@@ -293,9 +302,10 @@ def run_traced(workload, baseline: dict, workdir: str,
     metrics["trace.coverage"] = (rec.coverage("op."), "ratio")
     metrics["trace.overhead_ratio"] = (traced_s / baseline["busy_s"],
                                        "ratio")
+    times = rec.self_times()
     for name, unit in PER_LAYER:
         if name not in metrics:
-            metrics[name] = (rec.layer_ms(name[:-3]) if unit == "ms"
+            metrics[name] = (rec.layer_ms(name[:-3], times) if unit == "ms"
                              else 0.0, unit)
     return {"attempted": attempted, "failed": failed,
             "correct": failed == 0, "metrics": metrics,

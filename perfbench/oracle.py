@@ -81,6 +81,16 @@ class HolidayOracle:
     def is_business_day(self, date: datetime.date) -> bool:
         return date.isoweekday() <= 5 and date not in self.days
 
+    def roll_back_holiday(self, date: datetime.date) -> datetime.date:
+        """``date``, or the last business day before it if it is a holiday
+        (the E6/E7 ``[n]/AM_BUS_DAYS:<:`` step)."""
+        if date not in self.days:
+            return date
+        date -= ONE_DAY
+        while not self.is_business_day(date):
+            date -= ONE_DAY
+        return date
+
     def business_days(self, year: int, month: int) -> list[datetime.date]:
         last = pycal.monthrange(year, month)[1]
         return [datetime.date(year, month, day) for day in range(1, last + 1)

@@ -109,6 +109,9 @@ def main(argv=None) -> int:
           f"{result['failed'] / max(1, result['attempted']):14.4f} ratio")
     for line in result.get("failures", []):
         print(f"FAILED: {line}")
+    if result.get("stream_exhausted"):
+        print("NOTE: the op stream ran out before --seconds elapsed; the "
+              "timed phase ended with it")
     print("# " + json.dumps(report, default=str, sort_keys=True))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -91,3 +91,28 @@ def test_compare_reads_results(tmp_path):
     assert proc.returncode in (0, 1), proc.stderr
     assert "== calendar_eval" in proc.stdout
     assert "x of base" in proc.stdout
+
+
+def test_streams_end_cleanly_when_exhausted():
+    """A stream that runs out ends the timed phase; it does not crash."""
+    sys.path[:0] = [HERE, os.path.join(ROOT, "src")]
+    try:
+        import common
+        import wl_calendar
+        import wl_dbcron
+    finally:
+        del sys.path[:2]
+    loop = common.run_loop(iter([common.Op("warm", "x")] * 3),
+                           lambda op: None, lambda op, res: True,
+                           common.SpeedProbe(), seconds=60)
+    assert loop.exhausted and loop.attempted == 3
+    workload = wl_calendar.Workload(7, scale=0.02)
+    for name, (params, build) in workload.cold_pools.items():
+        workload.cold_pools[name] = (params[:2], build)
+    ops = list(workload.ops())
+    cold = [op for op in ops if op.cls == "cold"]
+    assert 0 < len(cold) <= 2 * len(workload.cold_pools)
+    assert len({(op.text, op.args.get("window")) for op in cold}) == len(cold)
+    workload = wl_dbcron.Workload(7, scale=0.02)
+    workload.cold_exprs = workload.cold_exprs[:3]
+    assert [op.cls for op in workload.ops()] == ["warm", "cold", "write"] * 3

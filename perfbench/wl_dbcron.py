@@ -67,26 +67,41 @@ MIX = (
 )
 
 
-def _weekday_union(days) -> str:
-    return " + ".join(f"([{d}]/DAYS:during:WEEKS)" for d in sorted(days))
+#: Years a first-touch weekday union may be anchored to (None: unanchored).
+COLD_YEARS = (None, *range(1993, 2016))
 
 
-def _cold_expressions(rng: random.Random) -> list[tuple[str, set | None]]:
-    """First-touch rule expressions, none of them in the set-up mix.
+def _weekday_union(days, year: int | None = None) -> str:
+    anchor = "" if year is None else f":during:{year}/YEARS"
+    return " + ".join(f"([{d}]/DAYS:during:WEEKS{anchor})"
+                      for d in sorted(days))
+
+
+def _cold_expressions(rng: random.Random
+                      ) -> list[tuple[str, set | None, int | None]]:
+    """First-touch rule expressions, all distinct and none in the set-up mix.
 
     Strata cost differently (a union's compile grows with its terms), so
     the list takes them in turn — unions of 2, 3, 4 and 5 weekdays, each
-    followed by a weekday anchored to one year — and the seed only
-    shuffles within a stratum.  Any run prefix then has the same mix.
+    unanchored or anchored to one year, each followed by a weekday
+    anchored to one month or year — and the seed only shuffles within a
+    stratum.  Any prefix of the first 4032 expressions (every stratum
+    still live) then has the same mix.  A union carries its weekday
+    oracle, its weekday set and anchor year: ``(text, weekdays, year)``.
     """
     strata = []
     for size in (2, 3, 4, 5):
-        unions = [(_weekday_union(days), set(days))
-                  for days in itertools.combinations(range(1, 8), size)]
+        unions = [(_weekday_union(days, year), set(days), year)
+                  for days in itertools.combinations(range(1, 8), size)
+                  for year in COLD_YEARS]
         rng.shuffle(unions)
         strata.append(unions)
-    anchored = [(f"[{k}]/DAYS:during:WEEKS:during:{y}/YEARS", None)
-                for k in range(1, 8) for y in range(1993, 2016)]
+    anchored = [(f"[{k}]/DAYS:during:WEEKS:during:[{m}]/MONTHS"
+                 f":during:{y}/YEARS", None, None)
+                for k in range(1, 8) for m in range(1, 13)
+                for y in range(1993, 2016)]
+    anchored += [(f"[{k}]/DAYS:during:WEEKS:during:{y}/YEARS", None, None)
+                 for k in range(1, 8) for y in range(1993, 2016)]
     rng.shuffle(anchored)
     out = []
     for round_ in itertools.count():
@@ -121,8 +136,9 @@ class Workload:
         self._reset()
 
     def _reset(self) -> None:
-        #: rule name -> (fire ticks, weekday set, declared at tick)
-        self.tracked: dict[str, tuple[list, set, int]] = {}
+        #: rule name -> (fire ticks, weekday set, anchor year or None,
+        #: declared at tick)
+        self.tracked: dict[str, tuple[list, set, int | None, int]] = {}
         self.max_drift = 0
         self.callback_fires = 0
         #: fire_log rows counted and discarded at month ends so far.
@@ -160,7 +176,9 @@ class Workload:
         return session
 
     def _declare(self, session, name: str, expr: str, weekdays,
-                 action: bool = False):
+                 year: int | None = None, action: bool = False):
+        """Declare one rule; a pure weekday pattern (``weekdays`` set, in
+        ``year`` only if given) is tracked for the fire-tick oracle."""
         if action:
             return session.rules.on_calendar(
                 name, expression=expr,
@@ -168,7 +186,7 @@ class Workload:
         clock = session.clock
         fires: list = []
         if weekdays is not None:
-            self.tracked[name] = (fires, weekdays, clock.now)
+            self.tracked[name] = (fires, weekdays, year, clock.now)
 
         def callback(db, tick):
             self.callback_fires += 1
@@ -181,22 +199,22 @@ class Workload:
         if session.system.day_of("Jan 1 1993") != self.start_tick:
             raise RuntimeError("program epoch differs from the oracle's")
 
-    def traced_warmup(self, session, memo: dict) -> None:
-        self.warmup(session)
-
     # -- the op stream ----------------------------------------------------------------
 
     def ops(self):
+        """Day / cold declare / batch declare cycles until the cold
+        expressions run out (far beyond a run at the time of writing);
+        the timed phase then ends with the stream."""
         reuse = random.Random(self.seed + 1)
         serial = itertools.count()
-        for expr, weekdays in self.cold_exprs:
+        for expr, weekdays, year in self.cold_exprs:
             yield Op("warm", "day")
             yield Op("cold", "declare", expr,
-                     {"name": f"cold{next(serial)}", "weekdays": weekdays})
+                     {"name": f"cold{next(serial)}", "weekdays": weekdays,
+                      "year": year})
             batch = [(f"more{next(serial)}", reuse.choice(FAR_FUTURE)[0])
                      for _ in range(WRITE_BATCH)]
             yield Op("write", "declare_batch", batch[0][1], {"batch": batch})
-        raise RuntimeError("cold rule expressions exhausted")
 
     @staticmethod
     def tail() -> list[Op]:
@@ -209,7 +227,7 @@ class Workload:
             return [self._declare(session, name, expr, None)
                     for name, expr in op.args["batch"]]
         return self._declare(session, op.args["name"], op.text,
-                             op.args["weekdays"])
+                             op.args["weekdays"], op.args["year"])
 
     def check(self, session, op: Op, result) -> bool:
         if op.kind == "day":
@@ -229,7 +247,7 @@ class Workload:
 
     traced_check = check
 
-    def traced(self, session, op: Op, rec, memo: dict, stats: dict):
+    def traced(self, session, op: Op, rec, stats: dict):
         """One span per public call: ``DBCron.run_until(now + 1)`` split
         into its probe / clock-advance (which fires) / probe / fire_due
         steps, and a declaration with its periodic compile first."""
@@ -256,7 +274,7 @@ class Workload:
             session.registry.periodic_set(op.text)
         with rec.span("rules.declare"):
             return self._declare(session, op.args["name"], op.text,
-                                 op.args["weekdays"])
+                                 op.args["weekdays"], op.args["year"])
 
     # -- counters, layer metrics, checks --------------------------------------------------
 
@@ -301,9 +319,9 @@ class Workload:
     def final_checks(self, session) -> list[tuple[str, bool]]:
         now = session.clock.now
         wrong = []
-        for name, (fires, weekdays, declared) in self.tracked.items():
+        for name, (fires, weekdays, year, declared) in self.tracked.items():
             expected = [t for t in range(declared + 1, now + 1)
-                        if oracle.date_of(t).isoweekday() in weekdays]
+                        if _fires_on(oracle.date_of(t), weekdays, year)]
             if fires != expected:
                 wrong.append(name)
         manager = session.manager
@@ -312,7 +330,7 @@ class Workload:
                            if rule.actions)
         log_rows = self.rotated_rows + len(session.db.relation("fire_log"))
         return [
-            (f"weekday rule fire ticks == datetime "
+            (f"weekday-pattern rule fire ticks == datetime "
              f"({len(self.tracked)} rules, wrong: {wrong[:3]})", not wrong),
             ("fire_log rows (with monthly rotations) == action fires",
              log_rows == action_fires),
@@ -333,3 +351,10 @@ class Workload:
             "distinct_cold_expressions": len(self.cold_exprs),
         }
 
+
+
+def _fires_on(date: datetime.date, weekdays: set, year: int | None) -> bool:
+    """A weekday pattern, if anchored then only in weeks wholly inside
+    the anchor year (``WEEKS:during:<year>/YEARS`` is strict)."""
+    return date.isoweekday() in weekdays and (
+        year is None or (date.year == year and oracle.week_within_year(date)))

@@ -240,7 +240,7 @@ class Workload:
                 live = [t for t in templates
                         if cursors[t] < len(self.cold[t])]
                 if not live:
-                    raise RuntimeError("cold within texts exhausted")
+                    return  # the timed phase ends with the stream
                 name = live[cold_index % len(live)]
                 cold_index += 1
                 text, pred = self.cold[name][cursors[name]]
@@ -318,9 +318,6 @@ class Workload:
         for op in self._hot():
             self.execute(session, op)
 
-    def traced_warmup(self, session, memo: dict) -> None:
-        self.warmup(session)
-
     # -- execution ----------------------------------------------------------------
 
     @staticmethod
@@ -364,7 +361,7 @@ class Workload:
             self.classified["retrieves"] += 1
         return self.check(session, op, result)
 
-    def traced(self, session, op: Op, rec, memo: dict, stats: dict):
+    def traced(self, session, op: Op, rec, stats: dict):
         """Postquel parse, then the executor, one span each.
 
         A first-touch ``within`` compiles its calendar's periodic form
