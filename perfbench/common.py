@@ -78,12 +78,18 @@ def peak_rss_mb() -> float:
 #: the bounds were fitted on (Intel Xeon, 2 vCPUs, CPython 3.11) at its
 #: usual speed.  Corrected times read as seconds on that machine.
 REF_NOMINAL_S = 0.31e-3
-#: How often the loop samples the reference op, and the half-width of the
-#: window of samples that gives an operation its local speed.
+#: How often set-up and the traced run sample the reference op (the timed
+#: loop samples right before and right after every operation).
 PROBE_INTERVAL_S = 0.02
+#: The samples that give a span of time its local speed: those within
+#: ``PROBE_SPANS`` times its duration of it, at most ``PROBE_WINDOW_S``,
+#: and always the nearest one before and the nearest one after it.  The
+#: host's speed changes within milliseconds, so a short operation is
+#: corrected by the samples taken right beside it; a wider window would
+#: pull in other moments and widen the corrected tail.
+PROBE_SPANS = 5
 PROBE_WINDOW_S = 0.25
-#: Fewest samples a speed estimate uses (the nearest ones when the
-#: window holds fewer).
+#: Samples taken on each side of a set-up, a checkpoint and the loop.
 MIN_PROBES = 7
 
 
@@ -153,14 +159,13 @@ class SpeedProbe:
             self.sample()
 
     def factor(self, t0: float, t1: float) -> float:
-        """``REF_NOMINAL_S`` over the median reference time near [t0, t1]."""
-        lo = bisect_left(self.at, t0 - PROBE_WINDOW_S)
-        hi = bisect_right(self.at, t1 + PROBE_WINDOW_S)
-        if hi - lo < MIN_PROBES:
-            mid = bisect_left(self.at, (t0 + t1) / 2)
-            lo = max(0, mid - MIN_PROBES // 2)
-            hi = min(len(self.at), lo + MIN_PROBES)
-            lo = max(0, hi - MIN_PROBES)
+        """``REF_NOMINAL_S`` over the median reference time near [t0, t1]
+        (see ``PROBE_SPANS``)."""
+        near = min(PROBE_WINDOW_S, PROBE_SPANS * (t1 - t0))
+        lo = max(0, min(bisect_left(self.at, t0 - near),
+                        bisect_left(self.at, t0) - 1))
+        hi = min(len(self.at), max(bisect_right(self.at, t1 + near),
+                                   bisect_right(self.at, t1) + 1))
         if hi <= lo:
             raise RuntimeError("no machine-speed samples")
         return REF_NOMINAL_S / statistics.median(self.took[lo:hi])
@@ -182,20 +187,19 @@ class LoopResult:
     exhausted: bool = False  #: the op stream ended before the clock did
 
 
-def run_loop(ops, execute, check, probe: SpeedProbe, *, seconds: float,
-             tail=()) -> LoopResult:
+def run_loop(ops, execute, check, probe: SpeedProbe, *, seconds: float
+             ) -> LoopResult:
     """Closed loop, one client: each op is sent after the last returns.
 
     Runs ``ops`` until ``seconds`` elapse or the stream ends (reported
-    as ``exhausted``), then the fixed ``tail`` ops regardless of time.
-    A class the stream has produced that is still short of
-    ``MIN_SAMPLES`` keeps the loop going up to ``MAX_STRETCH`` times
-    ``seconds``, so that a slower
-    program still reports a p90 with ten samples above it.  ``execute(op)``
-    is timed; ``check(op, result)`` runs outside the timed region and
-    returns False for a wrong answer.  An exception from either counts
-    the op as failed: the loop must keep going to report a ratio.  The
-    speed probe samples between ops, outside the timed region.
+    as ``exhausted``).  A class the stream has produced that is still
+    short of ``MIN_SAMPLES`` keeps the loop going up to ``MAX_STRETCH``
+    times ``seconds``, so that a slower program still reports a p90 with
+    ten samples above it.  ``execute(op)`` is timed; ``check(op,
+    result)`` runs outside the timed region and returns False for a
+    wrong answer.  An exception from either counts the op as failed: the
+    loop must keep going to report a ratio.  The speed probe samples
+    right before and right after each op, outside the timed region.
     """
     latencies = {cls: [] for cls in CLASSES}
     starts = {cls: [] for cls in CLASSES}
@@ -215,13 +219,18 @@ def run_loop(ops, execute, check, probe: SpeedProbe, *, seconds: float,
     def one(op: Op) -> None:
         nonlocal attempted, failed
         attempted += 1
+        t1 = None
+        probe.sample()
         t0 = perf_counter()
         try:
             result = execute(op)
             t1 = perf_counter()
+            probe.sample()
             ok = check(op, result)
         except Exception as exc:  # noqa: BLE001 - op boundary, reported
-            t1 = perf_counter()
+            if t1 is None:  # execute raised
+                t1 = perf_counter()
+                probe.sample()
             ok = False
             if len(failures) < 5:
                 failures.append(f"{op.kind} {op.text[:80]!r}: "
@@ -233,7 +242,6 @@ def run_loop(ops, execute, check, probe: SpeedProbe, *, seconds: float,
         starts[op.cls].append(t0)
         if not ok:
             failed += 1
-        probe.tick()
 
     probe.sample(MIN_PROBES)
     exhausted = True
@@ -241,8 +249,6 @@ def run_loop(ops, execute, check, probe: SpeedProbe, *, seconds: float,
         if done(perf_counter()):
             exhausted = False
             break
-        one(op)
-    for op in tail:
         one(op)
     elapsed = perf_counter() - start
     probe.sample(MIN_PROBES)

@@ -150,7 +150,7 @@ def run_untraced(workload, seconds: float, workdir: str) -> dict:
         loop = run_loop(workload.ops(),
                         lambda op: workload.execute(session, op),
                         lambda op, res: workload.check(session, op, res),
-                        probe, seconds=seconds, tail=workload.tail())
+                        probe, seconds=seconds)
         # Peak memory over set-up, warm-up and the loop; the checkpoints
         # and set-ups that follow only repeat work for the timings.
         rss = peak_rss_mb()
@@ -216,14 +216,12 @@ def untraced_pass(workload, seconds: float) -> dict:
     session, _, _ = timed_setups(workload.build, 1, workload.reset, probe)
     workload.warmup(session)
     before = workload.counters(session)
-    tail = workload.tail()
     with frozen_heap():
         loop = run_loop(workload.ops(),
                         lambda op: workload.execute(session, op),
-                        lambda op, res: True, probe, seconds=seconds,
-                        tail=tail)
+                        lambda op, res: True, probe, seconds=seconds)
     after = workload.counters(session)
-    return {"ops": loop.attempted - len(tail),
+    return {"ops": loop.attempted,
             "busy_s": sum(sum(s) for s in loop.corrected.values()),
             "counters": {key: value - before.get(key, 0)
                          for key, value in after.items()},
@@ -267,21 +265,21 @@ def run_traced(workload, baseline: dict, workdir: str,
     failures: list[str] = []
     with frozen_heap():
         stream = list(itertools.islice(workload.ops(), baseline["ops"]))
-        stream += workload.tail()
         for op in stream:
             attempted += 1
             stats["ops"] += 1
             stats["cold_ops"] += op.cls == "cold"
+            probe.sample()
             try:
                 with rec.op(f"op.{op.cls}"):
                     result = workload.traced(session, op, rec, stats)
+                probe.sample()
                 ok = workload.traced_check(session, op, result)
             except Exception as exc:  # noqa: BLE001 - op boundary, reported
                 ok = False
                 if len(failures) < 5:
                     failures.append(f"{op.kind}: {type(exc).__name__}: {exc}")
             failed += not ok
-            probe.tick()
         if not workload.checkpoint_before_loop:
             ckpt = checkpoint(session.db, workdir, probe, rec)
     probe.sample(MIN_PROBES)

@@ -4,13 +4,17 @@ Over the default 30-year catalog (1987-2016, US holidays installed) the
 stream mixes foreach (strict and relaxed), selections (``[n]``, negative
 predicates), the set operators ``&``/``-``/``+``, named catalog
 calendars, the paper's Figure 2/3 expressions, "Tuesdays 1993" and the
-section 3.3 scripts E6-E8.  Every ``COLD_EVERY``-th op is a first-touch
-text drawn round-robin from the cold templates (skipping any that run
-out; the stream ends when all have); the rest cycle through a hot set
-small enough to stay in the materialisation cache.  A fixed tail
-of catalog writes (``define calendar``) closes the phase; each write
-bumps the catalog version, which invalidates every memoised plan, so the
-writes run after the reads instead of among them.
+section 3.3 scripts E6-E8.  Two ops in ``PATTERN`` are first-touch texts
+drawn round-robin from the cold templates (skipping any that run out;
+the stream ends when all have), one is a catalog write (``define
+calendar``), and the rest cycle through a hot set small enough to stay
+in the materialisation cache.
+
+A catalog write bumps its registry's version, which invalidates every
+plan memoised against that catalog, so the writes go to a second
+session in the same process (its own catalog, the shared matcache):
+they run among the reads, sampling the whole run's machine speed, and
+the reads' warm plans stay warm.
 """
 
 from __future__ import annotations
@@ -40,14 +44,14 @@ from repro.lang.planner import compile_expression
 
 NAME = "calendar_eval"
 WHY = ("CEL front end, periodic compiler, kernels and matcache do the work; "
-       "db and rules idle. 1 op in 5 is a first-touch text, the rest "
-       "repeat a cached hot set")
+       "db and rules idle. 1 op in 5 is a first-touch text, 1 in 10 a "
+       "catalog write, the rest repeat a cached hot set")
 
-#: One op in ``COLD_EVERY`` is cold (a 20% cold share).
-COLD_EVERY = 5
-#: Catalog writes in the tail: enough that a blip of a few tens of ms
-#: cannot hold a tenth of them, which would move write p90.
-WRITES = 480
+#: The op classes, repeated: a 20% cold share, a 10% write share.
+PATTERN = ("warm", "warm", "warm", "warm", "cold",
+           "warm", "warm", "write", "warm", "cold")
+#: Terms of each written calendar's expression.
+DEFINE_TERMS = 4
 #: Cold expressions re-checked against the reference interpreter on the
 #: unfactorized AST after the timed phase.
 ORACLE_SAMPLES = 12
@@ -146,15 +150,18 @@ class Workload:
     name = NAME
     #: Set-ups before and again after the loop (construction is ~10 ms).
     setup_repeats = 15
-    #: The catalog is checkpointed after the write tail.
+    #: The reading session is checkpointed after the loop.
     checkpoint_before_loop = False
     #: Checkpoints of the final state (median reported).
-    checkpoint_repeats = 9
+    checkpoint_repeats = 31
 
     def __init__(self, seed: int, scale: float = 1.0) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
-        self.writes = max(2, int(WRITES * scale))
+        #: The session catalog writes go to (see the module docstring).
+        self.writer = None
+        #: (name, script) of each calendar the timed phase wrote.
+        self.written: list[tuple[str, str]] = []
         self.holidays = oracle.HolidayOracle(1987, 2016)
         self.hot = self._hot_set()
         self.cold_pools = self._cold_pools()
@@ -236,16 +243,20 @@ class Workload:
                 yield op
 
     def ops(self):
-        """1 op in ``COLD_EVERY`` is cold, round-robin over the cold
-        templates; warm ops cycle the shuffled hot set.  A template that
-        runs out is skipped, and the stream ends when all have (far
-        beyond a run at the time of writing)."""
+        """Op classes follow ``PATTERN``: cold ops round-robin over the
+        cold templates, writes define a new calendar each, warm ops cycle
+        the shuffled hot set.  A template that runs out is skipped, and
+        the stream ends when all have (far beyond a run at the time of
+        writing)."""
         rng = random.Random(self.seed + 1)
         cold = collections.deque(self._cold_stream(template)
                                  for template in COLD_TEMPLATES)
+        writes = itertools.count()
         hot_order: list[Op] = []
-        for ordinal in itertools.count():
-            if ordinal % COLD_EVERY == COLD_EVERY - 1:
+        for cls in itertools.cycle(PATTERN):
+            if cls == "write":
+                yield _define_op(next(writes))
+            elif cls == "cold":
                 op = None
                 while cold and op is None:
                     stream = cold.popleft()
@@ -261,32 +272,26 @@ class Workload:
                     rng.shuffle(hot_order)
                 yield hot_order.pop()
 
-    def tail(self) -> list[Op]:
-        ops = []
-        for i in range(self.writes):
-            k = 1 + i % 7
-            script = (f"{{return([{k}]/DAYS:during:WEEKS:during:"
-                      f"[{1 + i % 12}]/MONTHS);}}")
-            ops.append(Op("write", "define",
-                          f'define calendar BENCH_CAL_{i} as "{script}"',
-                          {"name": f"BENCH_CAL_{i}"}))
-        return ops
-
     # -- set-up -----------------------------------------------------------------
 
     @staticmethod
     def reset() -> None:
         get_default_cache().clear()
 
-    @staticmethod
-    def build(rec=None, probe=None):
-        if rec is None:
+    def build(self, rec=None, probe=None):
+        """The reading session; the writing one is kept on the workload."""
+        def session():
             return Session("Jan 1 1987", holiday_years=(1987, 2016),
                            workers=1)
+        self.writer = None
+        self.written = []
+        if rec is None:
+            self.writer = session()
+            return session()
         with rec.op("setup.session"):
             with rec.span("catalog.install"):
-                return Session("Jan 1 1987", holiday_years=(1987, 2016),
-                               workers=1)
+                self.writer = session()
+                return session()
 
     def warmup(self, session) -> None:
         """First touch of the hot set (untimed): warm means cached."""
@@ -297,16 +302,16 @@ class Workload:
 
     # -- execution ----------------------------------------------------------------
 
-    @staticmethod
-    def execute(session, op: Op):
+    def execute(self, session, op: Op):
         if op.kind == "define":
-            return session.query(op.text)
+            return self.writer.query(op.text)
         return session.eval(op.text, window=op.args.get("window"),
                             today=op.args.get("today"))
 
     def check(self, session, op: Op, result) -> bool:
         if op.kind == "define":
-            return op.args["name"] in session.registry
+            self.written.append((op.args["name"], op.args["script"]))
+            return op.args["name"] in self.writer.registry
         if op.cls == "warm":
             return _fingerprint(result) == self.expected[_key(op)]
         ordinal = self._cold_seen
@@ -341,7 +346,7 @@ class Workload:
         window, today = op.args.get("window"), op.args.get("today")
         if op.kind == "define":
             with rec.span("db.execute"):
-                return session.query(op.text)
+                return self.writer.query(op.text)
         if op.cls == "warm":
             with rec.span("lang.interp" if op.kind in SCRIPTS
                           else "lang.vm"):
@@ -395,7 +400,7 @@ class Workload:
         """Cold results must equal ``Session.eval``'s; warm ones their
         warm-up result."""
         if op.kind == "define":
-            return op.args["name"] in session.registry
+            return op.args["name"] in self.writer.registry
         if op.cls == "warm":
             return _fingerprint(result) == self.expected[_key(op)]
         return _fingerprint(result) == _fingerprint(self.execute(session, op))
@@ -509,6 +514,15 @@ class Workload:
             reference = Interpreter(ctx).evaluate(parse_expression(text))
             checks.append((f"cold #{ordinal} == interpreter: {text}",
                            _fingerprint(reference) == _fingerprint(result)))
+        # Written calendars, spread over the phase: the writer's stored
+        # calendar against the reference interpreter on its script.
+        step = max(1, len(self.written) // ORACLE_SAMPLES)
+        for name, script in self.written[::step][:ORACLE_SAMPLES]:
+            reference = Interpreter(registry.context(None)).execute(
+                parse_script(script))
+            checks.append((f"written {name} == interpreter: {script}",
+                           _fingerprint(self.writer.eval(name)) ==
+                           _fingerprint(reference)))
         return checks
 
     def describe(self) -> dict:
@@ -516,15 +530,30 @@ class Workload:
             "catalog": "standard calendars + US holidays 1987-2016, "
                        "30-year default window",
             "hot_set_texts": len(self.hot),
-            "cold_share": 1 / COLD_EVERY,
+            "cold_share": PATTERN.count("cold") / len(PATTERN),
+            "write_share": PATTERN.count("write") / len(PATTERN),
             "cold_templates": {name: len(params) for name, (params, _)
                                in self.cold_pools.items()},
             "distinct_cold_texts": self.distinct_cold_texts(),
             "matcache_entries": get_default_cache().maxsize,
             "matcache_memo_entries": get_default_cache().memo_maxsize,
-            "write_tail": self.writes,
+            "writes": "define calendar in a second session's catalog",
             "oracle_samples": ORACLE_SAMPLES,
         }
+
+
+def _define_script(i: int) -> str:
+    """A union of ``DEFINE_TERMS`` weekday-of-month foreach terms."""
+    terms = (f"([{1 + (i + t) % 7}]/DAYS:during:WEEKS:during:"
+             f"[{1 + (i + 5 * t) % 12}]/MONTHS)" for t in range(DEFINE_TERMS))
+    return f"{{return({' + '.join(terms)});}}"
+
+
+def _define_op(i: int) -> Op:
+    script = _define_script(i)
+    return Op("write", "define",
+              f'define calendar BENCH_CAL_{i} as "{script}"',
+              {"name": f"BENCH_CAL_{i}", "script": script})
 
 
 def _key(op: Op) -> tuple:

@@ -216,10 +216,6 @@ class Workload:
                      for _ in range(WRITE_BATCH)]
             yield Op("write", "declare_batch", batch[0][1], {"batch": batch})
 
-    @staticmethod
-    def tail() -> list[Op]:
-        return []
-
     def execute(self, session, op: Op):
         if op.kind == "day":
             return session.cron.run_until(session.clock.now + 1)

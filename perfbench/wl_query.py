@@ -263,10 +263,6 @@ class Workload:
                     rng.shuffle(hot_order)
                 yield hot_order.pop()
 
-    @staticmethod
-    def tail() -> list[Op]:
-        return []
-
     # -- set-up ---------------------------------------------------------------
 
     @staticmethod
