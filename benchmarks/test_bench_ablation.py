@@ -4,9 +4,9 @@ DESIGN.md calls out three design choices; each is ablated independently:
 
 * **factorization** (the section 3.4 rewrite) — on/off;
 * **window narrowing** (selection look-ahead) — on/off;
-* **sorted-view candidate ranges** in ``foreach`` — exercised by feeding
-  the same intervals sorted (fast path) vs shuffled (full-scan
-  fallback).
+* **lane candidate ranges** in ``foreach`` — exercised by feeding
+  the same intervals sorted (binary-searched lane range) vs shuffled
+  (full-scan fallback).
 
 The 2x2 factorize/narrow grid runs the Figure-2 expression over a 30-year
 context; the enforced shape is monotone improvement in generated
@@ -93,7 +93,7 @@ def test_report_ablation_grid(registry):
     assert grid[(True, True)] < grid[(False, False)] / 3
 
 
-class TestSortedViewAblation:
+class TestLaneRangeAblation:
     N = 20_000
 
     def _sorted_calendar(self):
@@ -129,7 +129,7 @@ class TestSortedViewAblation:
         for _ in range(20):
             foreach("during", cal_shuffled, ref)
         slow = (time.perf_counter() - t0) / 20 * 1e3
-        print(f"\n=== Ablation: SortedView candidate ranges "
+        print(f"\n=== Ablation: lane candidate ranges "
               f"(20k-instant calendar, 101-day probe)")
         print(f"   sorted (binary-searched): {fast:8.3f} ms")
         print(f"   shuffled (full scan):     {slow:8.3f} ms  "

@@ -19,8 +19,6 @@ This module implements the operator set of section 3.1:
 
 from __future__ import annotations
 
-import bisect
-
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,162 +71,44 @@ __all__ = [
 # foreach
 # ---------------------------------------------------------------------------
 
-class _SortedView:
-    """Candidate-range index over an order-1 calendar's elements.
-
-    When the elements are sorted by ``lo`` (and, usually, by ``hi`` too —
-    true for every generated calendar), the elements that can satisfy a
-    known listop against a reference interval form a contiguous slice that
-    binary search finds in O(log n).  Unsorted calendars and custom
-    listops fall back to a full scan.
-    """
-
-    def __init__(self, cal: Calendar) -> None:
-        self._cal = cal
-        cols = cal.columns
-        if cols is not None:
-            # Column-backed calendar: the view indexes the lanes directly
-            # and defers Interval materialisation until someone actually
-            # touches ``elements``.
-            self._elements = None
-            self.los = cols.los
-            self.his = cols.his
-            self.lo_sorted = cols.lo_sorted
-            self.hi_sorted = cols.hi_sorted
-            return
-        elements = cal.elements
-        self._elements = elements
-        self.los = [iv.lo for iv in elements]
-        self.his = [iv.hi for iv in elements]
-        self.lo_sorted = all(self.los[i] <= self.los[i + 1]
-                             for i in range(len(self.los) - 1))
-        self.hi_sorted = self.lo_sorted and all(
-            self.his[i] <= self.his[i + 1]
-            for i in range(len(self.his) - 1))
-
-    @property
-    def elements(self) -> tuple:
-        els = self._elements
-        if els is None:
-            els = self._elements = self._cal.elements
-        return els
-
-    @classmethod
-    def of(cls, cal: Calendar) -> "_SortedView":
-        """The memoised view of an order-1 calendar.
-
-        Calendars are immutable, so the lo/hi arrays and sortedness flags
-        are computed once per instance and stashed on it; nested foreach
-        loops and repeated selections then skip the O(n) rebuild.
-
-        Safe under concurrent access: ``dict.setdefault`` is atomic in
-        CPython, so two threads racing to attach the memo agree on one
-        winning view (the loser's duplicate is discarded) instead of the
-        get-then-set pattern publishing different views to different
-        callers.
-        """
-        view = cal.__dict__.get("_sorted_view")
-        if view is None:
-            view = cal.__dict__.setdefault("_sorted_view", cls(cal))
-        return view
-
-    def candidate_range(self, op_name: str, ref: Interval
-                        ) -> tuple[int, int]:
-        n = len(self.los)
-        if not self.lo_sorted:
-            return 0, n
-        if op_name == "during":
-            return (bisect.bisect_left(self.los, ref.lo),
-                    bisect.bisect_right(self.los, ref.hi))
-        if op_name in ("overlaps", "intersects"):
-            start = (bisect.bisect_left(self.his, ref.lo)
-                     if self.hi_sorted else 0)
-            return start, bisect.bisect_right(self.los, ref.hi)
-        if op_name == "meets":
-            if self.hi_sorted:
-                return (bisect.bisect_left(self.his, ref.lo),
-                        bisect.bisect_right(self.his, ref.lo))
-            return 0, n
-        if op_name == "<":
-            if self.hi_sorted:
-                return 0, bisect.bisect_right(self.his, ref.lo)
-            return 0, n
-        if op_name in ("<=", "contains", "starts"):
-            return 0, bisect.bisect_right(self.los, ref.lo)
-        if op_name in ("finishes", "equals"):
-            if self.hi_sorted:
-                return (bisect.bisect_left(self.his, ref.hi),
-                        bisect.bisect_right(self.his, ref.hi))
-            return 0, n
-        return 0, n
-
-
-def _apply_over(view: _SortedView, op: Listop, ref: Interval,
-                strict: bool, out: list[Interval]) -> None:
-    start, end = view.candidate_range(op.name, ref)
-    for i in range(start, end):
-        iv = view.elements[i]
-        if not op(iv, ref):
-            continue
-        if strict and op.clips:
+def _scan(op: Listop, cal: Calendar, ref: Interval,
+          strict: bool) -> list[Interval]:
+    """Members of ``cal`` relating to ``ref`` under a listop without a
+    lane kernel (user-registered, or a builtin name whose predicate was
+    replaced): one plain ``op(iv, ref)`` scan, no narrowing by name."""
+    if not (strict and op.clips):
+        return [iv for iv in cal.elements if op(iv, ref)]
+    out: list[Interval] = []
+    for iv in cal.elements:
+        if op(iv, ref):
             clipped = iv.intersect(ref)
             # The paper excludes the empty interval (its epsilon) from
-            # strict results; operators relating disjoint intervals
-            # (e.g. "<") declare clips=False and keep the element whole.
-            if clipped is None:
-                continue
-            out.append(clipped)
-        else:
-            out.append(iv)
+            # strict results.
+            if clipped is not None:
+                out.append(clipped)
+    return out
 
 
 def _foreach_interval(op: Listop, cal: Calendar, ref: Interval,
-                      strict: bool,
-                      view: "_SortedView | None" = None) -> Calendar:
+                      strict: bool) -> Calendar:
     """Apply ``op`` between every element of order-1 ``cal`` and ``ref``."""
-    cols = cal.columns
-    if cols is not None and _sweepable(op):
-        out = columnar.sweep_one(cols, op.name, ref.lo, ref.hi,
+    if _sweepable(op):
+        out = columnar.sweep_one(cal.columns, op.name, ref.lo, ref.hi,
                                  strict and op.clips)
         return Calendar._from_columns(out, cal.granularity)
-    view = view or _SortedView.of(cal)
-    result: list[Interval] = []
-    _apply_over(view, op, ref, strict, result)
-    return Calendar.from_intervals(result, cal.granularity)
-
-
-def _foreach_grouping_columnar(op: Listop, cal: Calendar,
-                               ref: Calendar) -> "tuple | None":
-    """Lane layout for a columnar grouped foreach, or ``None`` when the
-    operands force the object path."""
-    cols = cal.columns
-    if cols is None or not _sweepable(op):
-        return None
-    refs = ref._lanes()
-    if refs is None:
-        return None
-    return cols, refs
+    return Calendar.from_intervals(_scan(op, cal, ref, strict),
+                                   cal.granularity)
 
 
 def _foreach_filtering(op: Listop, cal: Calendar, ref: Calendar,
                        strict: bool) -> Calendar:
     """Filtering listops treat ``ref`` as a set; the result stays order-1."""
-    cols = cal.columns
-    if cols is not None and _sweepable(op):
-        refs = ref._lanes()
-        if refs is not None:
-            return _filtering_columnar(op, cols, refs, strict,
-                                       cal.granularity)
+    if _sweepable(op):
+        return _filtering_columnar(op, cal.columns, ref.columns, strict,
+                                   cal.granularity)
     result: list[Interval] = []
-    ref_view = _SortedView.of(ref)
-    inverse = _INVERSE.get(op.name)
     for iv in cal.elements:
-        if inverse is not None:
-            start, end = ref_view.candidate_range(inverse, iv)
-            candidates = ref_view.elements[start:end]
-        else:
-            candidates = ref.elements
-        matches = [r for r in candidates if op(iv, r)]
+        matches = [r for r in ref.elements if op(iv, r)]
         if not matches:
             continue
         if strict and op.clips:
@@ -307,26 +187,19 @@ def foreach(op: "Listop | str", cal: Calendar,
     if ref.order == 1:
         if op.shape == "filtering":
             return _foreach_filtering(op, cal, ref, strict)
+        if _sweepable(op):
+            groups = columnar.iter_groups(cal.columns, ref.columns, op.name,
+                                          strict and op.clips)
+        else:
+            groups = ((i, _foreach_interval(op, cal, r, strict).columns)
+                      for i, r in enumerate(ref))
         subs: list[Calendar] = []
         labels: list[Label] = []
-        lanes = _foreach_grouping_columnar(op, cal, ref)
-        if lanes is not None:
-            cols, refs = lanes
-            clip = strict and op.clips
-            gran = cal.granularity
-            for i, group in columnar.iter_groups(cols, refs, op.name, clip):
-                if not len(group):
-                    continue
-                subs.append(Calendar._from_columns(group, gran))
-                labels.append(ref.label_of(i))
-        else:
-            view = _SortedView.of(cal)
-            for i, r in enumerate(ref.elements):
-                sub = _foreach_interval(op, cal, r, strict, view)
-                if sub.is_empty():
-                    continue
-                subs.append(sub)
-                labels.append(ref.label_of(i))
+        for i, group in groups:
+            if not len(group):
+                continue
+            subs.append(Calendar._from_columns(group, cal.granularity))
+            labels.append(ref.label_of(i))
         out = Calendar.from_calendars(subs, cal.granularity)
         if ref.labels is not None:
             out = out.with_labels(labels)
@@ -440,16 +313,13 @@ def _select_order1(cal: Calendar, pred: SelectionPredicate) -> Calendar:
     if cal.labels is not None:
         labels = tuple(cal.labels[p] for p in positions)
     cols = cal.columns
-    if cols is not None:
-        # Index straight into the columns: a contiguous selection is a
-        # zero-copy slice, anything else gathers into fresh buffers.
-        if positions and positions[-1] - positions[0] + 1 == len(positions):
-            out = cols.slice(positions[0], positions[-1] + 1)
-        else:
-            out = cols.take(positions)
-        return Calendar._from_columns(out, cal.granularity, labels)
-    els = [cal.elements[p] for p in positions]
-    return Calendar.from_intervals(els, cal.granularity, labels)
+    # Index straight into the columns: a contiguous selection is a
+    # zero-copy slice, anything else gathers into fresh buffers.
+    if positions and positions[-1] - positions[0] + 1 == len(positions):
+        out = cols.slice(positions[0], positions[-1] + 1)
+    else:
+        out = cols.take(positions)
+    return Calendar._from_columns(out, cal.granularity, labels)
 
 
 def select(cal: Calendar, pred: SelectionPredicate) -> Calendar:
@@ -516,52 +386,30 @@ def caloperate(cal: Calendar, counts: Sequence[int],
             raise CalendarError(f"group sizes must be positive ints, got {c!r}")
     n = len(cal)
     cols = cal.columns
-    if cols is not None:
-        # Hull extraction straight from the lanes; sorted lanes reduce
-        # min/max over the chunk to its boundary entries.
-        los, his = cols.los, cols.his
-        lo_sorted = cols.lo_sorted
-        hi_sorted = cols.hi_sorted
-        out_los: list[int] = []
-        out_his: list[int] = []
-        i = 0
-        group = 0
-        while i < n:
-            size = counts[group % len(counts)]
-            j = i + size
-            if j > n:
-                j = n
-            hlo = los[i] if lo_sorted else min(los[i:j])
-            hhi = his[j - 1] if hi_sorted else max(his[i:j])
-            if end is not None:
-                if hlo > end:
-                    break
-                if hhi > end:
-                    clip = Interval(hlo, end)
-                    out_los.append(clip.lo)
-                    out_his.append(clip.hi)
-                    break
-            out_los.append(hlo)
-            out_his.append(hhi)
-            i = j
-            group += 1
-        out = IntervalColumns.from_lists(out_los, out_his)
-        return Calendar._from_columns(out, cal.granularity)
-    result: list[Interval] = []
+    # Hull extraction straight from the lanes; sorted lanes reduce
+    # min/max over the chunk to its boundary entries.
+    los, his = cols.los, cols.his
+    lo_sorted = cols.lo_sorted
+    hi_sorted = cols.hi_sorted
+    out_los: list[int] = []
+    out_his: list[int] = []
     i = 0
     group = 0
     while i < n:
-        size = counts[group % len(counts)]
-        chunk = cal.elements[i:i + size]
-        hull = Interval(min(iv.lo for iv in chunk),
-                        max(iv.hi for iv in chunk))
+        j = min(i + counts[group % len(counts)], n)
+        hlo = los[i] if lo_sorted else min(los[i:j])
+        hhi = his[j - 1] if hi_sorted else max(his[i:j])
         if end is not None:
-            if hull.lo > end:
+            if hlo > end:
                 break
-            if hull.hi > end:
-                result.append(Interval(hull.lo, end))
+            if hhi > end:
+                clip = Interval(hlo, end)
+                out_los.append(clip.lo)
+                out_his.append(clip.hi)
                 break
-        result.append(hull)
-        i += size
+        out_los.append(hlo)
+        out_his.append(hhi)
+        i = j
         group += 1
-    return Calendar.from_intervals(result, cal.granularity)
+    out = IntervalColumns.from_lists(out_los, out_his)
+    return Calendar._from_columns(out, cal.granularity)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.core import columnar
 from repro.core.calendar import Calendar
 from repro.core.columnar import IntervalColumns
 from repro.core.chrono import (
@@ -209,20 +208,12 @@ class CalendarSystem:
         Every generation path produces units in axis order without
         overlap, so the endpoint lanes go straight into column buffers
         with the sorted/disjoint flags pre-set (no ``Interval`` objects
-        at all); with the columnar representation disabled (or endpoints
-        beyond int64) this falls back to the object build.
+        at all).
         """
-        if columnar.enabled():
-            cols = IntervalColumns.from_lists(
-                los, his, lo_sorted=True, hi_sorted=True, disjoint=True)
-            if cols is not None:
-                return Calendar._from_columns(
-                    cols, cal_g,
-                    tuple(labels) if labels is not None else None)
-        cal = Calendar.from_intervals(zip(los, his), cal_g)
-        if labels is not None:
-            cal = cal.with_labels(labels)
-        return cal
+        cols = IntervalColumns.from_lists(
+            los, his, lo_sorted=True, hi_sorted=True, disjoint=True)
+        return Calendar._from_columns(
+            cols, cal_g, tuple(labels) if labels is not None else None)
 
     def generate(self, cal: "str | Granularity", unit: "str | Granularity",
                  window: tuple, mode: str = "clip") -> Calendar:

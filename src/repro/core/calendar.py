@@ -24,16 +24,15 @@ overlapping intervals.
 Representation
 --------------
 
-Order-1 calendars built through :meth:`from_intervals` (and every
-generated tiling, set-operation result, cache hit, …) are *array-backed*:
-the endpoints live in an :class:`~repro.core.columnar.IntervalColumns`
-pair of ``array('q')`` buffers and ``Interval`` objects are materialised
-lazily, only when a caller crosses the public API boundary
-(:attr:`elements`, :attr:`intervals`, iteration, indexing).  The hot
-kernels (set operations, ``foreach`` dispatch, selection, caching) index
-straight into the columns and never materialise.  The raw constructor
-and ``REPRO_COLUMNAR=0`` keep the original object-tuple representation;
-kernels dispatch per operand, so both representations interoperate.
+Every order-1 calendar is *array-backed*: the endpoints live in an
+:class:`~repro.core.columnar.IntervalColumns` pair of ``array('q')``
+buffers and ``Interval`` objects are materialised lazily, only when a
+caller crosses the public API boundary (:attr:`elements`,
+:attr:`intervals`, iteration, indexing).  The hot kernels (set
+operations, ``foreach`` dispatch, selection, caching) index straight
+into the columns and never materialise.  An endpoint outside the int64
+lanes raises :class:`~repro.core.errors.InvalidIntervalError` at
+construction.
 """
 
 from __future__ import annotations
@@ -46,19 +45,11 @@ from repro.core import columnar
 from repro.core.columnar import IntervalColumns
 from repro.core.errors import CalendarError, InvalidIntervalError
 from repro.core.granularity import Granularity
-from repro.core.interval import Interval, axis_add
+from repro.core.interval import Interval
 
 __all__ = ["Calendar", "EMPTY"]
 
 Label = int | str | None
-
-
-def _coerce_interval(value: "Interval | tuple[int, int]") -> Interval:
-    if isinstance(value, Interval):
-        return value
-    if isinstance(value, tuple) and len(value) == 2:
-        return Interval(value[0], value[1])
-    raise InvalidIntervalError(f"cannot interpret {value!r} as an interval")
 
 
 def _rebuild(payload, order, granularity, labels):
@@ -73,7 +64,7 @@ class Calendar:
 
     Construct order-1 calendars with :meth:`from_intervals` and deeper
     calendars with :meth:`from_calendars`; the raw constructor is mainly
-    for internal use (and always builds the object-tuple representation).
+    for internal use.
     """
 
     def __init__(self, elements: tuple = (), order: int = 1,
@@ -96,7 +87,9 @@ class Calendar:
         if labels is not None and len(labels) != len(elements):
             raise CalendarError("labels must parallel elements")
         self._mat = elements
-        self._cols = None
+        self._cols = IntervalColumns.from_lists(
+            [iv.lo for iv in elements],
+            [iv.hi for iv in elements]) if order == 1 else None
         self.order = order
         self.granularity = granularity
         self.labels = labels
@@ -109,15 +102,11 @@ class Calendar:
                        labels: Sequence[Label] | None = None) -> "Calendar":
         """Build an order-1 calendar from intervals or ``(lo, hi)`` pairs.
 
-        When the columnar representation is enabled this is the
-        construction fast path: endpoints go straight into the column
-        buffers (a single pass, generator-friendly) and no ``Interval``
-        objects are created for tuple inputs.
+        Endpoints go straight into the column buffers (a single pass,
+        generator-friendly) and no ``Interval`` objects are created for
+        tuple inputs.
         """
         label_tuple = tuple(labels) if labels is not None else None
-        if not columnar.enabled():
-            els = tuple(_coerce_interval(i) for i in intervals)
-            return cls(els, 1, granularity, label_tuple)
         los: list[int] = []
         his: list[int] = []
         for value in intervals:
@@ -142,10 +131,6 @@ class Calendar:
                 raise InvalidIntervalError(
                     f"cannot interpret {value!r} as an interval")
         cols = IntervalColumns.from_lists(los, his)
-        if cols is None:
-            # Endpoints beyond int64: keep the object representation.
-            els = tuple(Interval._of(lo, hi) for lo, hi in zip(los, his))
-            return cls(els, 1, granularity, label_tuple)
         if label_tuple is not None and len(label_tuple) != len(cols):
             raise CalendarError("labels must parallel elements")
         return cls._from_columns(cols, granularity, label_tuple)
@@ -190,12 +175,12 @@ class Calendar:
 
     @property
     def columns(self) -> IntervalColumns | None:
-        """The backing endpoint columns, or ``None`` when object-backed."""
+        """The backing endpoint columns (``None`` only above order 1)."""
         return self._cols
 
     @property
     def elements(self) -> tuple:
-        """The element tuple (lazily materialised for columnar calendars)."""
+        """The element tuple (lazily materialised for order-1 calendars)."""
         mat = self._mat
         if mat is None:
             mat = self._materialise()
@@ -216,10 +201,8 @@ class Calendar:
         return mat
 
     def __reduce__(self):
-        if self.order == 1 and self._cols is not None:
-            return (_rebuild, (self.to_pairs(), 1, self.granularity,
-                               self.labels))
-        return (_rebuild, (self.elements, self.order, self.granularity,
+        payload = self.to_pairs() if self.order == 1 else self.elements
+        return (_rebuild, (payload, self.order, self.granularity,
                            self.labels))
 
     def __eq__(self, other) -> bool:
@@ -228,13 +211,8 @@ class Calendar:
         if self.order != other.order or \
                 self.granularity != other.granularity:
             return False
-        a, b = self._cols, other._cols
-        if a is not None and b is not None:
-            return a.equal(b)
         if self.order == 1:
-            # Mixed representations compare by endpoint pairs, without
-            # materialising the columnar side.
-            return self.to_pairs() == other.to_pairs()
+            return self._cols.equal(other._cols)
         return self.elements == other.elements
 
     def __ne__(self, other) -> bool:
@@ -284,20 +262,18 @@ class Calendar:
 
     def with_granularity(self, granularity: Granularity) -> "Calendar":
         """A copy carrying the given granularity (shares the columns)."""
-        if self._cols is not None:
-            return Calendar._from_columns(self._cols, granularity,
-                                          self.labels)
-        return Calendar(self.elements, self.order, granularity, self.labels)
+        return self._copy(granularity, self.labels)
 
     def with_labels(self, labels: Sequence[Label]) -> "Calendar":
         """A copy with per-element labels (for bare label selection)."""
-        labels = tuple(labels)
-        if self._cols is not None:
-            if len(labels) != len(self):
-                raise CalendarError("labels must parallel elements")
-            return Calendar._from_columns(self._cols, self.granularity,
-                                          labels)
-        return Calendar(self.elements, self.order, self.granularity, labels)
+        return self._copy(self.granularity, tuple(labels))
+
+    def _copy(self, granularity, labels) -> "Calendar":
+        if self._cols is None:
+            return Calendar(self.elements, self.order, granularity, labels)
+        if labels is not None and len(labels) != len(self):
+            raise CalendarError("labels must parallel elements")
+        return Calendar._from_columns(self._cols, granularity, labels)
 
     def label_of(self, index: int) -> Label:
         """The label of element ``index``, or None when unlabelled."""
@@ -328,11 +304,7 @@ class Calendar:
         """Depth-first ``(lo, hi)`` leaf pairs — no ``Interval`` objects."""
         if self.order == 1:
             cols = self._cols
-            if cols is not None:
-                yield from zip(cols.los, cols.his)
-            else:
-                for iv in self._mat:
-                    yield (iv.lo, iv.hi)
+            yield from zip(cols.los, cols.his)
             return
         for el in self.elements:
             yield from el.iter_pairs()
@@ -345,15 +317,14 @@ class Calendar:
 
     def span(self) -> Interval | None:
         """Smallest interval covering the whole calendar, or ``None``."""
-        if self.order == 1:
-            cols = self._cols
-            if cols is not None:
-                if not len(cols):
-                    return None
-                los, his = cols.los, cols.his
-                lo = los[0] if cols.lo_sorted else min(los)
-                hi = his[-1] if cols.hi_sorted else max(his)
-                return Interval._of(lo, hi)
+        cols = self._cols
+        if cols is not None:
+            if not len(cols):
+                return None
+            los, his = cols.los, cols.his
+            lo = los[0] if cols.lo_sorted else min(los)
+            hi = his[-1] if cols.hi_sorted else max(his)
+            return Interval._of(lo, hi)
         lo = hi = None
         for plo, phi in self.iter_pairs():
             lo = plo if lo is None else min(lo, plo)
@@ -366,14 +337,10 @@ class Calendar:
         """True when some leaf interval contains the axis point ``t``."""
         if t == 0:
             return False
-        if self.order == 1:
-            cols = self._cols
-            if cols is not None:
-                if cols.hi_sorted:
-                    i = bisect.bisect_left(cols.his, t)
-                    return i < len(cols) and cols.los[i] <= t
-                return any(lo <= t <= hi
-                           for lo, hi in zip(cols.los, cols.his))
+        cols = self._cols
+        if cols is not None and cols.hi_sorted:
+            i = bisect.bisect_left(cols.his, t)
+            return i < len(cols) and cols.los[i] <= t
         return any(lo <= t <= hi for lo, hi in self.iter_pairs())
 
     def leaf_count(self) -> int:
@@ -403,109 +370,23 @@ class Calendar:
         if self.order != 1 or (other is not None and other.order != 1):
             raise CalendarError(f"{op} is defined on order-1 calendars only")
 
-    def _lanes(self) -> IntervalColumns | None:
-        """This calendar's endpoint columns, building them for an
-        object-backed operand when needed (``None`` beyond int64)."""
-        cols = self._cols
-        if cols is not None:
-            return cols
-        mat = self._mat
-        return IntervalColumns.from_lists(
-            [iv.lo for iv in mat], [iv.hi for iv in mat])
-
-    def _sweep_operand(self, other: "Calendar"):
-        """Column lanes for a sweep-kernel set operation, or ``None`` when
-        the operation must take the legacy object path (both operands
-        object-backed, or endpoints beyond int64)."""
-        if self._cols is None and other._cols is None:
-            return None
-        a = self._lanes()
-        if a is None:
-            return None
-        b = other._lanes()
-        if b is None:
-            return None
-        return a, b
-
-    @staticmethod
-    def _merge_overlapping(intervals: "list[Interval]") -> "list[Interval]":
-        """Sort and merge overlapping intervals (adjacency is preserved)."""
-        merged: list[Interval] = []
-        for iv in sorted(intervals, key=lambda i: (i.lo, i.hi)):
-            if merged and merged[-1].overlaps(iv):
-                merged[-1] = merged[-1].union_hull(iv)
-            else:
-                merged.append(iv)
-        return merged
-
     def union(self, other: "Calendar") -> "Calendar":
         """Pointwise union; merges only genuinely overlapping intervals."""
         self._require_order1("union", other)
-        lanes = self._sweep_operand(other)
-        if lanes is not None:
-            out = columnar.union_sweep(*lanes)
-            return Calendar._from_columns(out, self.granularity)
-        merged = self._merge_overlapping([*self.elements, *other.elements])
-        return Calendar.from_intervals(merged, self.granularity)
-
-    @staticmethod
-    def _overlap_window(other: "Calendar"):
-        """Columnar overlap lookup over ``other``'s elements.
-
-        When ``other`` is sorted by both endpoints (true for every
-        generated tiling and every sorted point set), the elements that
-        can overlap a probe interval form a contiguous slice found by two
-        binary searches; unsorted operands fall back to the full range.
-        Returns ``(elements, window(iv) -> (start, end))``.
-        """
-        from repro.core.algebra import _SortedView
-        view = _SortedView.of(other)
-        if view.hi_sorted:
-            los, his = view.los, view.his
-            return view.elements, lambda iv: (
-                bisect.bisect_left(his, iv.lo),
-                bisect.bisect_right(los, iv.hi))
-        n = len(view.elements)
-        return view.elements, lambda iv: (0, n)
+        out = columnar.union_sweep(self._cols, other._cols)
+        return Calendar._from_columns(out, self.granularity)
 
     def difference(self, other: "Calendar") -> "Calendar":
         """Pointwise difference, splitting partially covered intervals."""
         self._require_order1("difference", other)
-        lanes = self._sweep_operand(other)
-        if lanes is not None:
-            out = columnar.difference_sweep(*lanes)
-            return Calendar._from_columns(out, self.granularity)
-        cuts, window = self._overlap_window(other)
-        result: list[Interval] = []
-        for iv in self.elements:
-            start, end = window(iv)
-            pieces = [iv]
-            for k in range(start, end):
-                cut = cuts[k]
-                pieces = [p for piece in pieces for p in piece.subtract(cut)]
-                if not pieces:
-                    break
-            result.extend(pieces)
-        return Calendar.from_intervals(self._merge_overlapping(result),
-                                       self.granularity)
+        out = columnar.difference_sweep(self._cols, other._cols)
+        return Calendar._from_columns(out, self.granularity)
 
     def intersection(self, other: "Calendar") -> "Calendar":
         """Pointwise intersection."""
         self._require_order1("intersection", other)
-        lanes = self._sweep_operand(other)
-        if lanes is not None:
-            out = columnar.intersection_sweep(*lanes)
-            return Calendar._from_columns(out, self.granularity)
-        others, window = self._overlap_window(other)
-        result: list[Interval] = []
-        for iv in self.elements:
-            start, end = window(iv)
-            for k in range(start, end):
-                common = iv.intersect(others[k])
-                if common is not None:
-                    result.append(common)
-        return Calendar.from_intervals(self._merge_overlapping(result),
-                                       self.granularity)
+        out = columnar.intersection_sweep(self._cols, other._cols)
+        return Calendar._from_columns(out, self.granularity)
 
     def shifted(self, delta: int) -> "Calendar":
         """A copy with every interval translated by ``delta`` ticks.
@@ -514,15 +395,8 @@ class Calendar:
         entity its label named.
         """
         self._require_order1("shift")
-        cols = self._cols
-        if cols is not None:
-            out = columnar.shift_columns(cols, delta)
-            if out is not None:
-                return Calendar._from_columns(out, self.granularity)
-        return Calendar.from_intervals(
-            ((axis_add(lo, delta), axis_add(hi, delta))
-             for lo, hi in self.iter_pairs()),
-            self.granularity)
+        out = columnar.shift_columns(self._cols, delta)
+        return Calendar._from_columns(out, self.granularity)
 
     def __add__(self, other: "Calendar") -> "Calendar":
         return self.union(other)
@@ -549,10 +423,7 @@ class Calendar:
     def to_pairs(self):
         """Plain nested tuples mirroring the paper's notation (for tests)."""
         if self.order == 1:
-            cols = self._cols
-            if cols is not None:
-                return cols.pairs()
-            return tuple((iv.lo, iv.hi) for iv in self._mat)
+            return self._cols.pairs()
         return tuple(el.to_pairs() for el in self.elements)
 
 

@@ -1,12 +1,13 @@
 """Array-backed interval storage and cache-efficient sweep kernels.
 
-This module inverts the relationship between ``Interval`` objects and the
-columnar ``lo``/``hi`` side-car arrays that :mod:`repro.core.matcache` and
-:mod:`repro.core.stream` grew around the object model: an order-1
-:class:`~repro.core.calendar.Calendar` now *stores* its endpoints as a
-pair of ``array('q')`` buffers (:class:`IntervalColumns`) and materialises
-Python ``Interval`` objects only when a caller crosses the public API
-boundary (``Calendar.elements``, iteration, indexing).
+This is the one storage form of an order-1
+:class:`~repro.core.calendar.Calendar`: its endpoints live in a pair of
+``array('q')`` buffers (:class:`IntervalColumns`) and Python ``Interval``
+objects are materialised only when a caller crosses the public API
+boundary (``Calendar.elements``, iteration, indexing).  An endpoint
+outside the int64 lanes raises
+:class:`~repro.core.errors.InvalidIntervalError` when the columns are
+built (:meth:`IntervalColumns.from_lists`, :func:`shift_columns`).
 
 On top of that representation the hot kernels become single-pass,
 cache-efficient sweeps over the arrays, following the gapless lane-sweep
@@ -41,68 +42,34 @@ The module is deliberately dependency-light (only ``repro.core.errors``)
 so :mod:`repro.core.calendar` can build on it without import cycles; the
 zero-skipping axis increments are inlined here (as they already are in
 ``matcache``) for the same reason.
-
-``REPRO_COLUMNAR=0`` restores the object-tuple representation (every
-kernel then takes its legacy path); :func:`set_enabled` is the in-process
-toggle the parity suites and benchmarks use.
 """
 
 from __future__ import annotations
-
-import os
 
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import Iterator, Sequence
 
+from repro.core.errors import InvalidIntervalError
+
 __all__ = [
     "IntervalColumns",
-    "enabled",
-    "set_enabled",
     "MATERIALISATIONS",
     "union_sweep",
     "intersection_sweep",
     "difference_sweep",
     "group_range",
     "iter_groups",
-    "clip_to_span",
     "shift_columns",
     "concat_columns",
     "batch_membership",
     "interval_join_pairs",
 ]
 
-#: int64 bounds of the ``'q'`` typecode; endpoints outside fall back to
-#: the object representation (the overflow audit of ISSUE 8).
+#: int64 bounds of the ``'q'`` typecode; an endpoint outside them raises
+#: :class:`InvalidIntervalError`.
 Q_MIN = -(2 ** 63)
 Q_MAX = 2 ** 63 - 1
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_COLUMNAR", "1").lower() not in (
-        "0", "off", "false", "no")
-
-
-_ENABLED = _env_enabled()
-
-
-def enabled() -> bool:
-    """True when new order-1 calendars should be array-backed."""
-    return _ENABLED
-
-
-def set_enabled(flag: bool) -> bool:
-    """Toggle the columnar representation; returns the previous setting.
-
-    Existing calendars keep whatever representation they were built
-    with — kernels dispatch per operand — so object-backed and
-    array-backed calendars coexist (this is what lets the parity suites
-    and benchmarks compare both paths in one process).
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
 
 
 class _Counter:
@@ -149,7 +116,7 @@ class IntervalColumns:
     slicing can move labels with the endpoints.
 
     Flags — ``lo_sorted`` (lo lane nondecreasing), ``hi_sorted``
-    (*both* lanes nondecreasing, mirroring ``_SortedView``) and
+    (*both* lanes nondecreasing) and
     ``disjoint`` (lo-sorted with strictly separated intervals) — are
     computed once on first use and inherited by slices when the parent
     already knows them to be True.
@@ -173,14 +140,17 @@ class IntervalColumns:
     @classmethod
     def from_lists(cls, los: Sequence[int], his: Sequence[int],
                    labels=None, *, lo_sorted=None, hi_sorted=None,
-                   disjoint=None) -> "IntervalColumns | None":
-        """Pack endpoint lists; ``None`` when any endpoint exceeds int64."""
+                   disjoint=None) -> "IntervalColumns":
+        """Pack endpoint lists; raises :class:`InvalidIntervalError` when
+        an endpoint lies outside int64."""
         try:
-            return cls(array("q", los), array("q", his), labels,
-                       lo_sorted=lo_sorted, hi_sorted=hi_sorted,
-                       disjoint=disjoint)
+            lo_lane, hi_lane = array("q", los), array("q", his)
         except OverflowError:
-            return None
+            raise InvalidIntervalError(
+                f"interval endpoint outside the int64 range "
+                f"[{Q_MIN}, {Q_MAX}]") from None
+        return cls(lo_lane, hi_lane, labels, lo_sorted=lo_sorted,
+                   hi_sorted=hi_sorted, disjoint=disjoint)
 
     @classmethod
     def empty(cls) -> "IntervalColumns":
@@ -319,20 +289,19 @@ def _sorted_lanes(cols: IntervalColumns):
     """``(los, his)`` in ``(lo, hi)`` lexicographic order.
 
     Zero-copy when the columns are hi-sorted (lo and hi lanes sorted
-    together imply lexicographic order); otherwise a full sort — the
-    same cost the object kernels pay in ``_merge_overlapping``.
+    together imply lexicographic order) or lo-sorted with hi-ordered
+    ties; otherwise a full sort.
     """
     if cols.hi_sorted:
         return cols.los, cols.his
-    if cols.lo_sorted and _ties_ordered(cols):
+    if cols.lo_sorted and _ties_ordered(cols.los, cols.his):
         return cols.los, cols.his
     pairs = sorted(zip(cols.los, cols.his))
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
-def _ties_ordered(cols: IntervalColumns) -> bool:
+def _ties_ordered(los, his) -> bool:
     """True when equal-lo runs are hi-ordered (lexicographic overall)."""
-    los, his = cols.los, cols.his
     for i in range(len(los) - 1):
         if los[i] == los[i + 1] and his[i] > his[i + 1]:
             return False
@@ -343,9 +312,8 @@ def _merged_result(out_los: list, out_his: list,
                    sorted_out: bool) -> IntervalColumns:
     """Sort-if-needed then linearly merge genuinely overlapping pieces.
 
-    Exactly ``Calendar._merge_overlapping``: pieces sorted by
-    ``(lo, hi)``; a piece merges into its predecessor when it overlaps
-    (``lo <= previous hi``); adjacency is preserved.
+    Pieces sorted by ``(lo, hi)``; a piece merges into its predecessor
+    when it overlaps (``lo <= previous hi``); adjacency is preserved.
     """
     if not sorted_out:
         pairs = sorted(zip(out_los, out_his))
@@ -397,8 +365,8 @@ def intersection_sweep(a: IntervalColumns,
     that ended before the probe begins; every scanned pair overlaps, so
     the inner loop's work equals the output size.  The piece multiset is
     order-independent, which is what makes probing in sorted order (and
-    sorting unsorted operands first) exactly equivalent to the object
-    kernel's probe-in-calendar-order followed by sort-and-merge.
+    sorting unsorted operands first) exactly equivalent to probing in
+    calendar order followed by sort-and-merge.
     """
     alos, ahis = _sorted_lanes(a)
     blos, bhis = _sorted_lanes(b)
@@ -433,14 +401,7 @@ def intersection_sweep(a: IntervalColumns,
                 sorted_out = False
             last_lo = plo
     return _merged_result(out_los, out_his,
-                          sorted_out and _run_ties_ordered(out_los, out_his))
-
-
-def _run_ties_ordered(los: list, his: list) -> bool:
-    for i in range(len(los) - 1):
-        if los[i] == los[i + 1] and his[i] > his[i + 1]:
-            return False
-    return True
+                          sorted_out and _ties_ordered(out_los, out_his))
 
 
 def difference_sweep(a: IntervalColumns,
@@ -490,7 +451,7 @@ def difference_sweep(a: IntervalColumns,
                 sorted_out = False
             last_lo = cur
     return _merged_result(out_los, out_his,
-                          sorted_out and _run_ties_ordered(out_los, out_his))
+                          sorted_out and _ties_ordered(out_los, out_his))
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +485,7 @@ def group_range(cols: IntervalColumns, op_name: str, rlo: int, rhi: int
     Returns ``(start, end, exact)``; with ``exact`` True every index in
     ``[start, end)`` satisfies the predicate (the pure-bisect lane case,
     available whenever both lanes are sorted), otherwise the range must
-    be filtered with :data:`INT_PREDICATES`.  Mirrors (and tightens)
-    ``_SortedView.candidate_range``.
+    be filtered with :data:`INT_PREDICATES`.
     """
     los, his = cols.los, cols.his
     n = len(los)
@@ -654,7 +614,7 @@ def _clip_exact(cols: IntervalColumns, op_name: str, start: int, end: int,
         if plo > phi:
             # e.g. "<=" relates intervals that need not overlap; the
             # strict clip then drops the member (the paper's epsilon
-            # exclusion), exactly like the object kernel.
+            # exclusion).
             continue
         out_los.append(plo)
         out_his.append(phi)
@@ -703,25 +663,6 @@ def iter_groups(mem: IntervalColumns, refs: IntervalColumns, op_name: str,
         return
     for i in range(nrefs):
         yield i, sweep_one(mem, op_name, rlos[i], rhis[i], clip)
-
-
-def filtering_positions(mem: IntervalColumns, refs: IntervalColumns,
-                        op_name: str, inverse: "str | None"
-                        ) -> Iterator[tuple[int, int, int]]:
-    """Yield ``(member_index, cand_start, cand_end)`` for filtering listops.
-
-    The candidate range indexes ``refs`` (original order); ``inverse``
-    narrows it by lane search exactly like ``_foreach_filtering`` does
-    with the inverse-operator ``candidate_range``.
-    """
-    los, his = mem.los, mem.his
-    nrefs = len(refs)
-    for i in range(len(los)):
-        if inverse is not None:
-            start, end, _exact = group_range(refs, inverse, los[i], his[i])
-        else:
-            start, end = 0, nrefs
-        yield i, start, end
 
 
 # ---------------------------------------------------------------------------
@@ -807,19 +748,6 @@ def interval_join_pairs(alos: Sequence[int], ahis: Sequence[int],
 # Misc column kernels
 # ---------------------------------------------------------------------------
 
-def clip_to_span(cols: IntervalColumns, lo: int, hi: int
-                 ) -> "IntervalColumns | None":
-    """Keep elements overlapping ``[lo, hi]``; ``None`` when the lanes are
-    unsorted (caller falls back to a scan)."""
-    if not cols.hi_sorted:
-        return None
-    start = bisect_left(cols.his, lo)
-    end = bisect_right(cols.los, hi)
-    if end < start:
-        end = start
-    return cols.slice(start, end)
-
-
 def clip_cover(cols: IntervalColumns, lo: int, hi: int) -> IntervalColumns:
     """Intersect the two boundary elements with ``[lo, hi]`` (cover → clip
     materialisation); zero-copy when no boundary pokes outside."""
@@ -838,10 +766,9 @@ def clip_cover(cols: IntervalColumns, lo: int, hi: int) -> IntervalColumns:
     return out
 
 
-def shift_columns(cols: IntervalColumns,
-                  delta: int) -> "IntervalColumns | None":
-    """Translate every interval by ``delta`` zero-skipping ticks; ``None``
-    when a shifted endpoint leaves the int64 range."""
+def shift_columns(cols: IntervalColumns, delta: int) -> IntervalColumns:
+    """Translate every interval by ``delta`` zero-skipping ticks; raises
+    :class:`InvalidIntervalError` when a shifted endpoint leaves int64."""
     out_los: list[int] = []
     out_his: list[int] = []
     for lane, out in ((cols.los, out_los), (cols.his, out_his)):
@@ -852,7 +779,4 @@ def shift_columns(cols: IntervalColumns,
             elif t < 0 and r >= 0:
                 r += 1
             out.append(r)
-    try:
-        return IntervalColumns(array("q", out_los), array("q", out_his))
-    except OverflowError:
-        return None
+    return IntervalColumns.from_lists(out_los, out_his)

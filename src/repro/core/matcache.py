@@ -71,12 +71,12 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import Sequence
 
 from repro.core import columnar
 from repro.core.calendar import Calendar
 from repro.core.errors import ConfigurationError
 from repro.core.granularity import Granularity
-from repro.core.interval import Interval
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -100,20 +100,19 @@ def _axis_inc(t: int) -> int:
 class _Entry:
     """The widest cover-mode materialisation generated so far for one key.
 
-    When the stored calendar is column-backed, ``los``/``his`` *are* the
-    calendar's endpoint lanes (no side-car copy) and :meth:`serve`
-    answers a contained sub-window with a zero-copy column slice —
-    clip-mode requests patch at most the two boundary endpoints.  The
-    object representation keeps the historical list side-cars.
+    ``los``/``his`` *are* the calendar's endpoint lanes (no side-car
+    copy) and :meth:`serve` answers a contained sub-window with a
+    zero-copy column slice — clip-mode requests patch at most the two
+    boundary endpoints.
     """
 
     window: tuple[int, int]
     calendar: Calendar                      #: cover mode over ``window``
-    los: "list[int]" = field(default_factory=list)
-    his: "list[int]" = field(default_factory=list)
+    los: Sequence[int]                      #: the calendar's lo lane
+    his: Sequence[int]                      #: the calendar's hi lane
     #: Small memo of recently served sub-window calendars, so repeated
     #: identical requests return the *same* object (letting per-Calendar
-    #: sorted-view memos in the algebra be shared across contexts).
+    #: memos such as lane flags be shared across contexts).
     served: OrderedDict = field(default_factory=OrderedDict)
     #: Global LRU recency stamp (monotonic across all stripes).
     stamp: int = 0
@@ -122,15 +121,8 @@ class _Entry:
 
     @classmethod
     def build(cls, window: tuple[int, int], calendar: Calendar) -> "_Entry":
-        entry = cls(window, calendar)
         cols = calendar.columns
-        if cols is not None:
-            entry.los = cols.los
-            entry.his = cols.his
-        else:
-            entry.los = [iv.lo for iv in calendar.elements]
-            entry.his = [iv.hi for iv in calendar.elements]
-        return entry
+        return cls(window, calendar, cols.los, cols.his)
 
     def covers(self, lo: int, hi: int) -> bool:
         return self.window[0] <= lo and hi <= self.window[1]
@@ -153,28 +145,15 @@ class _Entry:
             return cached
         start, end = self.slice_range(lo, hi)
         source = self.calendar
-        cols = source.columns
-        if cols is not None:
-            out = cols.slice(start, end)
-            if mode == "clip":
-                # Tilings are disjoint and sorted, so only the two
-                # boundary endpoints can poke outside the window.
-                out = columnar.clip_cover(out, lo, hi)
-            labels = None
-            if source.labels is not None:
-                labels = source.labels[start:end]
-            result = Calendar._from_columns(out, source.granularity, labels)
-        else:
-            elements = list(source.elements[start:end])
-            if mode == "clip" and elements:
-                window_iv = Interval(lo, hi)
-                elements[0] = elements[0].intersect(window_iv)
-                elements[-1] = elements[-1].intersect(window_iv)
-            labels = None
-            if source.labels is not None:
-                labels = source.labels[start:end]
-            result = Calendar.from_intervals(elements, source.granularity,
-                                             labels)
+        out = source.columns.slice(start, end)
+        if mode == "clip":
+            # Tilings are disjoint and sorted, so only the two
+            # boundary endpoints can poke outside the window.
+            out = columnar.clip_cover(out, lo, hi)
+        labels = None
+        if source.labels is not None:
+            labels = source.labels[start:end]
+        result = Calendar._from_columns(out, source.granularity, labels)
         self.served[memo_key] = result
         if len(self.served) > self._SERVED_MAX:
             self.served.popitem(last=False)
@@ -490,76 +469,56 @@ class MaterialisationCache:
         The unit straddling the old window boundary appears whole in both
         materialisations; a single copy is kept (deduplicated by ``lo``).
         Returns None when the merged entry would exceed the per-entry
-        element cap.  Column-backed inputs merge lane-wise (one buffer
-        concatenation, no ``Interval`` objects).
+        element cap.  The merge is lane-wise (one buffer concatenation,
+        no ``Interval`` objects).
         """
         old_cols = old.columns
-        if old_cols is not None and \
-                (left is None or left.columns is not None) and \
-                (right is None or right.columns is not None):
-            n_old = len(old_cols)
-            first_lo = old_cols.los[0] if n_old else None
-            last_lo = old_cols.los[-1] if n_old else None
-            parts = []
-            label_parts = []
-            for side, bound, is_left in ((left, first_lo, True),
-                                         (None, None, None),
-                                         (right, last_lo, False)):
-                if is_left is None:
-                    parts.append(old_cols)
-                    label_parts.append(old.labels)
-                    continue
-                if side is None:
-                    continue
-                cols = side.columns
-                if bound is None:
-                    idx = range(len(cols))
-                    kept = cols
-                elif cols.lo_sorted:
-                    if is_left:
-                        k = bisect.bisect_left(cols.los, bound)
-                        idx = range(k)
-                        kept = cols.slice(0, k)
-                    else:
-                        k = bisect.bisect_right(cols.los, bound)
-                        idx = range(k, len(cols))
-                        kept = cols.slice(k, len(cols))
-                else:
-                    pos = [i for i in range(len(cols))
-                           if (cols.los[i] < bound if is_left
-                               else cols.los[i] > bound)]
-                    idx = pos
-                    kept = cols.take(pos)
-                parts.append(kept)
-                label_parts.append(tuple(side.label_of(i) for i in idx))
-            if sum(len(p) for p in parts) > self.max_entry_elements:
-                return None
-            labels = None
-            if old.labels is not None:
-                labels = tuple(lab for part in label_parts
-                               for lab in (part or ()))
-            merged_cols = columnar.concat_columns(parts)
-            return Calendar._from_columns(merged_cols, old.granularity,
-                                          labels)
-        elements = list(old.elements)
-        labels = list(old.labels) if old.labels is not None else None
+        n_old = len(old_cols)
+        parts = [old_cols]
+        label_parts = [old.labels or ()]
         if left is not None:
-            first_lo = elements[0].lo if elements else None
-            keep = [i for i, iv in enumerate(left.elements)
-                    if first_lo is None or iv.lo < first_lo]
-            elements[:0] = [left.elements[i] for i in keep]
-            if labels is not None:
-                labels[:0] = [left.label_of(i) for i in keep]
+            first_lo = old_cols.los[0] if n_old else None
+            kept, labels = self._trim(left, first_lo, before=True)
+            parts.insert(0, kept)
+            label_parts.insert(0, labels)
         if right is not None:
-            last_lo = elements[-1].lo if elements else None
-            keep = [i for i, iv in enumerate(right.elements)
-                    if last_lo is None or iv.lo > last_lo]
-            elements.extend(right.elements[i] for i in keep)
-            if labels is not None:
-                labels.extend(right.label_of(i) for i in keep)
-        if len(elements) > self.max_entry_elements:
+            last_lo = old_cols.los[-1] if n_old else None
+            kept, labels = self._trim(right, last_lo, before=False)
+            parts.append(kept)
+            label_parts.append(labels)
+        if sum(len(p) for p in parts) > self.max_entry_elements:
             return None
-        return Calendar.from_intervals(elements, old.granularity, labels)
+        labels = None
+        if old.labels is not None:
+            labels = tuple(lab for part in label_parts for lab in part)
+        return Calendar._from_columns(columnar.concat_columns(parts),
+                                      old.granularity, labels)
+
+    @staticmethod
+    def _trim(side: Calendar, bound: "int | None", before: bool):
+        """``side``'s units strictly before (or after) the old cover's
+        boundary ``lo``, with their labels; all of them when the old
+        cover is empty."""
+        cols = side.columns
+        n = len(cols)
+        if bound is None:
+            idx = range(n)
+            kept = cols
+        elif cols.lo_sorted:
+            if before:
+                k = bisect.bisect_left(cols.los, bound)
+                idx = range(k)
+                kept = cols.slice(0, k)
+            else:
+                k = bisect.bisect_right(cols.los, bound)
+                idx = range(k, n)
+                kept = cols.slice(k, n)
+        else:
+            idx = [i for i in range(n)
+                   if (cols.los[i] < bound if before
+                       else cols.los[i] > bound)]
+            kept = cols.take(idx)
+        return kept, tuple(side.label_of(i) for i in idx)
 
     def _evict_overflow(self) -> None:
         """Evict globally least-recently-stamped entries past ``maxsize``.

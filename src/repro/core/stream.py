@@ -1,211 +1,15 @@
-"""Lazy streaming interval pipelines (bounded-memory kernel forms).
+"""Live-interval accounting for bounded-memory plan pipelines.
 
-The eager kernels (:func:`repro.core.algebra.foreach`,
-:meth:`repro.core.calendar.Calendar.intersection`/``difference``) operate
-on fully materialised element lists.  This module provides iterator forms
-of the same operations for *sorted* interval streams — the shape every
-``CalendarSystem.iter_generate`` tiling and every plan register has — so
-optimised plan pipelines can produce intervals incrementally and hold
-only a sliding buffer in memory:
-
-* :func:`iter_merge_overlapping` — streaming twin of
-  ``Calendar._merge_overlapping`` for lo-sorted input.
-* :func:`iter_intersection` / :func:`iter_difference` — merge-join set
-  kernels over two lo-sorted streams, yielding exactly the (pre-merge)
-  pieces the eager columnar kernels compute.
-* :func:`stream_foreach_grouped` — the streaming foreach merge-join: one
-  pass over a lo-sorted member stream against lo-sorted reference
-  intervals, yielding ``(ref_index, members)`` groups with the same
-  per-group contents as :func:`repro.core.algebra._apply_over`.
-* :class:`PeakTracker` — opt-in live-interval accounting used by the plan
-  VM to report peak materialised-interval counts.
-
-All functions assume their input streams are sorted by ``lo`` (ties
-broken arbitrarily); generated tilings satisfy this by construction.
-Every kernel also accepts a :class:`~repro.core.calendar.Calendar`
-directly: column-backed calendars stream straight off their ``lo``/``hi``
-lanes (no element-tuple materialisation), so feeding a columnar calendar
-into a streaming pipeline never bumps ``columnar.materialisations``.
+Optimised plan pipelines (:class:`repro.lang.plan.PipelineForEachStep`)
+evaluate a foreach's left chain per reference interval over a narrowed
+window, so only one reference's neighbourhood is live at a time.
+:class:`PeakTracker` is the opt-in accounting the plan VM uses to report
+the peak number of materialised intervals such a run held.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Iterator, Sequence
-
-from repro.core.interval import Interval, Listop, get_listop
-
-__all__ = [
-    "as_interval_stream",
-    "iter_merge_overlapping",
-    "iter_intersection",
-    "iter_difference",
-    "stream_foreach_grouped",
-    "PeakTracker",
-]
-
-
-def as_interval_stream(source: "Iterable[Interval]") -> Iterator[Interval]:
-    """Yield the intervals of ``source`` lazily, one object at a time.
-
-    ``source`` may be any interval iterable, including a ``Calendar``.
-    Column-backed calendars are streamed directly off their integer
-    lanes via ``Interval._of`` so the calendar's element tuple is never
-    materialised; everything else is simply iterated.
-    """
-    cols = getattr(source, "columns", None)
-    if cols is not None:
-        los, his = cols.los, cols.his
-        return (Interval._of(los[i], his[i]) for i in range(len(los)))
-    return iter(source)
-
-
-def iter_merge_overlapping(intervals: Iterable[Interval]
-                           ) -> Iterator[Interval]:
-    """Merge genuinely overlapping intervals of a lo-sorted stream.
-
-    Streaming equivalent of ``Calendar._merge_overlapping`` (adjacent
-    intervals are preserved, only overlaps merge); holds a single pending
-    interval at a time.
-    """
-    pending: Interval | None = None
-    for iv in as_interval_stream(intervals):
-        if pending is not None and pending.overlaps(iv):
-            pending = pending.union_hull(iv)
-        else:
-            if pending is not None:
-                yield pending
-            pending = iv
-    if pending is not None:
-        yield pending
-
-
-def _buffered_overlaps(stream: Iterator[Interval],
-                       buffer: "deque[Interval]",
-                       probe: Interval,
-                       exhausted: list) -> list[Interval]:
-    """Advance ``buffer`` to hold every stream interval overlapping ``probe``.
-
-    Drops buffered intervals that end before ``probe`` starts (they cannot
-    overlap this or any later probe of a lo-sorted probe sequence) and
-    pulls new ones while they may still start within ``probe``.
-    """
-    while buffer and buffer[0].hi < probe.lo:
-        buffer.popleft()
-    while not exhausted:
-        nxt = next(stream, None)
-        if nxt is None:
-            exhausted.append(True)
-            break
-        if nxt.hi >= probe.lo:
-            buffer.append(nxt)
-        if nxt.lo > probe.hi:
-            break
-    return [iv for iv in buffer if iv.lo <= probe.hi]
-
-
-def iter_intersection(a: Iterable[Interval], b: Iterable[Interval]
-                      ) -> Iterator[Interval]:
-    """Pairwise intersection pieces of two lo-sorted streams, in ``a`` order.
-
-    Yields the same pieces (same order) as the columnar
-    ``Calendar.intersection`` kernel before its final overlap merge; wrap
-    with :func:`iter_merge_overlapping` (no sort needed — output is
-    lo-sorted when ``a`` is disjoint, the shape of every real tiling)
-    for full parity.
-    """
-    b_iter = as_interval_stream(b)
-    buffer: deque[Interval] = deque()
-    exhausted: list = []
-    for iv in as_interval_stream(a):
-        for other in _buffered_overlaps(b_iter, buffer, iv, exhausted):
-            common = iv.intersect(other)
-            if common is not None:
-                yield common
-
-
-def iter_difference(a: Iterable[Interval], b: Iterable[Interval]
-                    ) -> Iterator[Interval]:
-    """Difference pieces of two lo-sorted streams, in ``a`` order.
-
-    Each ``a`` interval is split around every overlapping ``b`` interval,
-    exactly as the eager ``Calendar.difference`` kernel does.
-    """
-    b_iter = as_interval_stream(b)
-    buffer: deque[Interval] = deque()
-    exhausted: list = []
-    for iv in as_interval_stream(a):
-        pieces = [iv]
-        for cut in _buffered_overlaps(b_iter, buffer, iv, exhausted):
-            pieces = [p for piece in pieces for p in piece.subtract(cut)]
-            if not pieces:
-                break
-        yield from pieces
-
-
-def stream_foreach_grouped(members: Iterable[Interval],
-                           op: "Listop | str",
-                           refs: Sequence[Interval],
-                           strict: bool = True,
-                           reach: int = 0,
-                           tracker: "PeakTracker | None" = None,
-                           ) -> Iterator[tuple[int, list[Interval]]]:
-    """Streaming grouped foreach: one pass of ``members`` against ``refs``.
-
-    ``members`` must be lo-sorted and ``refs`` is processed in lo order
-    (the original indices are yielded so callers can restore reference
-    order).  For each reference the yielded member list is exactly what
-    ``algebra._apply_over`` collects — same candidates, same strict
-    clipping, same order — provided every member satisfying ``op`` against
-    a reference ``r`` lies within ``[r.lo - reach, r.hi + reach]``.  All
-    clipping (non-lookback) listops satisfy this with ``reach=0`` because
-    a related member must intersect the reference; callers pushing other
-    operators must supply a sufficient ``reach``.
-
-    Only members that can still relate to the current or a later reference
-    are buffered, so peak memory is one reference window's worth of
-    members, not the whole stream.
-    """
-    if isinstance(op, str):
-        op = get_listop(op)
-    order = sorted(range(len(refs)), key=lambda i: (refs[i].lo, refs[i].hi))
-    stream = as_interval_stream(members)
-    buffer: deque[Interval] = deque()
-    exhausted: list = []
-    clip = strict and op.clips
-    for idx in order:
-        ref = refs[idx]
-        lo_bound = ref.lo - reach
-        hi_bound = ref.hi + reach
-        while buffer and buffer[0].hi < lo_bound:
-            if tracker is not None:
-                tracker.sub(1)
-            buffer.popleft()
-        while not exhausted:
-            nxt = next(stream, None)
-            if nxt is None:
-                exhausted.append(True)
-                break
-            if nxt.hi >= lo_bound:
-                buffer.append(nxt)
-                if tracker is not None:
-                    tracker.add(1)
-            if nxt.lo > hi_bound:
-                break
-        group: list[Interval] = []
-        for iv in buffer:
-            if iv.lo > hi_bound:
-                break
-            if not op(iv, ref):
-                continue
-            if clip:
-                clipped = iv.intersect(ref)
-                if clipped is None:
-                    continue
-                group.append(clipped)
-            else:
-                group.append(iv)
-        yield idx, group
+__all__ = ["PeakTracker"]
 
 
 class PeakTracker:

@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
+import uuid
 from dataclasses import dataclass, field
 
 from repro.catalog.registry import CalendarRegistry
@@ -238,10 +241,30 @@ def restore_database(payload: dict) -> Database:
 
 
 def save_database(db: Database, path: str) -> SaveReport:
-    """Serialise ``db`` to a JSON file; returns what was saved/skipped."""
+    """Serialise ``db`` to a JSON file; returns what was saved/skipped.
+
+    Crash-safe: the payload goes to a temporary file in the target's
+    directory, is flushed and fsynced, then atomically replaces
+    ``path``.  A failure part-way leaves the previous file untouched
+    (and removes the temporary one).
+    """
     payload, report = dump_database(db)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        # Mode "x" creates the file like "w" would (umask applies).
+        with open(tmp, "x", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=1)
+            handle.flush()
+            os.fsync(handle.fileno())
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
     return report
 
 

@@ -31,7 +31,7 @@ builtin implementations.
 
 ``REPRO_VECTOR_DB=0`` (or :func:`set_enabled`) restores the row-at-a-
 time engine everywhere — the same gate discipline as
-``REPRO_COLUMNAR`` / ``REPRO_PERIODIC``.
+``REPRO_PERIODIC``.
 """
 
 from __future__ import annotations

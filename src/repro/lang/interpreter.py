@@ -220,31 +220,24 @@ def clip_to_window(cal: Calendar, window: tuple[int, int]) -> Calendar:
     win = Interval(lo if lo != 0 else -1, hi if hi != 0 else 1)
     if cal.order == 1:
         cols = cal.columns
-        if cols is not None:
-            # Sorted lanes clip with two bisects and a zero-copy slice;
-            # unsorted lanes gather the overlapping positions.
-            if cols.hi_sorted:
-                start = bisect.bisect_left(cols.his, win.lo)
-                end = bisect.bisect_right(cols.los, win.hi)
-                if end < start:
-                    end = start
-                out = cols.slice(start, end)
-                labels = (cal.labels[start:end]
-                          if cal.labels is not None else None)
-            else:
-                los, his = cols.los, cols.his
-                pos = [i for i in range(len(cols))
-                       if los[i] <= win.hi and win.lo <= his[i]]
-                out = cols.take(pos)
-                labels = (tuple(cal.labels[i] for i in pos)
-                          if cal.labels is not None else None)
-            return Calendar._from_columns(out, cal.granularity, labels)
-        kept = [i for i, iv in enumerate(cal.elements) if iv.overlaps(win)]
-        labels = None
-        if cal.labels is not None:
-            labels = [cal.labels[i] for i in kept]
-        return Calendar.from_intervals([cal.elements[i] for i in kept],
-                                       cal.granularity, labels)
+        # Sorted lanes clip with two bisects and a zero-copy slice;
+        # unsorted lanes gather the overlapping positions.
+        if cols.hi_sorted:
+            start = bisect.bisect_left(cols.his, win.lo)
+            end = bisect.bisect_right(cols.los, win.hi)
+            if end < start:
+                end = start
+            out = cols.slice(start, end)
+            labels = (cal.labels[start:end]
+                      if cal.labels is not None else None)
+        else:
+            los, his = cols.los, cols.his
+            pos = [i for i in range(len(cols))
+                   if los[i] <= win.hi and win.lo <= his[i]]
+            out = cols.take(pos)
+            labels = (tuple(cal.labels[i] for i in pos)
+                      if cal.labels is not None else None)
+        return Calendar._from_columns(out, cal.granularity, labels)
     subs: list[Calendar] = []
     labels_out: list = []
     for i, sub in enumerate(cal.elements):

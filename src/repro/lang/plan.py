@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core import columnar
-from repro.core.algebra import SelectionPredicate, _SortedView, _apply_over, \
-    _sweepable, caloperate, foreach, label_select, select
+from repro.core.algebra import SelectionPredicate, _scan, _sweepable, \
+    caloperate, foreach, label_select, select
 from repro.core.calendar import Calendar
 from repro.core.granularity import Granularity
 from repro.core.interval import Interval, axis_add, get_listop
@@ -613,53 +613,21 @@ class PlanVM:
                      if right.order == 1 and len(right) == 1 else right)
         op = get_listop(step.op)
         if (isinstance(reference, Interval) or op.shape == "filtering"
-                or reference.order != 1):
+                or reference.order != 1 or not _sweepable(op)):
             return select(foreach(op, left, reference, strict=step.strict),
                           step.predicate)
+        # Groups come from the gapless lane sweep; the selection indexes
+        # each group's columns, so no ``Interval`` objects (and no order-2
+        # intermediate) exist at any point.
         pred = step.predicate
         singleton = pred.is_singleton()
-        cols = left.columns
-        if cols is not None and _sweepable(op):
-            refs = reference._lanes()
-            if refs is not None:
-                return self._run_fused_columnar(op, cols, refs, pred,
-                                                singleton, step.strict,
-                                                left.granularity)
-        view = _SortedView.of(left)
-        picked_intervals: list[Interval] = []
-        picked_subs: list[Calendar] = []
-        for r in reference.elements:
-            group: list[Interval] = []
-            _apply_over(view, op, r, step.strict, group)
-            if not group:
-                continue
-            positions = pred.positions(len(group))
-            if not positions:
-                continue
-            if singleton:
-                picked_intervals.append(group[positions[0]])
-            else:
-                picked_subs.append(Calendar.from_intervals(
-                    [group[p] for p in positions], left.granularity))
-        if singleton:
-            return Calendar.from_intervals(picked_intervals,
-                                           left.granularity)
-        return Calendar.from_calendars(picked_subs, left.granularity)
-
-    @staticmethod
-    def _run_fused_columnar(op, cols, refs, pred, singleton, strict,
-                            granularity) -> Calendar:
-        """Fused grouped-foreach + selection straight over the lanes.
-
-        Groups come from the gapless lane sweep; the selection indexes
-        each group's columns, so no ``Interval`` objects (and no order-2
-        intermediate) exist at any point.
-        """
-        clip = strict and op.clips
+        granularity = left.granularity
         picked_los: list[int] = []
         picked_his: list[int] = []
         picked_subs: list[Calendar] = []
-        for _i, group in columnar.iter_groups(cols, refs, op.name, clip):
+        for _i, group in columnar.iter_groups(left.columns,
+                                              reference.columns, op.name,
+                                              step.strict and op.clips):
             glen = len(group)
             if not glen:
                 continue
@@ -691,24 +659,19 @@ class PlanVM:
             left = left.flatten()
         op1 = get_listop(step.op1)
         ref_cal = right if right.order == 1 else right.flatten()
-        cols = left.columns
-        mid = None
-        if cols is not None and _sweepable(op1):
-            refs = ref_cal._lanes()
-            if refs is not None:
-                clip = step.strict1 and op1.clips
-                rlos, rhis = refs.los, refs.his
-                parts = [columnar.sweep_one(cols, op1.name, rlos[i],
-                                            rhis[i], clip)
-                         for i in range(len(rlos))]
-                mid = Calendar._from_columns(
-                    columnar.concat_columns(parts), left.granularity)
-        if mid is None:
-            view = _SortedView.of(left)
-            flat: list[Interval] = []
-            for ref in ref_cal.elements:
-                _apply_over(view, op1, ref, step.strict1, flat)
-            mid = Calendar.from_intervals(flat, left.granularity)
+        if _sweepable(op1):
+            clip = step.strict1 and op1.clips
+            cols, refs = left.columns, ref_cal.columns
+            parts = [columnar.sweep_one(cols, op1.name, refs.los[i],
+                                        refs.his[i], clip)
+                     for i in range(len(refs))]
+            mid = Calendar._from_columns(
+                columnar.concat_columns(parts), left.granularity)
+        else:
+            mid = Calendar.from_intervals(
+                [iv for ref in ref_cal
+                 for iv in _scan(op1, left, ref, step.strict1)],
+                left.granularity)
         reference2 = (right2[0]
                       if right2.order == 1 and len(right2) == 1 else right2)
         return foreach(step.op2, mid, reference2, strict=step.strict2)

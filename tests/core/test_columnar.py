@@ -1,10 +1,10 @@
-"""Representation-level columnar tests: overflow fallback, empty lanes,
+"""Representation-level columnar tests: int64 bounds, empty lanes,
 zero-copy cache serves, and the materialisation counter surfaces.
 
 The parity properties live in ``tests/property/test_columnar_props.py``;
 this file pins the representation mechanics the properties cannot see —
-which calendars carry columns, when the element tuple is (not) built,
-and how values outside the int64 lanes degrade to the object path.
+that every order-1 calendar carries columns, when the element tuple is
+(not) built, and how values outside the int64 lanes are refused.
 """
 
 import pytest
@@ -18,58 +18,62 @@ from repro.core import (
 )
 from repro.core import columnar
 from repro.core.columnar import Q_MAX, Q_MIN
+from repro.core.errors import InvalidIntervalError
 from repro.core.interval import axis_add
 from repro.core.matcache import MaterialisationCache
-
-
-@pytest.fixture(autouse=True)
-def force_columnar_builds():
-    """These tests pin columnar mechanics, so force the representation on
-    even under the REPRO_COLUMNAR=0 CI leg (the runtime toggle only
-    affects calendars built while it is set)."""
-    previous = columnar.enabled()
-    columnar.set_enabled(True)
-    yield
-    columnar.set_enabled(previous)
+from repro.errors import ReproError
 
 
 class TestInt64OverflowFallback:
-    """Endpoints outside the int64 lanes fall back to interval objects;
-    Python integers themselves never overflow, so only the columnar
-    representation (not the axis arithmetic) has a range limit."""
+    """An endpoint outside the int64 lanes raises a typed error at the
+    boundary.  Python integers themselves never overflow, so only the
+    lanes (not the axis arithmetic) have a range limit."""
 
-    def test_from_intervals_beyond_int64_uses_objects(self):
+    def test_from_intervals_beyond_int64_raises(self):
         big = Q_MAX + 10
-        cal = Calendar.from_intervals([(1, 1), (big, big + 1)])
-        assert cal.columns is None
-        assert cal.to_pairs() == ((1, 1), (big, big + 1))
+        with pytest.raises(InvalidIntervalError):
+            Calendar.from_intervals([(1, 1), (big, big + 1)])
 
-    def test_below_int64_min_uses_objects(self):
+    def test_below_int64_min_raises(self):
         small = Q_MIN - 10
-        cal = Calendar.from_intervals([(small, small), (1, 2)])
-        assert cal.columns is None
-        assert cal.span() == Interval(small, 2)
+        with pytest.raises(InvalidIntervalError):
+            Calendar.from_intervals([(small, small), (1, 2)])
 
-    def test_fallback_interoperates_with_columnar_operand(self):
+    def test_raw_constructor_beyond_int64_raises(self):
         big = Q_MAX + 10
-        wide = Calendar.from_intervals([(1, 5), (big, big)])
-        days = Calendar.from_intervals([(2, 3)])
-        assert wide.columns is None and days.columns is not None
-        assert (wide & days).to_pairs() == ((2, 3),)
-        assert (days - wide).to_pairs() == ()
-        assert (wide + days).to_pairs() == ((1, 5), (big, big))
+        with pytest.raises(InvalidIntervalError):
+            Calendar((Interval(1, 5), Interval(big, big)))
 
-    def test_shifted_overflow_falls_back(self):
+    def test_shifted_overflow_raises(self):
         cal = Calendar.from_intervals([(Q_MAX - 1, Q_MAX - 1)])
         assert cal.columns is not None
-        moved = cal.shifted(10)
-        assert moved.columns is None
-        assert moved.to_pairs() == ((Q_MAX + 9, Q_MAX + 9),)
+        with pytest.raises(InvalidIntervalError):
+            cal.shifted(10)
+
+    def test_error_is_a_repro_error_not_overflow(self):
+        with pytest.raises(ReproError) as caught:
+            Calendar.from_intervals([(Q_MIN, Q_MAX + 1)])
+        assert not isinstance(caught.value, OverflowError)
+
+    def test_int64_extremes_are_accepted(self):
+        cal = Calendar.from_intervals([(Q_MIN, -1), (1, Q_MAX)])
+        assert cal.to_pairs() == ((Q_MIN, -1), (1, Q_MAX))
 
     def test_axis_add_beyond_lanes_still_zero_skips(self):
         # axis_add works on arbitrary Python ints; crossing zero from a
         # point beyond the lane range must still skip tick 0.
         assert axis_add(-(Q_MAX + 5), 2 * (Q_MAX + 5)) == Q_MAX + 6
+
+
+class TestRawConstructor:
+    def test_raw_order1_build_carries_columns_without_materialising(self):
+        before = columnar.MATERIALISATIONS.value
+        cal = Calendar((Interval(1, 2), Interval(4, 5)))
+        assert cal.columns is not None
+        assert cal.to_pairs() == ((1, 2), (4, 5))
+        assert cal == Calendar.from_intervals([(1, 2), (4, 5)])
+        assert len(cal.elements) == 2
+        assert columnar.MATERIALISATIONS.value == before
 
 
 class TestEmptyCalendars:

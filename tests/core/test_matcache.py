@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import CalendarSystem
-from repro.core.algebra import _SortedView
 from repro.core.calendar import Calendar
 from repro.core.errors import CalendarError
 from repro.core.matcache import (
@@ -133,17 +132,6 @@ class TestMemo:
         tiny.memo_put(("c",), 3)
         assert tiny.memo_get(("a",)) is None
         assert tiny.memo_get(("c",)) == 3
-
-
-class TestSortedViewMemo:
-    def test_of_returns_one_view_per_calendar(self):
-        cal = Calendar.from_intervals([(1, 5), (8, 12)])
-        assert _SortedView.of(cal) is _SortedView.of(cal)
-
-    def test_memo_does_not_leak_across_equal_calendars(self):
-        a = Calendar.from_intervals([(1, 5)])
-        b = Calendar.from_intervals([(1, 5)])
-        assert _SortedView.of(a) is not _SortedView.of(b)
 
 
 class TestDefaultCache:

@@ -247,14 +247,3 @@ class TestOverlappingWindowStress:
 
         assert all(_hammer(THREADS, worker))
         assert cache.stats()["memo_entries"] <= 64
-
-
-class TestSortedViewConcurrency:
-    def test_sorted_view_memo_single_winner(self):
-        """Concurrent _SortedView.of calls agree on one attached view."""
-        from repro.core.algebra import _SortedView
-
-        cal = SYSTEM.generate("WEEKS", "DAYS", (1, 365), mode="cover")
-        views = _hammer(THREADS, lambda i: _SortedView.of(cal))
-        assert all(v is views[0] for v in views)
-        assert cal.__dict__["_sorted_view"] is views[0]

@@ -1,147 +1,15 @@
-"""Unit tests for the streaming interval kernels.
-
-Each iterator form is compared against its eager twin on the same
-input: identical pieces, identical order, bounded buffering.
-"""
+"""Unit tests for the plan VM's live-interval accounting and the
+streaming tiling generator (``CalendarSystem.iter_generate``)."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.core import Calendar, CalendarSystem, Granularity
-from repro.core.algebra import _SortedView, _apply_over, foreach
-from repro.core.interval import Interval, get_listop
-from repro.core.stream import (
-    PeakTracker,
-    iter_difference,
-    iter_intersection,
-    iter_merge_overlapping,
-    stream_foreach_grouped,
-)
+from repro.core import CalendarSystem
+from repro.core.stream import PeakTracker
 
 
 @pytest.fixture(scope="module")
 def sys87():
     return CalendarSystem.starting("Jan 1 1987")
-
-
-def lo_sorted_intervals(draw):
-    n = draw(st.integers(min_value=0, max_value=30))
-    out, lo = [], 1
-    for _ in range(n):
-        lo += draw(st.integers(min_value=0, max_value=5))
-        span = draw(st.integers(min_value=0, max_value=7))
-        out.append(Interval(lo, lo + span))
-    return sorted(out, key=lambda i: (i.lo, i.hi))
-
-
-def disjoint_intervals(draw):
-    # The shape of every real calendar tiling: strictly increasing and
-    # non-overlapping — the contract of the streams the kernels consume
-    # on their primary (probe) side.
-    n = draw(st.integers(min_value=0, max_value=30))
-    out, lo = [], 1
-    for _ in range(n):
-        span = draw(st.integers(min_value=0, max_value=7))
-        out.append(Interval(lo, lo + span))
-        lo += span + draw(st.integers(min_value=1, max_value=5))
-    return out
-
-
-class TestMergeOverlapping:
-    @given(st.composite(lo_sorted_intervals)())
-    def test_matches_eager_merge(self, intervals):
-        eager = Calendar._merge_overlapping(list(intervals))
-        lazy = list(iter_merge_overlapping(intervals))
-        assert [(i.lo, i.hi) for i in lazy] == \
-            [(i.lo, i.hi) for i in eager]
-
-    def test_adjacent_preserved(self):
-        stream = [Interval(1, 2), Interval(3, 4)]
-        assert [(i.lo, i.hi) for i in iter_merge_overlapping(stream)] == \
-            [(1, 2), (3, 4)]
-
-    def test_overlap_merges(self):
-        stream = [Interval(1, 5), Interval(3, 8), Interval(9, 9)]
-        assert [(i.lo, i.hi) for i in iter_merge_overlapping(stream)] == \
-            [(1, 8), (9, 9)]
-
-
-class TestSetKernels:
-    @given(st.composite(disjoint_intervals)(),
-           st.composite(lo_sorted_intervals)())
-    def test_intersection_matches_calendar(self, a, b):
-        cal_a = Calendar.from_intervals([(i.lo, i.hi) for i in a])
-        cal_b = Calendar.from_intervals([(i.lo, i.hi) for i in b])
-        eager = cal_a.intersection(cal_b)
-        pieces = iter_merge_overlapping(
-            iter_intersection(cal_a.elements, cal_b.elements))
-        lazy = Calendar.from_intervals([(i.lo, i.hi) for i in pieces])
-        assert lazy.to_pairs() == eager.to_pairs()
-
-    @given(st.composite(disjoint_intervals)(),
-           st.composite(lo_sorted_intervals)())
-    def test_difference_matches_calendar(self, a, b):
-        cal_a = Calendar.from_intervals([(i.lo, i.hi) for i in a])
-        cal_b = Calendar.from_intervals([(i.lo, i.hi) for i in b])
-        eager = cal_a.difference(cal_b)
-        pieces = iter_merge_overlapping(
-            iter_difference(cal_a.elements, cal_b.elements))
-        lazy = Calendar.from_intervals([(i.lo, i.hi) for i in pieces])
-        assert lazy.to_pairs() == eager.to_pairs()
-
-
-class TestStreamForeach:
-    def _eager_groups(self, members, op_name, refs, strict):
-        op = get_listop(op_name)
-        view = _SortedView.of(
-            Calendar.from_intervals([(i.lo, i.hi) for i in members]))
-        groups = []
-        for ref in refs:
-            out = []
-            _apply_over(view, op, ref, strict, out)
-            groups.append([(i.lo, i.hi) for i in out])
-        return groups
-
-    @pytest.mark.parametrize("op_name,strict", [
-        ("during", True), ("during", False),
-        ("overlaps", True), ("overlaps", False),
-        ("meets", True),
-    ])
-    def test_groups_match_apply_over(self, sys87, op_name, strict):
-        days = sys87.generate("DAYS", "DAYS", (1, 400), mode="clip")
-        months = sys87.generate("MONTHS", "DAYS", (1, 400), mode="clip")
-        members = list(days.elements)
-        refs = list(months.elements)
-        eager = self._eager_groups(members, op_name, refs, strict)
-        lazy = [None] * len(refs)
-        for idx, group in stream_foreach_grouped(members, op_name, refs,
-                                                 strict=strict):
-            lazy[idx] = [(i.lo, i.hi) for i in group]
-        assert lazy == eager
-
-    def test_matches_foreach_kernel(self, sys87):
-        days = sys87.generate("DAYS", "DAYS", (1, 400), mode="clip")
-        months = sys87.generate("MONTHS", "DAYS", (1, 400), mode="clip")
-        eager = foreach("during", days, months)
-        groups = {idx: group for idx, group in stream_foreach_grouped(
-            list(days.elements), "during", list(months.elements))}
-        rebuilt = Calendar.from_calendars(
-            [Calendar.from_intervals([(i.lo, i.hi) for i in groups[idx]])
-             for idx in sorted(groups) if groups[idx]],
-            days.granularity)
-        assert rebuilt.to_pairs() == eager.to_pairs()
-
-    def test_buffer_stays_bounded(self, sys87):
-        days = sys87.generate("DAYS", "DAYS", (1, 3000), mode="clip")
-        months = sys87.generate("MONTHS", "DAYS", (1, 3000), mode="clip")
-        tracker = PeakTracker()
-        for _ in stream_foreach_grouped(list(days.elements), "during",
-                                        list(months.elements),
-                                        tracker=tracker):
-            pass
-        # Peak buffered members ~ one month of days, not 3000 days.
-        assert tracker.peak <= 64
-        assert tracker.peak >= 28
 
 
 class TestPeakTracker:

@@ -1,10 +1,13 @@
 """Round-trip tests for JSON persistence."""
 
+import json
 import math
+import os
+import stat
 
 import pytest
 
-from repro.db import Database, DatabaseError
+from repro.db import Database, DatabaseError, persist
 from repro.db.persist import (
     dump_database,
     load_database,
@@ -144,6 +147,41 @@ class TestRoundTrip:
     def test_bad_format_rejected(self):
         with pytest.raises(DatabaseError):
             restore_database({"format": 999})
+
+
+class TestCrashSafeSave:
+    def test_failed_save_keeps_previous_file(self, populated, tmp_path,
+                                             monkeypatch):
+        path = tmp_path / "db.json"
+        save_database(populated, str(path))
+        query = "retrieve (s.name, s.hours) from s in students order by name"
+        before = load_database(str(path)).execute(query).rows
+        populated.insert("students", name="dee", hours=40,
+                         week=populated.system.day_of("Mar 1 1993"))
+
+        def crash_midway(payload, handle, **kwargs):
+            text = json.dumps(payload, **kwargs)
+            handle.write(text[:len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(persist.json, "dump", crash_midway)
+        with pytest.raises(OSError, match="disk full"):
+            save_database(populated, str(path))
+        monkeypatch.undo()
+
+        assert load_database(str(path)).execute(query).rows == before
+        assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
+
+    def test_save_replaces_existing_file_keeping_its_mode(
+            self, populated, tmp_path):
+        path = tmp_path / "db.json"
+        path.write_text("stale")
+        os.chmod(path, 0o640)
+        save_database(populated, str(path))
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+        loaded = load_database(str(path))
+        assert len(loaded.relation("students")) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
 
 
 class TestAsOfRendering:

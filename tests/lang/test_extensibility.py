@@ -7,9 +7,11 @@ pick them up.  These tests exercise that path across layers.
 
 import pytest
 
-from repro.core import Interval, register_listop
-from repro.core.interval import LISTOPS
+from repro import Session
+from repro.core import Calendar, Interval, foreach, register_listop
+from repro.core.interval import LISTOPS, axis_add
 from repro.db import Database
+from repro.lang.plan import FusedForEachStep
 from repro.rules import RuleManager
 
 
@@ -50,6 +52,58 @@ class TestCustomListopInLanguage:
         reference = registry.eval_expression(text, window=window,
                                              optimize=False)
         assert optimized.to_pairs() == reference.to_pairs()
+
+
+@pytest.fixture
+def replace_during():
+    """Swap the builtin ``during`` predicate; restore it afterwards."""
+    builtin = LISTOPS["during"]
+
+    def replace(predicate):
+        register_listop("during", predicate, replace=True)
+
+    yield replace
+    LISTOPS["during"] = builtin
+
+
+class TestReplacedBuiltinListop:
+    """A builtin name whose predicate was replaced runs the new predicate
+    over every member; nothing narrows candidates by the old name."""
+
+    CAL = [(1, 2), (5, 6), (10, 12)]
+
+    def test_interval_reference(self, replace_during):
+        replace_during(lambda a, b: True)
+        out = foreach("during", Calendar.from_intervals(self.CAL),
+                      Interval(5, 6), strict=False)
+        assert out.to_pairs() == tuple(self.CAL)
+
+    def test_grouping_calendar_reference(self, replace_during):
+        replace_during(lambda a, b: True)
+        refs = Calendar.from_intervals([(5, 6), (11, 11)])
+        out = foreach("during", Calendar.from_intervals(self.CAL), refs,
+                      strict=False)
+        assert out.to_pairs() == (tuple(self.CAL), tuple(self.CAL))
+
+    def test_fused_plan_in_session_eval(self, replace_during):
+        # "the day just before the reference starts": never a day
+        # during the week, so any narrowing by the old name loses it.
+        replace_during(lambda a, b: axis_add(a.hi, 1) == b.lo)
+        session = Session("Jan 1 1987", holiday_years=(1987, 1988),
+                          optimize=True, periodic=False)
+        try:
+            window = ("Jan 4 1993", "Jan 31 1993")
+            text = "[1]/DAYS.during.WEEKS"
+            steps = session.explain(text, window=window).opt_plan.steps
+            assert any(isinstance(step, FusedForEachStep)
+                       for step in steps)
+            weeks = session.eval("WEEKS", window=window)
+            # Weeks tile the axis, so the day before each next week is
+            # the last day of the previous one.
+            expected = tuple((hi, hi) for _lo, hi in weeks.to_pairs())
+            assert session.eval(text, window=window).to_pairs() == expected
+        finally:
+            session.close()
 
 
 class TestCustomFunctionInScripts:
