@@ -15,6 +15,12 @@ Two materialisation modes are provided:
   this is what the algebra examples use (the WEEKS calendar of 1993 starts
   at ``(-4, 3)``, a whole week reaching back into 1992).
 
+Generation builds endpoint lanes directly, with no per-unit objects or
+per-day date conversion: unit boundaries come from civil arithmetic once
+per unit (DAYS as one range per window with day-of-month labels counted
+off month lengths, WEEKS at stride 7 from the first Monday), are
+rescaled for sub-day units, and only the two boundary units are clipped.
+
 Month- and year-granularity tick axes require the epoch to fall on the
 first day of a month/year respectively; :class:`CalendarSystem` validates
 this lazily when such an axis is first used.
@@ -23,7 +29,6 @@ this lazily when such an axis is first used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.core.calendar import Calendar
 from repro.core.columnar import IntervalColumns
@@ -32,10 +37,10 @@ from repro.core.chrono import (
     Epoch,
     days_in_month,
     parse_date,
+    rata_die,
 )
 from repro.core.errors import ChronologyError, GranularityError
 from repro.core.granularity import Granularity, exact_ratio
-from repro.core.interval import Interval
 
 __all__ = ["CalendarSystem", "BASIC_CALENDARS"]
 
@@ -59,6 +64,49 @@ def _unscale(tick: int, k: int) -> int:
     if tick > 0:
         return (tick - 1) // k + 1
     return -((-tick - 1) // k + 1)
+
+
+def _axis_range(lo: int, hi: int) -> list[int]:
+    """The axis ticks ``lo..hi`` inclusive (there is no tick 0)."""
+    ticks = list(range(lo, min(hi, -1) + 1))
+    ticks += range(max(lo, 1), hi + 1)
+    return ticks
+
+
+def _lin(day: int) -> int:
+    """Axis day -> linear day (removes the zero skip)."""
+    return day - 1 if day > 0 else day
+
+
+def _axis(lin: int) -> int:
+    """Linear day -> axis day."""
+    return lin + 1 if lin >= 0 else lin
+
+
+#: Years per unit of the calendars tiled by whole civil years.
+_YEAR_STEPS = {Granularity.YEARS: 1, Granularity.DECADES: 10,
+               Granularity.CENTURY: 100}
+
+
+def _day_of_month_labels(epoch: Epoch, days: list) -> list:
+    """Day-of-month labels of the consecutive civil days ``days``.
+
+    One ``date_of`` for the first day; the rest is month lengths.
+    """
+    if not days:
+        return []
+    date = epoch.date_of(days[0])
+    year, month, day = date.year, date.month, date.day
+    count = len(days)
+    labels: list[int] = []
+    while len(labels) < count:
+        labels += range(day, days_in_month(year, month) + 1)
+        day = 1
+        month += 1
+        if month == 13:
+            month, year = 1, year + 1
+    del labels[count:]
+    return labels
 
 
 @dataclass
@@ -142,61 +190,59 @@ class CalendarSystem:
 
     # -- day-level decomposition of coarse calendars ----------------------------
 
-    def _iter_units_days(self, gran: Granularity,
-                         dlo: int, dhi: int) -> Iterator[tuple[int, int, object]]:
-        """Yield ``(day_lo, day_hi, label)`` for whole ``gran`` units that
-        overlap the day window ``[dlo, dhi]``, in order."""
+    def _unit_lanes(self, gran: Granularity, dlo: int, dhi: int
+                    ) -> tuple[list, list, "list | None"]:
+        """``(los, his, labels)`` lanes, in axis days, of the whole ``gran``
+        units that overlap the day window ``[dlo, dhi]``, in axis order.
+
+        Unit boundaries are computed in linear days (``rata_die`` minus
+        the epoch serial, so there is no zero skip) and mapped back to
+        axis days once per unit.  WEEKS units carry no labels (``None``).
+        """
         epoch = self.epoch
+        if dhi == 0:
+            dhi = -1  # there is no day 0: the window ends the day before
         if gran == Granularity.DAYS:
-            for d in epoch.iter_days(dlo, dhi):
-                yield d, d, epoch.date_of(d).day
-        elif gran == Granularity.WEEKS:
-            w = epoch.weekday_of(dlo)
-            start = epoch.add_days(dlo, -(w - 1))
-            while start <= dhi:
-                end = epoch.add_days(start, 6)
-                yield start, end, None
-                start = epoch.add_days(end, 1)
-        elif gran == Granularity.MONTHS:
-            date = epoch.date_of(dlo)
+            days = _axis_range(dlo, dhi)
+            return days, list(days), _day_of_month_labels(epoch, days)
+        last = _lin(dhi)
+        if gran == Granularity.WEEKS:
+            starts = range(_lin(dlo) - (epoch.weekday_of(dlo) - 1),
+                           last + 1, 7)
+            return ([_axis(s) for s in starts],
+                    [_axis(s + 6) for s in starts], None)
+        los: list[int] = []
+        his: list[int] = []
+        labels: list[object] = []
+        date = epoch.date_of(dlo)
+        if gran == Granularity.MONTHS:
             year, month = date.year, date.month
-            while True:
-                lo, hi = epoch.days_of_month(year, month)
-                if lo > dhi:
-                    break
-                yield lo, hi, month
+            first = _lin(dlo) - (date.day - 1)
+            while first <= last:
+                after = first + days_in_month(year, month)
+                los.append(_axis(first))
+                his.append(_axis(after - 1))
+                labels.append(month)
+                first = after
                 month += 1
                 if month == 13:
                     month, year = 1, year + 1
-        elif gran == Granularity.YEARS:
-            year = epoch.date_of(dlo).year
-            while True:
-                lo, hi = epoch.days_of_year(year)
-                if lo > dhi:
-                    break
-                yield lo, hi, year
-                year += 1
-        elif gran == Granularity.DECADES:
-            year = epoch.date_of(dlo).year // 10 * 10
-            while True:
-                lo = epoch.day_number(CivilDate(year, 1, 1))
-                if lo > dhi:
-                    break
-                hi = epoch.day_number(CivilDate(year + 9, 12, 31))
-                yield lo, hi, year
-                year += 10
-        elif gran == Granularity.CENTURY:
-            year = epoch.date_of(dlo).year // 100 * 100
-            while True:
-                lo = epoch.day_number(CivilDate(year, 1, 1))
-                if lo > dhi:
-                    break
-                hi = epoch.day_number(CivilDate(year + 99, 12, 31))
-                yield lo, hi, year
-                year += 100
-        else:
+            return los, his, labels
+        step = _YEAR_STEPS.get(gran)
+        if step is None:
             raise GranularityError(
                 f"{gran} has no day-level decomposition")
+        serial = epoch.serial
+        year = date.year // step * step
+        first = rata_die(CivilDate(year, 1, 1)) - serial
+        while first <= last:
+            after = rata_die(CivilDate(year + step, 1, 1)) - serial
+            los.append(_axis(first))
+            his.append(_axis(after - 1))
+            labels.append(year)
+            first = after
+            year += step
+        return los, his, labels
 
     # -- generate ---------------------------------------------------------------
 
@@ -246,120 +292,47 @@ class CalendarSystem:
         return self._generate_month_year_based(cal_g, unit_g, start, end, mode)
 
     # The day-based path covers unit granularities SECONDS..DAYS (and the
-    # WEEKS-in-WEEKS identity): decompose the coarse calendar into civil
-    # days, then rescale day numbers to the requested unit.
+    # WEEKS-in-WEEKS identity): tile the day window with whole units as
+    # endpoint lanes, rescale day numbers to the requested unit, then
+    # apply the mode to the two boundary units.
     def _generate_day_based(self, cal_g: Granularity, unit_g: Granularity,
                             start, end, mode: str) -> Calendar:
         if cal_g in _SUBDAY:
             return self._generate_subday_calendar(cal_g, unit_g, start, end,
                                                   mode)
-        los: list[int] = []
-        his: list[int] = []
-        labels: list[object] = []
-        has_labels = unit_g != Granularity.WEEKS and cal_g in (
-            Granularity.DAYS, Granularity.MONTHS, Granularity.YEARS,
-            Granularity.DECADES, Granularity.CENTURY)
-        for lo, hi, label in self._iter_day_based_raw(cal_g, unit_g, start,
-                                                      end, mode):
-            los.append(lo)
-            his.append(hi)
-            labels.append(label)
-        return self._tiling_calendar(los, his, cal_g,
-                                     labels if has_labels else None)
-
-    def _iter_day_based(self, cal_g: Granularity, unit_g: Granularity,
-                        start, end, mode: str
-                        ) -> Iterator[tuple[Interval, object]]:
-        """Lazy ``(interval, label)`` stream behind :meth:`_generate_day_based`.
-
-        Units are produced one at a time in axis order; nothing beyond the
-        current unit is held in memory, which is what lets streaming plan
-        pipelines consume basic calendars without materialising them.
-        """
-        _of = Interval._of
-        for lo, hi, label in self._iter_day_based_raw(cal_g, unit_g,
-                                                      start, end, mode):
-            yield _of(lo, hi), label
-
-    def _iter_day_based_raw(self, cal_g: Granularity, unit_g: Granularity,
-                            start, end, mode: str
-                            ) -> Iterator[tuple[int, int, object]]:
-        """``(lo, hi, label)`` integer triples behind :meth:`_iter_day_based`
-        — the object-free form the columnar builders consume."""
-        if unit_g in _SUBDAY:
-            k = exact_ratio(unit_g, Granularity.DAYS)
-            if isinstance(start, int) and isinstance(end, int):
-                ws, we = start, end
-                dlo, dhi = _unscale(ws, k), _unscale(we, k)
-            else:
-                dlo, dhi = self.day_window(start, end)
-                ws, we = _scale_lo(dlo, k), _scale_hi(dhi, k)
-        elif unit_g == Granularity.WEEKS:
+        if unit_g == Granularity.WEEKS:
             # identity materialisation of WEEKS in week ticks
-            if not (isinstance(start, int) and isinstance(end, int)):
-                dlo, dhi = self.day_window(start, end)
-                ws = _unscale(dlo, 7)
-                we = _unscale(dhi, 7)
-            else:
-                ws, we = start, end
-            for t in range(ws, we + 1):
-                if t != 0:
-                    yield t, t, None
-            return
-        else:
             if isinstance(start, int) and isinstance(end, int):
                 ws, we = start, end
             else:
-                ws, we = self.day_window(start, end)
-            dlo, dhi = ws, we
-            k = 1
-        for day_lo, day_hi, label in self._iter_units_days(cal_g, dlo, dhi):
-            lo = _scale_lo(day_lo, k) if k != 1 else day_lo
-            hi = _scale_hi(day_hi, k) if k != 1 else day_hi
-            if mode == "clip":
-                if lo < ws:
-                    lo = ws
-                if hi > we:
-                    hi = we
-                if lo > hi:
-                    continue
-            elif lo > we or hi < ws:
-                continue
-            yield lo, hi, label
-
-    def iter_generate(self, cal: "str | Granularity",
-                      unit: "str | Granularity", window: tuple,
-                      mode: str = "clip"
-                      ) -> Iterator[tuple[Interval, object]]:
-        """Bounded-memory iterator form of :meth:`generate`.
-
-        Yields ``(interval, label)`` pairs in axis order, producing one
-        unit at a time instead of materialising the whole window.  The
-        pairs are exactly the elements (and labels, ``None`` where
-        :meth:`generate` attaches none) that ``generate`` would return
-        for the same arguments.  Day-based unit granularities stream
-        natively; month/year-based unit axes fall back to eager
-        generation and yield from the result.
-        """
-        cal_g = Granularity.parse(cal)
-        unit_g = Granularity.parse(unit)
-        if unit_g > cal_g:
-            raise GranularityError(
-                f"cannot express {cal_g} in coarser unit {unit_g}")
-        if mode not in ("clip", "cover"):
-            raise GranularityError(f"unknown generate mode {mode!r}")
-        start, end = window
-        if (unit_g in _SUBDAY or unit_g == Granularity.DAYS
-                or unit_g == Granularity.WEEKS) and cal_g not in _SUBDAY:
-            if unit_g == Granularity.WEEKS and cal_g != Granularity.WEEKS:
-                raise GranularityError(
-                    "weeks do not evenly tile coarser calendars; "
-                    "express the calendar in DAYS instead")
-            yield from self._iter_day_based(cal_g, unit_g, start, end, mode)
-            return
-        eager = self.generate(cal_g, unit_g, (start, end), mode)
-        for i, iv in enumerate(eager):
-            yield iv, eager.label_of(i)
+                dlo, dhi = self.day_window(start, end)
+                ws, we = _unscale(dlo, 7), _unscale(dhi, 7)
+            ticks = _axis_range(ws, we)
+            return self._tiling_calendar(ticks, ticks, cal_g)
+        k = exact_ratio(unit_g, Granularity.DAYS)
+        if isinstance(start, int) and isinstance(end, int):
+            ws, we = start, end
+            dlo, dhi = _unscale(ws, k), _unscale(we, k)
+        else:
+            dlo, dhi = self.day_window(start, end)
+            ws, we = _scale_lo(dlo, k), _scale_hi(dhi, k)
+        los, his, labels = self._unit_lanes(cal_g, dlo, dhi)
+        if k != 1:
+            los = [_scale_lo(t, k) for t in los]
+            his = [_scale_hi(t, k) for t in his]
+        if mode == "clip" and los:
+            # Every unit overlaps the window, so only the boundary units
+            # can reach outside it.  An inverted window admits at most
+            # the unit holding its start, which clipping empties.
+            if los[0] < ws:
+                los[0] = ws
+            if his[-1] > we:
+                his[-1] = we
+            if los[-1] > his[-1]:
+                del los[-1], his[-1]
+                if labels is not None:
+                    del labels[-1]
+        return self._tiling_calendar(los, his, cal_g, labels)
 
     def _generate_subday_calendar(self, cal_g: Granularity,
                                   unit_g: Granularity, start, end,

@@ -29,9 +29,13 @@ compile the algebra symbolically.  It splits the work:
    ``today``, function calls other than ``flatten``, unexpanded derived
    scripts, lcm above the Gregorian bound).
 2. **Evaluate with the materialising oracle** over an anchor window one
-   period wide (placed clear of the finite extent) and over the patch
-   extent, then read coverage runs out of the result.  The compiled set
-   is byte-identical to the oracle *by construction*.
+   period wide and over the patch extent, then read coverage runs out
+   of the result.  The anchor is day 0 for a purely periodic shape and
+   just past the finite extent otherwise — never a far multiple of the
+   period — so the oracle's basic calendars extend the present-era
+   entries of the shared cache rather than pinning a 400-year-out
+   window there; periodic runs are stored as residues mod ``P``.  The
+   compiled set is byte-identical to the oracle *by construction*.
 3. **Verify** periodicity empirically on flank zones of the oracle
    windows: coverage left/right of the anchor period must match the
    extracted residues, and coverage just outside the patch window must
@@ -647,12 +651,15 @@ def _compile(expr, system, resolver, evaluate, source, max_period,
 
 def _compile_periodic_part(shape, margin, period, evaluate,
                            max_eval_days):
-    """Anchor-evaluate one period plus flanks; extract + verify offsets."""
+    """Anchor-evaluate one period plus flanks; extract + verify offsets.
+
+    The anchor sits where other evaluations already materialise, so the
+    oracle's basic calendars extend the shared cache entries instead of
+    installing a far window: 0 (a multiple of every period) for a purely
+    periodic shape, just past the patch's trusted zone otherwise.
+    """
     flank = min(period, 2 * margin)
-    base = margin + flank + 1
-    if shape.extent is not None:
-        base = max(base, shape.extent[1] + 2 * margin + 1)
-    anchor = ((base + period - 1) // period) * period
+    anchor = 0 if shape.extent is None else shape.extent[1] + 2 * margin + 1
     lo = anchor - margin - flank
     hi = anchor + period - 1 + margin + flank
     if hi - lo + 1 > max_eval_days:
@@ -661,8 +668,15 @@ def _compile_periodic_part(shape, margin, period, evaluate,
             f"{max_eval_days}-day evaluation budget")
     calendar = _oracle_calendar(evaluate, lo, hi)
     runs = _coverage_runs(calendar)
-    period_runs = _clip_runs(runs, anchor, anchor + period - 1)
-    offsets = tuple((a - anchor, b - anchor) for a, b in period_runs)
+    residues: list[tuple[int, int]] = []
+    for a, b in _clip_runs(runs, anchor, anchor + period - 1):
+        ra = a % period
+        rb = ra + (b - a)
+        if rb < period:
+            residues.append((ra, rb))
+        else:  # the run wraps the period boundary: store it split
+            residues += ((ra, period - 1), (0, rb - period))
+    offsets = tuple(_merge_adjacent(sorted(residues)))
     # Flank verification: the trusted interior of the oracle window is
     # [anchor - flank, anchor + period - 1 + flank]; both flanks must
     # reproduce the extracted residues exactly.

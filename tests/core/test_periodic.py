@@ -13,7 +13,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.catalog import (
+    CalendarRegistry,
+    install_standard_calendars,
+    install_us_holidays,
+)
 from repro.core.granularity import Granularity
+from repro.core.matcache import MaterialisationCache
 from repro.core.periodic import (
     GREGORIAN_PERIOD_DAYS,
     PeriodicSet,
@@ -29,6 +35,19 @@ def _default_gate(monkeypatch):
     exercises the compiled path here.  The gate tests below set the
     env var explicitly where the override is the thing under test."""
     monkeypatch.delenv("REPRO_PERIODIC", raising=False)
+
+
+@pytest.fixture()
+def registry(system87) -> CalendarRegistry:
+    """conftest's ``registry`` with a private cache passed explicitly:
+    several tests here observe the compile memo and the cache's request
+    counter, so a ``REPRO_MATCACHE=0`` suite pass (which disables the
+    process-wide cache) must not remove them."""
+    reg = CalendarRegistry(system87, default_horizon_years=25,
+                           matcache=MaterialisationCache())
+    install_standard_calendars(reg)
+    install_us_holidays(reg, 1987, 2006)
+    return reg
 
 
 @pytest.fixture()
@@ -182,14 +201,10 @@ class TestGate:
         assert registry.periodic
 
     def test_env_gate_off(self, monkeypatch, system87):
-        from repro.catalog import CalendarRegistry
-
         monkeypatch.setenv("REPRO_PERIODIC", "0")
         assert not CalendarRegistry(system87).periodic
 
     def test_explicit_argument_beats_env(self, monkeypatch, system87):
-        from repro.catalog import CalendarRegistry
-
         monkeypatch.setenv("REPRO_PERIODIC", "0")
         assert CalendarRegistry(system87, periodic=True).periodic
 
@@ -206,12 +221,6 @@ class TestGate:
         assert session.db.resolve_periodic("Mondays") is None
 
     def test_gated_off_results_agree(self, registry, system87):
-        from repro.catalog import (
-            CalendarRegistry,
-            install_standard_calendars,
-            install_us_holidays,
-        )
-
         plain = CalendarRegistry(system87, default_horizon_years=25,
                                  periodic=False)
         install_standard_calendars(plain)
@@ -225,6 +234,43 @@ class TestGate:
                     text, window=window).flatten()
             assert registry.next_occurrence(text, 2200) == \
                 plain.next_occurrence(text, 2200)
+
+
+class _CacheEvents:
+    """Minimal telemetry sink recording the cache's own events."""
+
+    def __init__(self) -> None:
+        self.events: list[tuple[str, dict]] = []
+
+    def emit(self, kind: str, **fields) -> None:
+        self.events.append((kind, fields))
+
+
+class TestSharedCacheAnchor:
+    def test_full_tier_compiles_do_not_pin_the_shared_cache(self):
+        """A Gregorian-period compile evaluates its anchor period next to
+        the present era, so the shared DAYS entry it leaves behind still
+        serves (or extends over) later present-era requests instead of
+        turning them into uncached narrow bypasses."""
+        from repro.session import Session
+
+        cache = MaterialisationCache()
+        registry = Session(holiday_years=(1987, 2006),
+                           matcache=cache).registry
+        for text in ("LDOM", "[1]/AM_BUS_DAYS:during:MONTHS"):
+            pset = registry.periodic_set(text)
+            assert pset is not None
+            assert pset.period == GREGORIAN_PERIOD_DAYS
+        bypasses = cache.stats()["narrow_bypass"]
+        sink = cache.pipeline = _CacheEvents()
+        assert registry.periodic_set(
+            "[3]/DAYS:during:WEEKS:during:2004/YEARS") is not None
+        assert cache.stats()["narrow_bypass"] == bypasses
+        days = [kind for kind, fields in sink.events
+                if (fields.get("calendar"), fields.get("unit"))
+                == ("DAYS", "DAYS")]
+        assert days
+        assert set(days) <= {"cache.hit", "cache.extend"}
 
 
 class TestNoMaterialisation:
@@ -275,7 +321,11 @@ class TestExplainBackend:
     def _session(self):
         from repro.session import Session
 
-        return Session(holiday_years=(1987, 1996))
+        # The backend annotation is the optimizer's and the compile memo
+        # lives in the cache: pin both so REPRO_OPTIMIZE=0 and
+        # REPRO_MATCACHE=0 suite passes test the same thing.
+        return Session(holiday_years=(1987, 1996), optimize=True,
+                       matcache=MaterialisationCache())
 
     def test_backend_periodic_after_warm_eval(self):
         session = self._session()

@@ -26,6 +26,7 @@ from repro.catalog import (
 )
 from repro.core import CalendarSystem
 from repro.core.matcache import MaterialisationCache
+from repro.core.periodic import GREGORIAN_PERIOD_DAYS
 
 #: One registry for the whole module: compiles and oracle evaluations
 #: are memoised in its cache, so repeated draws of the same expression
@@ -160,6 +161,53 @@ def test_iter_from_matches_oracle_prefix(text, offset):
             break
         got.append(occurrence)
     assert got == expected, f"iter_from({tick}) disagrees for {text!r}"
+
+
+# -- anchor independence --------------------------------------------------------
+
+#: Gregorian-period shapes, a small pool because each full-tier compile
+#: evaluates 400 years.  The finite ones anchor off any multiple of the
+#: period, and the LDOM union has a run (Dec 31, Jan 1) that wraps the
+#: period boundary.
+gregorian_expressions = st.sampled_from([
+    "LDOM",
+    "[1]/DAYS:during:MONTHS",
+    "[1]/AM_BUS_DAYS:during:MONTHS",
+    "(([1]/DAYS:during:MONTHS) + LDOM) - (([3]/DAYS:during:WEEKS) "
+    "& 1993/YEARS)",
+    "flatten([1-3]/DAYS:during:MONTHS) + (([5]/DAYS:during:WEEKS) "
+    "& 1994/YEARS)",
+])
+
+
+def _assert_canonical(offsets, period):
+    """Sorted residue runs inside [0, P), merged wherever adjacent; the
+    only adjacency left is a run wrapping the period, split at 0/P-1."""
+    assert list(offsets) == sorted(offsets)
+    assert all(0 <= lo <= hi < period for lo, hi in offsets)
+    for (_, hi), (lo, _) in zip(offsets, offsets[1:]):
+        assert lo > hi + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(compilable_expressions(), gregorian_expressions))
+def test_compiled_set_is_anchor_independent(text):
+    """Canonical offsets, and membership that matches the eager result
+    both in the present era and one Gregorian period (400 years) on."""
+    registry = _registry()
+    pset = registry.periodic_set(text)
+    assert pset is not None, f"{text!r} unexpectedly fell back"
+    if pset.period:
+        _assert_canonical(pset.offsets, pset.period)
+    lo, hi = _interior(registry)
+    for shift in (0, GREGORIAN_PERIOD_DAYS):
+        window = tuple(registry.system.day_of(day) + shift
+                       for day in _ORACLE_WINDOW)
+        cal = registry.eval_expression(text, window=window, optimize=False)
+        runs = [(iv.lo, iv.hi) for iv in cal.flatten().elements]
+        for tick in range(lo + shift, hi + shift + 1):
+            assert pset.contains(tick) == _covered(runs, tick), \
+                f"contains({tick}) disagrees for {text!r}"
 
 
 # -- clean fallback over the broad expression grammar --------------------------
