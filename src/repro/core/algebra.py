@@ -7,11 +7,15 @@ This module implements the operator set of section 3.1:
   calendar as right operand the result is order-2 (one sub-calendar per
   right-hand element) for *grouping* listops, or stays order-1 for
   *filtering* listops such as ``intersects`` (see
-  :class:`repro.core.interval.Listop`).
+  :class:`repro.core.interval.Listop`).  A grouped result is stored as
+  one member lane pair plus each group's start and end index into it
+  (``Calendar._from_groups``), never as one object per group.
 * :func:`select` — positional selection ``[x]/C`` with integers, ``n``
   (last), negatives (from the end), lists and ranges.  On calendars of order
   greater than one a *singleton* predicate reduces the order by one, exactly
-  as in the paper's ``[3]/WEEKS:overlaps:Year-1993`` example.
+  as in the paper's ``[3]/WEEKS:overlaps:Year-1993`` example.  On a grouped
+  calendar the predicate is resolved once per distinct group length and
+  the picks are gathered from the member lanes.
 * :func:`label_select` — the bare selection ``1993/YEARS`` by element label.
 * :func:`caloperate` — derives a calendar by circularly grouping consecutive
   intervals of an existing calendar (``caloperate(YEARS, *; 7) = WEEKS``).
@@ -19,6 +23,7 @@ This module implements the operator set of section 3.1:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -188,22 +193,17 @@ def foreach(op: "Listop | str", cal: Calendar,
         if op.shape == "filtering":
             return _foreach_filtering(op, cal, ref, strict)
         if _sweepable(op):
-            groups = columnar.iter_groups(cal.columns, ref.columns, op.name,
-                                          strict and op.clips)
+            members, starts, ends, index = columnar.foreach_groups(
+                cal.columns, ref.columns, op.name, strict and op.clips)
         else:
-            groups = ((i, _foreach_interval(op, cal, r, strict).columns)
-                      for i, r in enumerate(ref))
-        subs: list[Calendar] = []
-        labels: list[Label] = []
-        for i, group in groups:
-            if not len(group):
-                continue
-            subs.append(Calendar._from_columns(group, cal.granularity))
-            labels.append(ref.label_of(i))
-        out = Calendar.from_calendars(subs, cal.granularity)
+            members, starts, ends, index = columnar.concat_groups(
+                [_foreach_interval(op, cal, r, strict).columns
+                 for r in ref])
+        labels = None
         if ref.labels is not None:
-            out = out.with_labels(labels)
-        return out
+            labels = tuple(ref.labels[i] for i in index)
+        return Calendar._from_groups(members, starts, ends, cal.granularity,
+                                     cal.granularity, labels)
     # Deeper right operand: recurse per sub-calendar.
     subs = [foreach(op, cal, sub, strict) for sub in ref.elements]
     subs = [s for s in subs if not s.is_empty()]
@@ -322,6 +322,54 @@ def _select_order1(cal: Calendar, pred: SelectionPredicate) -> Calendar:
     return Calendar._from_columns(out, cal.granularity, labels)
 
 
+def _select_groups(cal: Calendar, pred: SelectionPredicate) -> Calendar:
+    """Selection over a grouped calendar's lanes: positions are resolved
+    once per distinct group length, as runs of consecutive picks, and the
+    picks are gathered from the member lanes in one pass."""
+    members, group_starts, group_ends = cal.group_lanes
+    singleton = pred.is_singleton()
+    runs_of: dict[int, list[tuple[int, int]]] = {}
+    run_starts: list[int] = []
+    run_ends: list[int] = []
+    # Per picked group, the number of runs gathered up to its end.
+    runs_upto = array("q", (0,))
+    for g in range(len(group_starts)):
+        base = group_starts[g]
+        length = group_ends[g] - base
+        runs = runs_of.get(length)
+        if runs is None:
+            runs = runs_of[length] = _runs(pred.positions(length))
+        if not runs:
+            continue
+        if singleton:
+            run_starts.append(base + runs[0][0])
+            continue
+        for a, b in runs:
+            run_starts.append(base + a)
+            run_ends.append(base + b)
+        runs_upto.append(len(run_ends))
+    if singleton:
+        # One pick per group: an index gather beats one range copy each.
+        return Calendar._from_columns(members.take(run_starts),
+                                      cal.granularity)
+    picked, run_offsets = columnar.gather_ranges(members, run_starts,
+                                                 run_ends)
+    offsets = array("q", [run_offsets[k] for k in runs_upto])
+    return Calendar._from_groups(picked, offsets[:-1], offsets[1:],
+                                 cal.granularity, cal._member_granularity)
+
+
+def _runs(positions: list[int]) -> list[tuple[int, int]]:
+    """Sorted positions as ``[a, b)`` runs of consecutive positions."""
+    runs: list[tuple[int, int]] = []
+    for p in positions:
+        if runs and runs[-1][1] == p:
+            runs[-1] = (runs[-1][0], p + 1)
+        else:
+            runs.append((p, p + 1))
+    return runs
+
+
 def select(cal: Calendar, pred: SelectionPredicate) -> Calendar:
     """Positional selection ``[x]/C``.
 
@@ -329,10 +377,13 @@ def select(cal: Calendar, pred: SelectionPredicate) -> Calendar:
     an order-k calendar the predicate is applied to every order-(k-1)
     component; a singleton predicate reduces the order by one (the paper's
     "third week of every month" example yields a flat calendar), while a
-    multi-element predicate preserves the nesting.
+    multi-element predicate preserves the nesting.  Outer labels are
+    dropped either way.
     """
     if cal.order == 1:
         return _select_order1(cal, pred)
+    if cal.group_lanes is not None:
+        return _select_groups(cal, pred)
     picked = [select(sub, pred) for sub in cal.elements]
     if pred.is_singleton():
         if cal.order == 2:

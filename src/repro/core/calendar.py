@@ -33,12 +33,29 @@ operations, ``foreach`` dispatch, selection, caching) index straight
 into the columns and never materialise.  An endpoint outside the int64
 lanes raises :class:`~repro.core.errors.InvalidIntervalError` at
 construction.
+
+An order-2 calendar built by the grouping kernels (``foreach``,
+selection, window clipping) is *grouped*: it holds one member column
+pair and two ``array('q')`` bound lanes, group ``g`` being
+``members[starts[g]:ends[g]]``.  Groups that tile the members (a day
+tiling grouped by week, a gathered selection) make :meth:`flatten`
+return the member lanes uncopied; groups may also overlap or skip
+members (``DAYS:<:WEEKS`` groups are prefixes of one DAYS lane), so
+they never cost more than two integers each.  Sub-calendars exist only
+when :attr:`elements` (or iteration) asks for them, as zero-copy
+slices; ``len``, :meth:`flatten`, :meth:`leaf_count`, :meth:`iter_pairs`,
+:meth:`span`, :meth:`to_pairs`, ``str``, ``==`` and ``hash`` read the
+lanes.  A grouped calendar equals (and hashes like) the same value built
+with :meth:`from_calendars`, which, like every order >= 3 calendar,
+keeps a tuple of sub-calendars.
 """
 
 from __future__ import annotations
 
 import bisect
 
+from array import array
+from itertools import chain
 from typing import Iterator, Sequence
 
 from repro.core import columnar
@@ -66,6 +83,15 @@ class Calendar:
     calendars with :meth:`from_calendars`; the raw constructor is mainly
     for internal use.
     """
+
+    #: The grouped order-2 form built by the algebra kernels (see
+    #: :meth:`_from_groups`): one member lane pair, the groups' start
+    #: and end indices into it and the members' granularity.  ``None``
+    #: on every other calendar.
+    _members: IntervalColumns | None = None
+    _starts: "array | None" = None
+    _ends: "array | None" = None
+    _member_granularity: Granularity | None = None
 
     def __init__(self, elements: tuple = (), order: int = 1,
                  granularity: Granularity | None = None,
@@ -149,6 +175,31 @@ class Calendar:
         return self
 
     @classmethod
+    def _from_groups(cls, members: IntervalColumns, starts: array,
+                     ends: array, granularity: Granularity | None,
+                     member_granularity: Granularity | None,
+                     labels: tuple | None = None) -> "Calendar":
+        """Trusted grouped order-2 constructor (no checks).
+
+        Group ``g`` is ``members[starts[g]:ends[g]]``; every group is
+        non-empty (the kernels drop empty groups, the paper's ε
+        exclusion) and ``labels``, when given, parallels the groups.
+        Sub-calendars are materialised only on demand, as zero-copy
+        slices of ``members`` carrying ``member_granularity``.
+        """
+        self = cls.__new__(cls)
+        self._mat = None
+        self._cols = None
+        self._members = members
+        self._starts = starts
+        self._ends = ends
+        self._member_granularity = member_granularity
+        self.order = 2
+        self.granularity = granularity
+        self.labels = labels
+        return self
+
+    @classmethod
     def from_calendars(cls, calendars: Sequence["Calendar"],
                        granularity: Granularity | None = None,
                        labels: Sequence[Label] | None = None) -> "Calendar":
@@ -179,8 +230,17 @@ class Calendar:
         return self._cols
 
     @property
+    def group_lanes(self) -> "tuple[IntervalColumns, array, array] | None":
+        """``(members, starts, ends)`` of a grouped order-2 calendar, else
+        None."""
+        if self._members is None:
+            return None
+        return self._members, self._starts, self._ends
+
+    @property
     def elements(self) -> tuple:
-        """The element tuple (lazily materialised for order-1 calendars)."""
+        """The element tuple (lazily materialised for order-1 and grouped
+        order-2 calendars)."""
         mat = self._mat
         if mat is None:
             mat = self._materialise()
@@ -193,12 +253,21 @@ class Calendar:
 
     def _materialise(self) -> tuple:
         cols = self._cols
-        _of = Interval._of
-        mat = tuple(_of(lo, hi) for lo, hi in zip(cols.los, cols.his))
+        if cols is None:
+            mat = tuple(self._group(g) for g in range(len(self)))
+        else:
+            _of = Interval._of
+            mat = tuple(_of(lo, hi) for lo, hi in zip(cols.los, cols.his))
         self._mat = mat
         if mat:
             columnar.MATERIALISATIONS.inc()
         return mat
+
+    def _group(self, g: int) -> "Calendar":
+        """Sub-calendar ``g`` of a grouped calendar (a zero-copy view)."""
+        return Calendar._from_columns(
+            self._members.slice(self._starts[g], self._ends[g]),
+            self._member_granularity)
 
     def __reduce__(self):
         payload = self.to_pairs() if self.order == 1 else self.elements
@@ -213,6 +282,11 @@ class Calendar:
             return False
         if self.order == 1:
             return self._cols.equal(other._cols)
+        if self._members is not None and other._members is not None:
+            return (self._member_granularity == other._member_granularity
+                    and self._group_lengths() == other._group_lengths()
+                    and self.flatten().columns.equal(
+                        other.flatten().columns))
         return self.elements == other.elements
 
     def __ne__(self, other) -> bool:
@@ -224,7 +298,20 @@ class Calendar:
     def __hash__(self) -> int:
         if self.order == 1:
             return hash((self.to_pairs(), self.order, self.granularity))
+        if self.order == 2:
+            # Leaf lanes and group lengths, so a grouped calendar and its
+            # from_calendars twin hash alike without materialising.
+            leaves = self.flatten().columns
+            return hash((leaves.tobytes(), self._group_lengths().tobytes(),
+                         self.order, self.granularity))
         return hash((self.elements, self.order, self.granularity))
+
+    def _group_lengths(self) -> array:
+        """The sizes of an order-2 calendar's groups."""
+        if self._members is not None:
+            return array("q", [e - s for s, e in zip(self._starts,
+                                                     self._ends)])
+        return array("q", [len(sub) for sub in self.elements])
 
     # -- basic inspection -----------------------------------------------------
 
@@ -232,6 +319,9 @@ class Calendar:
         cols = self._cols
         if cols is not None:
             return len(cols)
+        starts = self._starts
+        if starts is not None:
+            return len(starts)
         return len(self._mat)
 
     def __bool__(self) -> bool:
@@ -252,8 +342,11 @@ class Calendar:
 
     def __getitem__(self, index):
         cols = self._cols
-        if cols is not None and self._mat is None and isinstance(index, int):
-            return Interval._of(cols.los[index], cols.his[index])
+        if self._mat is None and isinstance(index, int):
+            if cols is not None:
+                return Interval._of(cols.los[index], cols.his[index])
+            if self._starts is not None:
+                return self._group(range(len(self))[index])
         return self.elements[index]
 
     def is_empty(self) -> bool:
@@ -269,10 +362,14 @@ class Calendar:
         return self._copy(self.granularity, tuple(labels))
 
     def _copy(self, granularity, labels) -> "Calendar":
-        if self._cols is None:
+        if self._cols is None and self._members is None:
             return Calendar(self.elements, self.order, granularity, labels)
         if labels is not None and len(labels) != len(self):
             raise CalendarError("labels must parallel elements")
+        if self._members is not None:
+            return Calendar._from_groups(self._members, self._starts,
+                                         self._ends, granularity,
+                                         self._member_granularity, labels)
         return Calendar._from_columns(self._cols, granularity, labels)
 
     def label_of(self, index: int) -> Label:
@@ -295,25 +392,36 @@ class Calendar:
     def iter_intervals(self) -> Iterator[Interval]:
         """Depth-first iteration over all leaf intervals."""
         if self.order == 1:
-            yield from self
-            return
-        for el in self.elements:
-            yield from el.iter_intervals()
+            return iter(self)
+        _of = Interval._of
+        return (_of(lo, hi) for lo, hi in self.iter_pairs())
 
     def iter_pairs(self) -> Iterator[tuple[int, int]]:
-        """Depth-first ``(lo, hi)`` leaf pairs — no ``Interval`` objects."""
+        """Depth-first ``(lo, hi)`` leaf pairs — no ``Interval`` objects,
+        and no copy of overlapping groups."""
         if self.order == 1:
-            cols = self._cols
-            yield from zip(cols.los, cols.his)
-            return
-        for el in self.elements:
-            yield from el.iter_pairs()
+            return zip(self._cols.los, self._cols.his)
+        if self._members is not None:
+            return chain.from_iterable(self._group_pairs())
+        return chain.from_iterable(el.iter_pairs() for el in self.elements)
 
     def flatten(self) -> "Calendar":
-        """Collapse to order 1, preserving depth-first leaf order."""
+        """Collapse to order 1, preserving depth-first leaf order.
+
+        A grouped calendar whose groups tile a run of its members returns
+        that run without a copy and gathers its groups otherwise; any
+        other nesting concatenates its order-1 leaves' lanes (each
+        already valid, so nothing is re-checked).
+        """
         if self.order == 1:
             return self
-        return Calendar.from_intervals(self.iter_pairs(), self.granularity)
+        if self._members is not None:
+            leaves = columnar.gather_ranges(self._members, self._starts,
+                                            self._ends)[0]
+        else:
+            leaves = columnar.concat_columns(
+                [el.flatten().columns for el in self.elements])
+        return Calendar._from_columns(leaves, self.granularity)
 
     def span(self) -> Interval | None:
         """Smallest interval covering the whole calendar, or ``None``."""
@@ -325,6 +433,10 @@ class Calendar:
             lo = los[0] if cols.lo_sorted else min(los)
             hi = his[-1] if cols.hi_sorted else max(his)
             return Interval._of(lo, hi)
+        members = self._members
+        if members is not None and len(self) and members.hi_sorted:
+            return Interval._of(members.los[min(self._starts)],
+                                members.his[max(self._ends) - 1])
         lo = hi = None
         for plo, phi in self.iter_pairs():
             lo = plo if lo is None else min(lo, plo)
@@ -332,6 +444,30 @@ class Calendar:
         if lo is None or hi is None:
             return None
         return Interval(lo, hi)
+
+    def groups_overlapping(self, lo: int, hi: int) -> "Calendar":
+        """The groups of a grouped calendar whose span overlaps
+        ``[lo, hi]``, whole and with their labels (none when no group
+        is kept); the result shares this calendar's member lanes."""
+        members, starts, ends = self._members, self._starts, self._ends
+        los, his = members.los, members.his
+        groups = range(len(starts))
+        if members.hi_sorted:
+            kept = [g for g in groups
+                    if los[starts[g]] <= hi and his[ends[g] - 1] >= lo]
+        else:
+            kept = [g for g in groups
+                    if min(los[starts[g]:ends[g]]) <= hi
+                    and max(his[starts[g]:ends[g]]) >= lo]
+        if kept and len(kept) == len(starts):
+            return self
+        labels = None
+        if self.labels is not None and kept:
+            labels = tuple(self.labels[g] for g in kept)
+        return Calendar._from_groups(
+            members, array("q", [starts[g] for g in kept]),
+            array("q", [ends[g] for g in kept]), self.granularity,
+            self._member_granularity, labels)
 
     def contains_point(self, t: int) -> bool:
         """True when some leaf interval contains the axis point ``t``."""
@@ -347,11 +483,13 @@ class Calendar:
         """Total number of leaf intervals at any depth."""
         if self.order == 1:
             return len(self)
+        if self._members is not None:
+            return sum(self._ends) - sum(self._starts)
         return sum(el.leaf_count() for el in self.elements)
 
     def drop_empty(self) -> "Calendar":
         """Recursively remove empty sub-calendars (the paper's ε exclusion)."""
-        if self.order == 1:
+        if self.order == 1 or self._members is not None:
             return self
         kept: list[Calendar] = []
         kept_labels: list[Label] = []
@@ -412,6 +550,10 @@ class Calendar:
     def __str__(self) -> str:
         if self.order == 1:
             inner = ",".join(f"({lo},{hi})" for lo, hi in self.iter_pairs())
+        elif self._members is not None:
+            inner = ",".join(
+                "{" + ",".join(f"({lo},{hi})" for lo, hi in group) + "}"
+                for group in self._group_pairs())
         else:
             inner = ",".join(str(el) for el in self.elements)
         return "{" + inner + "}"
@@ -424,7 +566,15 @@ class Calendar:
         """Plain nested tuples mirroring the paper's notation (for tests)."""
         if self.order == 1:
             return self._cols.pairs()
+        if self._members is not None:
+            return tuple(tuple(group) for group in self._group_pairs())
         return tuple(el.to_pairs() for el in self.elements)
+
+    def _group_pairs(self) -> Iterator:
+        """Each group of a grouped calendar as a ``(lo, hi)`` iterator."""
+        los, his = self._members.los, self._members.his
+        return (zip(los[s:e], his[s:e])
+                for s, e in zip(self._starts, self._ends))
 
 
 #: The empty order-1 calendar.

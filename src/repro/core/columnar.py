@@ -25,18 +25,26 @@ for Extended Allen Relation Predicates", see PAPERS.md):
   to a reference interval form a **contiguous index range** found by
   binary search when the lo (and usually hi) lanes are sorted — with both
   lanes sorted the range is *exact* (no per-member predicate calls at
-  all) and a grouped foreach degenerates to two bisects plus a zero-copy
-  slice per reference.
-* :func:`iter_groups` — the grouped-foreach driver; for ``during`` and
-  ``overlaps`` against a sorted reference tiling it advances gapless
-  start/end lane pointers monotonically (O(members + refs) total instead
-  of per-reference bisects).
+  all) and a grouped foreach degenerates to two bisects per reference.
+* :func:`foreach_groups` — the grouped-foreach kernel.  It returns the
+  whole order-2 result as lanes: one member column pair plus each
+  group's start and end index into it (``Calendar._from_groups``),
+  never one object per group.  :func:`group_bounds` finds those
+  integer bounds — for ``during`` and ``overlaps`` against a sorted
+  reference tiling by the gapless sweep, whose start/end pointers only
+  move forward — and unclipped groups keep the left operand's lanes as
+  their members, uncopied; strict clips copy the ranges and patch group
+  boundaries.  :func:`gather_ranges` turns ranges into one lane pair
+  (a zero-copy slice when they tile, as a day tiling grouped by week
+  or month does).
 
 Zero-copy slice invariants (see docs/IMPLEMENTATION_NOTES.md §12):
 column buffers are immutable once a view has been taken; a slice is a
 ``memoryview`` into its parent's buffer and keeps that buffer alive, so
 a one-element group of a 100k-member calendar pins 16 bytes per parent
-member — the trade accepted for copy-free grouping.
+member — the trade accepted for copy-free grouping.  The same holds for
+a grouped calendar whose members are a slice: it, its flattening and
+every sub-calendar view keep the generated tiling's lanes alive.
 
 The module is deliberately dependency-light (only ``repro.core.errors``)
 so :mod:`repro.core.calendar` can build on it without import cycles; the
@@ -48,7 +56,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.core.errors import InvalidIntervalError
 
@@ -59,7 +67,10 @@ __all__ = [
     "intersection_sweep",
     "difference_sweep",
     "group_range",
-    "iter_groups",
+    "group_bounds",
+    "foreach_groups",
+    "gather_ranges",
+    "concat_groups",
     "shift_columns",
     "concat_columns",
     "batch_membership",
@@ -554,16 +565,17 @@ def sweep_one(cols: IntervalColumns, op_name: str, rlo: int, rhi: int,
               clip: bool) -> IntervalColumns:
     """One foreach group: members of ``cols`` relating to ``(rlo, rhi)``.
 
-    Zero-copy slice whenever the lane range is exact and clipping is the
-    identity (or disabled); boundary-patched copy for overlap-style clips
-    over disjoint members; integer filter/clip loops otherwise.
+    An exact lane range is a zero-copy slice unless a strict clip must
+    patch it, which runs like one group of :func:`foreach_groups`;
+    otherwise integer filter/clip loops run over the range.
     """
     start, end, exact = group_range(cols, op_name, rlo, rhi)
     los, his = cols.los, cols.his
     if exact:
-        if not clip or op_name in CLIP_IDENTITY:
-            return cols.slice(start, end)
-        return _clip_exact(cols, op_name, start, end, rlo, rhi)
+        if end <= start or not clip or op_name in CLIP_IDENTITY:
+            return cols.slice(start, end if end > start else start)
+        return _assemble_ranges(cols, (rlo,), (rhi,), op_name, clip,
+                                [0], [start], [end])[0]
     predicate = INT_PREDICATES[op_name]
     if not clip:
         positions = [i for i in range(start, end)
@@ -585,84 +597,186 @@ def sweep_one(cols: IntervalColumns, op_name: str, rlo: int, rhi: int,
     return IntervalColumns(array("q", out_los), array("q", out_his))
 
 
-def _clip_exact(cols: IntervalColumns, op_name: str, start: int, end: int,
-                rlo: int, rhi: int) -> IntervalColumns:
-    """Clip an exact lane range to the reference interval."""
-    if end <= start:
-        return cols.slice(start, start)
-    los, his = cols.los, cols.his
-    if op_name in ("overlaps", "intersects") and cols.disjoint:
-        # Disjoint members: only the two boundary members can poke
-        # outside the reference; the interior is untouched.
-        patch_lo = los[start] < rlo
-        patch_hi = his[end - 1] > rhi if end > start else False
-        if not patch_lo and not patch_hi:
-            return cols.slice(start, end)
-        out = cols.copy_slice(start, end)
-        if patch_lo:
-            out.los[0] = rlo
-        if patch_hi:
-            out.his[-1] = rhi
-        return out
-    out_los: list[int] = []
-    out_his: list[int] = []
-    for i in range(start, end):
-        mlo = los[i]
-        mhi = his[i]
-        plo = mlo if mlo > rlo else rlo
-        phi = mhi if mhi < rhi else rhi
-        if plo > phi:
-            # e.g. "<=" relates intervals that need not overlap; the
-            # strict clip then drops the member (the paper's epsilon
-            # exclusion).
-            continue
-        out_los.append(plo)
-        out_his.append(phi)
-    return IntervalColumns(array("q", out_los), array("q", out_his))
+def foreach_groups(mem: IntervalColumns, refs: IntervalColumns,
+                   op_name: str, clip: bool
+                   ) -> tuple[IntervalColumns, array, array, list[int]]:
+    """A grouped foreach as lanes: ``(members, starts, ends, ref_index)``.
 
-
-def iter_groups(mem: IntervalColumns, refs: IntervalColumns, op_name: str,
-                clip: bool) -> Iterator[tuple[int, IntervalColumns]]:
-    """Yield ``(ref_index, group_columns)`` for a grouped foreach.
-
-    For ``during``/``overlaps`` against fully sorted lanes this is the
-    gapless lane sweep: both group boundaries advance monotonically, so
-    the whole grouping costs O(members + refs) pointer moves; other
-    shapes fall back to per-reference lane bisects (still no ``Interval``
-    objects).
+    Group ``g`` is ``members[starts[g]:ends[g]]`` and relates to
+    reference ``ref_index[g]``; empty groups are dropped.  With sorted
+    member lanes every group is an exact lane range (:func:`group_bounds`)
+    and assembly is integer work (:func:`_assemble_ranges`); otherwise
+    each reference runs :func:`sweep_one` and the parts are concatenated.
     """
+    bounds = group_bounds(mem, refs, op_name)
+    if bounds is None:
+        rlos, rhis = refs.los, refs.his
+        return concat_groups([sweep_one(mem, op_name, rlos[i], rhis[i], clip)
+                              for i in range(len(rlos))])
+    return _assemble_ranges(mem, refs.los, refs.his, op_name, clip, *bounds)
+
+
+def group_bounds(mem: IntervalColumns, refs: IntervalColumns, op_name: str
+                 ) -> "tuple[list[int], list[int], list[int]] | None":
+    """Integer bounds ``(ref_index, starts, ends)`` of the non-empty groups.
+
+    ``None`` unless both member lanes are sorted (only then is every
+    :func:`group_range` exact).  For ``during``/``overlaps`` against a
+    sorted reference tiling this is the gapless lane sweep: both group
+    boundaries advance monotonically, each by one bisect that starts at
+    its previous position, so no member is ever revisited; other shapes
+    bisect per reference.
+    """
+    if not mem.hi_sorted:
+        return None
     rlos, rhis = refs.los, refs.his
     nrefs = len(rlos)
-    if (op_name in ("during", "overlaps") and refs.hi_sorted
-            and mem.hi_sorted):
-        los, his = mem.los, mem.his
-        n = len(los)
+    index: list[int] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    if op_name in ("during", "overlaps") and refs.hi_sorted:
+        # during: members with lo >= rlo and hi <= rhi;
+        # overlaps: members with hi >= rlo and lo <= rhi.
+        if op_name == "during":
+            start_lane, end_lane = mem.los, mem.his
+        else:
+            start_lane, end_lane = mem.his, mem.los
         s = e = 0
-        identity = not clip or op_name in CLIP_IDENTITY
         for i in range(nrefs):
-            rlo = rlos[i]
-            rhi = rhis[i]
-            if op_name == "during":
-                while s < n and los[s] < rlo:
-                    s += 1
-                if e < s:
-                    e = s
-                while e < n and his[e] <= rhi:
-                    e += 1
-            else:
-                while s < n and his[s] < rlo:
-                    s += 1
-                if e < s:
-                    e = s
-                while e < n and los[e] <= rhi:
-                    e += 1
-            if identity:
-                yield i, mem.slice(s, e)
-            else:
-                yield i, _clip_exact(mem, op_name, s, e, rlo, rhi)
-        return
+            s = bisect_left(start_lane, rlos[i], s)
+            e = bisect_right(end_lane, rhis[i], e if e > s else s)
+            if e > s:
+                index.append(i)
+                starts.append(s)
+                ends.append(e)
+        return index, starts, ends
     for i in range(nrefs):
-        yield i, sweep_one(mem, op_name, rlos[i], rhis[i], clip)
+        s, e, exact = group_range(mem, op_name, rlos[i], rhis[i])
+        if not exact:
+            return None
+        if e > s:
+            index.append(i)
+            starts.append(s)
+            ends.append(e)
+    return index, starts, ends
+
+
+def _assemble_ranges(mem: IntervalColumns, rlos: Sequence[int],
+                     rhis: Sequence[int], op_name: str, clip: bool,
+                     index: list[int], starts: list[int], ends: list[int]
+                     ) -> tuple[IntervalColumns, array, array, list[int]]:
+    """Members and bounds of exact, non-empty lane-range groups; group
+    ``g`` relates to reference ``(rlos[index[g]], rhis[index[g]])``.
+
+    Unclipped groups keep ``mem`` itself as their members, however they
+    abut, overlap or skip members (the prefixes ``DAYS:<:WEEKS`` groups
+    form cost two integers each, not a copy).  A strict clip under an
+    operator outside :data:`CLIP_IDENTITY` copies the ranges and then
+    patches the two boundary members of each group when the members are
+    disjoint (interior members already lie inside the reference), or
+    clips member by member otherwise, dropping empty pieces and groups.
+    """
+    if not clip or op_name in CLIP_IDENTITY:
+        return mem, array("q", starts), array("q", ends), index
+    if op_name in ("overlaps", "intersects") and mem.disjoint:
+        members, offsets = gather_ranges(mem, starts, ends, copy=True)
+        out_los, out_his = members.los, members.his
+        for g in range(len(starts)):
+            r = index[g]
+            rlo = rlos[r]
+            rhi = rhis[r]
+            first = offsets[g]
+            last = offsets[g + 1] - 1
+            if out_los[first] < rlo:
+                out_los[first] = rlo
+            if out_his[last] > rhi:
+                out_his[last] = rhi
+        return members, offsets[:-1], offsets[1:], index
+    los, his = mem.los, mem.his
+    out_los: list[int] = []
+    out_his: list[int] = []
+    offsets = array("q", (0,))
+    kept: list[int] = []
+    for g in range(len(starts)):
+        r = index[g]
+        rlo = rlos[r]
+        rhi = rhis[r]
+        for i in range(starts[g], ends[g]):
+            mlo = los[i]
+            mhi = his[i]
+            plo = mlo if mlo > rlo else rlo
+            phi = mhi if mhi < rhi else rhi
+            if plo > phi:
+                # e.g. "<=" relates intervals that need not overlap; the
+                # strict clip then drops the member (the paper's epsilon
+                # exclusion).
+                continue
+            out_los.append(plo)
+            out_his.append(phi)
+        if len(out_los) > offsets[-1]:
+            offsets.append(len(out_los))
+            kept.append(r)
+    return (IntervalColumns(array("q", out_los), array("q", out_his)),
+            offsets[:-1], offsets[1:], kept)
+
+
+def gather_ranges(cols: IntervalColumns, starts: Sequence[int],
+                  ends: Sequence[int], copy: bool = False
+                  ) -> tuple[IntervalColumns, array]:
+    """The ``[starts[k], ends[k])`` lane ranges of ``cols``, in order, as
+    one column pair plus the range offsets into it.
+
+    Ranges that tile one run of ``cols`` come back as a zero-copy slice
+    unless ``copy`` asks for writable lanes.  Otherwise they are copied
+    into fresh lanes, which inherit the True lane flags of ``cols`` when
+    the ranges are ascending and non-overlapping (a subsequence).
+    """
+    offsets = array("q", (0,))
+    if not len(starts):
+        return IntervalColumns.empty(), offsets
+    tiles = ordered = True
+    for k in range(len(starts) - 1):
+        if ends[k] != starts[k + 1]:
+            tiles = False
+            if ends[k] > starts[k + 1]:
+                ordered = False
+                break
+    if tiles and not copy:
+        s0 = starts[0]
+        offsets = array("q", [s - s0 for s in starts])
+        offsets.append(ends[-1] - s0)
+        return cols.slice(s0, ends[-1]), offsets
+    blos = memoryview(cols.los).cast("B")
+    bhis = memoryview(cols.his).cast("B")
+    los = array("q")
+    his = array("q")
+    size = los.itemsize
+    total = 0
+    for s, e in zip(starts, ends):
+        los.frombytes(blos[s * size:e * size])
+        his.frombytes(bhis[s * size:e * size])
+        total += e - s
+        offsets.append(total)
+    if not ordered:
+        return IntervalColumns(los, his), offsets
+    return IntervalColumns(
+        los, his, lo_sorted=True if cols._lo_sorted else None,
+        hi_sorted=True if cols._hi_sorted else None,
+        disjoint=True if cols._disjoint else None), offsets
+
+
+def concat_groups(parts: "Sequence[IntervalColumns]"
+                  ) -> tuple[IntervalColumns, array, array, list[int]]:
+    """Per-reference groups as lanes: the non-empty ``parts`` concatenated,
+    their bounds in it, and the positions of the parts kept."""
+    kept = [i for i, part in enumerate(parts) if len(part)]
+    offsets = array("q", (0,))
+    total = 0
+    for i in kept:
+        total += len(parts[i])
+        offsets.append(total)
+    return (concat_columns([parts[i] for i in kept]), offsets[:-1],
+            offsets[1:], kept)
 
 
 # ---------------------------------------------------------------------------

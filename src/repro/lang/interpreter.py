@@ -238,6 +238,8 @@ def clip_to_window(cal: Calendar, window: tuple[int, int]) -> Calendar:
             labels = (tuple(cal.labels[i] for i in pos)
                       if cal.labels is not None else None)
         return Calendar._from_columns(out, cal.granularity, labels)
+    if cal.group_lanes is not None:
+        return cal.groups_overlapping(win.lo, win.hi)
     subs: list[Calendar] = []
     labels_out: list = []
     for i, sub in enumerate(cal.elements):

@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core import columnar
-from repro.core.algebra import SelectionPredicate, _scan, _sweepable, \
-    caloperate, foreach, label_select, select
+from repro.core.algebra import SelectionPredicate, caloperate, foreach, \
+    label_select, select
 from repro.core.calendar import Calendar
 from repro.core.granularity import Granularity
-from repro.core.interval import Interval, axis_add, get_listop
+from repro.core.interval import Interval, axis_add
 from repro.core.stream import PeakTracker
 from repro.lang.defs import BasicDef, DerivedDef, ExplicitDef
 from repro.lang.errors import EvaluationError, PlanError
@@ -257,9 +256,12 @@ class GenerateCallStep(PlanStep):
 
 @dataclass(frozen=True)
 class FusedForEachStep(PlanStep):
-    """A foreach and its sole-consumer positional selection fused into one
-    merge-join pass: groups are selected as they form instead of
-    materialising the intermediate order-2 calendar."""
+    """A foreach and its sole-consumer positional selection as one step.
+
+    It runs the algebra kernels, ``select(foreach(...))``; the grouped
+    intermediate is member lanes plus group bounds, so no per-group
+    object is built.  The step keeps the plan's shape and ``explain``
+    text."""
 
     target: str
     op: str
@@ -277,9 +279,10 @@ class FusedForEachStep(PlanStep):
 
 @dataclass(frozen=True)
 class MergedForEachStep(PlanStep):
-    """Two adjacent foreach steps over the same materialised reference merged
-    into one kernel: the inner grouping's flatten is skipped and members
-    stream straight into the outer foreach."""
+    """Two adjacent foreach steps, the inner one flattened into the outer.
+
+    Runs ``foreach(op2, foreach(op1, ...).flatten(), ...)``: the inner
+    grouping's flatten is its member lanes, uncopied."""
 
     target: str
     op1: str
@@ -531,12 +534,8 @@ class PlanVM:
             from repro.lang.interpreter import Interpreter
             return Interpreter(ctx)._eval_definition(step.name, definition)
         if isinstance(step, ForEachStep):
-            left = registers[step.left]
-            right = registers[step.right]
-            if left.order != 1:
-                left = left.flatten()
-            reference = (right[0]
-                         if right.order == 1 and len(right) == 1 else right)
+            left, reference = self._foreach_operands(step.left, step.right,
+                                                     registers)
             return foreach(step.op, left, reference, strict=step.strict)
         if isinstance(step, SelectStep):
             return select(registers[step.source], step.predicate)
@@ -603,75 +602,35 @@ class PlanVM:
 
     # -- fused / streaming kernels ----------------------------------------------
 
+    def _foreach_operands(self, left: str, right: str, registers: dict):
+        """A foreach step's operands: the left flattened to order 1 and a
+        one-element order-1 right operand unwrapped to its interval."""
+        left_cal = registers[left]
+        right_cal = registers[right]
+        if left_cal.order != 1:
+            left_cal = left_cal.flatten()
+        if right_cal.order == 1 and len(right_cal) == 1:
+            return left_cal, right_cal[0]
+        return left_cal, right_cal
+
     def _run_fused(self, step: FusedForEachStep, registers: dict) -> Calendar:
-        """``select(foreach(...))`` in one pass over the groups."""
-        left = registers[step.left]
-        right = registers[step.right]
-        if left.order != 1:
-            left = left.flatten()
-        reference = (right[0]
-                     if right.order == 1 and len(right) == 1 else right)
-        op = get_listop(step.op)
-        if (isinstance(reference, Interval) or op.shape == "filtering"
-                or reference.order != 1 or not _sweepable(op)):
-            return select(foreach(op, left, reference, strict=step.strict),
-                          step.predicate)
-        # Groups come from the gapless lane sweep; the selection indexes
-        # each group's columns, so no ``Interval`` objects (and no order-2
-        # intermediate) exist at any point.
-        pred = step.predicate
-        singleton = pred.is_singleton()
-        granularity = left.granularity
-        picked_los: list[int] = []
-        picked_his: list[int] = []
-        picked_subs: list[Calendar] = []
-        for _i, group in columnar.iter_groups(left.columns,
-                                              reference.columns, op.name,
-                                              step.strict and op.clips):
-            glen = len(group)
-            if not glen:
-                continue
-            positions = pred.positions(glen)
-            if not positions:
-                continue
-            if singleton:
-                p = positions[0]
-                picked_los.append(group.los[p])
-                picked_his.append(group.his[p])
-            else:
-                if positions[-1] - positions[0] + 1 == len(positions):
-                    sub = group.slice(positions[0], positions[-1] + 1)
-                else:
-                    sub = group.take(positions)
-                picked_subs.append(Calendar._from_columns(sub, granularity))
-        if singleton:
-            out = columnar.IntervalColumns.from_lists(picked_los, picked_his)
-            return Calendar._from_columns(out, granularity)
-        return Calendar.from_calendars(picked_subs, granularity)
+        """``select(foreach(...))``: the grouped foreach result is lanes
+        plus group bounds, so the selection never sees per-group objects."""
+        left, reference = self._foreach_operands(step.left, step.right,
+                                                 registers)
+        return select(foreach(step.op, left, reference, strict=step.strict),
+                      step.predicate)
 
     def _run_merged(self, step: MergedForEachStep, registers: dict
                     ) -> Calendar:
-        """Inner grouping + flatten + outer foreach in one member pass."""
+        """Inner grouping + flatten + outer foreach: the inner groups'
+        member lanes feed the outer foreach without a copy."""
         left = registers[step.left]
-        right = registers[step.right]
-        right2 = registers[step.right2]
         if left.order != 1:
             left = left.flatten()
-        op1 = get_listop(step.op1)
-        ref_cal = right if right.order == 1 else right.flatten()
-        if _sweepable(op1):
-            clip = step.strict1 and op1.clips
-            cols, refs = left.columns, ref_cal.columns
-            parts = [columnar.sweep_one(cols, op1.name, refs.los[i],
-                                        refs.his[i], clip)
-                     for i in range(len(refs))]
-            mid = Calendar._from_columns(
-                columnar.concat_columns(parts), left.granularity)
-        else:
-            mid = Calendar.from_intervals(
-                [iv for ref in ref_cal
-                 for iv in _scan(op1, left, ref, step.strict1)],
-                left.granularity)
+        mid = foreach(step.op1, left, registers[step.right],
+                      strict=step.strict1).flatten()
+        right2 = registers[step.right2]
         reference2 = (right2[0]
                       if right2.order == 1 and len(right2) == 1 else right2)
         return foreach(step.op2, mid, reference2, strict=step.strict2)

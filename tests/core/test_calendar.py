@@ -96,6 +96,14 @@ class TestFlatten:
         c = Calendar.from_calendars([cal((1, 2)), cal((4, 5))])
         assert c.flatten().to_pairs() == ((1, 2), (4, 5))
 
+    def test_flatten_order3(self):
+        inner = Calendar.from_calendars([cal((1, 2)), cal((4, 5), (7, 8))])
+        c = Calendar.from_calendars([inner, Calendar.from_calendars(
+            [cal((10, 12))])], Granularity.DAYS)
+        flat = c.flatten()
+        assert flat.order == 1 and flat.granularity == Granularity.DAYS
+        assert flat.to_pairs() == ((1, 2), (4, 5), (7, 8), (10, 12))
+
     def test_flatten_order1_identity(self):
         c = cal((1, 2))
         assert c.flatten() is c

@@ -14,7 +14,10 @@ from repro.core import (
     CalendarSystem,
     Interval,
     IntervalColumns,
+    LAST,
+    SelectionPredicate,
     foreach,
+    select,
 )
 from repro.core import columnar
 from repro.core.columnar import Q_MAX, Q_MIN
@@ -140,6 +143,51 @@ class TestCounterSurfaces:
         shell = Shell(epoch="Jan 1 1987", holiday_years=(1987, 1988))
         out = shell.run_line("\\cache")
         assert "columnar materialisations" in out
+
+
+class TestGroupedCalendarsStayLanes:
+    def test_selection_over_400_years_builds_no_group_objects(self):
+        # 20 871 week groups: the grouped foreach and the multi-position
+        # selection are lanes plus offsets, never one object per group.
+        system = CalendarSystem.starting("Jan 1 1987")
+        days = system.generate("DAYS", "DAYS", (1, 146097), mode="cover")
+        weeks = system.generate("WEEKS", "DAYS", (1, 146097), mode="cover")
+        before = columnar.MATERIALISATIONS.value
+        grouped = foreach("during", days, weeks)
+        picked = select(grouped, SelectionPredicate.of((1, 5)))
+        assert len(grouped) == len(weeks)
+        assert picked.order == 2 and len(picked) == len(weeks)
+        assert picked.leaf_count() == 104_357
+        for cal in (grouped, picked):
+            assert cal.group_lanes is not None
+            assert cal._mat is None
+        members = picked.group_lanes[0]
+        flat = picked.flatten()
+        assert flat.columns is members
+        assert flat.columns.los is members.los
+        # The tiling's groups abut: the foreach members are a zero-copy
+        # view of the DAYS lanes.
+        lane = grouped.group_lanes[0].los
+        owner = lane.obj if isinstance(lane, memoryview) else lane
+        assert owner is days.columns.los
+        assert columnar.MATERIALISATIONS.value == before
+
+
+    def test_overlapping_groups_share_the_member_lanes(self):
+        # "<" groups are prefixes of the DAYS lane: 1 565 groups holding
+        # ~8.6M members in all are two integers each, not a copy.
+        system = CalendarSystem.starting("Jan 1 1987")
+        days = system.generate("DAYS", "DAYS", (1, 10958), mode="cover")
+        weeks = system.generate("WEEKS", "DAYS", (1, 10958), mode="cover")
+        grouped = foreach("<", days, weeks)
+        members, starts, ends = grouped.group_lanes
+        assert members is days.columns
+        assert set(starts) == {0} and len(grouped) == len(weeks) - 1
+        assert grouped.leaf_count() == sum(ends)
+        # A day is "<" a week when it ends by the week's first day.
+        last = select(grouped, SelectionPredicate.of(LAST))
+        assert last.to_pairs() == tuple(
+            (lo, lo) for lo, _ in weeks.to_pairs()[1:])
 
 
 class TestFusedPipelineStaysColumnar:
