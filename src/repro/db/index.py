@@ -15,6 +15,8 @@ are provided:
 from __future__ import annotations
 
 import bisect
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.calendar import Calendar
@@ -86,6 +88,44 @@ class OrderedIndex:
                 self._keys.insert(pos, key)
                 self._tids.insert(pos, tid)
             return
+        self._merge(pairs)
+
+    def replace_batch(self, old_rows: "Sequence[dict]",
+                      new_rows: "Sequence[dict]") -> None:
+        """Swap each tuple's ``old_rows`` entry for its ``new_rows`` one.
+
+        The batch form of ``remove(old)`` + ``insert(new)`` per tuple,
+        for ``Relation.update_many``: ``old_rows`` are the indexed
+        versions (one per tid) and ``new_rows`` their replacements in
+        write order.  A replacement lands after the entries with an
+        equal key, exactly where one :meth:`insert` per row puts it.
+        Small batches take that per-row path; a batch that rivals the
+        index drops its tids in one filtering pass and merges the
+        replacements in (O(n + batch log batch), where per-row removal
+        also walks every equal key — a whole wave of rules shares one
+        ``next_fire``).
+        """
+        if len(new_rows) * 8 < len(self._keys):
+            for row in old_rows:
+                self.remove(row)
+            for row in new_rows:
+                self.insert(row)
+            return
+        gone = {row["_tid"] for row in old_rows
+                if row.get(self.column) is not None}
+        keep = [tid not in gone for tid in self._tids]
+        self._keys = list(compress(self._keys, keep))
+        self._tids = list(compress(self._tids, keep))
+        # Sort on the key alone: the stable sort keeps equal keys in
+        # write order, where per-row inserts would put them.
+        self._merge(sorted(((row[self.column], row["_tid"])
+                            for row in new_rows
+                            if row.get(self.column) is not None),
+                           key=itemgetter(0)))
+
+    def _merge(self, pairs: list) -> None:
+        """Merge key-sorted ``(key, tid)`` pairs into the lanes in one
+        linear pass, each after the existing entries with an equal key."""
         old_keys, old_tids = self._keys, self._tids
         keys: list = []
         tids: list[int] = []

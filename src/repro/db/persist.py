@@ -236,7 +236,10 @@ def restore_database(payload: dict) -> Database:
                 tenant=spec.get("tenant", "default"),
                 priority=spec.get("priority", 0))
             rule.enabled = spec["enabled"]
-            manager.tables.set_next_fire(spec["name"], spec["next_fire"])
+        # The saved next fires replace the declared ones in one write.
+        manager.tables.set_next_fires(
+            [(spec["name"], spec["next_fire"])
+             for spec in payload["temporal_rules"]])
     return db
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from repro.db.errors import IntegrityError, SchemaError
@@ -114,6 +115,11 @@ class Relation:
         #: registration quadratic.  None when the schema has no key.
         self._key_map: dict[tuple, int] | None = \
             {} if schema.key else None
+        #: Key column values of a row, for cheap did-the-key-change tests.
+        self._key_get = itemgetter(*schema.key) if schema.key else None
+        #: Column names a tuple dict may carry (hidden stamps included).
+        self._known = frozenset(schema.column_names()) | {
+            "_tid", "_tmin", "_tmax"}
         #: Bumped on every mutation (insert/delete/update/truncate).
         #: Extracted column lanes (see :meth:`extract_lane`) are only
         #: valid while this stays unchanged — the executor extracts per
@@ -162,11 +168,10 @@ class Relation:
             value = values.get(column.name)
             row[column.name] = self._types.get(column.type_name).validate(
                 value)
-        unknown = set(values) - {c.name for c in self.schema.columns} - {
-            "_tid", "_tmin", "_tmax"}
-        if unknown:
+        if not self._known.issuperset(values):
             raise SchemaError(
-                f"unknown columns for {self.name}: {sorted(unknown)}")
+                f"unknown columns for {self.name}: "
+                f"{sorted(set(values) - self._known)}")
         return row
 
     def _key_of(self, row: dict) -> tuple:
@@ -283,32 +288,78 @@ class Relation:
     def update(self, tid: int, changes: dict,
                fire_hooks: bool = True) -> dict:
         """Replace columns of a tuple; the old version moves to history."""
-        old = self._rows.get(tid)
-        if old is None:
-            raise IntegrityError(f"no tuple with tid {tid} in {self.name}")
-        merged = {k: v for k, v in old.items()
-                  if k not in ("_tid", "_tmin", "_tmax")}
-        merged.update(changes)
-        row = self._validate(merged)
-        self._check_key(row, ignore_tid=tid)
-        row["_tid"] = tid
-        row["_tmin"] = self._xact_source()
-        self._version += 1
-        dead = dict(old)
-        dead["_tmax"] = self._xact_source()
-        self._history.append(dead)
-        if self._key_map is not None:
-            self._key_map.pop(self._key_of(old), None)
-        for index in self.indexes.values():
-            index.remove(old)
-        self._rows[tid] = row
-        if self._key_map is not None:
-            self._key_map[self._key_of(row)] = tid
-        for index in self.indexes.values():
-            index.insert(row)
+        return self.update_many([(tid, changes)], fire_hooks=fire_hooks)[0]
+
+    def update_many(self, updates: "Sequence[tuple[int, dict]]",
+                    fire_hooks: bool = True) -> list[dict]:
+        """Apply ``(tid, changes)`` updates as one batch; the new rows.
+
+        Semantically ``[self.update(tid, changes) for ...]`` — same
+        validation, key checks against the state each earlier update
+        left, dead versions in history, ``data_version`` bumps and
+        replace events in order (a tid may appear more than once) — but
+        every row is checked before any is stored, so a bad batch never
+        half-applies.  The bookkeeping is paid once per batch: the key
+        map is touched only for rows whose key changed, and each index
+        swaps the batch's entries through one
+        :meth:`~repro.db.index.OrderedIndex.replace_batch`.
+        """
+        key_map, key_get = self._key_map, self._key_get
+        # Key-map changes the batch makes: key -> new holder (None =
+        # freed), consulted before the live map by later checks.
+        moved: dict[tuple, "int | None"] = {}
+        latest: dict[int, dict] = {}
+        staged: list[tuple[dict, dict]] = []
+        for tid, changes in updates:
+            old = latest.get(tid) or self._rows.get(tid)
+            if old is None:
+                raise IntegrityError(
+                    f"no tuple with tid {tid} in {self.name}")
+            merged = dict(old)  # hidden stamps: dropped by _validate
+            merged.update(changes)
+            row = self._validate(merged)
+            if key_map is not None and key_get(row) != key_get(old):
+                new_key = self._key_of(row)
+                holder = moved[new_key] if new_key in moved \
+                    else key_map.get(new_key)
+                if holder is not None and holder != tid:
+                    raise IntegrityError(
+                        f"duplicate key {new_key!r} in {self.name}")
+                moved[self._key_of(old)] = None
+                moved[new_key] = tid
+            row["_tid"] = tid
+            latest[tid] = row
+            staged.append((old, row))
+        xact = self._xact_source()
+        self._version += len(staged)
+        originals: dict[int, dict] = {}
+        for old, row in staged:
+            tid = row["_tid"]
+            originals.setdefault(tid, old)
+            row["_tmin"] = xact
+            dead = dict(old)
+            dead["_tmax"] = xact
+            self._history.append(dead)
+            self._rows[tid] = row
+        for key, tid in moved.items():
+            if tid is None:
+                key_map.pop(key, None)
+            else:
+                key_map[key] = tid
+        if self.indexes:
+            final = [row for _, row in staged]
+            if len(latest) < len(final):
+                # A tid written twice is indexed once, at its last write.
+                last = {row["_tid"]: pos for pos, row in enumerate(final)}
+                final = [row for pos, row in enumerate(final)
+                         if last[row["_tid"]] == pos]
+            old_rows = list(originals.values())
+            for index in self.indexes.values():
+                index.replace_batch(old_rows, final)
         if fire_hooks:
-            self._fire("replace", current=old, new=row)
-        return row
+            for old, row in staged:
+                self._fire("replace", current=old, new=row)
+        return [row for _, row in staged]
 
     def notify_retrieve(self, row: dict) -> None:
         """Fire retrieve-event hooks for a tuple touched by a query."""

@@ -15,8 +15,9 @@ schedule behind one strategy protocol:
   plus the one-time sync of rules declared before the daemon existed).
 
 As the clock advances, due entries are popped and fired; each fired rule
-computes its next trigger point (via the calendar pipeline), RULE_TIME
-is updated, and the re-arm notification re-enters the schedule.
+computes its next trigger point (via the calendar pipeline), and once
+per wave RULE_TIME is updated and one re-arm notification re-enters the
+whole wave into the schedule (IMPLEMENTATION_NOTES §11.6).
 
 Independent due rules can fire **in parallel**: :meth:`DBCron.fire_due`
 pops all entries sharing the earliest due fire tick as one *wave* and
@@ -112,17 +113,24 @@ class HeapSchedule:
 
     def schedule(self, name: str, tick: int) -> bool:
         """Arm ``name`` at ``tick``; False when dup or watermarked."""
+        return self.schedule_many([(name, tick)]) == 1
+
+    def schedule_many(self, arms) -> int:
+        """Arm ``(name, tick)`` pairs in order under one lock; count armed."""
+        armed = 0
         with self._lock:
-            current = self._scheduled.get(name)
-            if current is not None and current[0] == tick:
-                return False
-            fired = self._fired_at.get(name)
-            if fired is not None and tick <= fired:
-                return False
-            self._gen += 1
-            self._scheduled[name] = (tick, self._gen)
-            heapq.heappush(self._heap, (tick, self._gen, name))
-            return True
+            for name, tick in arms:
+                current = self._scheduled.get(name)
+                if current is not None and current[0] == tick:
+                    continue
+                fired = self._fired_at.get(name)
+                if fired is not None and tick <= fired:
+                    continue
+                self._gen += 1
+                self._scheduled[name] = (tick, self._gen)
+                heapq.heappush(self._heap, (tick, self._gen, name))
+                armed += 1
+        return armed
 
     def cancel(self, name: str) -> None:
         """Disarm ``name``; its heap entries die in place."""
@@ -281,65 +289,45 @@ class DBCron:
         for shard, size in enumerate(self.sched.shard_sizes()):
             sizes.labels(str(shard)).set(float(size))
 
-    def _on_schedule_change(self, name: str, next_fire: int | None) -> None:
-        """A rule was declared/dropped/rescheduled while we are awake."""
-        if next_fire is None:
-            self.sched.cancel(name)
-            return
-        if self.sched.bounded_horizon and next_fire > self._horizon:
-            return  # a later probe will pick it up
-        self.sched.schedule(name, next_fire)
+    def _on_schedule_change(self, changes) -> None:
+        """Rules were declared/dropped/rescheduled while we are awake."""
+        arms = []
+        for name, next_fire in changes:
+            if next_fire is None:
+                self.sched.cancel(name)
+            elif not self.sched.bounded_horizon or \
+                    next_fire <= self._horizon:
+                arms.append((name, next_fire))
+            # else: beyond the heap's horizon; a later probe loads it.
+        if arms:
+            self.sched.schedule_many(arms)
 
     # -- firing ------------------------------------------------------------------
 
     def _on_clock(self, now: int) -> None:
         self.fire_due()
 
-    def _fire_one(self, fire_tick: int, name: str, now: int,
-                  parent_span) -> "tuple[int | None, float]":
-        """Fire one rule; (next_fire, elapsed seconds).
-
-        Runs on a pool worker during parallel waves; ``parent_span``
-        (when tracing) adopts this worker's ``rule.fire`` span into the
-        dispatching thread's trace tree.
-        """
-        tracer = self.db.instrumentation.tracer
-        t0 = perf_counter()
-        if tracer is not None and parent_span is not None:
-            with tracer.child_span(parent_span, "rule.fire", rule=name,
-                                   tick=fire_tick, drift=now - fire_tick):
-                next_fire = self.manager.fire_temporal(name, fire_tick)
-        elif tracer is not None:
-            with tracer.span("rule.fire", rule=name, tick=fire_tick,
-                             drift=now - fire_tick):
-                next_fire = self.manager.fire_temporal(name, fire_tick)
-        else:
-            next_fire = self.manager.fire_temporal(name, fire_tick)
-        return next_fire, perf_counter() - t0
-
     def fire_due(self) -> int:
         """Fire every scheduled entry whose time has come; count fired.
 
         Due entries are processed in *waves* — all entries sharing the
-        earliest due fire tick.  With a throttle attached, each wave is
-        first filtered through the owning tenants' fire budgets and the
-        over-budget remainder is shed (rescheduled, not fired).  The
-        surviving wave fires across the worker pool when it holds more
-        than one rule and the pool has more than one worker; otherwise
-        the rules fire sequentially on this thread.  Records per-fire
-        latency (``dbcron.fire_seconds``) and how far behind schedule
-        the daemon is running (``dbcron.fire_drift_ticks``); with
-        tracing on, each fire gets a ``rule.fire`` span (parallel waves
-        roll the per-worker spans up under one ``dbcron.fire_wave``).
+        earliest due fire tick — and each wave goes through
+        :meth:`RuleManager.fire_wave`, which pays the RULE_TIME write
+        and the re-arm once per wave.  With a throttle attached, each
+        wave is first filtered through the owning tenants' fire budgets
+        and the over-budget remainder is shed (rescheduled, not fired).
+        The surviving wave fires across the worker pool when it holds
+        more than one rule and the pool has more than one worker;
+        otherwise the rules fire sequentially on this thread.  Records
+        per-fire latency (``dbcron.fire_seconds``) and how far behind
+        schedule the daemon is running (``dbcron.fire_drift_ticks``);
+        with tracing on, each fire gets a ``rule.fire`` span (parallel
+        waves roll the per-worker spans up under one
+        ``dbcron.fire_wave``).
         """
         now = self.clock.now
         inst = self.db.instrumentation
-        fire_hist = inst.metrics.histogram("dbcron.fire_seconds")
         drift_gauge = inst.metrics.gauge("dbcron.fire_drift_ticks")
-        fire_counter = inst.metrics.counter("dbcron.fires")
-        shard_fires = inst.metrics.counter(
-            "dbcron.shard_fires", "Rules fired per scheduler shard",
-            labels=("shard",))
         fired = 0
         while True:
             wave = self.sched.pop_wave(now)
@@ -353,27 +341,77 @@ class DBCron:
             if inst.pipeline is not None:
                 inst.pipeline.emit("dbcron.wave", tick=wave[0][0],
                                    rules=len(wave), drift=now - wave[0][0])
-            if len(wave) > 1 and self.pool.size > 1:
-                results = self._fire_wave_parallel(wave, now)
+            fired += self._fire_wave(wave, now, inst)
+        return fired
+
+    def _fire_wave(self, wave, now: int, inst) -> int:
+        """Fire one wave through the manager; count fired.
+
+        Every fire is timed (and traced) individually, on whichever
+        thread runs it; metrics and stats are folded in on this thread,
+        in wave order and once per wave, so sequential and parallel
+        runs count identically — even when a rule of the wave raised.
+        """
+        tracer = inst.tracer
+        # (next_fire, elapsed seconds) per wave position once fired.
+        results: list = [None] * len(wave)
+
+        def timed(fire, position: int, parent_span=None) -> None:
+            tick, name, _ = wave[position]
+            t0 = perf_counter()
+            if tracer is None:
+                next_fire = fire(position)
+            elif parent_span is not None:
+                # A pool worker's span, adopted into the wave's trace.
+                with tracer.child_span(parent_span, "rule.fire", rule=name,
+                                       tick=tick, drift=now - tick):
+                    next_fire = fire(position)
             else:
-                results = [self._fire_one(tick, name, now, None)
-                           for tick, name, _ in wave]
-            # Stats and metrics are updated on this thread, in wave
-            # order, so sequential and parallel runs count identically.
-            for (next_fire, elapsed), (tick, name, shard) in zip(results,
-                                                                 wave):
-                fire_hist.observe(elapsed)
-                fire_counter.inc()
-                shard_fires.labels(str(shard)).inc()
-                fired += 1
-                self.stats.fires += 1
-                if next_fire is not None:
-                    self.stats.reschedules += 1
-                    # _on_schedule_change re-armed it if due again.
-                if inst.pipeline is not None:
-                    inst.pipeline.emit("rule.fire", rule=name, tick=tick,
-                                       duration_s=elapsed,
-                                       next_fire=next_fire)
+                with tracer.span("rule.fire", rule=name, tick=tick,
+                                 drift=now - tick):
+                    next_fire = fire(position)
+            results[position] = (next_fire, perf_counter() - t0)
+
+        def dispatch(fire) -> None:
+            if len(wave) > 1 and self.pool.size > 1:
+                self._dispatch_parallel(wave, fire, timed)
+            else:
+                for position in range(len(wave)):
+                    timed(fire, position)
+
+        try:
+            self.manager.fire_wave([(tick, name) for tick, name, _ in wave],
+                                   dispatch=dispatch)
+        finally:
+            fired = self._account(wave, results, inst)
+        return fired
+
+    def _account(self, wave, results: list, inst) -> int:
+        """Fold one wave's fires into stats and metrics; count fired."""
+        metrics = inst.metrics
+        fire_hist = metrics.histogram("dbcron.fire_seconds")
+        per_shard: dict[int, int] = {}
+        fired = 0
+        for (tick, name, shard), result in zip(wave, results):
+            if result is None:
+                continue  # never reached (the wave was interrupted)
+            next_fire, elapsed = result
+            fired += 1
+            fire_hist.observe(elapsed)
+            per_shard[shard] = per_shard.get(shard, 0) + 1
+            if next_fire is not None:
+                self.stats.reschedules += 1
+            if inst.pipeline is not None:
+                inst.pipeline.emit("rule.fire", rule=name, tick=tick,
+                                   duration_s=elapsed, next_fire=next_fire)
+        if fired:
+            metrics.counter("dbcron.fires").inc(fired)
+            shard_fires = metrics.counter(
+                "dbcron.shard_fires", "Rules fired per scheduler shard",
+                labels=("shard",))
+            for shard, count in per_shard.items():
+                shard_fires.labels(str(shard)).inc(count)
+            self.stats.fires += fired
         return fired
 
     def _shed_overbudget(self, wave, now: int, inst):
@@ -382,9 +420,9 @@ class DBCron:
         Sheds the lowest-priority entries of each over-budget tenant
         first (ties broken by wave position, so the outcome is
         deterministic), advances every shed rule past this trigger
-        point via :meth:`RuleManager.skip_temporal`, and returns the
-        surviving wave in its original order.  The clock is never
-        blocked: shedding is a reschedule, not a wait.
+        point in one ``RuleManager.fire_wave(..., shed=True)``, and
+        returns the surviving wave in its original order.  The clock is
+        never blocked: shedding is a reschedule, not a wait.
         """
         rules = self.manager.temporal_rules
         by_tenant: dict[str, list[int]] = {}
@@ -407,54 +445,46 @@ class DBCron:
             shed_positions.update(ranked[granted:])
         if not shed_positions:
             return wave
-        shed_counter = inst.metrics.counter("dbcron.sheds")
-        for position in sorted(shed_positions):
-            tick, name, _ = wave[position]
-            self.stats.sheds += 1
-            shed_counter.inc()
-            self.manager.skip_temporal(name, tick)
-            if inst.pipeline is not None:
+        shed = [wave[position][:2] for position in sorted(shed_positions)]
+        self.stats.sheds += len(shed)
+        inst.metrics.counter("dbcron.sheds").inc(len(shed))
+        self.manager.fire_wave(shed, shed=True)
+        if inst.pipeline is not None:
+            for tick, name in shed:
                 inst.pipeline.emit("dbcron.shed", rule=name, tick=tick,
                                    now=now)
         return [entry for position, entry in enumerate(wave)
                 if position not in shed_positions]
 
-    def _fire_wave_parallel(self, wave, now: int) -> list:
-        """Dispatch one wave across the pool; per-entry results in order.
+    def _dispatch_parallel(self, wave, fire, timed) -> None:
+        """Run one wave's fires across the pool.
 
         Wheel waves arrive pre-sharded: entries are grouped by wheel
         shard and each shard's batch runs as one pool task (constant
         dispatch overhead per wave).  Heap waves carry a single shard id
         and fall back to one task per rule — the pre-wheel behaviour.
         """
-        batches: dict[int, list[tuple[int, int, str]]] = {}
-        for position, (tick, name, shard) in enumerate(wave):
-            batches.setdefault(shard, []).append((position, tick, name))
+        batches: dict[int, list[int]] = {}
+        for position, (_, _, shard) in enumerate(wave):
+            batches.setdefault(shard, []).append(position)
         if len(batches) == 1:
-            work = [[(position, tick, name)]
-                    for position, (tick, name, _) in enumerate(wave)]
+            work = [[position] for position in range(len(wave))]
         else:
             work = list(batches.values())
 
         def fire_batch(batch, parent_span=None):
-            return [(position, self._fire_one(tick, name, now,
-                                              parent_span))
-                    for position, tick, name in batch]
+            for position in batch:
+                timed(fire, position, parent_span)
 
         tracer = self.db.instrumentation.tracer
         if tracer is not None:
             with tracer.span("dbcron.fire_wave", tick=wave[0][0],
                              rules=len(wave),
                              batches=len(work)) as wave_span:
-                settled = self.pool.sharded_map(
+                self.pool.sharded_map(
                     lambda batch: fire_batch(batch, wave_span), work)
         else:
-            settled = self.pool.sharded_map(fire_batch, work)
-        results: list = [None] * len(wave)
-        for batch_results in settled:
-            for position, result in batch_results:
-                results[position] = result
-        return results
+            self.pool.sharded_map(fire_batch, work)
 
     # -- driving ------------------------------------------------------------------
 

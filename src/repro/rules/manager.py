@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 from repro.db.database import Database
 from repro.db.errors import RuleError
+from repro.errors import ReproError
 from repro.rules.events import Event
 from repro.rules.rule import EventRule
 from repro.rules.tables import RuleTables
@@ -22,6 +23,10 @@ from repro.rules.temporal import TemporalRule
 from repro.rules.throttle import ThrottledError
 
 __all__ = ["RuleManager"]
+
+#: Receives ``[(rulename, next_fire)]`` per (re)schedule batch; a None
+#: next fire means the rule left the schedule.
+ScheduleListener = Callable[[list[tuple[str, "int | None"]]], None]
 
 
 def _deprecated(old: str, new: str) -> None:
@@ -54,8 +59,8 @@ class RuleManager:
         #: Set by DBCron; used as the default schedule start for rules
         #: declared without an explicit ``after``.
         self.clock = None
-        #: Callbacks notified when a temporal rule is (re)scheduled.
-        self._schedule_listeners: list[Callable[[str, int | None], None]] = []
+        #: Callbacks notified when temporal rules are (re)scheduled.
+        self._schedule_listeners: list[ScheduleListener] = []
         #: Optional :class:`~repro.rules.throttle.TenantThrottle`; when
         #: set, declarations are admission-controlled per tenant.
         self.throttle = None
@@ -168,7 +173,7 @@ class RuleManager:
         next_fire = rule.next_trigger(self.db.calendars, start)
         self.temporal_rules[name] = rule
         self.tables.register(rule, next_fire)
-        self._notify_schedule(name, next_fire)
+        self._notify_schedule([(name, next_fire)])
         return rule
 
     def define_temporal_rule(self, name: str, calendar_expression: str,
@@ -196,81 +201,158 @@ class RuleManager:
         if name in self.temporal_rules:
             del self.temporal_rules[name]
             self.tables.unregister(name)
-            self._notify_schedule(name, None)
+            self._notify_schedule([(name, None)])
             return
         raise RuleError(f"unknown rule {name!r}")
 
     # -- DBCRON interface --------------------------------------------------------------
 
-    def subscribe_schedule(self,
-                           listener: Callable[[str, int | None], None]
-                           ) -> None:
-        """Register a callback for (re)schedules: (rule, next_fire)."""
+    def subscribe_schedule(self, listener: ScheduleListener) -> None:
+        """Register a callback for (re)schedules: [(rule, next_fire)]."""
         self._schedule_listeners.append(listener)
 
-    def unsubscribe_schedule(self,
-                             listener: Callable[[str, int | None], None]
-                             ) -> None:
+    def unsubscribe_schedule(self, listener: ScheduleListener) -> None:
         """Remove a schedule listener (daemon detach); unknown = no-op."""
         try:
             self._schedule_listeners.remove(listener)
         except ValueError:
             pass
 
-    def _notify_schedule(self, name: str, next_fire: int | None) -> None:
+    def _notify_schedule(self, changes: list[tuple[str, int | None]]
+                         ) -> None:
         for listener in self._schedule_listeners:
-            listener(name, next_fire)
+            listener(changes)
 
     def fire_temporal(self, name: str, at_tick: int) -> int | None:
-        """Fire a temporal rule and reschedule it; new next-fire or None.
+        """Fire one temporal rule and reschedule it; new next-fire or None.
 
-        Safe to call from DBCRON pool workers for *distinct* rules: the
-        calendar-pipeline work (``next_trigger``, the dominant cost) runs
-        unlocked on the calling thread — the registry and matcache below
-        it are thread-safe — while the database mutations (``rule.fire``,
-        RULE_TIME update, schedule notification) are serialised by
-        ``_mutate_lock``.
+        A one-entry :meth:`fire_wave`.
         """
-        rule = self.temporal_rules.get(name)
-        if rule is None or not rule.enabled:
-            return None
-        if rule.catchup == "latest" and self.clock is not None:
-            # Skip forward to the most recent missed trigger point.
-            now = self.clock.now
-            candidate = rule.next_trigger(self.db.calendars, at_tick)
-            while candidate is not None and candidate <= now:
-                at_tick = candidate
-                candidate = rule.next_trigger(self.db.calendars, at_tick)
-        if self._depth >= self.max_cascade_depth:
-            raise RuleError(
-                f"rule cascade exceeded depth {self.max_cascade_depth} "
-                f"(at rule {name!r})")
-        self._depth += 1
-        try:
-            with self._mutate_lock:
-                rule.fire(self.db, at_tick)
-        finally:
-            self._depth -= 1
-        next_fire = rule.next_trigger(self.db.calendars, at_tick)
-        with self._mutate_lock:
-            self.tables.set_next_fire(name, next_fire)
-            self._notify_schedule(name, next_fire)
-        return next_fire
+        return self.fire_wave([(at_tick, name)])[0]
 
     def skip_temporal(self, name: str, at_tick: int) -> int | None:
         """Advance a rule past ``at_tick`` *without* running its action.
 
-        The shedding path of admission control: the rule is rescheduled
-        at its next trigger point exactly as if it had fired, its
+        The shedding path of admission control, as a one-entry
+        ``fire_wave(..., shed=True)``: the rule is rescheduled at its
+        next trigger point exactly as if it had fired, its
         ``shed_count`` is bumped, and the skipped occurrence is gone —
         shedding trades completeness for clock liveness.
         """
+        return self.fire_wave([(at_tick, name)], shed=True)[0]
+
+    def fire_wave(self, entries: "Sequence[tuple[int, str]]", *,
+                  shed: bool = False,
+                  dispatch: "Callable | None" = None) -> list[int | None]:
+        """Fire one DBCRON wave of ``(tick, name)`` entries, in order.
+
+        Each entry runs its catch-up, cascade-depth check, ``rule.fire``
+        (skipped when ``shed``) and ``next_trigger``; the result per
+        entry is the rule's new next fire (None when it was not
+        rescheduled).  The bookkeeping is paid once per wave, in a
+        ``finally``: one RULE_TIME write (:meth:`RuleTables.
+        set_next_fires`) and one schedule notification for every rule
+        still registered as the same object — a rule that an earlier
+        action dropped or redeclared keeps what that action left.
+        RULE_TIME therefore changes at the end of the wave: an action
+        reading it mid-wave sees the pre-wave ``next_fire`` of rules
+        that already fired in the same wave.
+
+        A failing entry does not stop the wave: the rest still fire,
+        every rule (the failing one too) is re-armed at its next
+        trigger, and the first error is raised afterwards — as a
+        :class:`RuleError` unless it already is a ``ReproError``.
+
+        ``dispatch`` lets DBCRON run the per-entry part elsewhere (pool
+        workers, spans, timing): it is called with ``fire(position)``
+        and must call it once per entry position.  Safe for *distinct*
+        rules on pool workers: ``next_trigger``, the calendar-pipeline
+        work, runs unlocked — the registry and matcache below it are
+        thread-safe — while ``rule.fire`` and the flush are serialised
+        by ``_mutate_lock``.
+        """
+        run = self._shed_entry if shed else self._fire_entry
+        outcomes: list = [None] * len(entries)
+
+        def fire(position: int) -> int | None:
+            tick, name = entries[position]
+            outcome = outcomes[position] = run(name, tick)
+            return outcome[2] if outcome is not None else None
+
+        try:
+            if dispatch is None:
+                for position in range(len(entries)):
+                    fire(position)
+            else:
+                dispatch(fire)
+        finally:
+            self._flush_wave(outcomes)
+        for (tick, name), outcome in zip(entries, outcomes):
+            if outcome is not None and outcome[3] is not None:
+                error = outcome[3]
+                if isinstance(error, ReproError):
+                    raise error
+                raise RuleError(f"rule {name!r} failed at tick {tick}: "
+                                f"{error!r}") from error
+        return [outcome[2] if outcome is not None else None
+                for outcome in outcomes]
+
+    def _fire_entry(self, name: str, at_tick: int) -> "tuple | None":
+        """Fire one rule of a wave; its outcome (see :meth:`_outcome`)."""
+        rule = self.temporal_rules.get(name)
+        if rule is None or not rule.enabled:
+            return None
+        error = None
+        try:
+            if rule.catchup == "latest" and self.clock is not None:
+                # Skip forward to the most recent missed trigger point.
+                now = self.clock.now
+                candidate = rule.next_trigger(self.db.calendars, at_tick)
+                while candidate is not None and candidate <= now:
+                    at_tick = candidate
+                    candidate = rule.next_trigger(self.db.calendars,
+                                                  at_tick)
+            local = self._local
+            depth = getattr(local, "depth", 0)
+            if depth >= self.max_cascade_depth:
+                raise RuleError(
+                    f"rule cascade exceeded depth {self.max_cascade_depth}"
+                    f" (at rule {name!r})")
+            local.depth = depth + 1
+            try:
+                with self._mutate_lock:
+                    rule.fire(self.db, at_tick)
+            finally:
+                local.depth = depth
+        except Exception as exc:
+            error = exc
+        return self._outcome(name, rule, at_tick, error)
+
+    def _shed_entry(self, name: str, at_tick: int) -> "tuple | None":
+        """Shed one rule of a wave: reschedule without running it."""
         rule = self.temporal_rules.get(name)
         if rule is None or not rule.enabled:
             return None
         rule.shed_count += 1
-        next_fire = rule.next_trigger(self.db.calendars, at_tick)
+        return self._outcome(name, rule, at_tick, None)
+
+    def _outcome(self, name: str, rule: TemporalRule, at_tick: int,
+                 error: "Exception | None") -> tuple:
+        """``(name, rule, next_fire, error)``; ``rule`` is None when the
+        next trigger itself failed, which leaves the rule unarmed."""
+        try:
+            return name, rule, rule.next_trigger(self.db.calendars,
+                                                 at_tick), error
+        except Exception as exc:
+            return name, None, None, error or exc
+
+    def _flush_wave(self, outcomes: list) -> None:
+        """One RULE_TIME write and one schedule notification per wave."""
         with self._mutate_lock:
-            self.tables.set_next_fire(name, next_fire)
-            self._notify_schedule(name, next_fire)
-        return next_fire
+            rules = self.temporal_rules
+            changes = [(outcome[0], outcome[2]) for outcome in outcomes
+                       if outcome is not None and outcome[1] is not None
+                       and rules.get(outcome[0]) is outcome[1]]
+            if changes:
+                self.tables.set_next_fires(changes)
+                self._notify_schedule(changes)

@@ -90,9 +90,10 @@ class RuleTables:
             for (rule, _), row in zip(timed, rows):
                 self._time_tids[rule.name] = row["_tid"]
 
-    def _time_row(self, name: str) -> dict | None:
+    def _time_row(self, name: str, relation=None) -> dict | None:
         """The live RULE_TIME row of ``name`` (cached tid, scan fallback)."""
-        relation = self.db.relation(RULE_TIME)
+        if relation is None:
+            relation = self.db.relation(RULE_TIME)
         tid = self._time_tids.get(name)
         if tid is not None:
             row = relation.get(tid)
@@ -119,20 +120,36 @@ class RuleTables:
 
     def set_next_fire(self, name: str, next_fire: int | None) -> None:
         """Upsert (or clear, with None) a rule's next trigger point."""
+        self.set_next_fires([(name, next_fire)])
+
+    def set_next_fires(self, pairs) -> None:
+        """Upsert (or clear, with None) many rules' next trigger points.
+
+        The RULE_TIME write of one DBCRON wave: existing rows change
+        through one :meth:`~repro.db.storage.Relation.update_many`,
+        rows that appear are inserted and rows cleared with None are
+        deleted, as :meth:`set_next_fire` would per pair.  A name
+        listed twice keeps its last value.
+        """
         relation = self.db.relation(RULE_TIME)
-        row = self._time_row(name)
-        if row is not None:
-            if next_fire is None:
+        updates: list[tuple[int, dict]] = []
+        inserts: list[dict] = []
+        for name, next_fire in dict(pairs).items():
+            row = self._time_row(name, relation)
+            if row is None:
+                if next_fire is not None:
+                    inserts.append({"rulename": name,
+                                    "next_fire": next_fire})
+            elif next_fire is None:
                 relation.delete(row["_tid"], fire_hooks=False)
-                self._time_tids.pop(name, None)
+                del self._time_tids[name]
             else:
-                relation.update(row["_tid"], {"next_fire": next_fire},
-                                fire_hooks=False)
-            return
-        if next_fire is not None:
-            row = relation.insert({"rulename": name, "next_fire": next_fire},
-                                  fire_hooks=False)
-            self._time_tids[name] = row["_tid"]
+                updates.append((row["_tid"], {"next_fire": next_fire}))
+        if updates:
+            relation.update_many(updates, fire_hooks=False)
+        if inserts:
+            for row in relation.insert_many(inserts, fire_hooks=False):
+                self._time_tids[row["rulename"]] = row["_tid"]
 
     def next_fire_of(self, name: str) -> int | None:
         """The stored next trigger point of a rule, or None."""

@@ -38,6 +38,7 @@ positive axis ticks), removing the axis' zero skip exactly like
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import threading
 import zlib
@@ -187,7 +188,8 @@ class HierarchicalWheel:
 class _Shard:
     """One wheel plus its liveness maps, guarded by one lock."""
 
-    __slots__ = ("wheel", "lock", "scheduled", "fired_at", "arm_counter")
+    __slots__ = ("wheel", "lock", "scheduled", "fired_at", "arm_counter",
+                 "tick_counts", "ticks")
 
     def __init__(self, now_lin: int, slots: tuple[int, ...]) -> None:
         self.wheel = HierarchicalWheel(now_lin, slots)
@@ -203,6 +205,41 @@ class _Shard:
         #: Last tick actually handed to the daemon per rule name; arms
         #: at or before it are refused (anti double-fire watermark).
         self.fired_at: dict[str, int] = {}
+        #: Live armed rules per axis tick, and those ticks ascending:
+        #: the probe's due count and lag read the front of ``ticks``
+        #: instead of scanning every armed rule.
+        self.tick_counts: dict[int, int] = {}
+        self.ticks: list[int] = []
+
+    def arm(self, name: str, tick: int, seq: int) -> bool:
+        """Arm ``name`` at axis ``tick`` (caller holds the lock)."""
+        current = self.scheduled.get(name)
+        if current is not None and current[0] == tick:
+            return False  # already armed at this tick
+        fired = self.fired_at.get(name)
+        if fired is not None and tick <= fired:
+            return False  # stale re-arm at/before the last fire
+        if current is not None:
+            self.disarm(current[0])
+        self.arm_counter += 1
+        self.scheduled[name] = (tick, self.arm_counter)
+        self.wheel.push(_lin(tick), seq, name, self.arm_counter)
+        count = self.tick_counts.get(tick)
+        if count is None:
+            self.tick_counts[tick] = 1
+            bisect.insort(self.ticks, tick)
+        else:
+            self.tick_counts[tick] = count + 1
+        return True
+
+    def disarm(self, tick: int) -> None:
+        """Forget one live armament at ``tick`` in the tick counts."""
+        count = self.tick_counts[tick] - 1
+        if count:
+            self.tick_counts[tick] = count
+        else:
+            del self.tick_counts[tick]
+            del self.ticks[bisect.bisect_left(self.ticks, tick)]
 
 
 class WheelSchedule:
@@ -212,6 +249,7 @@ class WheelSchedule:
     :class:`~repro.rules.dbcron.HeapSchedule`:
 
     * ``schedule(name, tick)`` — arm (idempotent; False when refused),
+    * ``schedule_many(arms)`` — arm ``(name, tick)`` pairs in order,
     * ``cancel(name)`` — disarm and forget the fired-at watermark,
     * ``pop_wave(now)`` — the earliest due same-tick wave, as
       ``(tick, name, shard)`` triples in global arm order,
@@ -246,35 +284,43 @@ class WheelSchedule:
         """Stable shard index of a rule name (CRC32, not ``hash``)."""
         return zlib.crc32(name.encode("utf-8")) % len(self._shards)
 
-    def _next_seq(self) -> int:
-        with self._seq_lock:
-            self._seq += 1
-            return self._seq
-
     # -- strategy protocol ----------------------------------------------------
 
     def schedule(self, name: str, tick: int) -> bool:
         """Arm ``name`` at axis ``tick``; False when dup or watermarked."""
-        shard = self._shards[self.shard_of(name)]
-        seq = self._next_seq()
-        with shard.lock:
-            current = shard.scheduled.get(name)
-            if current is not None and current[0] == tick:
-                return False  # already armed at this tick
-            fired = shard.fired_at.get(name)
-            if fired is not None and tick <= fired:
-                return False  # stale re-arm at/before the last fire
-            shard.arm_counter += 1
-            gen = shard.arm_counter
-            shard.scheduled[name] = (tick, gen)
-            shard.wheel.push(_lin(tick), seq, name, gen)
-        return True
+        return self.schedule_many([(name, tick)]) == 1
+
+    def schedule_many(self, arms) -> int:
+        """Arm ``(name, tick)`` pairs; how many were armed.
+
+        Each pair behaves as :meth:`schedule`; arm sequences are
+        allocated in the given order (so a re-armed wave keeps its
+        order in later waves) and each shard's lock is taken once.
+        """
+        arms = list(arms)
+        with self._seq_lock:
+            seq = self._seq
+            self._seq += len(arms)
+        by_shard: dict[int, list] = {}
+        for name, tick in arms:
+            seq += 1
+            by_shard.setdefault(self.shard_of(name), []).append(
+                (name, tick, seq))
+        armed = 0
+        for index, batch in by_shard.items():
+            shard = self._shards[index]
+            with shard.lock:
+                for name, tick, seq in batch:
+                    armed += shard.arm(name, tick, seq)
+        return armed
 
     def cancel(self, name: str) -> None:
         """Disarm ``name``; its wheel entries die in place."""
         shard = self._shards[self.shard_of(name)]
         with shard.lock:
-            shard.scheduled.pop(name, None)
+            current = shard.scheduled.pop(name, None)
+            if current is not None:
+                shard.disarm(current[0])
             shard.fired_at.pop(name, None)
 
     def pop_wave(self, now: int) -> list[tuple[int, str, int]]:
@@ -316,6 +362,7 @@ class WheelSchedule:
                         if shard.scheduled.get(name) != (tick, gen):
                             continue  # cancelled or re-pointed: dead
                         del shard.scheduled[name]
+                        shard.disarm(tick)
                         shard.fired_at[name] = tick
                         wave.append((seq, tick, name, index))
             if wave:
@@ -330,13 +377,17 @@ class WheelSchedule:
     # -- introspection --------------------------------------------------------
 
     def due_within(self, now: int, horizon: int) -> int:
-        """Live armed rules with tick <= now + horizon (probe report)."""
+        """Live armed rules with tick <= now + horizon (probe report).
+
+        Reads only the ticks at or before the bound in each shard's
+        tick counts — proportional to the due ticks, not the rules.
+        """
         bound = now + horizon
         count = 0
         for shard in self._shards:
             with shard.lock:
-                count += sum(1 for tick, _ in shard.scheduled.values()
-                             if tick <= bound)
+                due = shard.ticks[:bisect.bisect_right(shard.ticks, bound)]
+                count += sum(map(shard.tick_counts.__getitem__, due))
         return count
 
     def cascades(self) -> int:
@@ -354,9 +405,7 @@ class WheelSchedule:
         lags: list[int] = []
         for shard in self._shards:
             with shard.lock:
-                earliest = min(
-                    (tick for tick, _ in shard.scheduled.values()),
-                    default=None)
+                earliest = shard.ticks[0] if shard.ticks else None
             lags.append(max(0, now - earliest)
                         if earliest is not None else 0)
         return lags

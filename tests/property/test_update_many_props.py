@@ -1,0 +1,149 @@
+"""Property-based parity: batched updates equal row-at-a-time updates.
+
+``Relation.update_many`` is the RULE_TIME write of a DBCRON wave.  It
+must leave exactly what ``[update(tid, changes) for ...]`` leaves on a
+keyed, indexed relation — live rows, dead versions, index lanes, key
+map, ``data_version`` and replace-event order — and a batch that one
+update would fail on must apply nothing.  ``OrderedIndex.replace_batch``
+is checked against an index rebuilt from scratch on both of its paths.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.db.errors import DatabaseError
+from repro.db.index import OrderedIndex
+from repro.db.storage import Relation, Schema
+from repro.db.types import TypeRegistry
+
+_KEYS = [f"k{i}" for i in range(8)]
+#: ``v`` is indexed; None is stored but never indexed, and a string is
+#: a type error that must stop the whole batch.
+_values = st.one_of(st.none(), st.integers(min_value=0, max_value=5),
+                    st.just("not-an-int"))
+_changes = st.fixed_dictionaries({}, optional={
+    "k": st.sampled_from(_KEYS), "v": _values, "w": st.integers(0, 3)})
+_initial = st.lists(st.tuples(st.none() | st.integers(0, 5),
+                              st.integers(0, 3)),
+                    min_size=1, max_size=6)
+#: (row position, changes); positions past the table are unknown tids.
+_updates = st.lists(st.tuples(st.integers(0, 6), _changes), max_size=8)
+
+
+def _relation(initial) -> tuple[Relation, list]:
+    relation = Relation(
+        "t", Schema([("k", "text"), ("v", "int4"), ("w", "int4")],
+                    key=("k",)),
+        TypeRegistry(), xact_source=lambda: 7)
+    relation.indexes["v"] = OrderedIndex("v")
+    relation.indexes["w"] = OrderedIndex("w")
+    relation.insert_many([{"k": _KEYS[i], "v": v, "w": w}
+                          for i, (v, w) in enumerate(initial)],
+                         fire_hooks=False)
+    events: list = []
+    relation.hooks["replace"].append(
+        lambda event: events.append((dict(event.current),
+                                     dict(event.new))))
+    return relation, events
+
+
+def _state(relation: Relation) -> tuple:
+    return ({row["_tid"]: dict(row) for row in relation.scan()},
+            [dict(row) for row in relation._history],
+            {column: tuple(map(list, index.items()))
+             for column, index in relation.indexes.items()},
+            dict(relation._key_map),
+            relation.data_version)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_initial, _updates)
+def test_update_many_equals_sequential_updates(initial, updates):
+    sequential, seq_events = _relation(initial)
+    batched, batch_events = _relation(initial)
+    untouched = _state(batched)
+    pairs = [(position + 1, changes) for position, changes in updates]
+    try:
+        for tid, changes in pairs:
+            sequential.update(tid, changes)
+    except DatabaseError as exc:
+        # A batch the sequential path fails on fails alike, atomically.
+        with pytest.raises(type(exc)):
+            batched.update_many(pairs)
+        assert _state(batched) == untouched
+        assert batch_events == []
+        return
+    rows = batched.update_many(pairs)
+    assert [row["_tid"] for row in rows] == [tid for tid, _ in pairs]
+    assert _state(batched) == _state(sequential)
+    assert batch_events == seq_events
+
+
+def test_duplicate_key_fails_the_whole_batch():
+    relation, events = _relation([(1, 0), (2, 0), (3, 0)])
+    before = _state(relation)
+    with pytest.raises(DatabaseError, match="duplicate key"):
+        relation.update_many([(1, {"v": 9}), (2, {"k": "k2"})])
+    assert _state(relation) == before
+    assert events == []
+
+
+def test_key_swap_through_a_freed_key():
+    # k0 -> k9 frees k0, which a later update of the same batch claims.
+    relation, _ = _relation([(1, 0), (2, 0)])
+    relation.update_many([(1, {"k": "k9"}), (2, {"k": "k0"})])
+    assert relation._key_map == {("k9",): 1, ("k0",): 2}
+
+
+# -- OrderedIndex.replace_batch ---------------------------------------------
+
+
+def _index_rows(rng: random.Random, count: int) -> list[dict]:
+    return [{"_tid": tid, "v": rng.choice([None, *range(6)])}
+            for tid in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("size,batch", [(400, 10), (400, 60), (40, 40)],
+                         ids=["per-row", "merge", "whole-index"])
+@pytest.mark.parametrize("seed", range(5))
+def test_replace_batch_matches_a_rebuild(size, batch, seed):
+    rng = random.Random(seed)
+    rows = _index_rows(rng, size)
+    index = OrderedIndex("v")
+    index.rebuild(rows)
+    old = rng.sample(rows, batch)
+    new = [{"_tid": row["_tid"], "v": rng.choice([None, *range(6)])}
+           for row in old]
+    index.replace_batch(old, new)
+    replaced = {row["_tid"]: row for row in new}
+    expected = OrderedIndex("v")
+    expected.rebuild([replaced.get(row["_tid"], row) for row in rows])
+    keys, tids = index.items()
+    # Same (key, tid) entries, keys ascending; equal keys keep the
+    # write order per-row inserts give rather than tid order.
+    assert sorted(zip(keys, tids)) == list(zip(*expected.items()))
+    assert keys == sorted(keys)
+    for value in range(6):
+        assert sorted(index.lookup_eq(value)) == \
+            sorted(expected.lookup_eq(value))
+
+
+def test_replace_batch_paths_place_equal_keys_alike():
+    # The per-row path and the merge path must agree entry for entry.
+    rng = random.Random(11)
+    rows = _index_rows(rng, 64)
+    old = rng.sample(rows, 16)
+    new = [{"_tid": row["_tid"], "v": rng.choice([None, 1, 2])}
+           for row in old]
+    per_row = OrderedIndex("v")
+    per_row.rebuild(rows)
+    for row in old:
+        per_row.remove(row)
+    for row in new:
+        per_row.insert(row)
+    merged = OrderedIndex("v")
+    merged.rebuild(rows)
+    merged.replace_batch(old, new)  # 16 * 8 >= 64: the merge path
+    assert merged.items() == per_row.items()

@@ -87,3 +87,65 @@ def test_schedule_pop_parity_on_raw_arms(arms, shards):
             out.append((wave[0][0], {name for _, name, _ in wave}))
 
     assert waves(wheel) == waves(heap)
+
+
+#: Axis ticks around the zero skip (there is no tick 0).
+_ticks = st.integers(min_value=-20, max_value=120).filter(bool)
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("arm"), st.sampled_from("abcdefgh"), _ticks),
+    st.tuples(st.just("arm_many"),
+              st.lists(st.tuples(st.sampled_from("abcdefgh"), _ticks),
+                       max_size=5)),
+    st.tuples(st.just("cancel"), st.sampled_from("abcdefgh")),
+    st.tuples(st.just("pop"), _ticks),
+), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ops, shard_counts, _ticks, st.integers(min_value=0, max_value=40))
+def test_probe_counts_match_a_brute_force_count(ops, shards, now, horizon):
+    """``due_within`` and ``shard_lags`` read per-shard tick counts; they
+    must equal a brute-force count over a model of the live armament."""
+    wheel = WheelSchedule(-20, shards=shards, slots=(4, 4, 4))
+    armed: dict[str, int] = {}
+    fired: dict[str, int] = {}
+    clock = -20
+
+    def model_arm(name: str, tick: int) -> bool:
+        if armed.get(name) == tick or tick <= fired.get(name, tick - 1):
+            return False
+        armed[name] = tick
+        return True
+
+    for op in ops:
+        if op[0] == "arm":
+            assert wheel.schedule(op[1], op[2]) == model_arm(op[1], op[2])
+        elif op[0] == "arm_many":
+            expected = sum(model_arm(name, tick) for name, tick in op[1])
+            assert wheel.schedule_many(op[1]) == expected
+        elif op[0] == "cancel":
+            wheel.cancel(op[1])
+            armed.pop(op[1], None)
+            fired.pop(op[1], None)
+        else:
+            clock = max(clock, op[1])  # the daemon's clock never goes back
+            wave = wheel.pop_wave(clock)
+            due = [tick for tick in armed.values() if tick <= clock]
+            if not due:
+                assert wave == []
+                continue
+            tick = min(due)
+            assert {name for _, name, _ in wave} == \
+                {name for name, t in armed.items() if t == tick}
+            for _, name, _ in wave:
+                del armed[name]
+                fired[name] = tick
+    bound = now + horizon
+    assert wheel.due_within(now, horizon) == \
+        sum(1 for tick in armed.values() if tick <= bound)
+    lags = [0] * shards
+    for name, tick in armed.items():
+        shard = wheel.shard_of(name)
+        lags[shard] = max(lags[shard], now - tick)
+    assert wheel.shard_lags(now) == lags
+    assert len(wheel) == len(armed)

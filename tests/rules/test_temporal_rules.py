@@ -118,3 +118,19 @@ class TestRuleTables:
         assert tables.next_fire_of("x") == 20
         tables.set_next_fire("x", None)
         assert tables.next_fire_of("x") is None
+
+    def test_set_next_fires_upserts_and_clears_in_one_batch(self, manager,
+                                                            db):
+        tables = manager.tables
+        tables.set_next_fires([("keep", 5), ("move", 6), ("drop", 7)])
+        relation = db.relation("rule_time")
+        versions = relation.version_count()
+        tables.set_next_fires([("move", 16), ("drop", None), ("new", 9),
+                               ("gone", None), ("move", 26)])
+        assert sorted(tables.all_next_fires()) == \
+            [("keep", 5), ("move", 26), ("new", 9)]
+        # A name listed twice is written once, with its last value.
+        assert relation.version_count() == versions + 2
+        tids = {row["rulename"]: row["_tid"] for row in relation.scan()}
+        assert relation.indexes["next_fire"].lookup_range(hi=100) == \
+            [tids[name] for name in ("keep", "new", "move")]

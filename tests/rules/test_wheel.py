@@ -371,3 +371,33 @@ class TestWheelDaemon:
             cron.run_until(250)
             runs[scheduler] = fired
         assert runs["wheel"] == runs["heap"] == [3, 4, 44, 200]
+
+
+class TestProbeReport:
+    def test_probe_matches_a_brute_force_count_of_rule_time(self, stack):
+        # The wheel answers the probe from per-shard tick counts; the
+        # count and the per-shard lag gauges must equal a scan of every
+        # rule's stored next fire.
+        registry, db, manager, clock = stack
+        for i in range(12):
+            registry.define(f"C{i}", values=[(d, d) for d in
+                                             (3 + i, 9 + 2 * i, 40 + i)],
+                            granularity="DAYS")
+        cron = DBCron(manager, clock, period=7, scheduler="wheel",
+                      shards=3)
+        for i in range(12):
+            manager.declare_temporal(f"r{i}", expression=f"C{i}",
+                                     callback=lambda d, t: None, after=1)
+        for until in (1, 8, 15, 30):
+            cron.run_until(until)
+            loaded = cron.probe()
+            now, bound = clock.now, clock.now + cron.period
+            stored = manager.tables.all_next_fires()
+            assert loaded == sum(1 for _, tick in stored if tick <= bound)
+            lags = [0] * 3
+            for name, tick in stored:
+                shard = cron.sched.shard_of(name)
+                lags[shard] = max(lags[shard], now - tick)
+            snap = db.instrumentation.metrics.snapshot()
+            assert [snap[f'dbcron.wheel.shard_lag{{shard="{shard}"}}']
+                    for shard in range(3)] == lags
