@@ -6,12 +6,25 @@ from __future__ import annotations
 
 import time
 
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 
-from repro.db import Database
+from repro.db import Database, vector
 from repro.rules import RuleManager
 
 N_ROWS = 5_000
+
+
+@contextmanager
+def row_engine():
+    """Run retrieves on the row-at-a-time engine (the planner refuses)."""
+    def refuse(stmt, db, extra_keys):
+        return None, "row engine forced"
+
+    with mock.patch.object(vector, "plan_retrieve", refuse):
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +99,8 @@ class TestRuleOverhead:
         manager = RuleManager(db)
         db.create_table("events_t", [("x", "int4")])
         counter = []
-        manager.define_event_rule("count_all", "append", "events_t",
-                                  callback=lambda d, e: counter.append(1))
+        manager.declare_event("count_all", event="append", relation="events_t",
+                              callback=lambda d, e: counter.append(1))
 
         def run():
             db.relation("events_t").truncate()
@@ -100,9 +113,9 @@ class TestRuleOverhead:
         db = Database(calendars=registry)
         manager = RuleManager(db)
         db.create_table("events_t", [("x", "int4")])
-        manager.define_event_rule("never", "append", "events_t",
-                                  condition="new.x < 0",
-                                  callback=lambda d, e: None)
+        manager.declare_event("never", event="append", relation="events_t",
+                              condition="new.x < 0",
+                              callback=lambda d, e: None)
 
         def run():
             db.relation("events_t").truncate()
@@ -183,8 +196,6 @@ def test_report_within_batched_50k(registry):
 
     from conftest import record_benchmark
 
-    from repro.db import vector
-
     db = Database(calendars=registry)
     db.create_table("trades50", [("id", "int4"), ("day", "abstime")],
                     valid_time_column="day")
@@ -205,12 +216,9 @@ def test_report_within_batched_50k(registry):
 
     db.execute(query)  # warm the compiled probe and plan caches
     batched_times, batched = timed(5)
-    previous = vector.set_enabled(False)
-    try:
+    with row_engine():
         db.execute(query)
         scalar_times, scalar = timed(3)
-    finally:
-        vector.set_enabled(previous)
     assert batched.rows == scalar.rows
     t_batched = median(batched_times)
     t_scalar = median(scalar_times)
@@ -249,8 +257,6 @@ def test_report_overlap_join(registry):
 
     from conftest import record_benchmark
 
-    from repro.db import vector
-
     db = Database(calendars=registry)
     n_small = 2_000
     _interval_table(db, "ia", n_small, 15 * n_small)
@@ -264,13 +270,10 @@ def test_report_overlap_join(registry):
         t0 = time.perf_counter()
         swept = db.execute(query)
         sweep_times.append(time.perf_counter() - t0)
-    previous = vector.set_enabled(False)
-    try:
+    with row_engine():
         t0 = time.perf_counter()
         nested = db.execute(query)
         t_nested = time.perf_counter() - t0
-    finally:
-        vector.set_enabled(previous)
     assert swept.rows == nested.rows
     t_sweep = median(sweep_times)
     speedup_small = t_nested / t_sweep

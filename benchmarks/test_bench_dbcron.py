@@ -25,8 +25,8 @@ def build(registry, n_rules, period):
     cron = DBCron(manager, clock, period=period)
     fired = []
     for i in range(n_rules):
-        manager.define_temporal_rule(
-            f"rule{i}", WEEKDAY_EXPRS[i % len(WEEKDAY_EXPRS)],
+        manager.declare_temporal(
+            f"rule{i}", expression=WEEKDAY_EXPRS[i % len(WEEKDAY_EXPRS)],
             callback=lambda d, t: fired.append(t), after=clock.now)
     return db, cron, fired
 

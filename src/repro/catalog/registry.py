@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import warnings
 
 from repro.core.arithmetic import next_point
 from repro.core.basis import CalendarSystem
@@ -56,43 +54,6 @@ __all__ = ["CalendarRegistry"]
 _MEMO_TOKENS = itertools.count(1)
 
 
-def _env_optimize_default() -> bool:
-    """The plan-optimizer gate from ``REPRO_OPTIMIZE`` (default on)."""
-    value = os.environ.get("REPRO_OPTIMIZE")
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "false", "no", "off")
-
-
-def _env_periodic_default() -> bool:
-    """The periodic-compilation gate from ``REPRO_PERIODIC`` (default on)."""
-    value = os.environ.get("REPRO_PERIODIC")
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "false", "no", "off")
-
-
-def _positional_kwargs(method: str, args: tuple, names: tuple) -> dict:
-    """Map deprecated positional arguments onto their keyword names.
-
-    The evaluation entry points historically accepted ``window`` and
-    ``today`` positionally; the supported convention is now keyword-only
-    (``window=``/``today=``).  Positional use still works but warns.
-    """
-    if not args:
-        return {}
-    if len(args) > len(names):
-        raise TypeError(f"{method}() takes at most {len(names)} "
-                        f"positional option(s) ({', '.join(names)})")
-    moved = dict(zip(names, args))
-    warnings.warn(
-        f"passing {'/'.join(moved)} positionally to {method}() is "
-        f"deprecated; use keyword arguments "
-        f"({', '.join(f'{n}=...' for n in moved)})",
-        DeprecationWarning, stacklevel=3)
-    return moved
-
-
 class CalendarRegistry:
     """Named calendars over one :class:`CalendarSystem`.
 
@@ -105,18 +66,16 @@ class CalendarRegistry:
                  default_horizon_years: int = 40,
                  matcache: MaterialisationCache | None = None,
                  instrumentation: Instrumentation | None = None,
-                 optimize: bool | None = None,
-                 periodic: bool | None = None) -> None:
+                 optimize: bool = True,
+                 periodic: bool = True) -> None:
         self.system = system or CalendarSystem()
-        #: Plan-optimizer gate (CSE / fusion / selection push-down);
-        #: ``None`` reads ``REPRO_OPTIMIZE`` (default on).
-        self.optimize = _env_optimize_default() if optimize is None \
-            else bool(optimize)
+        #: Plan-optimizer gate (CSE / fusion / selection push-down).
+        #: Off only in the optimizer's parity tests, as their oracle.
+        self.optimize = bool(optimize)
         #: Periodic-set compilation gate (O(1) membership /
-        #: next-occurrence without materialisation); ``None`` reads
-        #: ``REPRO_PERIODIC`` (default on).
-        self.periodic = _env_periodic_default() if periodic is None \
-            else bool(periodic)
+        #: next-occurrence without materialisation).  Off only in the
+        #: periodic parity tests, as their oracle.
+        self.periodic = bool(periodic)
         #: Metrics + tracing attachment point; defaults to the
         #: process-wide instrumentation (tracing off unless REPRO_TRACE).
         self.instrumentation = instrumentation if instrumentation \
@@ -386,22 +345,16 @@ class CalendarRegistry:
             return value
         return self.system.day_of(value)
 
-    def evaluate(self, name: str, *args, window=None, today=None,
+    def evaluate(self, name: str, *, window=None, today=None,
                  use_plan: bool = True):
         """Evaluate a defined calendar over a window.
 
         Uses the stored evaluation plan when available (and ``use_plan``);
         multi-statement scripts run through the interpreter.  The result is
         clipped to the calendar's lifespan when one was declared.
-        ``window``/``today`` are keyword-only by convention (positional
-        use is deprecated) and accept every form
+        ``window``/``today`` accept every form
         :meth:`_coerce_window`/:meth:`_coerce_tick` understand.
         """
-        moved = _positional_kwargs("evaluate", args,
-                                   ("window", "today", "use_plan"))
-        window = moved.get("window", window)
-        today = moved.get("today", today)
-        use_plan = moved.get("use_plan", use_plan)
         record = self.record(name)
         tracer = self.instrumentation.tracer
         try:
@@ -431,19 +384,13 @@ class CalendarRegistry:
                 result = result.with_granularity(record.granularity)
         return result
 
-    def eval_expression(self, text: str, *args, window=None, today=None,
+    def eval_expression(self, text: str, *, window=None, today=None,
                         optimize: bool = True):
         """Parse, (optionally) factorize+plan, and evaluate an expression.
 
-        ``window``/``today`` are keyword-only by convention (positional
-        use is deprecated); see :meth:`_coerce_window` for accepted
-        window forms.
+        See :meth:`_coerce_window` for accepted window forms;
+        ``optimize=False`` runs the reference interpreter.
         """
-        moved = _positional_kwargs("eval_expression", args,
-                                   ("window", "today", "optimize"))
-        window = moved.get("window", window)
-        today = moved.get("today", today)
-        optimize = moved.get("optimize", optimize)
         tracer = self.instrumentation.tracer
         try:
             if tracer is not None:
@@ -548,20 +495,12 @@ class CalendarRegistry:
         if self.periodic and ctx.unit is Granularity.DAYS:
             self.periodic_set(text, full=False)
 
-    def eval_script(self, text: str, *args, window=None, today=None,
+    def eval_script(self, text: str, *, window=None, today=None,
                     env: dict | None = None, while_hook=None):
         """Parse and run a full calendar script; returns its result.
 
-        ``window``/``today`` are keyword-only by convention (positional
-        use is deprecated); see :meth:`_coerce_window` for accepted
-        window forms.
+        See :meth:`_coerce_window` for accepted window forms.
         """
-        moved = _positional_kwargs("eval_script", args,
-                                   ("window", "today", "env", "while_hook"))
-        window = moved.get("window", window)
-        today = moved.get("today", today)
-        env = moved.get("env", env)
-        while_hook = moved.get("while_hook", while_hook)
         tracer = self.instrumentation.tracer
         try:
             if tracer is None:
@@ -630,10 +569,10 @@ class CalendarRegistry:
         Results (including fallbacks) are memoised in the shared cache
         keyed like the plan memo (text + registry token + version), one
         entry per budget tier; a full-tier hit also serves small-tier
-        requests.  Returns ``None`` whenever the gate
-        (``Session(periodic=)`` / ``REPRO_PERIODIC``) is off, the name
-        has a clipped lifespan, or the expression cannot be proven
-        eventually periodic within the tier's oracle budget.
+        requests.  Returns ``None`` whenever the registry's ``periodic``
+        gate is off, the name has a clipped lifespan, or the expression
+        cannot be proven eventually periodic within the tier's oracle
+        budget.
 
         With ``peek=True`` only the memo tiers are consulted and no
         compilation happens — the side-effect-free form ``explain``

@@ -57,8 +57,8 @@ rule next-fire probes — whose keys embed the registry version so stale
 entries are never served and old versions eventually age out.
 
 The process-wide default instance is reachable via
-:func:`get_default_cache`; the environment variables ``REPRO_MATCACHE``
-(``0`` disables) and ``REPRO_MATCACHE_SIZE`` size it.
+:func:`get_default_cache`; the environment variable
+``REPRO_MATCACHE_SIZE`` sizes it (``0`` disables it).
 """
 
 from __future__ import annotations
@@ -649,9 +649,6 @@ _default_lock = threading.Lock()
 
 
 def _default_maxsize() -> int:
-    if os.environ.get("REPRO_MATCACHE", "1").lower() in ("0", "off",
-                                                         "false", "no"):
-        return 0
     try:
         return int(os.environ.get("REPRO_MATCACHE_SIZE", "256"))
     except ValueError:

@@ -7,7 +7,7 @@ Two engines share this module:
   :class:`~repro.db.index.OrderedIndex` probe for
   ``var.col = <const>`` conjuncts, and a per-tuple
   :class:`~repro.db.index.IntervalIndex` probe for ``on <calendar>``;
-* the **vectorized** engine (``REPRO_VECTOR_DB``, default on): retrieve
+* the **vectorized** engine (the default): retrieve
   statements whose predicate classifies cleanly (see
   :mod:`repro.db.vector`) run as a batch pipeline — per-variable
   selection vectors with batched calendar probes, hash / sort-merge
@@ -317,12 +317,11 @@ class Executor:
         if plan is not None:
             strategies = self._vector_strategies(statement, plan)
             if strategies:
-                lines.append("vectorized pipeline (REPRO_VECTOR_DB):")
+                lines.append("vectorized pipeline:")
                 for term, strategy in strategies:
                     lines.append(f"  {term}: {strategy}")
             else:
-                lines.append("vectorized pipeline (REPRO_VECTOR_DB): "
-                             "full scan, no predicate")
+                lines.append("vectorized pipeline: full scan, no predicate")
         elif reason is not None:
             lines.append(f"vectorized: off ({reason})")
         if statement.unique:

@@ -28,15 +28,9 @@ guards: an operator the user has overridden in the
 batch kernels bake in the built-in semantics), and ``overlaps`` /
 ``during`` only sweep when they still resolve to the database's own
 builtin implementations.
-
-``REPRO_VECTOR_DB=0`` (or :func:`set_enabled`) restores the row-at-a-
-time engine everywhere — the same gate discipline as
-``REPRO_PERIODIC``.
 """
 
 from __future__ import annotations
-
-import os
 
 from dataclasses import dataclass, field
 
@@ -49,8 +43,6 @@ from repro.db.ql.ast import (
 )
 
 __all__ = [
-    "enabled",
-    "set_enabled",
     "plan_retrieve",
     "VectorPlan",
     "WithinFilter",
@@ -74,27 +66,6 @@ STRAT_SEQUENTIAL = "sequential fallback"
 
 #: The two builtin interval-predicate functions the sweep understands.
 SWEEP_FUNCTIONS = ("overlaps", "during")
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_VECTOR_DB", "1").lower() not in (
-        "0", "off", "false", "no")
-
-
-_ENABLED = _env_enabled()
-
-
-def enabled() -> bool:
-    """True when retrieve statements should try the batch pipeline."""
-    return _ENABLED
-
-
-def set_enabled(flag: bool) -> bool:
-    """Toggle the vectorized engine; returns the previous setting."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
 
 
 @dataclass(frozen=True)
@@ -262,8 +233,6 @@ def plan_retrieve(stmt: Retrieve, db,
     parameter names (treated as constants, exactly like the binding
     loop's pushdown does).
     """
-    if not enabled():
-        return None, "REPRO_VECTOR_DB=0"
     if not stmt.range_vars:
         return None, "no range variables"
     for rv in stmt.range_vars:

@@ -1,7 +1,7 @@
 """Time-based rules: event rules, temporal rules, RULE tables, DBCRON."""
 
 from repro.rules.clock import SimulatedClock, WallClock
-from repro.rules.dbcron import DBCron, HeapSchedule, default_scheduler
+from repro.rules.dbcron import DBCron, HeapSchedule
 from repro.rules.events import Event
 from repro.rules.facade import RulesFacade
 from repro.rules.manager import RuleManager
@@ -16,6 +16,6 @@ __all__ = [
     "RuleTables", "RULE_INFO", "RULE_TIME",
     "SimulatedClock", "WallClock", "DBCron",
     "HeapSchedule", "WheelSchedule", "HierarchicalWheel",
-    "default_scheduler", "RulesFacade",
+    "RulesFacade",
     "TenantThrottle", "TokenBucket", "ThrottledError",
 ]

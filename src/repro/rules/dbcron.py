@@ -5,10 +5,10 @@ schedule behind one strategy protocol:
 
 * :class:`HeapSchedule` — the paper-faithful design: every ``period``
   time units DBCRON *probes* the RULE_TIME table for rules that trigger
-  within the next period and loads them into a binary heap.  Selected
-  with ``REPRO_WHEEL=0`` (or ``DBCron(scheduler="heap")``).
-* :class:`~repro.rules.wheel.WheelSchedule` — the default since the
-  timing-wheel rework: a hash-sharded hierarchical timing wheel that
+  within the next period and loads them into a binary heap.  It is the
+  wheel's parity oracle, injected with ``DBCron(schedule=HeapSchedule())``.
+* :class:`~repro.rules.wheel.WheelSchedule` — the default, built when
+  ``schedule=`` is None: a hash-sharded hierarchical timing wheel that
   holds the *entire* future, so registration and re-arming go straight
   into an O(1) bucket and the periodic RULE_TIME probe disappears from
   the hot path entirely (it survives only as a cheap due-count report
@@ -43,7 +43,7 @@ entries in place, and a per-rule *fired-at* watermark refuses re-arms
 at or before the last popped tick — closing the probe-vs-in-flight-fire
 double-fire race of the original daemon (IMPLEMENTATION_NOTES §11).
 
-With periodic compilation on (``REPRO_PERIODIC``, default), the
+With periodic compilation on (the registry default), the
 per-rule ``next_trigger`` path short-circuits through the compiled
 :class:`~repro.core.periodic.PeriodicSet`: re-arming after a fire is
 O(log offsets) modular arithmetic with no window materialisation, which
@@ -57,7 +57,6 @@ sleeps between wake-ups.
 from __future__ import annotations
 
 import heapq
-import os
 import threading
 
 from dataclasses import dataclass
@@ -71,13 +70,7 @@ from repro.rules.manager import RuleManager
 from repro.rules.wheel import WheelSchedule
 from repro.runtime import WorkerPool, get_default_pool
 
-__all__ = ["DBCron", "HeapSchedule", "default_scheduler"]
-
-
-def default_scheduler() -> str:
-    """``"wheel"`` unless ``REPRO_WHEEL`` disables it (0/false/off)."""
-    raw = os.environ.get("REPRO_WHEEL", "1").strip().lower()
-    return "heap" if raw in ("0", "false", "off", "no") else "wheel"
+__all__ = ["DBCron", "HeapSchedule"]
 
 
 @dataclass
@@ -100,6 +93,8 @@ class HeapSchedule:
     """
 
     bounded_horizon = True
+    #: The scheduler kind the daemon reports (stats, CLI, probe events).
+    kind = "heap"
 
     def __init__(self) -> None:
         #: (fire_tick, generation, rulename) entries.
@@ -116,7 +111,13 @@ class HeapSchedule:
         return self.schedule_many([(name, tick)]) == 1
 
     def schedule_many(self, arms) -> int:
-        """Arm ``(name, tick)`` pairs in order under one lock; count armed."""
+        """Arm ``(name, tick)`` pairs in order under one lock; count armed.
+
+        Raises :class:`AxisError` (arming nothing) for a tick 0.
+        """
+        arms = list(arms)
+        if any(tick == 0 for _, tick in arms):
+            raise AxisError("tick 0 does not exist")
         armed = 0
         with self._lock:
             for name, tick in arms:
@@ -169,19 +170,22 @@ class HeapSchedule:
     def stats(self) -> dict:
         """Snapshot for ``Session.rules.stats()`` / the CLI."""
         with self._lock:
-            return {"kind": "heap", "shards": 1,
+            return {"kind": self.kind, "shards": 1,
                     "scheduled": len(self._scheduled),
                     "heap_entries": len(self._heap)}
 
 
 class DBCron:
-    """The temporal-rule daemon."""
+    """The temporal-rule daemon.
+
+    ``schedule`` is the main-memory schedule; None builds the default
+    :class:`~repro.rules.wheel.WheelSchedule` with one shard per pool
+    worker.  Pass a :class:`HeapSchedule` to run the paper's design.
+    """
 
     def __init__(self, manager: RuleManager, clock: SimulatedClock,
                  period: int = 7, pool: WorkerPool | None = None,
-                 scheduler: str | None = None,
-                 shards: int | None = None,
-                 throttle=None) -> None:
+                 schedule=None, throttle=None) -> None:
         if period < 1:
             raise AxisError("the probe period must be at least 1 tick")
         self.manager = manager
@@ -190,17 +194,8 @@ class DBCron:
         self.period = period
         #: Worker pool for parallel wave firing (size 1 = sequential).
         self.pool = pool if pool is not None else get_default_pool()
-        kind = scheduler if scheduler is not None else default_scheduler()
-        if kind not in ("wheel", "heap"):
-            raise AxisError(f"unknown scheduler {kind!r} "
-                            "(expected 'wheel' or 'heap')")
-        self.scheduler = kind
-        if kind == "wheel":
-            shard_count = shards if shards is not None \
-                else max(1, self.pool.size)
-            self.sched = WheelSchedule(clock.now, shards=shard_count)
-        else:
-            self.sched = HeapSchedule()
+        self.sched = schedule if schedule is not None else \
+            WheelSchedule(clock.now, shards=max(1, self.pool.size))
         #: Optional per-tenant admission control (see
         #: :class:`~repro.rules.throttle.TenantThrottle`); None = fire
         #: everything.
@@ -255,12 +250,12 @@ class DBCron:
         inst = self.db.instrumentation
         inst.metrics.counter("dbcron.probes").inc()
         inst.metrics.gauge("dbcron.heap_size").set(sched_size)
-        if self.scheduler == "wheel":
+        if self.sched.kind == "wheel":
             self._observe_wheel(inst, now)
         if inst.pipeline is not None:
             inst.pipeline.emit("dbcron.probe", now=now, loaded=loaded,
                                heap=sched_size, horizon=self._horizon,
-                               scheduler=self.scheduler)
+                               scheduler=self.sched.kind)
         return loaded
 
     def _observe_wheel(self, inst, now: int) -> None:

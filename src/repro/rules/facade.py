@@ -17,10 +17,6 @@ Every rule carries a ``tenant`` (the admission-control and reporting
 key) and a ``priority`` (higher survives longer when the daemon sheds
 load).  The facade reads the manager and daemon through the session on
 every call, so it stays valid across ``Session.attach_database``.
-
-The old entry points (``define_event_rule`` / ``define_temporal_rule``)
-still work but emit :class:`DeprecationWarning` — see docs/RULES.md for
-the migration table.
 """
 
 from __future__ import annotations
@@ -109,7 +105,7 @@ class RulesFacade:
             "temporal_rules": len(manager.temporal_rules),
             "clock": cron.clock.now,
             "daemon": {
-                "scheduler": cron.scheduler,
+                "scheduler": cron.sched.kind,
                 "period": cron.period,
                 "probes": cron.stats.probes,
                 "fires": cron.stats.fires,

@@ -9,7 +9,6 @@ stops runaway rule chains (a rule whose action triggers itself).
 from __future__ import annotations
 
 import threading
-import warnings
 
 from typing import Callable, Sequence
 
@@ -27,13 +26,6 @@ __all__ = ["RuleManager"]
 #: Receives ``[(rulename, next_fire)]`` per (re)schedule batch; a None
 #: next fire means the rule left the schedule.
 ScheduleListener = Callable[[list[tuple[str, "int | None"]]], None]
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"RuleManager.{old} is deprecated and will be removed in the "
-        f"next release; use {new} instead",
-        DeprecationWarning, stacklevel=3)
 
 
 class RuleManager:
@@ -111,18 +103,6 @@ class RuleManager:
         rule._hook = hook  # for removal
         return rule
 
-    def define_event_rule(self, name: str, event: str, relation: str,
-                          condition: "str | Callable | None" = None,
-                          actions: "Sequence[str] | None" = None,
-                          callback: Callable | None = None,
-                          valid_between: tuple | None = None) -> EventRule:
-        """Deprecated: use :meth:`declare_event` / ``session.rules.on_event``."""
-        _deprecated("define_event_rule", "declare_event")
-        return self.declare_event(name, event=event, relation=relation,
-                                  condition=condition, actions=actions,
-                                  callback=callback,
-                                  valid_between=valid_between)
-
     def _make_hook(self, rule: EventRule) -> Callable[[Event], None]:
         def hook(event: Event) -> None:
             if not rule.enabled:
@@ -175,20 +155,6 @@ class RuleManager:
         self.tables.register(rule, next_fire)
         self._notify_schedule([(name, next_fire)])
         return rule
-
-    def define_temporal_rule(self, name: str, calendar_expression: str,
-                             actions: "Sequence[str] | None" = None,
-                             callback: Callable | None = None,
-                             after: int | None = None,
-                             valid_between: tuple | None = None,
-                             catchup: str = "all") -> TemporalRule:
-        """Deprecated: use :meth:`declare_temporal` / ``session.rules.on_calendar``."""
-        _deprecated("define_temporal_rule", "declare_temporal")
-        return self.declare_temporal(name, expression=calendar_expression,
-                                     actions=actions, callback=callback,
-                                     after=after,
-                                     valid_between=valid_between,
-                                     catchup=catchup)
 
     def drop_rule(self, name: str) -> None:
         """Remove an event or temporal rule (and its catalog rows)."""

@@ -131,8 +131,13 @@ class HierarchicalWheel:
 
         Walks tick by tick; each step is one level-0 slot take plus a
         boundary check per coarser level, so a jump of K ticks costs
-        O(K) regardless of how many rules are registered.
+        O(K) regardless of how many rules are registered.  Raises
+        :class:`AxisError` when ``now_lin`` is behind the cursor: what
+        has ripened since cannot be un-handed out.
         """
+        if now_lin < self.cursor:
+            raise AxisError(f"the wheel is at tick {_unlin(self.cursor)}; "
+                            f"it cannot pop at {_unlin(now_lin)}")
         while self.cursor < now_lin:
             self.cursor += 1
             cursor = self.cursor
@@ -263,6 +268,8 @@ class WheelSchedule:
 
     #: The daemon must not filter arms through its probe horizon.
     bounded_horizon = False
+    #: The scheduler kind the daemon reports (stats, CLI, probe events).
+    kind = "wheel"
 
     def __init__(self, now: int, shards: int = 1,
                  slots: tuple[int, ...] = DEFAULT_SLOTS) -> None:
@@ -296,6 +303,7 @@ class WheelSchedule:
         Each pair behaves as :meth:`schedule`; arm sequences are
         allocated in the given order (so a re-armed wave keeps its
         order in later waves) and each shard's lock is taken once.
+        Raises :class:`AxisError` (arming nothing) for a tick 0.
         """
         arms = list(arms)
         with self._seq_lock:
@@ -303,6 +311,8 @@ class WheelSchedule:
             self._seq += len(arms)
         by_shard: dict[int, list] = {}
         for name, tick in arms:
+            if tick == 0:
+                raise AxisError("tick 0 does not exist")
             seq += 1
             by_shard.setdefault(self.shard_of(name), []).append(
                 (name, tick, seq))
@@ -333,8 +343,11 @@ class WheelSchedule:
         same deterministic order the heap's (tick, seq) comparator
         yields.  A ripe tick whose entries all died (cancelled or
         re-pointed rules) is consumed and the next tick examined, so a
-        graveyard tick never masks a live later one.
+        graveyard tick never masks a live later one.  Raises
+        :class:`AxisError` when ``now`` is behind the wheel's cursor.
         """
+        if now == 0:
+            raise AxisError("tick 0 does not exist")
         now_lin = _lin(now)
         while True:
             wave_tick: int | None = None
@@ -422,7 +435,7 @@ class WheelSchedule:
         """Snapshot for ``Session.rules.stats()`` / the CLI."""
         sizes = self.shard_sizes()
         return {
-            "kind": "wheel",
+            "kind": self.kind,
             "shards": len(self._shards),
             "scheduled": sum(sizes),
             "shard_sizes": sizes,

@@ -46,7 +46,6 @@ from repro.core import columnar
 from repro.core.basis import CalendarSystem
 from repro.core.matcache import MaterialisationCache
 from repro.db import Database
-from repro.db import vector as db_vector
 from repro.errors import ReproError
 from repro.lang.errors import ParseError, PlanError
 from repro.lang.factorizer import factorize
@@ -252,36 +251,13 @@ class Session:
                  telemetry: bool = False,
                  telemetry_port: int | None = None,
                  slow_query_threshold: float | None = None,
-                 optimize: bool | None = None,
-                 periodic: bool | None = None,
-                 vector_db: bool | None = None,
-                 scheduler: str | None = None,
-                 wheel_shards: int | None = None,
                  throttle=None) -> None:
         self._explicit_instrumentation = instrumentation
-        #: Tri-state optimizer override: None defers to the registry's
-        #: own default (the ``REPRO_OPTIMIZE`` env var, on by default).
-        self._optimize = optimize
-        #: Tri-state periodic-compilation override: None defers to the
-        #: registry's own default (``REPRO_PERIODIC``, on by default).
-        self._periodic = periodic
-        # Tri-state vectorized-executor override: None defers to the
-        # process-wide ``REPRO_VECTOR_DB`` gate (on by default).  The
-        # gate is module-global — the executor consults it per
-        # statement — so this flips it for the process, like setting
-        # the env var would.
-        if vector_db is not None:
-            db_vector.set_enabled(bool(vector_db))
         #: Worker pool shared by ``eval_many`` and the DBCRON daemon;
         #: sized by ``workers`` (default: the ``REPRO_WORKERS`` env var,
         #: falling back to 1 = fully sequential).  Lazy: no threads are
         #: started until the first parallel dispatch.
         self.pool = WorkerPool(workers)
-        #: DBCRON scheduler selection: "wheel"/"heap" (None = the
-        #: ``REPRO_WHEEL`` env var, wheel by default) and the wheel's
-        #: shard count (None = the pool size).
-        self._scheduler = scheduler
-        self._wheel_shards = wheel_shards
         #: Optional per-tenant admission control shared by the manager
         #: (registration budgets) and the daemon (fire shedding).
         self.throttle = throttle
@@ -291,9 +267,7 @@ class Session:
                     system or CalendarSystem.starting(epoch),
                     default_horizon_years=horizon_years,
                     matcache=matcache,
-                    instrumentation=instrumentation,
-                    optimize=optimize,
-                    periodic=periodic)
+                    instrumentation=instrumentation)
                 if standard_calendars:
                     install_standard_calendars(registry)
                 if holiday_years is not None:
@@ -335,10 +309,6 @@ class Session:
         if self._explicit_instrumentation is not None:
             database.calendars.instrumentation = \
                 self._explicit_instrumentation
-        if getattr(self, "_optimize", None) is not None:
-            database.calendars.optimize = bool(self._optimize)
-        if getattr(self, "_periodic", None) is not None:
-            database.calendars.periodic = bool(self._periodic)
         previous_cron = getattr(self, "cron", None)
         if previous_cron is not None:
             previous_cron.detach()
@@ -350,8 +320,6 @@ class Session:
         self.clock = SimulatedClock(now=clock_start)
         self.cron = DBCron(self.manager, self.clock, period=cron_period,
                            pool=getattr(self, "pool", None),
-                           scheduler=getattr(self, "_scheduler", None),
-                           shards=getattr(self, "_wheel_shards", None),
                            throttle=getattr(self, "throttle", None))
         #: The unified rule API (``session.rules.on_calendar(...)``);
         #: reads the manager/daemon through the session, so the same

@@ -81,8 +81,9 @@ class TestProcedures:
         clock = SimulatedClock(now=db.system.day_of("Nov 1 1993"))
         cron = DBCron(manager, clock, period=7)
         fired = []
-        manager.define_temporal_rule(
-            "exp_alert", "expiration([11]/MONTHS:during:1993/YEARS)",
+        manager.declare_temporal(
+            "exp_alert",
+            expression="expiration([11]/MONTHS:during:1993/YEARS)",
             callback=lambda d, t: fired.append(t), after=clock.now)
         cron.run_until(db.system.day_of("Dec 1 1993"))
         assert [str(db.system.date_of(t)) for t in fired] == \

@@ -193,10 +193,10 @@ class TestGroupedCalendarsStayLanes:
 class TestFusedPipelineStaysColumnar:
     def test_fused_selection_pipeline_materialises_nothing(self):
         from repro import Session
-        # periodic=False: the periodic backend would otherwise answer
-        # this day-granularity expression without touching the plan VM.
-        session = Session("Jan 1 1987", holiday_years=(1987, 1988),
-                          periodic=False)
+        session = Session("Jan 1 1987", holiday_years=(1987, 1988))
+        # The periodic backend would otherwise answer this
+        # day-granularity expression without touching the plan VM.
+        session.registry.periodic = False
         before = columnar.MATERIALISATIONS.value
         cal = session.eval("[2]/DAYS:during:WEEKS",
                            window=("Jan 1 1993", "Dec 31 1993"))

@@ -4,8 +4,8 @@ The parity of compiled answers against the interpreter oracle across
 random expressions lives in ``tests/property/test_periodic_props.py``;
 this file covers the deterministic surface: PeriodicSet arithmetic on
 the zero-skip axis, compilation outcomes (including every documented
-fallback class), the ``Session(periodic=)`` / ``REPRO_PERIODIC`` gate,
-the no-materialisation guarantee for scheduling, and the ``explain``
+fallback class), the registry's ``periodic`` gate, the
+no-materialisation guarantee for scheduling, and the ``explain``
 backend annotation.
 """
 
@@ -27,22 +27,12 @@ from repro.core.periodic import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _default_gate(monkeypatch):
-    """This module tests the periodic machinery itself, including its
-    default-on gate; run it with the environment override cleared so a
-    ``REPRO_PERIODIC=0`` suite pass (CI's gated-off job) still
-    exercises the compiled path here.  The gate tests below set the
-    env var explicitly where the override is the thing under test."""
-    monkeypatch.delenv("REPRO_PERIODIC", raising=False)
-
-
 @pytest.fixture()
 def registry(system87) -> CalendarRegistry:
     """conftest's ``registry`` with a private cache passed explicitly:
     several tests here observe the compile memo and the cache's request
-    counter, so a ``REPRO_MATCACHE=0`` suite pass (which disables the
-    process-wide cache) must not remove them."""
+    counter, which a ``REPRO_MATCACHE_SIZE=0`` run (no process-wide
+    cache) must not remove."""
     reg = CalendarRegistry(system87, default_horizon_years=25,
                            matcache=MaterialisationCache())
     install_standard_calendars(reg)
@@ -200,14 +190,6 @@ class TestGate:
     def test_env_gate_defaults_on(self, registry):
         assert registry.periodic
 
-    def test_env_gate_off(self, monkeypatch, system87):
-        monkeypatch.setenv("REPRO_PERIODIC", "0")
-        assert not CalendarRegistry(system87).periodic
-
-    def test_explicit_argument_beats_env(self, monkeypatch, system87):
-        monkeypatch.setenv("REPRO_PERIODIC", "0")
-        assert CalendarRegistry(system87, periodic=True).periodic
-
     def test_gated_off_registry_never_compiles(self, registry):
         registry.periodic = False
         assert registry.periodic_set("[2]/DAYS:during:WEEKS") is None
@@ -215,8 +197,8 @@ class TestGate:
     def test_session_gate_reaches_database(self):
         from repro.session import Session
 
-        session = Session(periodic=False, holiday_years=(1987, 1996))
-        assert not session.registry.periodic
+        session = Session(holiday_years=(1987, 1996))
+        session.registry.periodic = False
         assert not session.db.calendars.periodic
         assert session.db.resolve_periodic("Mondays") is None
 
@@ -289,8 +271,8 @@ class TestNoMaterialisation:
     def test_rule_next_trigger_does_not_generate(self, ruled_db):
         db, manager, clock, cron = ruled_db
         registry = db.calendars
-        manager.define_temporal_rule(
-            "weekly", "[2]/DAYS:during:WEEKS",
+        manager.declare_temporal(
+            "weekly", expression="[2]/DAYS:during:WEEKS",
             callback=lambda database, tick: None)
         rule = manager.temporal_rules["weekly"]
         assert rule.periodic is not None
@@ -306,8 +288,8 @@ class TestNoMaterialisation:
         db, manager, clock, cron = ruled_db
         registry = db.calendars
         registry.periodic = False
-        manager.define_temporal_rule(
-            "weekly", "[2]/DAYS:during:WEEKS",
+        manager.declare_temporal(
+            "weekly", expression="[2]/DAYS:during:WEEKS",
             callback=lambda database, tick: None)
         rule = manager.temporal_rules["weekly"]
         assert rule.periodic is None
@@ -321,10 +303,9 @@ class TestExplainBackend:
     def _session(self):
         from repro.session import Session
 
-        # The backend annotation is the optimizer's and the compile memo
-        # lives in the cache: pin both so REPRO_OPTIMIZE=0 and
-        # REPRO_MATCACHE=0 suite passes test the same thing.
-        return Session(holiday_years=(1987, 1996), optimize=True,
+        # The compile memo lives in the cache: a private one keeps it
+        # whatever REPRO_MATCACHE_SIZE sizes the process-wide cache to.
+        return Session(holiday_years=(1987, 1996),
                        matcache=MaterialisationCache())
 
     def test_backend_periodic_after_warm_eval(self):
@@ -373,4 +354,6 @@ class TestExplainBackend:
     def _session_off(self):
         from repro.session import Session
 
-        return Session(periodic=False, holiday_years=(1987, 1996))
+        session = Session(holiday_years=(1987, 1996))
+        session.registry.periodic = False
+        return session

@@ -47,12 +47,12 @@ def populated(db):
     for i, name in enumerate(["ana", "bo", "cara"]):
         db.insert("students", name=name, hours=10 * (i + 1),
                   week=base + 7 * i)
-    manager.define_event_rule(
-        "watch", "append", "students",
+    manager.declare_event(
+        "watch", event="append", relation="students",
         condition="new.hours > 20",
         actions=['append audit (msg = new.name)'])
-    manager.define_temporal_rule(
-        "tuesdays", "[2]/DAYS:during:WEEKS",
+    manager.declare_temporal(
+        "tuesdays", expression="[2]/DAYS:during:WEEKS",
         actions=['append audit (msg = "tick")'],
         after=base)
     db.calendars.define("SEMESTER", values=[(base, base + 100)],
@@ -112,8 +112,8 @@ class TestRoundTrip:
             expected
 
     def test_callback_rules_reported_skipped(self, populated, tmp_path):
-        populated.rule_manager.define_event_rule(
-            "pyrule", "delete", "students",
+        populated.rule_manager.declare_event(
+            "pyrule", event="delete", relation="students",
             callback=lambda d, e: None)
         report = save_database(populated, str(tmp_path / "db.json"))
         assert "pyrule" in report.skipped_rules

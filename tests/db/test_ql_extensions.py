@@ -166,8 +166,8 @@ class TestTemporalConditionInEventRule:
         manager = RuleManager(db)
         db.execute("create table deliveries (day abstime, item text)")
         db.execute("create table weekend_flags (item text)")
-        manager.define_event_rule(
-            "flag_weekend", "append", "deliveries",
+        manager.declare_event(
+            "flag_weekend", event="append", relation="deliveries",
             condition='new.day within "Weekends"',
             actions=['append weekend_flags (item = new.item)'])
         saturday = db.system.day_of("Jan 2 1993")

@@ -106,8 +106,8 @@ class TestRuleOverHistory:
         history_db.create_table("spikes", [("symbol", "text")])
         baseline_xact = history_db.relation(
             "prices")._history[0]["_tmin"]
-        manager.define_event_rule(
-            "spike_watch", "replace", "prices",
+        manager.declare_event(
+            "spike_watch", event="replace", relation="prices",
             condition=None,
             callback=lambda d, e: d.execute(
                 f'retrieve into spikes (p.symbol) from p in prices '

@@ -1,10 +1,12 @@
-"""Unit tests for the vectorized retrieve pipeline (REPRO_VECTOR_DB).
+"""Unit tests for the vectorized retrieve pipeline.
 
 Covers the batch kernels' empty/single-row edges, plan classification
 and fallback reasons, EXPLAIN strategy reporting, the labelled
 ``db.join.strategy`` / ``db.batch.rows`` metrics, batch index
 maintenance (``insert_many`` / ``insert_batch``) and NULL semantics.
 """
+
+from unittest import mock
 
 import pytest
 
@@ -16,14 +18,7 @@ from repro.db.ql.parser import parse_statement
 
 
 @pytest.fixture()
-def gate_on():
-    previous = vector.set_enabled(True)
-    yield
-    vector.set_enabled(previous)
-
-
-@pytest.fixture()
-def joined(db, gate_on):
+def joined(db):
     db.create_table("emp", [("name", "text"), ("dept", "int4"),
                             ("lo", "abstime"), ("hi", "abstime")],
                     valid_time_column="lo")
@@ -38,13 +33,21 @@ def joined(db, gate_on):
 
 
 def both_engines(db, query, bindings=None):
-    """(vectorized rows, row-at-a-time rows) for one query."""
+    """(vectorized rows, row-at-a-time rows) for one query.
+
+    The row engine is forced by making the planner refuse the
+    statement; the refusal count proves the oracle run took that path.
+    """
     vec = db.execute(query, bindings).rows
-    previous = vector.set_enabled(False)
-    try:
+    refusals = []
+
+    def refuse(stmt, db, extra_keys):
+        refusals.append(stmt)
+        return None, "row engine forced"
+
+    with mock.patch.object(vector, "plan_retrieve", refuse):
         row = db.execute(query, bindings).rows
-    finally:
-        vector.set_enabled(previous)
+    assert refusals, "the row-engine run never reached the planner"
     return vec, row
 
 
@@ -161,15 +164,6 @@ class TestPlanClassification:
         return vector.plan_retrieve(parse_statement(query), db,
                                     set(extra))
 
-    def test_gate_off_reason(self, joined):
-        previous = vector.set_enabled(False)
-        try:
-            plan, reason = self._plan(
-                joined, "retrieve (e.name) from e in emp")
-        finally:
-            vector.set_enabled(previous)
-        assert plan is None and reason == "REPRO_VECTOR_DB=0"
-
     def test_as_of_reason(self, joined):
         plan, reason = self._plan(
             joined, "retrieve (e.name) from e in emp as of 3")
@@ -245,7 +239,7 @@ class TestEngineParity:
                     "where e.dept = d.id")
         assert sorted(map(repr, vec)) == sorted(map(repr, row))
 
-    def test_merge_join_used_and_agrees(self, db, gate_on):
+    def test_merge_join_used_and_agrees(self, db):
         db.create_table("l", [("k", "int4")])
         db.create_table("r", [("k", "int4")])
         for k in (1, 2, 2, 5):
@@ -328,7 +322,7 @@ class TestExplainStrategies:
             "retrieve (a.name, b.name) from a in emp, b in emp "
             "where overlaps(a.lo, a.hi, b.lo, b.hi) and a.dept = 1 "
             'and a.lo within "MONDAYS"')
-        assert "vectorized pipeline" in plan
+        assert "vectorized pipeline:" in plan
         assert "endpoint sweep" in plan
         assert "batched calendar sweep" in plan
         assert "sequential fallback" in plan
@@ -338,14 +332,6 @@ class TestExplainStrategies:
             "retrieve (e.name) from e in emp as of 3")
         assert "vectorized: off" in plan
         assert "as of historical scan" in plan
-
-    def test_gate_off_noted(self, joined):
-        previous = vector.set_enabled(False)
-        try:
-            plan = joined.explain("retrieve (e.name) from e in emp")
-        finally:
-            vector.set_enabled(previous)
-        assert "vectorized: off (REPRO_VECTOR_DB=0)" in plan
 
 
 class TestMetrics:

@@ -89,8 +89,8 @@ class TestReplacedBuiltinListop:
         # "the day just before the reference starts": never a day
         # during the week, so any narrowing by the old name loses it.
         replace_during(lambda a, b: axis_add(a.hi, 1) == b.lo)
-        session = Session("Jan 1 1987", holiday_years=(1987, 1988),
-                          optimize=True, periodic=False)
+        session = Session("Jan 1 1987", holiday_years=(1987, 1988))
+        session.registry.periodic = False
         try:
             window = ("Jan 4 1993", "Jan 31 1993")
             text = "[1]/DAYS.during.WEEKS"
@@ -151,8 +151,8 @@ class TestCustomAdtInDatabase:
                               lambda s: s[:1].lower() in "aeiou")
         db.create_table("names", [("n", "text")])
         db.create_table("vowels", [("n", "text")])
-        manager.define_event_rule(
-            "vowel_watch", "append", "names",
+        manager.declare_event(
+            "vowel_watch", event="append", relation="names",
             condition="is_vowelish(new.n)",
             actions=["append vowels (n = new.n)"])
         for name in ("ada", "grace", "edsger"):

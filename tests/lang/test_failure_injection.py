@@ -133,8 +133,8 @@ class TestErrorQuality:
         from repro.rules import RuleManager
         manager = RuleManager(db)
         db.create_table("src5", [("x", "int4")])
-        manager.define_event_rule(
-            "broken", "append", "src5",
+        manager.declare_event(
+            "broken", event="append", relation="src5",
             actions=['append no_such_sink (x = new.x)'])
         with pytest.raises(DatabaseError):
             db.insert("src5", x=1)

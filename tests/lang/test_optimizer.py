@@ -222,17 +222,6 @@ class TestGating:
                                     optimize=False)
         assert registry.optimize is False
 
-    def test_env_gate(self, monkeypatch):
-        from repro.catalog.registry import _env_optimize_default
-        monkeypatch.delenv("REPRO_OPTIMIZE", raising=False)
-        assert _env_optimize_default() is True
-        monkeypatch.setenv("REPRO_OPTIMIZE", "0")
-        assert _env_optimize_default() is False
-        monkeypatch.setenv("REPRO_OPTIMIZE", "off")
-        assert _env_optimize_default() is False
-        monkeypatch.setenv("REPRO_OPTIMIZE", "1")
-        assert _env_optimize_default() is True
-
     def test_metrics_and_events_recorded(self, sys87):
         from repro.obs.instrument import MetricsRegistry
         from repro.obs.telemetry import TelemetryPipeline

@@ -29,8 +29,8 @@ def test_fires_exactly_on_calendar_points(days, period):
     clock = SimulatedClock(now=1)
     cron = DBCron(manager, clock, period=period)
     fired: list[tuple[int, int]] = []
-    manager.define_temporal_rule(
-        "r", "SCHEDULE",
+    manager.declare_temporal(
+        "r", expression="SCHEDULE",
         callback=lambda d, t: fired.append((t, clock.now)), after=1)
     cron.run_until(450)
 
@@ -58,8 +58,8 @@ def test_multiple_rules_independent(schedules, period):
         registry.define(f"S{i}", values=[(d, d) for d in sorted(days)],
                         granularity="DAYS")
         fired[i] = []
-        manager.define_temporal_rule(
-            f"rule{i}", f"S{i}",
+        manager.declare_temporal(
+            f"rule{i}", expression=f"S{i}",
             callback=(lambda idx: lambda d, t: fired[idx].append(t))(i),
             after=1)
     cron.run_until(450)

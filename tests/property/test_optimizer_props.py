@@ -11,6 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import ReproError, Session
+from repro.lang.plan import (
+    FusedForEachStep,
+    MergedForEachStep,
+    PeriodicStep,
+    PipelineForEachStep,
+)
 from repro.obs.instrument import Instrumentation
 
 from tests.property.test_lang_props import cel_expressions
@@ -26,14 +32,28 @@ def _shared_sessions():
         pair = []
         for optimize in (True, False):
             session = Session("Jan 1 1987", holiday_years=(1987, 1996),
-                              instrumentation=Instrumentation(),
-                              optimize=optimize)
+                              instrumentation=Instrumentation())
+            session.registry.optimize = optimize
             session.registry.define(
                 "Jan-1993",
                 script="return ([1]/MONTHS:during:1993/YEARS)")
             pair.append(session)
         _sessions = tuple(pair)
     return _sessions
+
+
+#: Step kinds only the optimizer produces.
+_REWRITTEN = (FusedForEachStep, MergedForEachStep, PipelineForEachStep,
+              PeriodicStep)
+
+
+def _assert_reference_plan(session, text):
+    """The unoptimized session really runs the unrewritten plan."""
+    explanation = session.explain(text, window=WINDOW)
+    assert not explanation.optimized and explanation.opt_plan is None
+    if explanation.plan is not None:
+        assert not [step for step in explanation.plan.steps
+                    if isinstance(step, _REWRITTEN)], text
 
 
 def _outcome(session, text):
@@ -50,6 +70,8 @@ def test_optimized_equals_unoptimized(text):
     on, off = _shared_sessions()
     kind_on, value_on = _outcome(on, text)
     kind_off, value_off = _outcome(off, text)
+    if kind_off == "ok":
+        _assert_reference_plan(off, text)
     assert kind_on == kind_off, (text, value_on, value_off)
     if kind_on == "ok" and hasattr(value_on, "to_pairs"):
         assert value_on == value_off, text
@@ -84,6 +106,7 @@ def test_known_rewrite_shapes_are_identical(text):
     on, off = _shared_sessions()
     kind_on, value_on = _outcome(on, text)
     kind_off, value_off = _outcome(off, text)
+    _assert_reference_plan(off, text)
     assert kind_on == kind_off == "ok"
     assert value_on == value_off
     assert value_on.flatten().to_pairs() == value_off.flatten().to_pairs()

@@ -16,6 +16,7 @@ Two strategies:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +28,7 @@ from repro.catalog import (
 from repro.core import CalendarSystem
 from repro.core.matcache import MaterialisationCache
 from repro.core.periodic import GREGORIAN_PERIOD_DAYS
+from repro.lang.interpreter import Interpreter
 
 #: One registry for the whole module: compiles and oracle evaluations
 #: are memoised in its cache, so repeated draws of the same expression
@@ -37,13 +39,9 @@ _REGISTRY = None
 def _registry() -> CalendarRegistry:
     global _REGISTRY
     if _REGISTRY is None:
-        # periodic=True explicitly: the explicit argument beats the
-        # REPRO_PERIODIC env var, so the parity properties still run
-        # under CI's gated-off suite pass.
         _REGISTRY = CalendarRegistry(CalendarSystem.starting("Jan 1 1987"),
                                      default_horizon_years=25,
-                                     matcache=MaterialisationCache(),
-                                     periodic=True)
+                                     matcache=MaterialisationCache())
         install_standard_calendars(_REGISTRY)
         install_us_holidays(_REGISTRY, 1987, 2006)
     return _REGISTRY
@@ -88,11 +86,28 @@ def compilable_expressions(draw):
     return base
 
 
+def _oracle(registry, text, window):
+    """The interpreter's evaluation of ``text`` over ``window``.
+
+    Counts the interpreter's entry calls, so a parity check can never
+    silently compare the compiled set with itself.
+    """
+    calls = []
+    evaluate = Interpreter.evaluate
+
+    def counted(interpreter, node):
+        calls.append(node)
+        return evaluate(interpreter, node)
+
+    with mock.patch.object(Interpreter, "evaluate", counted):
+        cal = registry.eval_expression(text, window=window, optimize=False)
+    assert calls, f"the oracle for {text!r} bypassed the interpreter"
+    return cal
+
+
 def _oracle_runs(registry, text):
     """Sorted covered runs of the eager evaluation over the window."""
-    cal = registry.eval_expression(text, window=_ORACLE_WINDOW,
-                                   optimize=False)
-    flat = cal.flatten()
+    flat = _oracle(registry, text, _ORACLE_WINDOW).flatten()
     return [(iv.lo, iv.hi) for iv in flat.elements]
 
 
@@ -203,7 +218,7 @@ def test_compiled_set_is_anchor_independent(text):
     for shift in (0, GREGORIAN_PERIOD_DAYS):
         window = tuple(registry.system.day_of(day) + shift
                        for day in _ORACLE_WINDOW)
-        cal = registry.eval_expression(text, window=window, optimize=False)
+        cal = _oracle(registry, text, window)
         runs = [(iv.lo, iv.hi) for iv in cal.flatten().elements]
         for tick in range(lo + shift, hi + shift + 1):
             assert pset.contains(tick) == _covered(runs, tick), \

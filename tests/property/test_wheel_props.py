@@ -8,10 +8,13 @@ equality plus cross-tick ordering, and that is what downstream rule
 semantics depend on.
 """
 
+import pytest
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.catalog import CalendarRegistry
 from repro.core import CalendarSystem
+from repro.core.errors import AxisError
 from repro.db import Database
 from repro.rules import DBCron, HeapSchedule, RuleManager, SimulatedClock
 from repro.rules.wheel import WheelSchedule
@@ -24,15 +27,15 @@ periods = st.integers(min_value=1, max_value=40)
 shard_counts = st.integers(min_value=1, max_value=5)
 
 
-def run_daemon(schedules, period, scheduler, shards=None):
+def run_daemon(schedules, period, schedule):
     """Fire a rule set to completion; [(tick, {rules fired at tick})]."""
     registry = CalendarRegistry(CalendarSystem.starting("Jan 1 1987"),
                                 default_horizon_years=3)
     db = Database(calendars=registry)
     manager = RuleManager(db)
     clock = SimulatedClock(now=1)
-    cron = DBCron(manager, clock, period=period, scheduler=scheduler,
-                  shards=shards)
+    cron = DBCron(manager, clock, period=period, schedule=schedule)
+    assert cron.sched is schedule
     fired: list[tuple[int, str]] = []
     for i, days in enumerate(schedules):
         registry.define(f"S{i}", values=[(d, d) for d in sorted(days)],
@@ -56,8 +59,9 @@ def run_daemon(schedules, period, scheduler, shards=None):
           suppress_health_check=[HealthCheck.too_slow])
 @given(rule_schedules, periods, shard_counts)
 def test_wheel_fires_identically_to_heap(schedules, period, shards):
-    heap_waves = run_daemon(schedules, period, "heap")
-    wheel_waves = run_daemon(schedules, period, "wheel", shards=shards)
+    heap_waves = run_daemon(schedules, period, HeapSchedule())
+    wheel_waves = run_daemon(schedules, period,
+                             WheelSchedule(1, shards=shards))
     assert wheel_waves == heap_waves, \
         f"period={period} shards={shards}: " \
         f"wheel {wheel_waves} != heap {heap_waves}"
@@ -67,14 +71,20 @@ def test_wheel_fires_identically_to_heap(schedules, period, shards):
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(st.tuples(st.text(alphabet="abcdef", min_size=1,
                                   max_size=6),
-                          st.integers(min_value=2, max_value=200)),
+                          st.integers(min_value=0, max_value=200)),
                 min_size=1, max_size=30),
        shard_counts)
 def test_schedule_pop_parity_on_raw_arms(arms, shards):
-    """The bare strategy objects agree, whatever the arm stream."""
+    """The bare strategy objects agree, whatever the arm stream; both
+    refuse the nonexistent tick 0 with the same typed error."""
     heap, wheel = HeapSchedule(), WheelSchedule(1, shards=shards,
                                                 slots=(4, 4, 4))
     for name, tick in arms:
+        if tick == 0:
+            for sched in (heap, wheel):
+                with pytest.raises(AxisError):
+                    sched.schedule(name, tick)
+            continue
         assert heap.schedule(name, tick) == wheel.schedule(name, tick)
     assert len(heap) == len(wheel)
 
@@ -91,13 +101,15 @@ def test_schedule_pop_parity_on_raw_arms(arms, shards):
 
 #: Axis ticks around the zero skip (there is no tick 0).
 _ticks = st.integers(min_value=-20, max_value=120).filter(bool)
+#: The same range with the nonexistent tick 0, which must be refused.
+_raw_ticks = st.integers(min_value=-20, max_value=120)
 _ops = st.lists(st.one_of(
-    st.tuples(st.just("arm"), st.sampled_from("abcdefgh"), _ticks),
+    st.tuples(st.just("arm"), st.sampled_from("abcdefgh"), _raw_ticks),
     st.tuples(st.just("arm_many"),
-              st.lists(st.tuples(st.sampled_from("abcdefgh"), _ticks),
+              st.lists(st.tuples(st.sampled_from("abcdefgh"), _raw_ticks),
                        max_size=5)),
     st.tuples(st.just("cancel"), st.sampled_from("abcdefgh")),
-    st.tuples(st.just("pop"), _ticks),
+    st.tuples(st.just("pop"), _raw_ticks),
 ), max_size=40)
 
 
@@ -105,7 +117,9 @@ _ops = st.lists(st.one_of(
 @given(_ops, shard_counts, _ticks, st.integers(min_value=0, max_value=40))
 def test_probe_counts_match_a_brute_force_count(ops, shards, now, horizon):
     """``due_within`` and ``shard_lags`` read per-shard tick counts; they
-    must equal a brute-force count over a model of the live armament."""
+    must equal a brute-force count over a model of the live armament.
+    Arms at tick 0 and pops behind the wheel's cursor (an earlier
+    ``now``) raise :class:`AxisError` and change nothing."""
     wheel = WheelSchedule(-20, shards=shards, slots=(4, 4, 4))
     armed: dict[str, int] = {}
     fired: dict[str, int] = {}
@@ -118,8 +132,14 @@ def test_probe_counts_match_a_brute_force_count(ops, shards, now, horizon):
         return True
 
     for op in ops:
-        if op[0] == "arm":
+        if op[0] == "arm" and op[2] == 0:
+            with pytest.raises(AxisError):
+                wheel.schedule(op[1], op[2])
+        elif op[0] == "arm":
             assert wheel.schedule(op[1], op[2]) == model_arm(op[1], op[2])
+        elif op[0] == "arm_many" and any(t == 0 for _, t in op[1]):
+            with pytest.raises(AxisError):
+                wheel.schedule_many(op[1])
         elif op[0] == "arm_many":
             expected = sum(model_arm(name, tick) for name, tick in op[1])
             assert wheel.schedule_many(op[1]) == expected
@@ -127,8 +147,11 @@ def test_probe_counts_match_a_brute_force_count(ops, shards, now, horizon):
             wheel.cancel(op[1])
             armed.pop(op[1], None)
             fired.pop(op[1], None)
+        elif op[1] == 0 or op[1] < clock:
+            with pytest.raises(AxisError):
+                wheel.pop_wave(op[1])
         else:
-            clock = max(clock, op[1])  # the daemon's clock never goes back
+            clock = op[1]
             wave = wheel.pop_wave(clock)
             due = [tick for tick in armed.values() if tick <= clock]
             if not due:

@@ -22,8 +22,8 @@ class TestEveryTuesday:
     def test_fires_on_every_tuesday(self, ruled_db):
         db, manager, clock, cron = ruled_db
         fired = []
-        manager.define_temporal_rule(
-            "every_tuesday", "[2]/DAYS:during:WEEKS",
+        manager.declare_temporal(
+            "every_tuesday", expression="[2]/DAYS:during:WEEKS",
             callback=lambda d, t: fired.append(t), after=clock.now)
         cron.run_until(db.system.day_of("Mar 1 1993"))
         got = [db.system.date_of(t) for t in fired]
@@ -35,8 +35,8 @@ class TestEveryTuesday:
     def test_never_fires_early(self, ruled_db):
         db, manager, clock, cron = ruled_db
         fired = []
-        manager.define_temporal_rule(
-            "every_tuesday", "[2]/DAYS:during:WEEKS",
+        manager.declare_temporal(
+            "every_tuesday", expression="[2]/DAYS:during:WEEKS",
             callback=lambda d, t: fired.append((t, clock.now)),
             after=clock.now)
         cron.run_until(db.system.day_of("Feb 1 1993"))
@@ -44,8 +44,8 @@ class TestEveryTuesday:
 
     def test_rule_time_points_ahead_after_run(self, ruled_db):
         db, manager, clock, cron = ruled_db
-        manager.define_temporal_rule(
-            "every_tuesday", "[2]/DAYS:during:WEEKS",
+        manager.declare_temporal(
+            "every_tuesday", expression="[2]/DAYS:during:WEEKS",
             callback=lambda d, t: None, after=clock.now)
         cron.run_until(db.system.day_of("Feb 1 1993"))
         next_fire = manager.tables.next_fire_of("every_tuesday")
@@ -57,9 +57,9 @@ class TestDaemonMechanics:
         db, manager, clock, cron = ruled_db
         db.calendars.define("soon", values=[(clock.now + 3, clock.now + 3)],
                             granularity="DAYS")
-        manager.define_temporal_rule("r", "SOON",
-                                     callback=lambda d, t: None,
-                                     after=clock.now)
+        manager.declare_temporal("r", expression="SOON",
+                                 callback=lambda d, t: None,
+                                 after=clock.now)
         loaded = cron.probe()
         assert loaded == 1
 
@@ -68,9 +68,9 @@ class TestDaemonMechanics:
         db.calendars.define("later",
                             values=[(clock.now + 100, clock.now + 100)],
                             granularity="DAYS")
-        manager.define_temporal_rule("r", "LATER",
-                                     callback=lambda d, t: None,
-                                     after=clock.now)
+        manager.declare_temporal("r", expression="LATER",
+                                 callback=lambda d, t: None,
+                                 after=clock.now)
         assert cron.probe() == 0
 
     def test_multiple_rules_fire_in_time_order(self, ruled_db):
@@ -80,20 +80,20 @@ class TestDaemonMechanics:
                             granularity="DAYS")
         db.calendars.define("day2", values=[(clock.now + 2, clock.now + 2)],
                             granularity="DAYS")
-        manager.define_temporal_rule(
-            "late", "DAY3", callback=lambda d, t: order.append("late"),
-            after=clock.now)
-        manager.define_temporal_rule(
-            "early", "DAY2", callback=lambda d, t: order.append("early"),
-            after=clock.now)
+        manager.declare_temporal(
+            "late", expression="DAY3",
+            callback=lambda d, t: order.append("late"), after=clock.now)
+        manager.declare_temporal(
+            "early", expression="DAY2",
+            callback=lambda d, t: order.append("early"), after=clock.now)
         cron.run_until(clock.now + 10)
         assert order == ["early", "late"]
 
     def test_catchup_fires_all_missed_points(self, ruled_db):
         db, manager, clock, cron = ruled_db
         fired = []
-        manager.define_temporal_rule(
-            "daily", "DAYS", callback=lambda d, t: fired.append(t),
+        manager.declare_temporal(
+            "daily", expression="DAYS", callback=lambda d, t: fired.append(t),
             after=clock.now)
         # Jump a month in a single probe-period-sized series of steps.
         cron.run_until(clock.now + 28)
@@ -102,8 +102,8 @@ class TestDaemonMechanics:
     def test_dropped_rule_never_fires(self, ruled_db):
         db, manager, clock, cron = ruled_db
         fired = []
-        manager.define_temporal_rule(
-            "every_tuesday", "[2]/DAYS:during:WEEKS",
+        manager.declare_temporal(
+            "every_tuesday", expression="[2]/DAYS:during:WEEKS",
             callback=lambda d, t: fired.append(t), after=clock.now)
         cron.probe()
         manager.drop_rule("every_tuesday")
@@ -114,16 +114,16 @@ class TestDaemonMechanics:
         db, manager, clock, cron = ruled_db
         fired = []
         cron.run_until(clock.now + 5)
-        manager.define_temporal_rule(
-            "every_tuesday", "[2]/DAYS:during:WEEKS",
+        manager.declare_temporal(
+            "every_tuesday", expression="[2]/DAYS:during:WEEKS",
             callback=lambda d, t: fired.append(t), after=clock.now)
         cron.run_until(clock.now + 21)
         assert len(fired) == 3
 
     def test_stats_accumulate(self, ruled_db):
         db, manager, clock, cron = ruled_db
-        manager.define_temporal_rule(
-            "every_tuesday", "[2]/DAYS:during:WEEKS",
+        manager.declare_temporal(
+            "every_tuesday", expression="[2]/DAYS:during:WEEKS",
             callback=lambda d, t: None, after=clock.now)
         cron.run_until(clock.now + 28)
         assert cron.stats.fires == 4
@@ -146,8 +146,8 @@ class TestDaemonMechanics:
             clock = SimulatedClock(now=fresh.system.day_of("Jan 1 1993"))
             cron = DBCron(manager, clock, period=period)
             fired = []
-            manager.define_temporal_rule(
-                "t", "[2]/DAYS:during:WEEKS",
+            manager.declare_temporal(
+                "t", expression="[2]/DAYS:during:WEEKS",
                 callback=lambda d, t: fired.append(t), after=clock.now)
             cron.run_until(fresh.system.day_of("Feb 15 1993"))
             results[period] = fired

@@ -28,8 +28,8 @@ def parallel_cron(db):
 
 
 def _define(manager, clock, name, expr, log):
-    manager.define_temporal_rule(
-        name, expr,
+    manager.declare_temporal(
+        name, expression=expr,
         callback=lambda d, t, n=name: log.append((n, t)),
         after=clock.now)
 
@@ -56,8 +56,8 @@ class TestSameTickWave:
         db, manager, clock, cron = parallel_cron
         threads = set()
         for i in range(4):
-            manager.define_temporal_rule(
-                f"r{i}", "[2]/DAYS:during:WEEKS",
+            manager.declare_temporal(
+                f"r{i}", expression="[2]/DAYS:during:WEEKS",
                 callback=lambda d, t: threads.add(
                     threading.current_thread().name),
                 after=clock.now)

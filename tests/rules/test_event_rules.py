@@ -17,8 +17,8 @@ def rigged(db):
 class TestDefinition:
     def test_define_parses_condition_and_actions(self, rigged):
         db, manager = rigged
-        rule = manager.define_event_rule(
-            "r1", "append", "students",
+        rule = manager.declare_event(
+            "r1", event="append", relation="students",
             condition="new.hours > 20",
             actions=['append audit (msg = new.name)'])
         assert rule.event == "append"
@@ -27,8 +27,8 @@ class TestDefinition:
     def test_unknown_event_kind(self, rigged):
         db, manager = rigged
         with pytest.raises(RuleError):
-            manager.define_event_rule("r1", "upsert", "students",
-                                      callback=lambda d, e: None)
+            manager.declare_event("r1", event="upsert", relation="students",
+                                  callback=lambda d, e: None)
 
     def test_missing_action(self, rigged):
         with pytest.raises(RuleError):
@@ -36,18 +36,18 @@ class TestDefinition:
 
     def test_duplicate_name(self, rigged):
         db, manager = rigged
-        manager.define_event_rule("r1", "append", "students",
-                                  callback=lambda d, e: None)
+        manager.declare_event("r1", event="append", relation="students",
+                              callback=lambda d, e: None)
         with pytest.raises(RuleError):
-            manager.define_event_rule("r1", "delete", "students",
-                                      callback=lambda d, e: None)
+            manager.declare_event("r1", event="delete", relation="students",
+                                  callback=lambda d, e: None)
 
 
 class TestFiring:
     def test_append_rule_with_ql_action(self, rigged):
         db, manager = rigged
-        manager.define_event_rule(
-            "watch", "append", "students",
+        manager.declare_event(
+            "watch", event="append", relation="students",
             condition="new.hours > 20",
             actions=['append audit (msg = new.name || " overworked")'])
         db.insert("students", name="alice", hours=25)
@@ -58,16 +58,16 @@ class TestFiring:
     def test_condition_none_always_fires(self, rigged):
         db, manager = rigged
         fired = []
-        manager.define_event_rule("all", "append", "students",
-                                  callback=lambda d, e: fired.append(e))
+        manager.declare_event("all", event="append", relation="students",
+                              callback=lambda d, e: fired.append(e))
         db.insert("students", name="x", hours=1)
         assert len(fired) == 1
 
     def test_python_condition(self, rigged):
         db, manager = rigged
         fired = []
-        manager.define_event_rule(
-            "py", "append", "students",
+        manager.declare_event(
+            "py", event="append", relation="students",
             condition=lambda e: e.new["hours"] % 2 == 0,
             callback=lambda d, e: fired.append(e.new["name"]))
         db.insert("students", name="even", hours=2)
@@ -77,8 +77,8 @@ class TestFiring:
     def test_replace_rule_sees_current_and_new(self, rigged):
         db, manager = rigged
         seen = []
-        manager.define_event_rule(
-            "rep", "replace", "students",
+        manager.declare_event(
+            "rep", event="replace", relation="students",
             callback=lambda d, e: seen.append(
                 (e.current["hours"], e.new["hours"])))
         row = db.insert("students", name="a", hours=1)
@@ -88,8 +88,8 @@ class TestFiring:
     def test_delete_rule(self, rigged):
         db, manager = rigged
         seen = []
-        manager.define_event_rule(
-            "del", "delete", "students",
+        manager.declare_event(
+            "del", event="delete", relation="students",
             callback=lambda d, e: seen.append(e.current["name"]))
         row = db.insert("students", name="bye", hours=1)
         db.relation("students").delete(row["_tid"])
@@ -100,8 +100,8 @@ class TestFiring:
         db.insert("students", name="a", hours=25)
         db.insert("students", name="b", hours=5)
         seen = []
-        manager.define_event_rule(
-            "watch_reads", "retrieve", "students",
+        manager.declare_event(
+            "watch_reads", event="retrieve", relation="students",
             callback=lambda d, e: seen.append(e.current["name"]))
         db.execute("retrieve (s.name) from s in students "
                    "where s.hours > 20")
@@ -111,8 +111,8 @@ class TestFiring:
 
     def test_fire_count_tracked(self, rigged):
         db, manager = rigged
-        rule = manager.define_event_rule(
-            "counting", "append", "students",
+        rule = manager.declare_event(
+            "counting", event="append", relation="students",
             callback=lambda d, e: None)
         db.insert("students", name="x", hours=1)
         db.insert("students", name="y", hours=2)
@@ -121,8 +121,8 @@ class TestFiring:
     def test_disabled_rule_does_not_fire(self, rigged):
         db, manager = rigged
         fired = []
-        rule = manager.define_event_rule(
-            "off", "append", "students",
+        rule = manager.declare_event(
+            "off", event="append", relation="students",
             callback=lambda d, e: fired.append(1))
         rule.enabled = False
         db.insert("students", name="x", hours=1)
@@ -131,8 +131,8 @@ class TestFiring:
     def test_drop_rule_detaches_hook(self, rigged):
         db, manager = rigged
         fired = []
-        manager.define_event_rule("temp", "append", "students",
-                                  callback=lambda d, e: fired.append(1))
+        manager.declare_event("temp", event="append", relation="students",
+                              callback=lambda d, e: fired.append(1))
         manager.drop_rule("temp")
         db.insert("students", name="x", hours=1)
         assert fired == []
@@ -147,11 +147,11 @@ class TestCascades:
     def test_rule_chain(self, rigged):
         db, manager = rigged
         db.create_table("audit2", [("msg", "text")])
-        manager.define_event_rule(
-            "first", "append", "students",
+        manager.declare_event(
+            "first", event="append", relation="students",
             actions=['append audit (msg = new.name)'])
-        manager.define_event_rule(
-            "second", "append", "audit",
+        manager.declare_event(
+            "second", event="append", relation="audit",
             actions=['append audit2 (msg = new.msg || "!")'])
         db.insert("students", name="chain", hours=1)
         assert db.execute("retrieve (a.msg) from a in audit2") \
@@ -159,8 +159,8 @@ class TestCascades:
 
     def test_runaway_cascade_stopped(self, rigged):
         db, manager = rigged
-        manager.define_event_rule(
-            "loop", "append", "audit",
+        manager.declare_event(
+            "loop", event="append", relation="audit",
             actions=['append audit (msg = new.msg)'])
         with pytest.raises(RuleError):
             db.insert("audit", msg="boom")

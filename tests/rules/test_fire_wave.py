@@ -18,7 +18,13 @@ from repro.db import Database
 from repro.db.errors import RuleError
 from repro.obs.instrument import Instrumentation
 from repro.obs.telemetry import CallbackSink
-from repro.rules import DBCron, RuleManager, SimulatedClock
+from repro.rules import (
+    DBCron,
+    HeapSchedule,
+    RuleManager,
+    SimulatedClock,
+    WheelSchedule,
+)
 from repro.runtime import WorkerPool
 from repro.session import Session
 
@@ -39,6 +45,14 @@ def stack():
     pool.close()
 
 
+def _daemon(manager, clock, pool, scheduler):
+    """A daemon on the heap oracle or the default wheel."""
+    cron = DBCron(manager, clock, period=7, pool=pool,
+                  schedule=HeapSchedule() if scheduler == "heap" else None)
+    assert isinstance(cron.sched, HeapSchedule) == (scheduler == "heap")
+    return cron
+
+
 def _rule_time(db) -> list:
     return sorted((row["rulename"], row["next_fire"])
                   for row in db.relation("rule_time").scan())
@@ -50,7 +64,7 @@ def test_raising_rule_keeps_its_wave_scheduled(stack, scheduler):
     # and one raising callback used to leave the rest of the wave (and
     # itself) unarmed for good: the second rule never fired again.
     _, db, manager, clock, pool = stack
-    cron = DBCron(manager, clock, period=7, scheduler=scheduler, pool=pool)
+    cron = _daemon(manager, clock, pool, scheduler)
     fired = {"bad": [], "good": []}
 
     def bad(_db, tick):
@@ -95,7 +109,7 @@ def test_repro_errors_are_raised_unwrapped(stack):
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
 def test_action_drops_a_later_rule_of_the_same_wave(stack, scheduler):
     _, db, manager, clock, pool = stack
-    cron = DBCron(manager, clock, period=7, scheduler=scheduler, pool=pool)
+    cron = _daemon(manager, clock, pool, scheduler)
     log = []
 
     def dropper(_db, tick):
@@ -122,7 +136,7 @@ def test_callback_that_redeclares_itself_keeps_the_new_schedule(
     registry, db, manager, clock, pool = stack
     registry.define("FRIDAYS_LATER", values=[(16, 16), (23, 23)],
                     granularity="DAYS")
-    cron = DBCron(manager, clock, period=7, scheduler=scheduler, pool=pool)
+    cron = _daemon(manager, clock, pool, scheduler)
     log = []
 
     def redeclare(_db, tick):
@@ -143,7 +157,7 @@ def test_callback_that_redeclares_itself_keeps_the_new_schedule(
 def test_catchup_latest_in_a_shared_wave(stack):
     # The wheel: a clock jump reaches every missed tick without probes.
     _, db, manager, clock, pool = stack
-    DBCron(manager, clock, period=7, scheduler="wheel", pool=pool)
+    DBCron(manager, clock, period=7, pool=pool)
     log = []
     for name, catchup in (("all", "all"), ("latest", "latest")):
         manager.declare_temporal(
@@ -156,10 +170,13 @@ def test_catchup_latest_in_a_shared_wave(stack):
 
 def _session_run(workers: int, tracing: bool):
     """Fire order (from ``rule.fire`` events), fire counts, RULE_TIME."""
-    session = Session("Jan 1 1987", workers=workers, wheel_shards=2,
-                      telemetry=True,
+    session = Session("Jan 1 1987", workers=workers, telemetry=True,
                       instrumentation=Instrumentation(tracing=tracing),
                       clock_start=2200)
+    # Two shards whatever the pool size, so both runs batch alike.
+    session.cron.detach()
+    session.cron = DBCron(session.manager, session.clock, pool=session.pool,
+                          schedule=WheelSchedule(session.clock.now, shards=2))
     events = []
     session.telemetry.add_sink(CallbackSink(
         lambda event: events.append(
@@ -220,7 +237,8 @@ def test_parallel_waves_lose_no_fire_under_thread_switching():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        cron = DBCron(manager, clock, period=7, pool=pool, shards=8)
+        cron = DBCron(manager, clock, period=7, pool=pool,
+                      schedule=WheelSchedule(clock.now, shards=8))
         for i in range(120):
             manager.declare_temporal(f"r{i}", expression=TUESDAYS,
                                      callback=lambda d, t: None, after=1)

@@ -19,8 +19,8 @@ class TestTemporalRuleLifespan:
         fired = []
         lo = db.system.day_of("Jan 11 1993")
         hi = db.system.day_of("Jan 31 1993")
-        manager.define_temporal_rule(
-            "windowed", "[2]/DAYS:during:WEEKS",
+        manager.declare_temporal(
+            "windowed", expression="[2]/DAYS:during:WEEKS",
             callback=lambda d, t: fired.append(t),
             after=clock.now, valid_between=(lo, hi))
         cron.run_until(db.system.day_of("Mar 15 1993"))
@@ -31,8 +31,8 @@ class TestTemporalRuleLifespan:
         db, manager, clock, cron = ruled_db
         lo = db.system.day_of("Feb 1 1993")
         hi = db.system.day_of("Feb 28 1993")
-        rule = manager.define_temporal_rule(
-            "later", "[2]/DAYS:during:WEEKS",
+        rule = manager.declare_temporal(
+            "later", expression="[2]/DAYS:during:WEEKS",
             callback=lambda d, t: None,
             after=clock.now, valid_between=(lo, hi))
         first = manager.tables.next_fire_of("later")
@@ -42,8 +42,8 @@ class TestTemporalRuleLifespan:
         db, manager, clock, cron = ruled_db
         lo = db.system.day_of("Jan 4 1993")
         hi = db.system.day_of("Jan 15 1993")
-        manager.define_temporal_rule(
-            "short", "[2]/DAYS:during:WEEKS",
+        manager.declare_temporal(
+            "short", expression="[2]/DAYS:during:WEEKS",
             callback=lambda d, t: None,
             after=clock.now, valid_between=(lo, hi))
         cron.run_until(db.system.day_of("Feb 15 1993"))
@@ -68,8 +68,8 @@ class TestCatchupPolicies:
         clock = SimulatedClock(now=db.system.day_of("Jan 1 1993"))
         cron = DBCron(manager, clock, period=7)
         fired = []
-        manager.define_temporal_rule(
-            "daily", "DAYS", callback=lambda d, t: fired.append(t),
+        manager.declare_temporal(
+            "daily", expression="DAYS", callback=lambda d, t: fired.append(t),
             after=clock.now, catchup=policy)
         cron.probe()
         # Jump the clock a month in one step: many missed daily points.
@@ -96,8 +96,8 @@ class TestCatchupPolicies:
         clock = SimulatedClock(now=db.system.day_of("Jan 1 1993"))
         cron = DBCron(manager, clock, period=1)
         fired = []
-        manager.define_temporal_rule(
-            "weekly", "[2]/DAYS:during:WEEKS",
+        manager.declare_temporal(
+            "weekly", expression="[2]/DAYS:during:WEEKS",
             callback=lambda d, t: fired.append(t),
             after=clock.now, catchup="latest")
         cron.run_until(db.system.day_of("Feb 1 1993"))
@@ -111,8 +111,8 @@ class TestEventRuleLifespan:
         fired = []
         lo = clock.now + 10
         hi = clock.now + 20
-        manager.define_event_rule(
-            "gated", "append", "src3",
+        manager.declare_event(
+            "gated", event="append", relation="src3",
             callback=lambda d, e: fired.append(clock.now),
             valid_between=(lo, hi))
         db.insert("src3", x=1)           # before activation
@@ -126,8 +126,8 @@ class TestEventRuleLifespan:
         manager = RuleManager(db)
         db.create_table("src4", [("x", "int4")])
         fired = []
-        manager.define_event_rule(
-            "ungated", "append", "src4",
+        manager.declare_event(
+            "ungated", event="append", relation="src4",
             callback=lambda d, e: fired.append(1),
             valid_between=(100, 200))
         db.insert("src4", x=1)
@@ -181,8 +181,8 @@ class TestWallClock:
         clock = WallClock(db.system, time_source=lambda: state["t"])
         cron = DBCron(manager, clock, period=1)
         fired = []
-        manager.define_temporal_rule(
-            "daily", "DAYS", callback=lambda d, t: fired.append(t),
+        manager.declare_temporal(
+            "daily", expression="DAYS", callback=lambda d, t: fired.append(t),
             after=clock.now)
         cron.probe()
         for _ in range(5):

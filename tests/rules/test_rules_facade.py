@@ -1,10 +1,11 @@
-"""Tests for the ``Session.rules`` facade and the define_* deprecation."""
+"""Tests for the ``Session.rules`` facade."""
 
 import json
 import urllib.request
 
 import pytest
 
+from repro.rules import DBCron, HeapSchedule, WheelSchedule
 from repro.session import Session
 
 
@@ -82,9 +83,7 @@ class TestFacadeSurface:
         assert fired == []
 
     def test_stats_shape(self):
-        # Pin the scheduler so the shape is stable whatever REPRO_WHEEL
-        # the surrounding run exports (CI runs the suite both ways).
-        sess = Session("Jan 1 1987", scheduler="wheel")
+        sess = Session("Jan 1 1987")
         try:
             sess.registry.define("PINGS", values=[(5, 5), (9, 9)],
                                  granularity="DAYS")
@@ -121,50 +120,33 @@ class TestFacadeSurface:
 
 
 class TestSchedulerSelection:
+    @staticmethod
+    def inject(sess, schedule):
+        """Swap the session's daemon for one on ``schedule``."""
+        sess.cron.detach()
+        sess.cron = DBCron(sess.manager, sess.clock, pool=sess.pool,
+                           schedule=schedule)
+
     def test_session_scheduler_override(self):
-        sess = Session("Jan 1 1987", scheduler="heap")
+        sess = Session("Jan 1 1987")
         try:
-            assert sess.cron.scheduler == "heap"
-            assert sess.rules.stats()["schedule"]["kind"] == "heap"
+            self.inject(sess, HeapSchedule())
+            stats = sess.rules.stats()
+            assert stats["daemon"]["scheduler"] == "heap"
+            assert stats["schedule"]["kind"] == "heap"
         finally:
             sess.close()
 
     def test_wheel_shards_override(self):
-        sess = Session("Jan 1 1987", scheduler="wheel", wheel_shards=3)
-        try:
-            assert sess.cron.sched.shards == 3
-        finally:
-            sess.close()
-
-    def test_env_opt_out(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WHEEL", "0")
         sess = Session("Jan 1 1987")
         try:
-            assert sess.cron.scheduler == "heap"
+            self.inject(sess, WheelSchedule(sess.clock.now, shards=3))
+            assert sess.rules.stats()["schedule"]["shards"] == 3
         finally:
             sess.close()
 
 
 class TestDeprecatedShims:
-    def test_define_temporal_rule_warns_and_works(self, session):
-        fired = []
-        with pytest.warns(DeprecationWarning, match="declare_temporal"):
-            session.manager.define_temporal_rule(
-                "ping", "PINGS", callback=lambda d, t: fired.append(t),
-                after=1)
-        session.cron.run_until(12)
-        assert fired == [5, 9]
-
-    def test_define_event_rule_warns_and_works(self, session):
-        session.db.create_table("emp", [("name", "text")])
-        seen = []
-        with pytest.warns(DeprecationWarning, match="declare_event"):
-            session.manager.define_event_rule(
-                "audit", "append", "emp",
-                callback=lambda d, e: seen.append(e.new["name"]))
-        session.db.insert("emp", name="carol")
-        assert seen == ["carol"]
-
     def test_new_entry_points_do_not_warn(self, session, recwarn):
         session.manager.declare_temporal("ping", expression="PINGS",
                                          callback=lambda d, t: None)
@@ -184,7 +166,6 @@ class TestRulesEndpoint:
         with urllib.request.urlopen(url, timeout=5) as response:
             payload = json.loads(response.read())
         assert payload["temporal_rules"] == 1
-        # Whatever scheduler the run selected, the endpoint reports it.
-        assert payload["daemon"]["scheduler"] == session.cron.scheduler
+        assert payload["daemon"]["scheduler"] == session.cron.sched.kind
         assert payload["daemon"]["fires"] == len(fired) == 1
-        assert payload["schedule"]["kind"] == session.cron.scheduler
+        assert payload["schedule"]["kind"] == session.cron.sched.kind

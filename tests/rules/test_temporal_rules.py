@@ -13,8 +13,8 @@ def manager(db):
 
 class TestDefinition:
     def test_expression_parsed_and_factorized(self, manager, db):
-        rule = manager.define_temporal_rule(
-            "tuesdays", "[2]/DAYS:during:WEEKS",
+        rule = manager.declare_temporal(
+            "tuesdays", expression="[2]/DAYS:during:WEEKS",
             callback=lambda d, t: None)
         assert rule.expression is not None
         assert rule.plan is not None
@@ -25,8 +25,9 @@ class TestDefinition:
                                 db.calendars)
 
     def test_rule_info_row_written(self, manager, db):
-        manager.define_temporal_rule("tuesdays", "[2]/DAYS:during:WEEKS",
-                                     callback=lambda d, t: None)
+        manager.declare_temporal("tuesdays",
+                                 expression="[2]/DAYS:during:WEEKS",
+                                 callback=lambda d, t: None)
         rows = db.execute(
             f'retrieve (r.rulename, r.expression, r.eval_plan) '
             f'from r in {RULE_INFO}')
@@ -35,22 +36,23 @@ class TestDefinition:
 
     def test_rule_time_row_written(self, manager, db):
         after = db.system.day_of("Jan 1 1993")
-        manager.define_temporal_rule("tuesdays", "[2]/DAYS:during:WEEKS",
-                                     callback=lambda d, t: None,
-                                     after=after)
+        manager.declare_temporal("tuesdays",
+                                 expression="[2]/DAYS:during:WEEKS",
+                                 callback=lambda d, t: None,
+                                 after=after)
         next_fire = manager.tables.next_fire_of("tuesdays")
         assert str(db.system.date_of(next_fire)) == "Jan 5 1993"
 
     def test_duplicate_name_rejected(self, manager):
-        manager.define_temporal_rule("r", "[2]/DAYS:during:WEEKS",
-                                     callback=lambda d, t: None)
+        manager.declare_temporal("r", expression="[2]/DAYS:during:WEEKS",
+                                 callback=lambda d, t: None)
         with pytest.raises(RuleError):
-            manager.define_temporal_rule("r", "[3]/DAYS:during:WEEKS",
-                                         callback=lambda d, t: None)
+            manager.declare_temporal("r", expression="[3]/DAYS:during:WEEKS",
+                                     callback=lambda d, t: None)
 
     def test_drop_removes_catalog_rows(self, manager, db):
-        manager.define_temporal_rule("gone", "[2]/DAYS:during:WEEKS",
-                                     callback=lambda d, t: None)
+        manager.declare_temporal("gone", expression="[2]/DAYS:during:WEEKS",
+                                 callback=lambda d, t: None)
         manager.drop_rule("gone")
         assert db.execute(
             f"retrieve (r.rulename) from r in {RULE_INFO}").rows == []
@@ -62,9 +64,10 @@ class TestFiring:
     def test_fire_runs_callback_and_reschedules(self, manager, db):
         fired = []
         after = db.system.day_of("Jan 1 1993")
-        manager.define_temporal_rule("tuesdays", "[2]/DAYS:during:WEEKS",
-                                     callback=lambda d, t: fired.append(t),
-                                     after=after)
+        manager.declare_temporal("tuesdays",
+                                 expression="[2]/DAYS:during:WEEKS",
+                                 callback=lambda d, t: fired.append(t),
+                                 after=after)
         first = manager.tables.next_fire_of("tuesdays")
         next_fire = manager.fire_temporal("tuesdays", first)
         assert fired == [first]
@@ -74,8 +77,8 @@ class TestFiring:
     def test_ql_action_with_now_binding(self, manager, db):
         db.create_table("log", [("t", "abstime"), ("label", "text")])
         after = db.system.day_of("Jan 1 1993")
-        manager.define_temporal_rule(
-            "logger", "[2]/DAYS:during:WEEKS",
+        manager.declare_temporal(
+            "logger", expression="[2]/DAYS:during:WEEKS",
             actions=['append log (t = now.t, label = now.text)'],
             after=after)
         first = manager.tables.next_fire_of("logger")
@@ -90,9 +93,9 @@ class TestFiring:
     def test_next_trigger_none_when_expired(self, manager, db):
         registry = db.calendars
         registry.define("once", values=[(50, 50)], granularity="DAYS")
-        rule = manager.define_temporal_rule("one_shot", "ONCE",
-                                            callback=lambda d, t: None,
-                                            after=1)
+        rule = manager.declare_temporal("one_shot", expression="ONCE",
+                                        callback=lambda d, t: None,
+                                        after=1)
         assert manager.tables.next_fire_of("one_shot") == 50
         manager.fire_temporal("one_shot", 50)
         assert manager.tables.next_fire_of("one_shot") is None
@@ -104,9 +107,9 @@ class TestRuleTables:
             db.calendars.define(f"cal_{name}",
                                 values=[(100 + i, 100 + i)],
                                 granularity="DAYS")
-            manager.define_temporal_rule(name, f"CAL_{name}",
-                                         callback=lambda d, t: None,
-                                         after=1)
+            manager.declare_temporal(name, expression=f"CAL_{name}",
+                                     callback=lambda d, t: None,
+                                     after=1)
         due = manager.tables.due_within(now=99, horizon=2)
         assert [name for _, name in due] == ["a", "b"]
 

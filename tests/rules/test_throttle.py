@@ -7,6 +7,7 @@ from repro.core import CalendarSystem
 from repro.db import Database
 from repro.rules import (
     DBCron,
+    HeapSchedule,
     RuleManager,
     SimulatedClock,
     TenantThrottle,
@@ -143,8 +144,9 @@ class TestFireShedding:
         registry, _, manager, clock = stack
         registry.define("T5", values=[(5, 5)], granularity="DAYS")
         throttle = TenantThrottle(fires_per_tick=1, fire_burst=1)
-        cron = DBCron(manager, clock, period=7, scheduler=scheduler,
-                      throttle=throttle)
+        cron = DBCron(manager, clock, period=7, throttle=throttle,
+                      schedule=HeapSchedule() if scheduler == "heap"
+                      else None)
         fired = []
         low = manager.declare_temporal(
             "low", expression="T5", tenant="acme", priority=0,

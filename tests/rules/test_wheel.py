@@ -167,7 +167,7 @@ class TestWheelSchedule:
         # A dropped-and-recreated rule starts fresh: the old watermark
         # must not refuse ticks the new incarnation legitimately owns.
         assert sched.schedule("r", 4)
-        assert sched.pop_wave(4) == [(4, "r", 0)]
+        assert sched.pop_wave(5) == [(4, "r", 0)]
 
     def test_wave_in_global_arm_order_across_shards(self):
         sched = WheelSchedule(1, shards=4, slots=SMALL)
@@ -266,6 +266,11 @@ class TestHeapScheduleProtocol:
 # -- daemon integration -------------------------------------------------------
 
 
+def make_schedule(kind):
+    """The heap oracle for ``"heap"``; None (the default wheel) else."""
+    return HeapSchedule() if kind == "heap" else None
+
+
 @pytest.fixture()
 def stack():
     registry = CalendarRegistry(CalendarSystem.starting("Jan 1 1987"),
@@ -277,24 +282,11 @@ def stack():
 
 
 class TestWheelDaemon:
-    def test_wheel_is_the_default_scheduler(self, stack, monkeypatch):
-        monkeypatch.delenv("REPRO_WHEEL", raising=False)
+    def test_wheel_is_the_default_scheduler(self, stack):
         _, _, manager, clock = stack
         cron = DBCron(manager, clock, period=7)
-        assert cron.scheduler == "wheel"
+        assert cron.sched.kind == "wheel"
         assert isinstance(cron.sched, WheelSchedule)
-
-    def test_env_switch_selects_heap(self, stack, monkeypatch):
-        monkeypatch.setenv("REPRO_WHEEL", "0")
-        _, _, manager, clock = stack
-        cron = DBCron(manager, clock, period=7)
-        assert cron.scheduler == "heap"
-        assert isinstance(cron.sched, HeapSchedule)
-
-    def test_unknown_scheduler_rejected(self, stack):
-        _, _, manager, clock = stack
-        with pytest.raises(AxisError):
-            DBCron(manager, clock, scheduler="btree")
 
     def test_rules_declared_before_daemon_are_synced(self, stack):
         # Wheel mode has no periodic RULE_TIME probe: rules that predate
@@ -306,7 +298,7 @@ class TestWheelDaemon:
         manager.declare_temporal(
             "early", expression="EARLY",
             callback=lambda d, t: fired.append(t), after=1)
-        cron = DBCron(manager, clock, period=7, scheduler="wheel")
+        cron = DBCron(manager, clock, period=7)
         cron.run_until(12)
         assert fired == [5, 9]
 
@@ -321,7 +313,8 @@ class TestWheelDaemon:
         registry, _, manager, clock = stack
         registry.define("SPARSE", values=[(4, 4), (300, 300)],
                         granularity="DAYS")
-        cron = DBCron(manager, clock, period=7, scheduler=scheduler)
+        cron = DBCron(manager, clock, period=7,
+                      schedule=make_schedule(scheduler))
         fired = []
 
         def racing_callback(_db, tick):
@@ -340,7 +333,8 @@ class TestWheelDaemon:
         registry, _, manager, clock = stack
         registry.define("OLD", values=[(5, 5)], granularity="DAYS")
         registry.define("NEW", values=[(6, 6)], granularity="DAYS")
-        cron = DBCron(manager, clock, period=7, scheduler=scheduler)
+        cron = DBCron(manager, clock, period=7,
+                      schedule=make_schedule(scheduler))
         fired = []
         manager.declare_temporal(
             "r", expression="OLD",
@@ -363,7 +357,8 @@ class TestWheelDaemon:
             db = Database(calendars=registry)
             manager = RuleManager(db)
             clock = SimulatedClock(now=1)
-            cron = DBCron(manager, clock, period=7, scheduler=scheduler)
+            cron = DBCron(manager, clock, period=7,
+                          schedule=make_schedule(scheduler))
             fired = []
             manager.declare_temporal(
                 "m", expression="MIX",
@@ -383,8 +378,8 @@ class TestProbeReport:
             registry.define(f"C{i}", values=[(d, d) for d in
                                              (3 + i, 9 + 2 * i, 40 + i)],
                             granularity="DAYS")
-        cron = DBCron(manager, clock, period=7, scheduler="wheel",
-                      shards=3)
+        cron = DBCron(manager, clock, period=7,
+                      schedule=WheelSchedule(clock.now, shards=3))
         for i in range(12):
             manager.declare_temporal(f"r{i}", expression=f"C{i}",
                                      callback=lambda d, t: None, after=1)

@@ -59,8 +59,8 @@ def office():
 class TestTradingBackOffice:
     def test_01_positions_and_event_rule(self, office):
         db, manager, clock, cron = office
-        manager.define_event_rule(
-            "big_position_audit", "append", "positions",
+        manager.declare_event(
+            "big_position_audit", event="append", relation="positions",
             condition="new.qty > 100",
             actions=['append alerts (day = new.expiry, '
                      'message = "big position " || new.symbol)'])
@@ -82,13 +82,13 @@ class TestTradingBackOffice:
 
     def test_03_temporal_rules_fire_through_november(self, office):
         db, manager, clock, cron = office
-        manager.define_temporal_rule(
-            "expiry_alert", "EXPIRATIONS_93",
+        manager.declare_temporal(
+            "expiry_alert", expression="EXPIRATIONS_93",
             actions=['append alerts (day = now.t, '
                      'message = "expiration " || now.text)'],
             after=clock.now)
-        manager.define_temporal_rule(
-            "uptick", 'pattern("spx", "s(t) < s(t+1) and '
+        manager.declare_temporal(
+            "uptick", expression='pattern("spx", "s(t) < s(t+1) and '
                       's(t+1) < s(t+2)")',
             actions=['append alerts (day = now.t, '
                      'message = "momentum")'],

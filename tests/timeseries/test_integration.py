@@ -83,8 +83,8 @@ class TestDataTriggeredRules:
         clock = SimulatedClock(now=base - 1)
         cron = DBCron(manager, clock, period=2)
         fired = []
-        manager.define_temporal_rule(
-            "uptick", 'pattern("close", "s(t) < s(t+1)")',
+        manager.declare_temporal(
+            "uptick", expression='pattern("close", "s(t) < s(t+1)")',
             callback=lambda d, t: fired.append(t), after=clock.now)
         cron.run_until(base + 12)
         assert fired == [base, base + 2, base + 3, base + 6, base + 7]
@@ -93,8 +93,8 @@ class TestDataTriggeredRules:
         registry, base = priced_registry
         db = Database(calendars=registry)
         manager = RuleManager(db)
-        manager.define_temporal_rule(
-            "uptick", 'pattern("close", "s(t) < s(t+1)")',
+        manager.declare_temporal(
+            "uptick", expression='pattern("close", "s(t) < s(t+1)")',
             callback=lambda d, t: None, after=base - 1)
         rows = db.execute(
             "retrieve (r.expression) from r in rule_info")
