@@ -1,15 +1,17 @@
-"""Observability overhead: what tracing costs, and what "off" costs.
+"""Observability overhead gates: what "off" costs, and what "on" costs.
 
 The contract (see docs/IMPLEMENTATION_NOTES.md) is that disabled tracing
 adds a single ``tracer is not None`` branch per plan run.  The smoke
 test here compares the shipping :class:`PlanVM` (tracer disabled)
 against a baseline VM whose ``run`` is the verbatim pre-instrumentation
-loop, and asserts the difference stays under 5%.  The benchmark pair
-records the absolute traced/untraced cost for BENCH_core.json diffs.
+loop, and asserts the difference stays under 5%.  The telemetry,
+labelled-metric and profiler gates time paired off/on batches; nothing
+is written.
 """
 
 from __future__ import annotations
 
+from statistics import median
 from time import perf_counter
 
 from repro.catalog import (
@@ -37,7 +39,7 @@ class _BaselineVM(PlanVM):
 
 
 def _build():
-    """A private registry (own instrumentation + cache), plan and context."""
+    """A plan and context over a private registry (own cache)."""
     instrumentation = Instrumentation()
     registry = CalendarRegistry(
         CalendarSystem.starting("Jan 1 1987"),
@@ -53,7 +55,7 @@ def _build():
     factored = factorize(parse_expression(EXPRESSION), registry.resolver)
     plan = compile_expression(factored.expression, registry.system,
                               registry.resolver, context_window=ctx.window)
-    return instrumentation, registry, plan, ctx
+    return plan, ctx
 
 
 def _best_of(fn, *, loops: int, repeats: int) -> float:
@@ -67,9 +69,45 @@ def _best_of(fn, *, loops: int, repeats: int) -> float:
     return best
 
 
+def _batch(fn, loops: int) -> float:
+    start = perf_counter()
+    for _ in range(loops):
+        fn()
+    return perf_counter() - start
+
+
+def _paired(time_off, time_on, repeats: int) -> "list[tuple]":
+    """``repeats`` (off, on) batch times, taken back to back.
+
+    Which batch runs first alternates from pair to pair, so drift in the
+    host's speed within a pair does not always land on the same side.
+    """
+    pairs = []
+    for index in range(repeats):
+        if index % 2:
+            on = time_on()
+            off = time_off()
+        else:
+            off = time_off()
+            on = time_on()
+        pairs.append((off, on))
+    return pairs
+
+
+def _gate(pairs, relative: float, floor: float, what: str) -> None:
+    """The median paired delta stays within ``relative`` of the median
+    "off" batch, plus an absolute ``floor`` (seconds) for timer jitter."""
+    t_off = median(off for off, _ in pairs)
+    delta = median(on - off for off, on in pairs)
+    assert delta <= t_off * relative + floor, (
+        f"{what} overhead too high: off={t_off:.6f}s "
+        f"paired-delta={delta:.6f}s; (off, on) per pair: "
+        + ", ".join(f"({off:.6f}, {on:.6f})" for off, on in pairs))
+
+
 class TestDisabledOverheadSmoke:
     def test_disabled_tracing_overhead_under_5_percent(self):
-        instrumentation, registry, plan, ctx = _build()
+        plan, ctx = _build()
         assert ctx.tracer is None  # tracing off: the branch under test
         vm = PlanVM(ctx)
         baseline = _BaselineVM(ctx)
@@ -85,22 +123,16 @@ class TestDisabledOverheadSmoke:
             f"disabled-tracing overhead too high: "
             f"baseline={t_base:.6f}s instrumented={t_vm:.6f}s")
 
-    def test_disabled_tracing_records_nothing(self):
-        instrumentation, registry, plan, ctx = _build()
-        PlanVM(ctx).run(plan)
-        assert instrumentation.recent_traces() == []
-
 
 class TestTelemetryOverhead:
-    """The event pipeline's cost when on, and its single branch when off.
+    """The event pipeline's cost when on.
 
     Telemetry-enabled evaluation (``eval.start``/``eval.finish`` and
     ``plan.run`` events per run) must stay within 5% of the disabled
-    path over a warm cache; the measured pair is recorded into
-    BENCH_core.json for trajectory diffs.
+    path over a warm cache.
 
     Two deliberate measurement choices, both fixes for a 23.6%
-    ``overhead_pct`` recorded by an earlier, less careful version:
+    overhead measured by an earlier, less careful version:
 
     * the workload is a *representative* warm evaluation (365 result
       intervals, ~0.5ms) rather than a degenerate micro-eval — the
@@ -125,18 +157,7 @@ class TestTelemetryOverhead:
         return Session(instrumentation=Instrumentation(),
                        holiday_years=(1987, 1996), **kwargs)
 
-    @staticmethod
-    def _batch(fn, loops: int) -> float:
-        start = perf_counter()
-        for _ in range(loops):
-            fn()
-        return perf_counter() - start
-
     def test_telemetry_enabled_overhead_under_5_percent(self):
-        from statistics import median
-
-        from conftest import record_benchmark
-
         expression = self.OVERHEAD_EXPRESSION
         plain = self._session()
         telemetered = self._session(telemetry=True)
@@ -149,32 +170,16 @@ class TestTelemetryOverhead:
             plain.eval(expression, window=WINDOW)
         assert got == expected
 
-        pairs = []
-        for _ in range(self.REPEATS):
-            t_off = self._batch(
-                lambda: plain.eval(expression, window=WINDOW), self.LOOPS)
-            t_on = self._batch(
+        pairs = _paired(
+            lambda: _batch(lambda: plain.eval(expression, window=WINDOW),
+                           self.LOOPS),
+            lambda: _batch(
                 lambda: telemetered.eval(expression, window=WINDOW),
-                self.LOOPS)
-            pairs.append((t_off, t_on))
-        t_off = median(off for off, _ in pairs)
-        delta = median(on - off for off, on in pairs)
-        record_benchmark(
-            "obs/telemetry_enabled_eval_overhead",
-            samples=[on / self.LOOPS for _, on in pairs],
-            disabled_s=t_off / self.LOOPS,
-            overhead_pct=100.0 * delta / t_off if t_off else 0.0)
+                self.LOOPS),
+            self.REPEATS)
         # 5% relative, plus 2us/eval absolute floor for timer jitter.
-        assert delta <= t_off * 0.05 + self.LOOPS * 2e-6, (
-            f"telemetry-enabled overhead too high: "
-            f"disabled={t_off:.6f}s paired-delta={delta:.6f}s")
+        _gate(pairs, 0.05, self.LOOPS * 2e-6, "telemetry-enabled")
         assert telemetered.telemetry.emitted > 0
-
-    def test_disabled_telemetry_emits_nothing(self):
-        session = self._session()
-        session.eval(EXPRESSION, window=WINDOW)
-        assert session.events() == []
-        assert session.registry.matcache.pipeline is None
 
 
 class TestLabelledMetricsOverhead:
@@ -201,18 +206,7 @@ class TestLabelledMetricsOverhead:
         install_standard_calendars(registry)
         return instrumentation, registry, cache
 
-    @staticmethod
-    def _batch(fn, loops: int) -> float:
-        start = perf_counter()
-        for _ in range(loops):
-            fn()
-        return perf_counter() - start
-
     def test_labelled_hot_path_overhead_under_5_percent(self):
-        from statistics import median
-
-        from conftest import record_benchmark
-
         inst_off, reg_off, cache_off = self._build(stripe_metrics=False)
         inst_on, reg_on, cache_on = self._build(stripe_metrics=True)
         assert inst_off.metrics.get("matcache.stripe.hits") is None
@@ -234,26 +228,15 @@ class TestLabelledMetricsOverhead:
         # check the twins agree before timing.
         assert probe_off().flatten() == probe_on().flatten()
 
-        pairs = []
-        for _ in range(self.REPEATS):
-            t_off = self._batch(probe_off, self.LOOPS)
-            t_on = self._batch(probe_on, self.LOOPS)
-            pairs.append((t_off, t_on))
-        t_off = median(off for off, _ in pairs)
-        delta = median(on - off for off, on in pairs)
-        record_benchmark(
-            "obs/labelled_metrics_hit_overhead",
-            samples=[on / self.LOOPS for _, on in pairs],
-            unlabelled_s=t_off / self.LOOPS,
-            overhead_pct=100.0 * delta / t_off if t_off else 0.0)
+        pairs = _paired(lambda: _batch(probe_off, self.LOOPS),
+                        lambda: _batch(probe_on, self.LOOPS),
+                        self.REPEATS)
         # The labelled series did take the traffic.
         hits = inst_on.metrics.get("matcache.stripe.hits")
         assert sum(c.value for c in hits.series().values()) >= \
             self.LOOPS * self.REPEATS
         # <5% relative, plus 1us/probe absolute floor for timer jitter.
-        assert delta <= t_off * 0.05 + self.LOOPS * 1e-6, (
-            f"labelled-metrics overhead too high: "
-            f"unlabelled={t_off:.6f}s paired-delta={delta:.6f}s")
+        _gate(pairs, 0.05, self.LOOPS * 1e-6, "labelled-metrics")
 
 
 class TestProfilerOverhead:
@@ -269,17 +252,7 @@ class TestProfilerOverhead:
     EXPRESSION = "DAYS:during:1993/YEARS"
     LOOPS, REPEATS = 20, 11
 
-    @staticmethod
-    def _batch(fn, loops: int) -> float:
-        start = perf_counter()
-        for _ in range(loops):
-            fn()
-        return perf_counter() - start
-
     def test_profiler_overhead_under_2_percent(self):
-        from statistics import median
-
-        from conftest import record_benchmark
         from repro.obs.profiler import DEFAULT_HERTZ, SamplingProfiler
         from repro.session import Session
 
@@ -290,50 +263,20 @@ class TestProfilerOverhead:
         for _ in range(3):  # warm the materialisation cache
             session.eval(expression, window=WINDOW)
 
-        try:
-            pairs = []
-            for _ in range(self.REPEATS):
-                t_off = self._batch(
-                    lambda: session.eval(expression, window=WINDOW),
-                    self.LOOPS)
-                profiler.start()
-                t_on = self._batch(
-                    lambda: session.eval(expression, window=WINDOW),
-                    self.LOOPS)
+        def time_off():
+            return _batch(lambda: session.eval(expression, window=WINDOW),
+                          self.LOOPS)
+
+        def time_on():
+            profiler.start()
+            try:
+                return time_off()
+            finally:
                 profiler.stop()
-                pairs.append((t_off, t_on))
+
+        try:
+            pairs = _paired(time_off, time_on, self.REPEATS)
         finally:
-            profiler.stop()
             session.close()
-        t_off = median(off for off, _ in pairs)
-        delta = median(on - off for off, on in pairs)
-        record_benchmark(
-            "obs/profiler_enabled_eval_overhead",
-            samples=[on / self.LOOPS for _, on in pairs],
-            disabled_s=t_off / self.LOOPS,
-            hertz=DEFAULT_HERTZ,
-            overhead_pct=100.0 * delta / t_off if t_off else 0.0)
         # <2% relative, plus 2us/eval absolute floor for timer jitter.
-        assert delta <= t_off * 0.02 + self.LOOPS * 2e-6, (
-            f"profiler overhead too high: "
-            f"off={t_off:.6f}s paired-delta={delta:.6f}s")
-
-
-class TestTracedVsUntraced:
-    def test_plan_run_untraced(self, benchmark):
-        _, registry, plan, ctx = _build()
-        vm = PlanVM(ctx)
-        vm.run(plan)  # warm the cache
-        result = benchmark(lambda: vm.run(plan))
-        assert result.flatten()
-
-    def test_plan_run_traced(self, benchmark):
-        instrumentation, registry, plan, _ = _build()
-        instrumentation.enable_tracing()
-        ctx = registry.context(window=WINDOW)
-        assert ctx.tracer is not None
-        vm = PlanVM(ctx)
-        vm.run(plan)  # warm the cache
-        result = benchmark(lambda: vm.run(plan))
-        assert result.flatten()
-        assert instrumentation.recent_traces()
+        _gate(pairs, 0.02, self.LOOPS * 2e-6, "profiler")

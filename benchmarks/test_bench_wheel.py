@@ -15,13 +15,11 @@ strategy at 10k / 100k (and, gated, 1M) registered rules:
 
 Rule actions and everything else the two modes share are deliberately
 excluded, so the measured gap is the scheduling cost the wheel rework
-actually removed.  Self-timed rows land in ``BENCH_core.json``
-(``wheel/...``) with fire throughput, p99 drift in ticks and — for the
-gated 1M run — peak RSS.
+actually removed.  The gates check fire throughput, p99 drift in ticks
+and — for the gated 1M run — peak RSS; nothing is written.
 
 The 1M sweep runs only with ``REPRO_BENCH_FULL=1`` (it arms a million
-rules); its recorded row persists across smoke runs via the report's
-merge-by-name semantics.
+rules).
 """
 
 from __future__ import annotations
@@ -32,8 +30,6 @@ import resource
 from time import perf_counter
 
 import pytest
-
-from conftest import record_benchmark
 
 from repro.db import Database
 from repro.rules import HeapSchedule, WheelSchedule
@@ -148,17 +144,15 @@ def _p99(values: list[int]) -> int:
 
 
 def _measure(state, rounds: int) -> dict:
-    """Timed steady-state rounds; summary row fields."""
-    samples, fires, drifts = [], 0, []
+    """Timed steady-state rounds: fires, fire throughput, p99 drift."""
+    total, fires, drifts = 0.0, 0, []
     for _ in range(rounds):
         t0 = perf_counter()
         round_fires, round_drifts = state.run(WINDOW)
-        samples.append(perf_counter() - t0)
+        total += perf_counter() - t0
         fires += round_fires
         drifts.extend(round_drifts)
-    total = sum(samples)
     return {
-        "samples": samples,
         "fires": fires,
         "fires_per_s": fires / total if total > 0 else 0.0,
         "p99_drift_ticks": _p99(drifts),
@@ -167,23 +161,11 @@ def _measure(state, rounds: int) -> dict:
 
 @pytest.mark.parametrize("n_rules", [10_000, 100_000])
 def test_wheel_vs_heap_fire_throughput(registry, n_rules):
-    """The headline row: scheduling throughput, wheel vs legacy heap."""
+    """The headline gate: scheduling throughput, wheel vs legacy heap."""
     heap = _measure(_HeapState(registry, n_rules), rounds=2)
     wheel = _measure(_WheelState(n_rules), rounds=2)
-    label = f"{n_rules // 1000}k"
-    record_benchmark(f"wheel/heap_core_{label}", heap["samples"],
-                     fires=heap["fires"],
-                     fires_per_s=round(heap["fires_per_s"]),
-                     p99_drift_ticks=heap["p99_drift_ticks"],
-                     rules=n_rules)
     speedup = wheel["fires_per_s"] / heap["fires_per_s"] \
         if heap["fires_per_s"] else float("inf")
-    record_benchmark(f"wheel/wheel_core_{label}", wheel["samples"],
-                     fires=wheel["fires"],
-                     fires_per_s=round(wheel["fires_per_s"]),
-                     p99_drift_ticks=wheel["p99_drift_ticks"],
-                     rules=n_rules,
-                     speedup_vs_heap=round(speedup, 1))
     # Identical workloads fire identically.
     assert wheel["fires"] == heap["fires"] > 0
     # The CI drift gate: the wheel daemon must keep up at scale.
@@ -199,22 +181,11 @@ def test_wheel_vs_heap_fire_throughput(registry, n_rules):
 @pytest.mark.skipif(os.environ.get("REPRO_BENCH_FULL") != "1",
                     reason="1M-rule sweep only with REPRO_BENCH_FULL=1")
 def test_wheel_one_million_rules_bounded():
-    """1M armed rules: completes, bounded memory, drift recorded."""
+    """1M armed rules: completes, bounded memory and drift."""
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    t0 = perf_counter()
-    state = _WheelState(1_000_000, shards=8)
-    arm_seconds = perf_counter() - t0
-    stats = _measure(state, rounds=2)
+    stats = _measure(_WheelState(1_000_000, shards=8), rounds=2)
     rss_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     rss_mb = (rss_after - rss_before) / 1024  # ru_maxrss is KiB on Linux
-    record_benchmark("wheel/wheel_core_1M", stats["samples"],
-                     fires=stats["fires"],
-                     fires_per_s=round(stats["fires_per_s"]),
-                     p99_drift_ticks=stats["p99_drift_ticks"],
-                     rules=1_000_000,
-                     arm_seconds=round(arm_seconds, 3),
-                     rss_delta_mb=round(rss_mb, 1),
-                     overflow=state.sched.overflow_size())
     assert stats["fires"] > 0
     assert stats["p99_drift_ticks"] <= 2
     # Bounded memory: ~a few hundred bytes per armed rule, not gigabytes.
@@ -230,8 +201,4 @@ def test_registration_throughput_10k(registry):
     t0 = perf_counter()
     _WheelState(n_rules)
     wheel_s = perf_counter() - t0
-    record_benchmark("wheel/register_10k_wheel", [wheel_s],
-                     rules=n_rules, rules_per_s=round(n_rules / wheel_s))
-    record_benchmark("wheel/register_10k_heap_catalog", [heap_s],
-                     rules=n_rules, rules_per_s=round(n_rules / heap_s))
     assert wheel_s < heap_s

@@ -20,6 +20,7 @@ import math
 from repro.core.arithmetic import next_point
 from repro.core.basis import CalendarSystem
 from repro.core.matcache import MaterialisationCache, get_default_cache
+from repro.core.periodic import compile_expression_periodic
 from repro.core.calendar import Calendar
 from repro.core.chrono import CivilDate
 from repro.core.errors import CalendarError, LifespanError
@@ -603,8 +604,16 @@ class CalendarRegistry:
         return pset
 
     def _compile_periodic(self, text: str, max_eval_days: int):
-        """Uncached periodic compilation + compiled/fallback telemetry."""
-        from repro.core.periodic import compile_expression_periodic
+        """Uncached periodic compilation, traced as ``periodic.compile``
+        (its oracle evaluations nest under that span)."""
+        tracer = self.instrumentation.tracer
+        if tracer is None:
+            return self._compile_periodic_untraced(text, max_eval_days)
+        with tracer.span("periodic.compile", source=text):
+            return self._compile_periodic_untraced(text, max_eval_days)
+
+    def _compile_periodic_untraced(self, text: str, max_eval_days: int):
+        """Periodic compilation + compiled/fallback telemetry."""
         reasons: list[str] = []
         pset = None
         record = self.table.get(text)

@@ -140,11 +140,6 @@ class EvalContext:
         Granularity.CENTURY: 1,
     }
 
-    def padded_window(self, window: tuple[int, int] | None = None
-                      ) -> tuple[int, int]:
-        """The generation window extended by one year of the unit."""
-        return self.padded_tick_window(window or self.window)
-
     def padded_tick_window(self, window: tuple[int, int],
                            pad: int | None = None) -> tuple[int, int]:
         """``window`` extended by ``pad`` unit ticks.

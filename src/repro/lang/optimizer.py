@@ -227,9 +227,9 @@ class _Optimizer:
         if self.reusable:
             # Record plans are reused under arbitrary evaluation windows;
             # only structurally identical windows may unify.
-            return (ws.fixed, ws.dynamic)
+            return (ws.fixed, ws.dynamic, ws.anchor)
         fixed = ws.fixed if ws.fixed is not None else self.context_window
-        return (fixed, ws.dynamic)
+        return (fixed, ws.dynamic, ws.anchor)
 
     def _fingerprint(self, step: PlanStep, mapping: dict):
         fields = []

@@ -47,9 +47,19 @@ class WindowSpec:
 
     fixed: tuple[int, int] | None = None
     dynamic: bool = False
+    #: Tick range of the YEARS label (``1993/YEARS``) this window was
+    #: narrowed to, if any.  The reference evaluation only holds that
+    #: year when it overlaps the padded context window; otherwise the
+    #: label select is empty and so is everything confined to it.
+    anchor: tuple[int, int] | None = None
 
-    def resolve(self, context) -> tuple[int, int]:
-        """The concrete tick window for an evaluation context."""
+    def resolve(self, context) -> tuple[int, int] | None:
+        """The concrete tick window for an evaluation context, or None
+        when the anchor year lies outside the context's reach."""
+        if self.anchor is not None:
+            lo, hi = context.padded_tick_window(context.window)
+            if self.anchor[1] < lo or self.anchor[0] > hi:
+                return None
         if self.fixed is not None:
             return self.fixed
         return context.window
@@ -510,21 +520,25 @@ class PlanVM:
     def _run_step(self, step: PlanStep, registers: dict):
         ctx = self.context
         if isinstance(step, GenerateStep):
+            window = step.window.resolve(ctx)
+            if window is None:
+                # No unit, but labelled like generated units (all but
+                # WEEKS), so a label select over it comes out empty.
+                labels = None if step.calendar == Granularity.WEEKS else []
+                return Calendar.from_intervals([], step.calendar, labels)
             if step.window.dynamic and self.window_override is not None:
                 # Per-reference pipeline run: narrow to the reference
                 # neighbourhood, intersected with the window the eager
                 # plan would have covered (keeps boundary truncation
                 # byte-identical to the unoptimised plan).
-                lo0, hi0 = ctx.padded_tick_window(step.window.resolve(ctx),
-                                                  step.pad)
+                lo0, hi0 = ctx.padded_tick_window(window, step.pad)
                 lo = max(self.window_override[0], lo0)
                 hi = min(self.window_override[1], hi0)
                 if lo > hi:
                     return Calendar.from_intervals([], step.calendar)
                 return ctx.materialise_basic(step.calendar, (lo, hi),
                                              mode="cover", pad=0)
-            return ctx.materialise_basic(step.calendar,
-                                         step.window.resolve(ctx),
+            return ctx.materialise_basic(step.calendar, window,
                                          mode="cover", pad=step.pad)
         if isinstance(step, LoadStep):
             definition = ctx.resolver(step.name)

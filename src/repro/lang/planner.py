@@ -21,7 +21,7 @@ provably sufficient, otherwise the context window applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.basis import CalendarSystem
 from repro.core.granularity import Granularity, exact_ratio
@@ -94,9 +94,6 @@ class Planner:
     #: Static context window (unit ticks); used to bound look-back
     #: extension.  None leaves look-back windows symbolic (context).
     context_window: tuple[int, int] | None = None
-    #: Disable window narrowing (ablation switch): every generate step
-    #: uses the full context window.
-    narrow: bool = True
     #: Active span tracer (or None): planner decisions — window
     #: narrowing, shared-register reuse — are recorded as point events.
     tracer: object | None = None
@@ -142,8 +139,6 @@ class Planner:
 
     def _intrinsic_window(self, expr: ast.Expr) -> WindowSpec | None:
         """A window this subtree is provably confined to, if any."""
-        if not self.narrow:
-            return None
         if isinstance(expr, ast.LabelSelect):
             base = base_calendar_of(expr.child, self.resolver)
             if base == "YEARS" and isinstance(expr.label, int):
@@ -164,34 +159,31 @@ class Planner:
         return None
 
     def _year_window(self, year: int) -> WindowSpec | None:
-        """Tick window of a civil year in the planner's unit, if exact."""
+        """Tick window of a civil year in the planner's unit, if exact.
+
+        The year is also the window's anchor: the reference evaluation
+        materialises YEARS over the context window padded by one year
+        and keeps whole overlapping units, so a year disjoint from that
+        padded window never exists there.  Plans are reused under other
+        windows, so that check runs when the window resolves, not here.
+        """
         if self.unit != Granularity.DAYS:
             # Day-based narrowing only; other units stay conservative.
             return None
         lo, hi = self.system.epoch.days_of_year(year)
-        if self.context_window is not None:
-            # The reference evaluation materialises YEARS over the
-            # context window padded by one year of days (366, the
-            # EvalContext blanket) and keeps whole overlapping units; a
-            # year disjoint from that padded window never exists there,
-            # so narrowing to it would conjure elements the reference
-            # selection leaves empty.  Decline and let the label select
-            # come out empty over the context window instead.
-            if hi < self.context_window[0] - 366 or \
-                    lo > self.context_window[1] + 366:
-                return None
         if self.tracer is not None:
             self.tracer.event("planner.narrow", year=year, lo=lo, hi=hi)
-        return WindowSpec((lo, hi))
+        return WindowSpec((lo, hi), anchor=(lo, hi))
 
     def _extend_back(self, window: WindowSpec) -> WindowSpec:
         """Extend a window's start back to the context window (look-back)."""
         if window.fixed is None:
             return window
         if self.context_window is None:
-            return CONTEXT_WINDOW
-        return WindowSpec((min(self.context_window[0], window.fixed[0]),
-                           window.fixed[1]))
+            return replace(window, fixed=None)
+        return replace(window, fixed=(min(self.context_window[0],
+                                          window.fixed[0]),
+                                      window.fixed[1]))
 
     def _coarsest_in(self, expr: ast.Expr) -> Granularity:
         """Coarsest basic calendar referenced anywhere in ``expr``."""
@@ -232,7 +224,7 @@ class Planner:
                       min(padded[1], self.context_window[1]))
             if padded[0] > padded[1]:
                 return window
-        return WindowSpec(padded)
+        return replace(window, fixed=padded)
 
     # -- compilation -------------------------------------------------------------
 
@@ -360,7 +352,8 @@ class Planner:
                 delta = expr.args[1].value
                 lo, hi = window.fixed
                 lo, hi = lo - abs(delta), hi + abs(delta)
-                child_window = WindowSpec((_skip_zero(lo), _skip_zero(hi)))
+                child_window = replace(window, fixed=(_skip_zero(lo),
+                                                      _skip_zero(hi)))
             source = self._compile(expr.args[0], child_window)
             delta = expr.args[1].value
             return self._emit(("shift", source, delta),
@@ -409,14 +402,13 @@ def compile_expression(expr: ast.Expr, system: CalendarSystem,
                        resolver: Resolver,
                        unit: Granularity = Granularity.DAYS,
                        context_window: tuple[int, int] | None = None,
-                       narrow: bool = True,
                        matcache=None, memo_key=None,
                        tracer=None) -> Plan:
     """Compile ``expr`` into an evaluation plan.
 
     When a :class:`~repro.core.matcache.MaterialisationCache` and a
     ``memo_key`` are given, the compiled plan is memoised under
-    ``("plan", memo_key, unit, context_window, narrow)`` — plans are
+    ``("plan", memo_key, unit, context_window)`` — plans are
     deterministic in the expression, the resolver state the key must
     encode (the registry embeds its version), and these parameters, so
     repeated evaluations skip the compile entirely.  A raised
@@ -424,7 +416,7 @@ def compile_expression(expr: ast.Expr, system: CalendarSystem,
     repeated doomed compiles of uncompilable expressions.
     """
     if matcache is not None and memo_key is not None:
-        full_key = ("plan", memo_key, unit, context_window, narrow)
+        full_key = ("plan", memo_key, unit, context_window)
         cached = matcache.memo_get(full_key)
         if isinstance(cached, Plan):
             if tracer is not None:
@@ -433,8 +425,7 @@ def compile_expression(expr: ast.Expr, system: CalendarSystem,
         if isinstance(cached, PlanError):
             raise cached
     planner = Planner(system=system, resolver=resolver, unit=unit,
-                      context_window=context_window, narrow=narrow,
-                      tracer=tracer)
+                      context_window=context_window, tracer=tracer)
     try:
         plan = planner.compile(expr)
     except PlanError as exc:

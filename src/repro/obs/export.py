@@ -1,8 +1,7 @@
 """JSON export of metrics snapshots and trace trees.
 
 Everything observability collects is exportable as plain JSON so it can
-be diffed across runs (the same spirit as ``BENCH_core.json``) or
-shipped to an external sink.  Exports are self-describing: each payload
+be diffed across runs or shipped to an external sink.  Exports are self-describing: each payload
 carries a ``kind`` discriminator.
 """
 

@@ -19,7 +19,7 @@ Design constraints:
   eval workload cannot grow the table without bound.
 * **Cheap enough to leave on.**  One sample walks a handful of frames
   per thread; at the default ~97 Hz the overhead on the evaluation
-  workload is benchmarked below 2% (``benchmarks/test_bench_obs.py``).
+  workload is gated below 2% (``benchmarks/test_bench_obs.py``).
 
 The sampler is wall-clock: a thread blocked on a lock or socket is
 sampled exactly like a running one, which is what you want when hunting

@@ -57,8 +57,8 @@ class Event:
     A hand-rolled ``__slots__`` value class rather than a (frozen)
     dataclass: one Event is constructed per :meth:`TelemetryPipeline.emit`
     on hot paths, and dataclass ``__init__``/``object.__setattr__``
-    dispatch is measurable there (the <5% enabled-overhead budget of
-    ``benchmarks/test_bench_obs.py``).
+    dispatch is measurable there (the <5% enabled-overhead gate,
+    ``benchmarks/test_bench_obs.py::TestTelemetryOverhead``).
     """
 
     __slots__ = ("ts", "seq", "kind", "fields")

@@ -60,36 +60,6 @@ class RuleTables:
                 fire_hooks=False)
             self._time_tids[rule.name] = row["_tid"]
 
-    def register_many(self, entries) -> None:
-        """Catalog a batch of ``(rule, next_fire)`` pairs at once.
-
-        Equivalent to ``register`` per pair, but both catalog relations
-        take the rows through :meth:`~repro.db.storage.Relation.
-        insert_many`, so the ordered ``next_fire`` index absorbs the
-        whole batch with one sort + merge instead of one O(n) shuffle
-        per rule — the difference between quadratic and linear catalog
-        registration at alerting scale.
-        """
-        entries = list(entries)
-        if not entries:
-            return
-        info_rows = [{
-            "rulename": rule.name,
-            "expression": rule.expression_text,
-            "factorized": str(rule.expression),
-            "eval_plan": rule.plan.text() if rule.plan is not None else "",
-        } for rule, _ in entries]
-        self.db.relation(RULE_INFO).insert_many(info_rows,
-                                                fire_hooks=False)
-        timed = [(rule, next_fire) for rule, next_fire in entries
-                 if next_fire is not None]
-        if timed:
-            rows = self.db.relation(RULE_TIME).insert_many(
-                [{"rulename": rule.name, "next_fire": next_fire}
-                 for rule, next_fire in timed], fire_hooks=False)
-            for (rule, _), row in zip(timed, rows):
-                self._time_tids[rule.name] = row["_tid"]
-
     def _time_row(self, name: str, relation=None) -> dict | None:
         """The live RULE_TIME row of ``name`` (cached tid, scan fallback)."""
         if relation is None:

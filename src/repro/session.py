@@ -799,9 +799,10 @@ class Session:
             if job.plan is None:
                 continue
             for step in job.plan.generate_steps():
-                base_ctx.materialise_basic(
-                    step.calendar, step.window.resolve(base_ctx),
-                    mode="cover")
+                window = step.window.resolve(base_ctx)
+                if window is not None:
+                    base_ctx.materialise_basic(step.calendar, window,
+                                               mode="cover")
 
     def _exec_job(self, job: _BatchJob, window, today, shared_cache,
                   root: "Span | None"):

@@ -80,6 +80,27 @@ class TestEvaluate:
                                        use_plan=False)
         assert via_plan.to_pairs() == via_interp.to_pairs()
 
+    @pytest.mark.parametrize("window", [
+        ("Jan 1 2030", "Dec 31 2030"), ("Jan 1 2031", "Dec 31 2033"),
+        ("Jan 1 1993", "Dec 31 1993"), None])
+    @pytest.mark.parametrize("year", [2030, 1993])
+    def test_stored_plan_agrees_outside_default_window(self, registry, year,
+                                                       window):
+        """Record plans are compiled once against the default window
+        (1987-2011 here) and run under any window: whether the anchor
+        year exists is decided per run, so a year outside the default
+        window still evaluates where the window holds it."""
+        registry.define("FirstMonthDays", script=(
+            f"{{return(DAYS:during:[1]/MONTHS:during:{year}/YEARS);}}"))
+        via_plan = registry.evaluate("FirstMonthDays", window=window,
+                                     use_plan=True)
+        via_interp = registry.evaluate("FirstMonthDays", window=window,
+                                       use_plan=False)
+        assert via_plan.to_pairs() == via_interp.to_pairs()
+        holds = window is not None and window[0].endswith(str(year)) or \
+            window is None and year == 1993
+        assert len(via_plan) == (31 if holds else 0)
+
     def test_window_as_dates_or_ticks(self, registry):
         d1 = registry.system.day_of("Jan 1 1993")
         d2 = registry.system.day_of("Dec 31 1993")

@@ -7,6 +7,9 @@ that every order-1 calendar carries columns, when the element tuple is
 (not) built, and how values outside the int64 lanes are refused.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core import (
@@ -77,6 +80,20 @@ class TestRawConstructor:
         assert cal == Calendar.from_intervals([(1, 2), (4, 5)])
         assert len(cal.elements) == 2
         assert columnar.MATERIALISATIONS.value == before
+
+    def test_100k_intervals_retain_two_int64_lanes(self):
+        """16 bytes per interval; ~56 would mean Interval objects."""
+        pairs = [(d, d) for d in range(1, 100_001)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cal = Calendar.from_intervals(pairs)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cal) == 100_000
+        assert retained <= 20 * 100_000
 
 
 class TestEmptyCalendars:

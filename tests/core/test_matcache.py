@@ -79,6 +79,31 @@ class TestExtension:
         cache.generate(sys87, "MONTHS", "DAYS", (-300, 900), "cover")
         assert cache.stats()["hits"] == before["hits"] + 1
 
+    def test_sliding_window_extends_instead_of_retiling(self, sys87):
+        """A one-year window slid month by month over two years: the
+        shared cache serves each slide by subsumption and extension, and
+        results match a cold re-run and a disabled cache."""
+        from repro.lang import EvalContext, Interpreter, parse_expression
+        from repro.lang.defs import basic_resolver
+
+        expr = parse_expression("[2]/DAYS:during:WEEKS")
+        starts = [sys87.day_of(f"{1990 + i // 12}-{i % 12 + 1:02d}-01")
+                  for i in range(24)]
+
+        def slide(cache):
+            return [Interpreter(EvalContext(
+                system=sys87, resolver=basic_resolver,
+                window=(lo, lo + 364), matcache=cache)).evaluate(
+                    expr).to_pairs() for lo in starts]
+
+        shared = MaterialisationCache()
+        cold = slide(shared)
+        assert slide(shared) == cold == slide(MaterialisationCache(maxsize=0))
+        stats = shared.stats()
+        assert stats["hits"] > 0
+        assert stats["extensions"] > 0
+        assert stats["generated_intervals"] < stats["served_intervals"]
+
 
 class TestEviction:
     def test_lru_evicts_oldest_key(self, sys87):

@@ -50,6 +50,9 @@ def make_resolver():
         "mondays": DerivedDef(
             parse_script("{return([1]/DAYS:during:WEEKS);}"),
             Granularity.DAYS),
+        "januarys": DerivedDef(
+            parse_script("{return([1]/MONTHS:during:YEARS);}"),
+            Granularity.MONTHS),
     }
     return chain_resolvers(lambda n: defs.get(n.lower()), basic_resolver)
 
@@ -180,6 +183,28 @@ class TestPushDown:
                    for s in out.plan.steps)
         assert any("pushdown" in r for r in out.rewrites)
         assert_equivalent(sys87, plan, out.plan, window)
+
+    @pytest.mark.parametrize("text,peak_drop,generated_drop", [
+        # The paper's Figure 2 and an unanchored 30-year chain.
+        ("Mondays:during:Januarys:during:1993/Years", 10, 5),
+        (CANONICAL, 5, 5),
+    ])
+    def test_pipeline_cuts_live_and_generated_intervals(
+            self, sys87, text, peak_drop, generated_drop):
+        window = window_of(sys87, 1987, 2016)
+        plan = compile_for(sys87, text, window)
+        optimized = optimize_plan(plan, context_window=window).plan
+        runs = []
+        for variant in (plan, optimized):
+            ctx = EvalContext(sys87, RESOLVER, window=window)
+            ctx.stats["peak_live_intervals"] = 0
+            runs.append((PlanVM(ctx).run(variant), ctx.stats))
+        (before, off), (after, on) = runs
+        assert after == before
+        assert off["peak_live_intervals"] >= \
+            peak_drop * on["peak_live_intervals"], (off, on)
+        assert off["intervals_generated"] >= \
+            generated_drop * on["intervals_generated"], (off, on)
 
     def test_pipeline_skipped_for_huge_reference_sets(self, sys87):
         # Every day of 30 years as references: way past the ref cap.

@@ -99,6 +99,32 @@ class TestWindowNarrowing:
                    and s.window.fixed[0] == window[0]
                    for s in day_steps)
 
+    def test_narrowed_generation_stays_flat_across_horizons(self, sys87):
+        """Section 3.4's look-ahead in counts: naive generation grows
+        with the context window, the narrowed plan's does not.  Over
+        1987-1991 the anchor year lies outside the window, so the label
+        select is empty there and the plan generates nothing."""
+        text = "[2]/DAYS:during:WEEKS:during:[1]/MONTHS:during:1993/YEARS"
+        naive, narrowed = {}, {}
+        for years in (5, 10, 20, 40):
+            window = window_of(sys87, 1987, 1987 + years - 1)
+            plan, _ = compile_for(sys87, text, window)
+            ctx_plan = EvalContext(system=sys87, resolver=RESOLVER,
+                                   window=window)
+            ctx_interp = EvalContext(system=sys87, resolver=RESOLVER,
+                                     window=window)
+            got = PlanVM(ctx_plan).run(plan).to_pairs()
+            assert got == Interpreter(ctx_interp).evaluate(
+                parse_expression(text)).to_pairs()
+            assert bool(got) == (years > 5)
+            naive[years] = ctx_interp.stats["intervals_generated"]
+            narrowed[years] = ctx_plan.stats["intervals_generated"]
+        assert narrowed[5] <= 0.02 * naive[5]
+        flat = [narrowed[years] for years in (10, 20, 40)]
+        assert max(flat) - min(flat) <= 0.02 * min(flat)
+        assert naive[40] > 4 * naive[5]
+        assert naive[40] > 10 * narrowed[40]
+
 
 class TestSharedSubexpressions:
     def test_repeated_basic_generated_once(self, sys87):

@@ -164,3 +164,17 @@ class TestBackpressure:
         assert pipeline.events() == []
         assert len(extra.events()) == 1
         assert pipeline.emitted == 1
+
+
+class TestDisabledPipeline:
+    def test_session_without_telemetry_emits_nothing(self):
+        from repro.obs.instrument import Instrumentation
+        from repro.session import Session
+
+        session = Session(instrumentation=Instrumentation(),
+                          holiday_years=(1987, 1996))
+        session.eval("DAYS:during:[1]/MONTHS:during:1993/YEARS",
+                     window=("Jan 1 1993", "Dec 31 1994"))
+        assert session.telemetry is None
+        assert session.registry.matcache.pipeline is None
+        assert session.events() == []
