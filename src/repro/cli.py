@@ -35,9 +35,11 @@ Run with ``python -m repro``.  Three kinds of input:
                                 (scan/filter placement plus the
                                 vectorized engine's per-conjunct
                                 strategy: hash/merge join, endpoint
-                                sweep, batched calendar sweep — or why
-                                the query falls back to row-at-a-time,
-                                e.g. an "as of" historical scan)
+                                sweep, valid-time range scan, batched
+                                calendar sweep and why the range scan
+                                declined — or why the query falls back
+                                to row-at-a-time, e.g. an "as of"
+                                historical scan)
       \profile EXPR             run with tracing; per-step timing tree
       \prof [on|off|status|top [N]|clear]  continuous sampling profiler:
                                 start/stop the background sampler, show

@@ -49,7 +49,7 @@ the axis), so residues are plain ``L % P``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterator
@@ -257,6 +257,54 @@ class PeriodicSet:
         """Largest member strictly before axis tick ``tick`` (or None)."""
         lin = self._prev_linear(_lin(tick) - 1)
         return None if lin is None else _unlin(lin)
+
+    def _periodic_runs(self, lo: int, hi: int, out: list) -> None:
+        """Append the periodic part's runs inside linear ``[lo, hi]``."""
+        if not (self.period and self._off_los) or lo > hi:
+            return
+        period, los, his = self.period, self._off_los, self._off_his
+        for block in range(lo // period, hi // period + 1):
+            base = block * period
+            wlo, whi = max(lo - base, 0), min(hi - base, period - 1)
+            i = bisect_left(his, wlo)
+            while i < len(los) and los[i] <= whi:
+                out.append((base + max(los[i], wlo),
+                            base + min(his[i], whi)))
+                i += 1
+
+    def runs_between(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """The members inside axis ticks ``[lo, hi]`` as inclusive runs.
+
+        Runs are ascending, disjoint and never adjacent, and tick 0 is
+        never a member (a run that would cross it is split there), so
+        a range scan over the runs agrees with :meth:`contains` on every
+        nonzero tick — one run per calendar interval, not one probe per
+        tick.
+        """
+        a, b = _lin(1 if lo == 0 else lo), _lin(-1 if hi == 0 else hi)
+        if a > b:
+            return []
+        lin_runs: list[tuple[int, int]] = []
+        pw = self.patch_window
+        if pw is None or pw[1] < a or pw[0] > b:
+            self._periodic_runs(a, b, lin_runs)
+        else:
+            self._periodic_runs(a, pw[0] - 1, lin_runs)
+            plo, phi = max(a, pw[0]), min(b, pw[1])
+            i = bisect_left(self._patch_his, plo)
+            while i < len(self._patch_los) and self._patch_los[i] <= phi:
+                lin_runs.append((max(self._patch_los[i], plo),
+                                 min(self._patch_his[i], phi)))
+                i += 1
+            self._periodic_runs(pw[1] + 1, b, lin_runs)
+        out: list[tuple[int, int]] = []
+        for ra, rb in _merge_adjacent(lin_runs):
+            if ra < 0 <= rb:  # crosses the axis's missing tick 0
+                out.append((_unlin(ra), -1))
+                out.append((1, _unlin(rb)))
+            else:
+                out.append((_unlin(ra), _unlin(rb)))
+        return out
 
     def iter_from(self, tick: int) -> Iterator[int]:
         """Members >= ``tick`` in increasing order (possibly unbounded)."""

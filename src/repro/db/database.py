@@ -107,9 +107,16 @@ class Database:
         self._catalog_remove(key)
 
     def create_index(self, relation_name: str, column: str) -> OrderedIndex:
-        """Build (and maintain) an ordered index over one column."""
+        """Build (and maintain) an ordered index over one column.
+
+        A column the relation already indexes (its valid-time column
+        always is) returns that index as it stands, without a rebuild.
+        """
         relation = self.relation(relation_name)
         relation.schema.column(column)  # validates
+        index = relation.indexes.get(column)
+        if isinstance(index, OrderedIndex):
+            return index
         index = OrderedIndex(column)
         index.rebuild(relation.scan())
         relation.indexes[column] = index

@@ -10,13 +10,13 @@ Two engines share this module:
 * the **vectorized** engine (the default): retrieve
   statements whose predicate classifies cleanly (see
   :mod:`repro.db.vector`) run as a batch pipeline — per-variable
-  selection vectors with batched calendar probes, hash / sort-merge
-  equi-joins, Piatov-style endpoint sweeps for ``overlaps``/``during``
-  conjuncts, and one batched calendar-membership pass for the
-  ``on <calendar>`` clause.  Anything the planner cannot classify
-  (historical ``as of`` scans, overridden operators, cross-variable
-  arithmetic, …) falls back to the row engine wholesale, so the two
-  always agree tuple-for-tuple.
+  selection vectors with valid-time range scans and batched calendar
+  probes, hash / sort-merge equi-joins, Piatov-style endpoint sweeps
+  for ``overlaps``/``during`` conjuncts, and a range scan or one
+  batched calendar-membership pass for the ``on <calendar>`` clause.
+  Anything the planner cannot classify (historical ``as of`` scans,
+  overridden operators, cross-variable arithmetic, …) falls back to
+  the row engine wholesale, so the two always agree tuple-for-tuple.
 
 Operator dispatch goes through the extensible
 :class:`~repro.db.types.OperatorRegistry` first (so user-declared ADT
@@ -29,6 +29,7 @@ the result, which is what lets event rules monitor reads (section 4).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterator, Sequence
@@ -59,6 +60,7 @@ from repro.db.ql.ast import (
     Target,
     UnOp,
 )
+from repro.errors import ReproError
 
 __all__ = ["Result", "Executor", "AGGREGATES"]
 
@@ -122,6 +124,69 @@ def _type_name(value: object) -> str:
     if isinstance(value, Calendar):
         return "calendar"
     return "any"
+
+
+def _clip_runs(los, his, lo: int, hi: int) -> list[tuple[int, int]]:
+    """The coverage of endpoint lanes inside ``[lo, hi]`` as ascending,
+    disjoint inclusive runs, split around tick 0 (never a member).
+
+    Both lanes must be nondecreasing; overlapping and adjacent
+    intervals merge, so a run of single-day intervals costs one run.
+    """
+    merged: list[list[int]] = []
+    for i in range(bisect_left(his, lo), len(los)):
+        a = los[i]
+        if a > hi:
+            break
+        b = his[i]
+        if merged and a <= merged[-1][1] + 1:
+            if b > merged[-1][1]:
+                merged[-1][1] = b
+        else:
+            merged.append([a, b])
+    if merged:
+        merged[0][0] = max(merged[0][0], lo)
+        merged[-1][1] = min(merged[-1][1], hi)
+    out: list[tuple[int, int]] = []
+    for a, b in merged:
+        if a <= 0 <= b:
+            if a < 0:
+                out.append((a, -1))
+            if b > 0:
+                out.append((1, b))
+        else:
+            out.append((a, b))
+    return out
+
+
+class _TidRows:
+    """A range scan's candidate rows, named by tid and fetched on first
+    access.
+
+    A hook-free ``count()`` only takes the length, so it fetches no row
+    dict at all.  Any other consumer's first access sorts the tids
+    ascending (scan order) and fetches every row; that happens before
+    any selection narrows the candidates, so positions always index the
+    sorted list.
+    """
+
+    __slots__ = ("_relation", "_tids", "_rows")
+
+    def __init__(self, relation, tids: list) -> None:
+        self._relation = relation
+        self._tids = tids
+        self._rows = None
+
+    def __len__(self) -> int:
+        return len(self._tids)
+
+    def __getitem__(self, p: int) -> dict:
+        rows = self._rows
+        if rows is None:
+            self._tids.sort()
+            get = self._relation.get
+            rows = self._rows = [get(tid) for tid in self._tids]
+        return rows[p]
 
 
 class Executor:
@@ -268,8 +333,10 @@ class Executor:
         When the statement classifies for the vectorized engine, a
         ``vectorized pipeline`` section lists the chosen strategy per
         conjunct (``hash join``, ``merge join``, ``endpoint sweep``,
-        ``batched calendar sweep``, ``sequential fallback``); otherwise
-        a ``vectorized: off`` line states why — e.g. that an ``as of``
+        ``valid-time range scan``, ``batched calendar sweep``,
+        ``sequential fallback``), naming why the range scan declined
+        where a batched calendar sweep stands in for it; otherwise a
+        ``vectorized: off`` line states why — e.g. that an ``as of``
         historical scan forces the sequential path.
         """
         if not isinstance(statement, Retrieve):
@@ -310,8 +377,12 @@ class Executor:
         plan, reason = (vector.plan_retrieve(statement, self.db, set())
                         if statement.range_vars else (None, None))
         if statement.on_calendar:
-            probe = ("batched calendar sweep" if plan is not None
-                     else "interval index")
+            probe = "interval index"
+            if plan is not None:
+                decline = self._on_range_decline(statement, plan)
+                probe = vector.STRAT_RANGE if decline is None else (
+                    f"{vector.STRAT_CALENDAR}; range scan declined: "
+                    f"{decline}")
             lines.append(f"valid-time restriction: on "
                          f"{statement.on_calendar!r} ({probe})")
         if plan is not None:
@@ -350,9 +421,16 @@ class Executor:
         fast_count = None
         combos: "Iterator[dict] | list[dict]"
         if plan is not None:
+            # count() over a hook-free retrieve needs only the surviving
+            # combo count — no dict materialisation.
+            count_fast = bool(aggregate_mode) and all(
+                t.expr.name == "count" and not t.expr.args
+                for t in stmt.targets) and not any(
+                self.db.relation(rv.relation).hooks["retrieve"]
+                for rv in stmt.range_vars)
             try:
                 order, rows_by, positions = self._vector_positions(
-                    stmt, plan, bindings, calendar_index)
+                    stmt, plan, bindings, calendar_index, count_fast)
             except (ExecutionError, TypeError):
                 # A batch kernel hit a data-dependent evaluation error
                 # (NULL in a comparison, incomparable types) on a row
@@ -366,14 +444,7 @@ class Executor:
                 ).labels(vector.STRAT_SEQUENTIAL).inc()
                 plan = None
         if plan is not None:
-            count_only = bool(aggregate_mode) and all(
-                t.expr.name == "count" and not t.expr.args
-                for t in stmt.targets)
-            hooked = any(self.db.relation(rv.relation).hooks["retrieve"]
-                         for rv in stmt.range_vars)
-            if count_only and not hooked:
-                # count() over a hook-free retrieve needs only the
-                # surviving combo count — skip dict materialisation.
+            if count_fast:
                 fast_count = len(positions)
                 combos = ()
             else:
@@ -467,9 +538,7 @@ class Executor:
             return None
         if not stmt.range_vars:
             raise ExecutionError("'on <calendar>' requires a from clause")
-        calendar = self.db.resolve_calendar(stmt.on_calendar)
-        return IntervalIndex(calendar.flatten()
-                             if calendar.order != 1 else calendar)
+        return IntervalIndex(self.db.resolve_calendar(stmt.on_calendar))
 
     def _valid_time_ok(self, stmt: Retrieve, combo: dict,
                        index: IntervalIndex) -> bool:
@@ -514,14 +583,16 @@ class Executor:
             yield combo
 
     def _vector_positions(self, stmt: Retrieve, plan, extra: dict,
-                          calendar_index):
+                          calendar_index, count_only: bool = False):
         """Run the batch pipeline for a classified retrieve.
 
         Returns ``(order, rows_by, positions)``: the range-variable
         order, each variable's candidate row list, and the surviving
         combos as tuples of positions into those lists.  Combos carry
         positions, not dicts — binding dicts are only inflated for the
-        tuples that survive every filter and join.
+        tuples that survive every filter and join.  With ``count_only``
+        only ``len(positions)`` is read, so a lone variable's selection
+        vector comes back as it is, without a one-tuple per row.
         """
         metrics = self.db.instrumentation.metrics
         strategies = metrics.counter(
@@ -541,16 +612,29 @@ class Executor:
                 return empty
         sel_by: dict[str, list[int]] = {}
         full_by: dict[str, bool] = {}
+        on_tids = None
+        if calendar_index is not None and \
+                self._on_range_decline(stmt, plan) is None:
+            strategies.labels(vector.STRAT_RANGE).inc()
+            relation = self.db.relation(stmt.range_vars[0].relation)
+            los, his = calendar_index.lanes()
+            on_tids = self._range_tids(
+                relation.indexes[relation.schema.valid_time_column],
+                lambda lo, hi: _clip_runs(los, his, lo, hi))
         for rv in stmt.range_vars:
             relation = self.db.relation(rv.relation)
             rows, sel, full = self._vector_candidates(
-                relation, rv.var, plan, env_base, strategies)
+                relation, rv.var, plan, env_base, strategies,
+                on_tids if rv is stmt.range_vars[0] else None)
             batch_rows.observe(len(rows))
             rows_by[rv.var] = rows
             sel_by[rv.var] = sel
             full_by[rv.var] = full
             if not sel:
                 return empty
+        if count_only and len(order) == 1 and (calendar_index is None or
+                                               on_tids is not None):
+            return order, rows_by, sel_by[order[0]]
         combos: list[tuple] = [(p,) for p in sel_by[order[0]]]
         idx_of = {order[0]: 0}
         edges_left = list(plan.edges)
@@ -582,31 +666,43 @@ class Executor:
             base_pair = False
             if not combos:
                 return order, rows_by, []
-        if calendar_index is not None and combos:
+        if calendar_index is not None and on_tids is None and combos:
             strategies.labels(vector.STRAT_CALENDAR).inc()
             combos = self._vector_calendar_filter(stmt, combos, rows_by,
                                                   calendar_index)
         return order, rows_by, combos
 
     def _vector_candidates(self, relation, var: str, plan, env_base: dict,
-                           strategies):
+                           strategies, tids=None):
         """One variable's candidate rows plus its selection vector.
 
         Mirrors the row engine's per-level behaviour: an equality
         filter with an :class:`OrderedIndex` bootstraps the candidate
-        set via an index probe, then the variable's filters run in
-        original conjunct order, each narrowing the selection vector
-        (short-circuit: later filters only see survivors).  ``full`` is
-        True only for an unfiltered full scan — the precondition for
-        feeding a sort-merge join straight from index lanes.
+        set via an index probe, else a leading ``within`` filter takes
+        the valid-time range scan (:meth:`_within_range`), else the
+        relation is scanned; then the variable's remaining filters run
+        in original conjunct order, each narrowing the selection vector
+        (short-circuit: later filters only see survivors).  ``tids``
+        are candidates the caller already took from the valid-time
+        index (the ``on <calendar>`` range scan).  ``full`` is True only
+        for an unfiltered full scan — the precondition for feeding a
+        sort-merge join straight from index lanes.
         """
         filters = plan.filters_of(var)
-        probe = self._vector_probe(relation, var, filters, env_base)
+        probe = None
+        if tids is None:
+            probe = self._vector_probe(relation, var, filters, env_base)
         if probe is not None:
             rows = [row for row in (relation.get(tid) for tid in probe)
                     if row is not None]
         else:
-            rows = list(relation.scan())
+            if tids is None:
+                tids, _ = self._within_range(relation, filters)
+                if tids is not None:
+                    strategies.labels(vector.STRAT_RANGE).inc()
+                    filters = filters[1:]
+            rows = _TidRows(relation, tids) if tids is not None \
+                else list(relation.scan())
         sel = list(range(len(rows)))
         for f in filters:
             if not sel:
@@ -629,8 +725,103 @@ class Executor:
                     if self._truthy(self._eval(term, env)):
                         out.append(p)
                 sel = out
-        full = probe is None and not filters
+        full = probe is None and tids is None and not filters
         return rows, sel, full
+
+    # -- valid-time range scan -------------------------------------------------
+
+    def _range_decline(self, relation, column: str,
+                       cover: bool) -> "str | None":
+        """Why the valid-time range scan cannot read ``column``, or None.
+
+        ``cover`` demands an index entry for every live row: ``within``
+        raises on a NULL tick in the row engine, so an index that skips
+        NULLs would drop the error.
+        """
+        if column not in relation.schema or \
+                relation.schema.column(column).type_name != "abstime":
+            return f"{column} is not an abstime column"
+        index = relation.indexes.get(column)
+        if not isinstance(index, OrderedIndex):
+            return f"no ordered index on {column}"
+        if cover and len(index) != len(relation):
+            return "NULL ticks leave the index short of the live rows"
+        return None
+
+    @staticmethod
+    def _range_tids(index: OrderedIndex, runs_of) -> "list[int] | None":
+        """tids of the index keys inside ``runs_of(lo, hi)`` — the
+        calendar's runs over the index's key range — unsorted; None
+        when ``runs_of`` declines with None."""
+        span = index.key_range()
+        if span is None:
+            return []
+        runs = runs_of(*span)
+        return None if runs is None else index.lookup_runs(runs)
+
+    def _within_range(self, relation, filters):
+        """``(tids, None)`` when the leading filter is a ``within`` the
+        valid-time range scan answers, else ``(None, reason)`` — the
+        reason is None when no ``within`` leads.  The caller has already
+        preferred an equality probe."""
+        f = filters[0] if filters else None
+        if not isinstance(f, vector.WithinFilter):
+            return None, None
+        reason = self._range_decline(relation, f.column, cover=True)
+        if reason is not None:
+            return None, reason
+        tids = self._range_tids(
+            relation.indexes[f.column],
+            lambda lo, hi: self._within_runs(f.calendar_ref, lo, hi))
+        if tids is None:
+            return None, "the calendar's lanes are unsorted"
+        return tids, None
+
+    def _within_runs(self, ref: str, lo: int, hi: int):
+        """The members of calendar ``ref`` inside ``[lo, hi]`` as
+        ascending runs (tick 0 excluded), from the source
+        :meth:`_membership_map` probes: the compiled periodic set inside
+        its safe range — so a cold read pays only the compile — and the
+        resolved calendar's lanes outside it.  None when those lanes are
+        needed but not sorted."""
+        probe = self.db.resolve_periodic(ref)
+        if probe is not None:
+            pset, safe_lo, safe_hi = probe
+            a, b = max(lo, safe_lo), min(hi, safe_hi)
+            if a <= b:
+                left = self._lane_runs(ref, lo, a - 1) if lo < a else []
+                right = self._lane_runs(ref, b + 1, hi) if b < hi else []
+                if left is None or right is None:
+                    return None
+                return left + pset.runs_between(a, b) + right
+        return self._lane_runs(ref, lo, hi)
+
+    def _lane_runs(self, ref: str, lo: int, hi: int):
+        """Runs of the resolved calendar inside ``[lo, hi]``, or None
+        when its endpoint lanes are not both nondecreasing."""
+        cols = self.db.resolve_calendar(ref).flatten().columns
+        if not cols.hi_sorted:  # both lanes nondecreasing
+            return None
+        return _clip_runs(cols.los, cols.his, lo, hi)
+
+    def _on_range_decline(self, stmt: Retrieve, plan) -> "str | None":
+        """Why ``on <calendar>`` cannot take the first variable's
+        candidates from the valid-time index, or None.
+
+        The row engine checks the calendar only once a whole combo is
+        bound, after every conjunct; restricting the candidates first
+        would skip a conjunct that raises on an excluded row, so the
+        scan serves only an unjoined, unfiltered variable.  NULL ticks
+        are never on a calendar, so partial coverage is fine here.
+        """
+        var = plan.order[0]
+        if len(plan.order) > 1 or plan.filters_of(var):
+            return "a filter or join reads the rows before the calendar"
+        relation = self.db.relation(stmt.range_vars[0].relation)
+        column = relation.schema.valid_time_column
+        if column is None:
+            return "no valid-time column"
+        return self._range_decline(relation, column, cover=False)
 
     #: Builtin comparison semantics of :meth:`_builtin_binop`, for the
     #: lane fast path (arithmetic ops never appear as whole conjuncts).
@@ -1012,9 +1203,16 @@ class Executor:
         out: list[tuple[object, str]] = []
         for term in plan.const_terms:
             out.append((term, vector.STRAT_SEQUENTIAL))
+        relations = {rv.var: self.db.relation(rv.relation)
+                     for rv in stmt.range_vars}
         for var in plan.order:
-            for f in plan.filters_of(var):
-                out.append((f.term, f.strategy))
+            filters = plan.filters_of(var)
+            for i, f in enumerate(filters):
+                strategy = f.strategy
+                if i == 0 and isinstance(f, vector.WithinFilter):
+                    strategy = self._within_strategy(relations[var], var,
+                                                     filters)
+                out.append((f.term, strategy))
         edges_left = list(plan.edges)
         bound = {plan.order[0]}
         base_pair = True
@@ -1037,6 +1235,20 @@ class Executor:
             bound.add(var)
             base_pair = False
         return out
+
+    def _within_strategy(self, relation, var: str, filters) -> str:
+        """EXPLAIN's label for a leading ``within`` filter: the range
+        scan, or the batched sweep with the reason the scan declined."""
+        if self._vector_probe(relation, var, filters, {}) is not None:
+            reason = "equality probe chosen"
+        else:
+            try:
+                _, reason = self._within_range(relation, filters)
+            except ReproError as exc:
+                reason = f"calendar does not resolve ({exc})"
+        if reason is None:
+            return vector.STRAT_RANGE
+        return f"{vector.STRAT_CALENDAR} (range scan declined: {reason})"
 
     def _merge_static(self, stmt: Retrieve, plan, edge) -> bool:
         """Whether the runtime fold would pick the sort-merge join for

@@ -212,9 +212,10 @@ def restore_database(payload: dict) -> Database:
             rel["name"], [tuple(c) for c in rel["columns"]],
             key=tuple(rel["key"]),
             valid_time_column=rel["valid_time_column"])
-        for row in rel["rows"]:
-            relation.insert({k: _decode_value(v) for k, v in row.items()},
-                            fire_hooks=False)
+        # One batch: the valid-time index is built by one sort and merge,
+        # not maintained row by row.
+        relation.insert_many([{k: _decode_value(v) for k, v in row.items()}
+                              for row in rel["rows"]], fire_hooks=False)
         for column in rel["indexes"]:
             db.create_index(rel["name"], column)
     if payload["event_rules"] or payload["temporal_rules"]:

@@ -27,6 +27,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from repro.db.errors import IntegrityError, SchemaError
+from repro.db.index import OrderedIndex
 from repro.db.types import TypeRegistry
 
 __all__ = ["Column", "Schema", "Relation", "EVENT_KINDS"]
@@ -107,8 +108,13 @@ class Relation:
         self._xact_source = xact_source or (lambda: 1)
         #: kind -> list of callables(event) — wired up by the rule manager.
         self.hooks: dict[str, list[Callable]] = {k: [] for k in EVENT_KINDS}
-        #: column name -> index object (see repro.db.index).
+        #: column name -> index object (see repro.db.index).  A declared
+        #: valid-time column is always indexed: ``within`` and
+        #: ``on <calendar>`` read their candidates from it by range.
         self.indexes: dict[str, object] = {}
+        if schema.valid_time_column is not None:
+            self.indexes[schema.valid_time_column] = OrderedIndex(
+                schema.valid_time_column)
         #: key tuple -> live tid, maintained on every mutation, so key
         #: uniqueness is O(1) instead of a full scan per insert — at
         #: alerting scale (10^5 temporal rules) the scan made catalog

@@ -8,9 +8,13 @@ run it as a vectorized pipeline instead:
 
 * **per-variable filters** — conjuncts referencing a single range
   variable, applied to that relation's candidate batch with a
-  short-circuit selection vector; ``<col> within "<calendar>"``
-  conjuncts become *batched calendar probes* (sort the valid-time lane
-  once, one merge pass over the calendar's endpoint lanes);
+  short-circuit selection vector; a variable whose first filter is
+  ``<col> within "<calendar>"`` over an indexed ``abstime`` column takes
+  its candidates from a *valid-time range scan* (one bisect pair per
+  calendar run over the column's :class:`OrderedIndex`), and any other
+  ``within`` conjunct becomes a *batched calendar probe* (sort the
+  valid-time lane once, one merge pass over the calendar's endpoint
+  lanes);
 * **join edges** — equi-conjuncts ``a.x = b.y`` become hash joins (or
   sort-merge joins fed by both relations' :class:`OrderedIndex` lanes),
   and ``overlaps(a.lo, a.hi, b.lo, b.hi)`` / ``during(...)`` conjuncts
@@ -53,6 +57,7 @@ __all__ = [
     "STRAT_MERGE",
     "STRAT_SWEEP",
     "STRAT_CALENDAR",
+    "STRAT_RANGE",
     "STRAT_SEQUENTIAL",
 ]
 
@@ -62,6 +67,7 @@ STRAT_HASH = "hash join"
 STRAT_MERGE = "merge join"
 STRAT_SWEEP = "endpoint sweep"
 STRAT_CALENDAR = "batched calendar sweep"
+STRAT_RANGE = "valid-time range scan"
 STRAT_SEQUENTIAL = "sequential fallback"
 
 #: The two builtin interval-predicate functions the sweep understands.
@@ -145,23 +151,6 @@ class VectorPlan:
     def filters_of(self, var: str) -> list:
         """One variable's filters, in original conjunct order."""
         return self.filters.get(var, [])
-
-    def conjunct_strategies(self) -> list[tuple[object, str]]:
-        """``(term, strategy)`` pairs in classification order — the raw
-        material of the EXPLAIN strategy lines (equi edges report
-        :data:`STRAT_HASH`; the executor upgrades index-fed first joins
-        to :data:`STRAT_MERGE`)."""
-        out: list[tuple[object, str]] = []
-        for term in self.const_terms:
-            out.append((term, STRAT_SEQUENTIAL))
-        for var in self.order:
-            for f in self.filters_of(var):
-                out.append((f.term, f.strategy))
-        for edge in self.edges:
-            strategy = STRAT_HASH if isinstance(edge, EquiEdge) \
-                else STRAT_SWEEP
-            out.append((edge.term, strategy))
-        return out
 
 
 def _conjuncts(expr) -> list:

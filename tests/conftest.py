@@ -1,6 +1,10 @@
-"""Shared fixtures: calendar systems, populated registries, databases."""
+"""Shared fixtures: calendar systems, populated registries, databases,
+and a per-test hang guard."""
 
 from __future__ import annotations
+
+import faulthandler
+import os
 
 import pytest
 
@@ -12,6 +16,38 @@ from repro.catalog import (
 from repro.core import CalendarSystem
 from repro.db import Database
 from repro.rules import DBCron, RuleManager, SimulatedClock
+
+
+#: Seconds one test may run before the process dumps every thread's
+#: stack and exits: a hang fails with the stuck test's traceback instead
+#: of spinning until the CI job is killed.  Far above any test's normal
+#: run time, also with tracing or the sampling profiler on.
+HANG_SECONDS = 300
+
+
+@pytest.fixture(scope="session")
+def _terminal_stderr(pytestconfig):
+    """A descriptor of the stderr pytest itself writes to: output
+    capture redirects fd 2 while a test runs, and a process that exits
+    from inside a test never hands its captured output back."""
+    capman = pytestconfig.pluginmanager.getplugin("capturemanager")
+    if capman is not None:
+        capman.suspend_global_capture()
+    try:
+        fd = os.dup(2)
+    finally:
+        if capman is not None:
+            capman.resume_global_capture()
+    yield fd
+    os.close(fd)
+
+
+@pytest.fixture(autouse=True)
+def _hang_guard(_terminal_stderr):
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True,
+                                      file=_terminal_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

@@ -44,6 +44,23 @@ class TestOrderedIndex:
         index.rebuild([row(2, 9), row(1, 3)])
         assert index.lookup_range() == [1, 2]
 
+    def test_equal_keys_keep_tid_order(self):
+        index = OrderedIndex("day")
+        for tid in (3, 1, 2):
+            index.insert(row(tid, 5))
+        assert index.lookup_eq(5) == [1, 2, 3]
+        index.remove(row(2, 5))
+        index.remove(row(9, 5))  # absent: no error, nothing dropped
+        assert index.lookup_eq(5) == [1, 3]
+
+    def test_lookup_runs(self):
+        index = OrderedIndex("day")
+        index.rebuild([row(tid, value) for tid, value in
+                       enumerate([-2, 1, 3, 3, 7, 9], start=1)])
+        assert sorted(index.lookup_runs([(-5, -1), (2, 3), (8, 20)])) \
+            == [1, 3, 4, 6]
+        assert index.lookup_runs([(4, 6)]) == []
+
 
 class TestIntervalIndex:
     CAL = Calendar.from_intervals([(1, 5), (8, 12), (20, 20)])
@@ -62,6 +79,11 @@ class TestIntervalIndex:
         index = IntervalIndex(Calendar.from_intervals([(1, 5), (4, 9)]))
         assert len(index) == 1
         assert index.contains(7)
+
+    def test_merges_unsorted_lanes(self):
+        index = IntervalIndex(Calendar.from_intervals(
+            [(20, 22), (8, 12), (1, 5), (4, 9)]))
+        assert index.lanes() == ([1, 20], [12, 22])
 
     def test_next_at_or_after(self):
         index = IntervalIndex(self.CAL)

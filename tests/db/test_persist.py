@@ -5,6 +5,8 @@ import math
 import os
 import stat
 
+from unittest import mock
+
 import pytest
 
 from repro.db import Database, DatabaseError, persist
@@ -16,6 +18,7 @@ from repro.db.persist import (
 )
 from repro.db.ql.parser import parse_statement
 from repro.db.ql.printer import render_statement
+from repro.db.storage import Relation
 from repro.rules import RuleManager
 
 
@@ -78,6 +81,27 @@ class TestRoundTrip:
         assert schema.key == ("name",)
         assert schema.valid_time_column == "week"
         assert "hours" in loaded.relation("students").indexes
+
+    def test_rows_restore_in_one_batch_per_relation(self, populated,
+                                                    tmp_path):
+        path = tmp_path / "db.json"
+        save_database(populated, str(path))
+        batches = []
+        insert_many = Relation.insert_many
+
+        def spy(relation, values, fire_hooks=True):
+            batches.append((relation.name, len(values)))
+            return insert_many(relation, values, fire_hooks=fire_hooks)
+
+        with mock.patch.object(Relation, "insert_many", spy):
+            loaded = load_database(str(path))
+        assert ("students", 3) in batches and ("audit", 0) in batches
+        # The valid-time index came back with the rows, in (key, tid)
+        # order.
+        students = loaded.relation("students")
+        keys, tids = students.indexes["week"].items()
+        assert list(zip(keys, tids)) == sorted(
+            (row["week"], row["_tid"]) for row in students.scan())
 
     def test_calendars_survive(self, populated, tmp_path):
         path = tmp_path / "db.json"

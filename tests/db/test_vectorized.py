@@ -3,7 +3,8 @@
 Covers the batch kernels' empty/single-row edges, plan classification
 and fallback reasons, EXPLAIN strategy reporting, the labelled
 ``db.join.strategy`` / ``db.batch.rows`` metrics, batch index
-maintenance (``insert_many`` / ``insert_batch``) and NULL semantics.
+maintenance (``insert_many`` / ``insert_batch``), NULL semantics and
+the valid-time range scan with each reason it declines.
 """
 
 from unittest import mock
@@ -15,6 +16,7 @@ from repro.db import Database, ExecutionError
 from repro.db import vector
 from repro.db.index import IntervalIndex, OrderedIndex
 from repro.db.ql.parser import parse_statement
+from repro.db.storage import Relation
 
 
 @pytest.fixture()
@@ -321,10 +323,12 @@ class TestExplainStrategies:
         plan = joined.explain(
             "retrieve (a.name, b.name) from a in emp, b in emp "
             "where overlaps(a.lo, a.hi, b.lo, b.hi) and a.dept = 1 "
-            'and a.lo within "MONDAYS"')
+            'and a.lo within "MONDAYS" and b.lo within "MONDAYS"')
         assert "vectorized pipeline:" in plan
         assert "endpoint sweep" in plan
-        assert "batched calendar sweep" in plan
+        # a's within follows a filter; b's leads and reads the index.
+        assert '(a.lo within "MONDAYS"): batched calendar sweep\n' in plan
+        assert '(b.lo within "MONDAYS"): valid-time range scan' in plan
         assert "sequential fallback" in plan
 
     def test_as_of_fallback_noted(self, joined):
@@ -345,9 +349,90 @@ class TestMetrics:
             'db.join.strategy{strategy="sequential fallback"}'] >= 1
         assert snapshot["db.batch.rows"]["count"] >= 2
 
-    def test_calendar_sweep_counted(self, joined):
+    @staticmethod
+    def _count(db, strategy: str) -> int:
+        return db.instrumentation.metrics.snapshot().get(
+            f'db.join.strategy{{strategy="{strategy}"}}', 0)
+
+    def test_range_scan_counted(self, joined):
+        before = self._count(joined, vector.STRAT_RANGE)
         joined.execute('retrieve (e.name) from e in emp '
                        'where e.lo within "MONDAYS"')
-        snapshot = joined.instrumentation.metrics.snapshot()
-        assert snapshot[
-            'db.join.strategy{strategy="batched calendar sweep"}'] >= 1
+        joined.execute("retrieve (e.name) from e in emp on MONDAYS")
+        assert self._count(joined, vector.STRAT_RANGE) == before + 2
+
+    def test_calendar_sweep_counted(self, joined):
+        # A within behind another filter still takes the batched sweep.
+        before = self._count(joined, vector.STRAT_CALENDAR)
+        joined.execute('retrieve (e.name) from e in emp '
+                       'where e.hi > 0 and e.lo within "MONDAYS"')
+        assert self._count(joined, vector.STRAT_CALENDAR) == before + 1
+
+
+class TestValidTimeRangeScan:
+    WITHIN = 'retrieve (e.name) from e in emp where e.lo within "MONDAYS"'
+
+    def test_valid_time_column_is_indexed(self, joined):
+        index = joined.relation("emp").indexes["lo"]
+        assert isinstance(index, OrderedIndex) and len(index) == 5
+        # create_index on it hands back the maintained index as it is.
+        assert joined.create_index("emp", "lo") is index
+
+    def test_explain_names_the_range_scan(self, joined):
+        assert '(e.lo within "MONDAYS"): valid-time range scan' in \
+            joined.explain(self.WITHIN)
+        assert "on 'MONDAYS' (valid-time range scan)" in joined.explain(
+            "retrieve (e.name) from e in emp on MONDAYS")
+
+    def test_declines_on_null_ticks(self, joined):
+        joined.insert("emp", name="n", dept=1, lo=None, hi=3)
+        assert "batched calendar sweep (range scan declined: NULL " \
+            "ticks leave the index short of the live rows)" in \
+            joined.explain(self.WITHIN)
+
+    def test_declines_on_non_abstime_column(self, joined):
+        assert "dept is not an abstime column" in joined.explain(
+            'retrieve (e.name) from e in emp where e.dept within "MONDAYS"')
+
+    def test_declines_for_an_equality_probe(self, joined):
+        joined.create_index("emp", "dept")
+        assert "(range scan declined: equality probe chosen)" in \
+            joined.explain('retrieve (e.name) from e in emp where '
+                           'e.lo within "MONDAYS" and e.dept = 1')
+
+    def test_declines_on_unsorted_calendar_lanes(self, joined):
+        # Ticks below the compiled set's safe range read the lanes.
+        joined.calendars.define("JUMBLE", values=[(20, 25), (1, 9)],
+                                granularity="DAYS")
+        query = ('retrieve (e.name) from e in emp '
+                 'where e.lo within "JUMBLE"')
+        assert "the calendar's lanes are unsorted" in joined.explain(query)
+        vec, row = both_engines(joined, query)
+        assert [r["name"] for r in vec] == ["a", "b", "c"] and vec == row
+
+    def test_on_declines_behind_a_filter(self, joined):
+        assert "range scan declined: a filter or join reads the rows" in \
+            joined.explain("retrieve (e.name) from e in emp "
+                           "where e.dept = 1 on MONDAYS")
+
+    def test_count_reads_no_row(self, joined):
+        # An eligible count() answers from the index lanes alone.
+        expected = [joined.execute(q).rows for q in (
+            'retrieve (count()) from e in emp where e.lo within "MONDAYS"',
+            "retrieve (count()) from e in emp on MONDAYS")]
+        with mock.patch.object(Relation, "scan", side_effect=AssertionError), \
+                mock.patch.object(Relation, "get", side_effect=AssertionError):
+            assert [joined.execute(q).rows for q in (
+                'retrieve (count()) from e in emp '
+                'where e.lo within "MONDAYS"',
+                "retrieve (count()) from e in emp on MONDAYS")] == expected
+
+    def test_rows_come_in_scan_order(self, joined):
+        emp = joined.relation("emp")
+        mondays = [joined.system.day_of(f"Feb {d} 1993") for d in (15, 1, 8)]
+        for i, day in enumerate(mondays):
+            emp.insert({"name": f"m{i}", "dept": 1, "lo": day, "hi": day})
+        emp.update(emp.scan().__next__()["_tid"], {"lo": mondays[2]})
+        vec, row = both_engines(joined, self.WITHIN)
+        assert vec == row
+        assert [r["name"] for r in vec] == ["a", "m0", "m1", "m2"]

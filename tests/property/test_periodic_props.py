@@ -11,6 +11,9 @@ Two strategies:
   ``test_lang_props``) checks the *clean fallback* property: for any
   parseable expression the compiler either returns a parity-correct
   set or ``None`` — it never raises and never returns a wrong answer.
+
+``runs_between`` (the runs a valid-time range scan bisects) is checked
+against ``contains`` tick by tick, on compiled and on synthetic sets.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.catalog import (
 )
 from repro.core import CalendarSystem
 from repro.core.matcache import MaterialisationCache
-from repro.core.periodic import GREGORIAN_PERIOD_DAYS
+from repro.core.periodic import GREGORIAN_PERIOD_DAYS, PeriodicSet
 from repro.lang.interpreter import Interpreter
 
 #: One registry for the whole module: compiles and oracle evaluations
@@ -267,3 +270,59 @@ def test_fallback_is_clean_or_parity_holds(text, offset):
     tick = lo + offset
     assert pset.contains(tick) == _covered(runs, tick), \
         f"compiled membership disagrees for {text!r} at {tick}"
+
+
+def _assert_runs_match_contains(pset, lo: int, hi: int) -> None:
+    """``runs_between`` covers exactly the nonzero ticks ``contains``
+    accepts in ``[lo, hi]``, as ascending, disjoint runs."""
+    runs = pset.runs_between(lo, hi)
+    covered = set()
+    for a, b in runs:
+        assert lo <= a <= b <= hi and not a <= 0 <= b, runs
+        covered.update(range(a, b + 1))
+    assert all(b < a for (_, b), (a, _) in zip(runs, runs[1:])), runs
+    assert covered == {t for t in range(lo, hi + 1)
+                       if t != 0 and pset.contains(t)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(compilable_expressions(), st.integers(min_value=-400,
+                                             max_value=3000),
+       st.integers(min_value=-1, max_value=800))
+def test_runs_between_matches_contains(text, lo, width):
+    pset = _registry().periodic_set(text)
+    assert pset is not None, f"{text!r} unexpectedly fell back"
+    _assert_runs_match_contains(pset, lo, lo + width)
+
+
+@st.composite
+def _runs_in(draw, lo: int, hi: int):
+    """Sorted, disjoint, non-adjacent inclusive runs inside [lo, hi]."""
+    runs, at = [], lo
+    while at <= hi and draw(st.booleans()):
+        a = at + draw(st.integers(0, 3))
+        b = min(a + draw(st.integers(0, 3)), hi)
+        if a > hi:
+            break
+        runs.append((a, b))
+        at = b + 2
+    return tuple(runs)
+
+
+@st.composite
+def synthetic_sets(draw):
+    """Periodic parts with and without a patch window around 0."""
+    period = draw(st.integers(0, 12))
+    offsets = draw(_runs_in(0, period - 1)) if period else ()
+    patch_window, patch = None, ()
+    if draw(st.booleans()):
+        start = draw(st.integers(-20, 20))
+        patch_window = (start, start + draw(st.integers(0, 15)))
+        patch = draw(_runs_in(*patch_window))
+    return PeriodicSet(period, offsets, patch_window, patch)
+
+
+@settings(max_examples=200, deadline=None)
+@given(synthetic_sets(), st.integers(-40, 40), st.integers(-3, 60))
+def test_runs_between_matches_contains_synthetic(pset, lo, width):
+    _assert_runs_match_contains(pset, lo, lo + width)

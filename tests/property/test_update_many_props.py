@@ -5,10 +5,12 @@ must leave exactly what ``[update(tid, changes) for ...]`` leaves on a
 keyed, indexed relation — live rows, dead versions, index lanes, key
 map, ``data_version`` and replace-event order — and a batch that one
 update would fail on must apply nothing.  ``OrderedIndex.replace_batch``
-is checked against an index rebuilt from scratch on both of its paths.
+is checked against an index rebuilt from scratch on both of its paths,
+and every maintenance path keeps the lanes in ``(key, tid)`` order.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,10 +123,8 @@ def test_replace_batch_matches_a_rebuild(size, batch, seed):
     expected = OrderedIndex("v")
     expected.rebuild([replaced.get(row["_tid"], row) for row in rows])
     keys, tids = index.items()
-    # Same (key, tid) entries, keys ascending; equal keys keep the
-    # write order per-row inserts give rather than tid order.
-    assert sorted(zip(keys, tids)) == list(zip(*expected.items()))
-    assert keys == sorted(keys)
+    # Same entries in the same (key, tid) order as the rebuild.
+    assert list(zip(keys, tids)) == list(zip(*expected.items()))
     for value in range(6):
         assert sorted(index.lookup_eq(value)) == \
             sorted(expected.lookup_eq(value))
@@ -147,3 +147,59 @@ def test_replace_batch_paths_place_equal_keys_alike():
     merged.rebuild(rows)
     merged.replace_batch(old, new)  # 16 * 8 >= 64: the merge path
     assert merged.items() == per_row.items()
+
+
+#: One maintenance step on a relation: (kind, row position, values).
+_steps = st.lists(st.tuples(
+    st.sampled_from(["insert", "insert_many", "update_many", "delete",
+                     "truncate"]),
+    st.integers(0, 20),
+    st.lists(st.tuples(st.none() | st.integers(0, 3), st.integers(0, 3)),
+             min_size=1, max_size=12)), max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_steps, st.sampled_from([1, 2, 3, 1024]),
+       st.lists(st.integers(-1, 5), max_size=6))
+def test_index_lanes_stay_in_key_tid_order(steps, block, cuts):
+    """After any mix of maintenance paths, each index holds exactly
+    ``sorted((key, tid))`` over the live rows with a non-None key, and
+    its probes agree with that model — also when blocks are tiny, so
+    every entry sits near a block edge."""
+    with mock.patch.object(OrderedIndex, "BLOCK", block):
+        relation = Relation("t", Schema([("v", "int4"), ("w", "int4")],
+                                        valid_time_column="w"),
+                            TypeRegistry())
+        relation.indexes["v"] = OrderedIndex("v")
+        for kind, at, values in steps:
+            live = [row["_tid"] for row in relation.scan()]
+            batch = [{"v": v, "w": w} for v, w in values]
+            if kind == "insert":
+                relation.insert(batch[0])
+            elif kind == "insert_many":
+                relation.insert_many(batch)
+            elif kind == "truncate":
+                relation.truncate()
+            elif live and kind == "delete":
+                relation.delete(live[at % len(live)])
+            elif live:  # update_many, a tid possibly written twice
+                relation.update_many([(live[(at + i) % len(live)], changes)
+                                      for i, changes in enumerate(batch)])
+            for column, index in relation.indexes.items():
+                model = sorted((row[column], row["_tid"])
+                               for row in relation.scan()
+                               if row[column] is not None)
+                assert list(zip(*index.items())) == model, (kind, column)
+                _assert_probes(index, model, sorted(set(cuts)))
+
+
+def _assert_probes(index, model, cuts):
+    """Equality, range and run probes against the sorted model."""
+    for key in range(-1, 5):
+        assert index.lookup_eq(key) == [t for k, t in model if k == key]
+    runs = list(zip(cuts[::2], cuts[1::2]))  # ascending, disjoint
+    assert index.lookup_runs(runs) == [
+        t for k, t in model if any(a <= k <= b for a, b in runs)]
+    for a, b in runs:
+        assert index.lookup_range(a, b, hi_inclusive=False) == [
+            t for k, t in model if a <= k < b]

@@ -1,10 +1,13 @@
 """Property-based parity: the vectorized retrieve pipeline must agree
 with the row-at-a-time engine on every query — same result multiset,
-same row order under ``order by`` unique keys, and same error class when
-a query raises — across random schemas, NULL columns, inverted
-intervals, equi/overlap/valid-time predicate mixes and ``as of`` scans.
-The row engine is the oracle: it runs with ``vector.plan_retrieve``
-patched to refuse every statement.
+same row order under ``order by`` unique keys (and under no ``order by``
+where the valid-time range scan must keep scan order), and same error
+class when a query raises — across random schemas, NULL columns,
+inverted intervals, ticks at 0, below 0 and on both sides of the
+compiled calendars' safe range, equi/overlap/valid-time predicate mixes,
+mutations between queries and ``as of`` scans.  The row engine is the
+oracle: it runs with ``vector.plan_retrieve`` patched to refuse every
+statement.
 """
 
 from unittest import mock
@@ -27,14 +30,29 @@ def _registry() -> CalendarRegistry:
             CalendarSystem.starting("Jan 1 1987"),
             default_horizon_years=5)
         install_standard_calendars(_REGISTRY)
+        # Overlapping values: sorted lanes the range scan merges, and
+        # the same intervals out of order, whose lanes it must refuse.
+        _REGISTRY.define("OVERLAP", values=[(-20, 4), (2, 30), (25, 405),
+                                            (1420, 1440)],
+                         granularity="DAYS")
+        _REGISTRY.define("JUMBLE", values=[(25, 405), (-20, 4), (2, 30)],
+                         granularity="DAYS")
     return _REGISTRY
 
+
+#: The registry window is ticks 1..1826; compiled calendars are probed
+#: only inside (401, 1426), so the ticks straddle both of its edges as
+#: well as 0 (never a member) and negative ticks.
+_SAFE_LO, _SAFE_HI = 401, 1426
 
 # Row values: small ints so joins actually match, None for NULL
 # semantics, and independently drawn interval endpoints so inverted
 # (lo > hi) intervals appear and must take the sweep's scalar escape.
 _key = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
-_tick = st.one_of(st.none(), st.integers(min_value=1, max_value=60))
+_tick = st.one_of(
+    st.none(), st.integers(min_value=-10, max_value=60),
+    st.integers(min_value=_SAFE_LO - 15, max_value=_SAFE_LO + 15),
+    st.integers(min_value=_SAFE_HI - 15, max_value=_SAFE_HI + 15))
 _rows = st.lists(st.tuples(_key, _tick, _tick), max_size=10)
 
 
@@ -65,8 +83,19 @@ def _run(db, query, bindings=None, ordered=False):
     return ("ok", rows if ordered else sorted(rows))
 
 
-def _assert_parity(db, query, bindings=None, ordered=False):
+def _range_scans(db) -> int:
+    return db.instrumentation.metrics.snapshot().get(
+        f'db.join.strategy{{strategy="{vector.STRAT_RANGE}"}}', 0)
+
+
+def _assert_parity(db, query, bindings=None, ordered=False, ranged=None):
+    """Both engines agree on ``query``; with ``ranged`` set, the
+    vectorized run took the valid-time range scan exactly when it is
+    True."""
+    scans = _range_scans(db)
     vectorized = _run(db, query, bindings, ordered)
+    if ranged is not None:
+        assert (_range_scans(db) > scans) == ranged, query
     refusals = []
 
     def refuse(stmt, db, extra_keys):
@@ -116,7 +145,45 @@ QUERIES = [
     # exact row order under a unique order-by key pair
     ("retrieve (a._tid as t1, b._tid as t2) from a in ta, b in tb "
      "where a.k = b.k order by t1, t2", None, True),
+    # a conjunct that raises on NULL ahead of the within keeps the
+    # batched sweep and the row engine's short-circuit
+    ('retrieve (a.k) from a in ta where a.hi > 3 and a.lo within "MONDAYS"',
+     None, False),
+    # the within feeds a join
+    ('retrieve (a.k, b.k) from a in ta, b in tb '
+     'where a.lo within "MONDAYS" and a.k = b.k', None, False),
+    # on behind a filter that raises on NULL: the row engine evaluates
+    # the filter on off-calendar rows too, so the range scan declines
+    ("retrieve (a.k) from a in ta where a.hi > 3 on MONDAYS", None, False),
 ]
+
+#: Queries the valid-time range scan serves while ``ta.lo`` has no NULL
+#: (``on`` serves them regardless): ``(query, ordered, needs_cover)``.
+#: Projections compare in order with no ``order by``: the scan must
+#: hand rows over in scan order.
+RANGE_QUERIES = [
+    ('retrieve (count()) from a in ta where a.lo within "MONDAYS"',
+     False, True),
+    ('retrieve (a.k, a.lo) from a in ta where a.lo within "MONDAYS"',
+     True, True),
+    ('retrieve (a.k, a.lo) from a in ta where a.lo within "MONDAYS" '
+     'and a.k != 2', True, True),
+    ('retrieve (a.lo) from a in ta where a.lo within "OVERLAP"',
+     True, True),
+    ("retrieve (count()) from a in ta on MONDAYS", False, False),
+    ("retrieve (a.k, a.lo) from a in ta on OVERLAP", True, False),
+]
+
+
+def _assert_range_parity(db):
+    covered = all(row["lo"] is not None
+                  for row in db.relation("ta").scan())
+    for query, ordered, needs_cover in RANGE_QUERIES:
+        _assert_parity(db, query, ordered=ordered,
+                       ranged=covered or not needs_cover)
+    # Out-of-order lanes: the scan may decline, parity must hold.
+    _assert_parity(db, 'retrieve (a.lo) from a in ta '
+                       'where a.lo within "JUMBLE"', ordered=True)
 
 
 class TestVectorizedParity:
@@ -127,6 +194,25 @@ class TestVectorizedParity:
         db = _build(rows_a, rows_b, index_a, index_b)
         for query, bindings, ordered in QUERIES:
             _assert_parity(db, query, bindings, ordered)
+        _assert_range_parity(db)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows_a=_rows, steps=st.lists(st.tuples(
+        st.sampled_from(["append", "replace", "delete"]),
+        st.integers(0, 9), _key, _tick), max_size=6))
+    def test_range_scan_after_mutations(self, rows_a, steps):
+        db = _build(rows_a, [], False, False)
+        relation = db.relation("ta")
+        for op, at, k, lo in steps:
+            live = list(relation.scan())
+            if op == "append" or not live:
+                db.insert("ta", k=k, lo=lo, hi=lo)
+            elif op == "replace":
+                relation.update(live[at % len(live)]["_tid"],
+                                {"k": k, "lo": lo})
+            else:
+                relation.delete(live[at % len(live)]["_tid"])
+            _assert_range_parity(db)
 
     @settings(max_examples=30, deadline=None)
     @given(rows_a=_rows, deleted=st.sets(st.integers(0, 9)))
