@@ -32,13 +32,14 @@ Run with ``python -m repro``.  Three kinds of input:
                                 periodic vs materialising chain;
                                 -noopt shows the unoptimized strategy
                                 only), or a query's execution strategy
-                                (scan/filter placement plus the
-                                vectorized engine's per-conjunct
-                                strategy: hash/merge join, endpoint
+                                (each variable's access path and filter
+                                placement plus the vectorized engine's
+                                per-conjunct kernel: hash join, endpoint
                                 sweep, valid-time range scan, batched
                                 calendar sweep and why the range scan
-                                declined — or why the query falls back
-                                to row-at-a-time, e.g. an "as of"
+                                declined — all from the plan that runs
+                                — or why the query falls back to
+                                row-at-a-time, e.g. an "as of"
                                 historical scan)
       \profile EXPR             run with tracing; per-step timing tree
       \prof [on|off|status|top [N]|clear]  continuous sampling profiler:

@@ -73,7 +73,6 @@ __all__ = [
     "concat_groups",
     "shift_columns",
     "concat_columns",
-    "batch_membership",
     "interval_join_pairs",
 ]
 
@@ -780,30 +779,8 @@ def concat_groups(parts: "Sequence[IntervalColumns]"
 
 
 # ---------------------------------------------------------------------------
-# Batch probe / join kernels (the DB executor's vectorized pipeline)
+# Batch join kernel (the DB executor's vectorized pipeline)
 # ---------------------------------------------------------------------------
-
-def batch_membership(los: Sequence[int], his: Sequence[int],
-                     values: Sequence[int]) -> list[bool]:
-    """Point-membership of ascending ``values`` against sorted lanes.
-
-    Both lanes must be nondecreasing (the ``hi_sorted`` invariant); the
-    whole batch is answered in one merge pass — the pointer into the
-    lanes only ever advances, so a sorted batch of N probes against M
-    intervals costs O(N + M) instead of N bisects.  Axis point 0 is
-    never covered (the zero-skipping axis has no day 0), matching
-    ``Calendar.contains_point`` and ``IntervalIndex.contains``.
-    """
-    n = len(los)
-    out: list[bool] = []
-    append = out.append
-    i = 0
-    for v in values:
-        while i < n and his[i] < v:
-            i += 1
-        append(v != 0 and i < n and los[i] <= v)
-    return out
-
 
 def interval_join_pairs(alos: Sequence[int], ahis: Sequence[int],
                         blos: Sequence[int], bhis: Sequence[int],

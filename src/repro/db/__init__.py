@@ -11,7 +11,7 @@ from repro.db.errors import (
     SchemaError,
 )
 from repro.db.executor import Executor, Result
-from repro.db.index import IntervalIndex, OrderedIndex
+from repro.db.index import CalendarProbe, OrderedIndex
 from repro.db.ql.parser import parse_ql_expression, parse_statement
 from repro.db.storage import Column, Relation, Schema
 from repro.db.types import (
@@ -26,7 +26,7 @@ __all__ = [
     "Database", "Result", "Executor",
     "Column", "Schema", "Relation",
     "DataType", "TypeRegistry", "OperatorRegistry", "FunctionRegistry",
-    "ANY", "OrderedIndex", "IntervalIndex",
+    "ANY", "OrderedIndex", "CalendarProbe",
     "parse_statement", "parse_ql_expression",
     "DatabaseError", "SchemaError", "DataTypeError", "QueryError",
     "ExecutionError", "IntegrityError", "RuleError",

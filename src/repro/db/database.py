@@ -19,6 +19,8 @@ DBMS" strategy (section 5).
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from threading import Lock
 from time import perf_counter
 from typing import Sequence
 
@@ -34,7 +36,7 @@ from repro.core.basis import CalendarSystem
 from repro.core.calendar import Calendar
 from repro.db.errors import ExecutionError, SchemaError
 from repro.db.executor import Executor, Result
-from repro.db.index import OrderedIndex
+from repro.db.index import CalendarProbe, OrderedIndex
 from repro.db.ql.parser import parse_statement
 from repro.db.storage import Column, Relation, Schema
 from repro.db.types import FunctionRegistry, OperatorRegistry, TypeRegistry
@@ -61,12 +63,11 @@ class Database:
         self._executor = Executor(self)
         #: Set by repro.rules.manager.RuleManager when attached.
         self.rule_manager = None
-        #: Cache of resolved calendar references, keyed by (text, registry
-        #: version) so catalog redefinitions invalidate it.
-        self._calendar_cache: dict = {}
-        #: Cache of compiled periodic probes (same keying); an entry may
-        #: be None when the reference fell back to materialisation.
-        self._periodic_cache: dict = {}
+        #: Calendar probes of text references, least recently used
+        #: first, all of catalog version ``_probes_version``.
+        self._probes: OrderedDict[str, CalendarProbe] = OrderedDict()
+        self._probes_version = None
+        self._probes_lock = Lock()
         #: name -> builtin interval-predicate function; the vectorized
         #: executor only compiles ``overlaps``/``during`` conjuncts to
         #: endpoint sweeps while they still resolve to these exact
@@ -242,20 +243,45 @@ class Database:
 
     # -- calendar bridge ---------------------------------------------------------------
 
-    def resolve_calendar(self, ref: "str | Calendar") -> Calendar:
-        """Resolve a calendar value, defined name, or expression text.
+    #: Most text references whose probes :meth:`calendar_probe` keeps.
+    PROBE_CACHE_SIZE = 64
 
-        Text references are evaluated over the registry's default window
-        and cached until the catalog changes.
+    #: Probe-safety margin: a resolved calendar holds whole elements
+    #: overlapping the registry default window, so a compiled membership
+    #: probe only provably agrees with it well inside the window (one
+    #: max element span + slack).
+    _PERIODIC_PROBE_MARGIN = 400
+
+    def calendar_probe(self, ref: "str | Calendar") -> CalendarProbe:
+        """The membership probe of a calendar value, defined name or
+        expression text — what ``within``, ``on`` and ``member()`` read.
+
+        A text reference's probe resolves the calendar and compiles its
+        periodic set on first need; it is kept for the current catalog
+        version only, and only among the :data:`PROBE_CACHE_SIZE` most
+        recently used references.
         """
         if isinstance(ref, Calendar):
-            return ref
+            return CalendarProbe(lambda: ref)
         if not isinstance(ref, str):
             raise ExecutionError(f"cannot resolve calendar from {ref!r}")
-        key = (ref, self.calendars.version)
-        cached = self._calendar_cache.get(key)
-        if cached is not None:
-            return cached
+        probes = self._probes
+        with self._probes_lock:
+            if self._probes_version != self.calendars.version:
+                probes.clear()
+                self._probes_version = self.calendars.version
+            probe = probes.get(ref)
+            if probe is not None:
+                probes.move_to_end(ref)
+                return probe
+            probe = probes[ref] = CalendarProbe(
+                lambda: self._resolve_text(ref),
+                lambda: self._compile_periodic(ref))
+            if len(probes) > self.PROBE_CACHE_SIZE:
+                probes.popitem(last=False)
+        return probe
+
+    def _resolve_text(self, ref: str) -> Calendar:
         if ref in self.calendars:
             value = self.calendars.evaluate(ref)
         else:
@@ -263,14 +289,22 @@ class Database:
         if not isinstance(value, Calendar):
             raise ExecutionError(
                 f"calendar reference {ref!r} did not produce a calendar")
-        self._calendar_cache[key] = value
         return value
 
-    #: Probe-safety margin: :meth:`resolve_calendar` materialises whole
-    #: elements overlapping the registry default window, so a compiled
-    #: membership probe only provably agrees with ``contains_point`` on
-    #: that result well inside the window (one max element span + slack).
-    _PERIODIC_PROBE_MARGIN = 400
+    def _compile_periodic(self, ref: str):
+        """``(pset, safe_lo, safe_hi)`` for a reference that compiles."""
+        pset = self.calendars.periodic_set(ref)
+        if pset is None:
+            return None
+        lo, hi = self.calendars.default_window
+        margin = self._PERIODIC_PROBE_MARGIN
+        return (pset, lo + margin, hi - margin)
+
+    def resolve_calendar(self, ref: "str | Calendar") -> Calendar:
+        """Resolve a calendar value, defined name, or expression text
+        (text references over the registry's default window, kept with
+        their probe)."""
+        return self.calendar_probe(ref).calendar
 
     def resolve_periodic(self, ref):
         """The compiled periodic probe of a text calendar reference.
@@ -279,23 +313,11 @@ class Database:
         :class:`~repro.core.periodic.PeriodicSet` and the tick range
         inside which ``pset.contains`` provably agrees with
         ``resolve_calendar(ref).contains_point`` — or ``None`` when the
-        gate is off or the reference does not compile.  Cached like
-        :meth:`resolve_calendar` (invalidated by catalog version bumps).
+        reference is not text or does not compile.
         """
-        if not isinstance(ref, str) or not self.calendars.periodic:
+        if not isinstance(ref, str):
             return None
-        key = (ref, self.calendars.version)
-        if key in self._periodic_cache:
-            return self._periodic_cache[key]
-        pset = self.calendars.periodic_set(ref)
-        if pset is None:
-            probe = None
-        else:
-            lo, hi = self.calendars.default_window
-            margin = self._PERIODIC_PROBE_MARGIN
-            probe = (pset, lo + margin, hi - margin)
-        self._periodic_cache[key] = probe
-        return probe
+        return self.calendar_probe(ref).periodic
 
     def calendar_from_query(self, query: str,
                             column: str | None = None) -> Calendar:
@@ -339,7 +361,7 @@ class Database:
             return value
 
         self.functions.register(
-            "member", lambda t, ref: _cal(ref).contains_point(_tick(t)))
+            "member", lambda t, ref: self.calendar_probe(ref).contains(t))
         self.functions.register("calendar", lambda name: _cal(name))
         self.functions.register(
             "cal", lambda text: calendars.eval_expression(text))

@@ -5,18 +5,22 @@ Two engines share this module:
 * the historical **row-at-a-time** engine: nested-loop joins over the
   from-clause range variables with predicate pushdown, an
   :class:`~repro.db.index.OrderedIndex` probe for
-  ``var.col = <const>`` conjuncts, and a per-tuple
-  :class:`~repro.db.index.IntervalIndex` probe for ``on <calendar>``;
+  ``var.col = <const>`` conjuncts, and a per-tuple calendar probe for
+  ``on <calendar>``;
 * the **vectorized** engine (the default): retrieve
-  statements whose predicate classifies cleanly (see
-  :mod:`repro.db.vector`) run as a batch pipeline — per-variable
-  selection vectors with valid-time range scans and batched calendar
-  probes, hash / sort-merge equi-joins, Piatov-style endpoint sweeps
-  for ``overlaps``/``during`` conjuncts, and a range scan or one
-  batched calendar-membership pass for the ``on <calendar>`` clause.
+  statements whose predicate classifies cleanly run the plan
+  :func:`repro.db.vector.plan_retrieve` records — index probes and
+  valid-time range scans for access, per-variable selection vectors
+  with batched calendar probes, hash equi-joins, Piatov-style endpoint
+  sweeps for ``overlaps``/``during`` conjuncts, and a range scan or
+  one batched membership pass for the ``on <calendar>`` clause.
   Anything the planner cannot classify (historical ``as of`` scans,
   overridden operators, cross-variable arithmetic, …) falls back to
   the row engine wholesale, so the two always agree tuple-for-tuple.
+
+Every membership test reads the database's
+:class:`~repro.db.index.CalendarProbe` for the calendar
+(``Database.calendar_probe``).
 
 Operator dispatch goes through the extensible
 :class:`~repro.db.types.OperatorRegistry` first (so user-declared ADT
@@ -29,7 +33,6 @@ the result, which is what lets event rules monitor reads (section 4).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterator, Sequence
@@ -39,7 +42,7 @@ from repro.core.chrono import CivilDate
 from repro.core.columnar import interval_join_pairs
 from repro.db import vector
 from repro.db.errors import ExecutionError, SchemaError
-from repro.db.index import IntervalIndex, OrderedIndex
+from repro.db.index import OrderedIndex
 from repro.db.ql.ast import (
     Append,
     BinOp,
@@ -60,7 +63,6 @@ from repro.db.ql.ast import (
     Target,
     UnOp,
 )
-from repro.errors import ReproError
 
 __all__ = ["Result", "Executor", "AGGREGATES"]
 
@@ -124,39 +126,6 @@ def _type_name(value: object) -> str:
     if isinstance(value, Calendar):
         return "calendar"
     return "any"
-
-
-def _clip_runs(los, his, lo: int, hi: int) -> list[tuple[int, int]]:
-    """The coverage of endpoint lanes inside ``[lo, hi]`` as ascending,
-    disjoint inclusive runs, split around tick 0 (never a member).
-
-    Both lanes must be nondecreasing; overlapping and adjacent
-    intervals merge, so a run of single-day intervals costs one run.
-    """
-    merged: list[list[int]] = []
-    for i in range(bisect_left(his, lo), len(los)):
-        a = los[i]
-        if a > hi:
-            break
-        b = his[i]
-        if merged and a <= merged[-1][1] + 1:
-            if b > merged[-1][1]:
-                merged[-1][1] = b
-        else:
-            merged.append([a, b])
-    if merged:
-        merged[0][0] = max(merged[0][0], lo)
-        merged[-1][1] = min(merged[-1][1], hi)
-    out: list[tuple[int, int]] = []
-    for a, b in merged:
-        if a <= 0 <= b:
-            if a < 0:
-                out.append((a, -1))
-            if b > 0:
-                out.append((1, b))
-        else:
-            out.append((a, b))
-    return out
 
 
 class _TidRows:
@@ -325,75 +294,62 @@ class Executor:
     def explain(self, statement: Statement) -> str:
         """Describe how a retrieve would execute (no tuples touched).
 
-        Reports, per range variable: scan strategy (sequential, index
-        probe, or historical ``as of`` scan) and the predicate conjuncts
-        evaluated at that join level (the pushdown placement), plus any
-        ``on <calendar>`` restriction and post-processing steps.
+        Reports, per range variable, its access path (sequential scan,
+        index probe, valid-time range scan, or historical ``as of``
+        scan) and the predicate conjuncts evaluated at that join level,
+        plus any ``on <calendar>`` restriction and post-processing
+        steps.
 
-        When the statement classifies for the vectorized engine, a
-        ``vectorized pipeline`` section lists the chosen strategy per
-        conjunct (``hash join``, ``merge join``, ``endpoint sweep``,
+        When the statement classifies for the vectorized engine, the
+        access paths and a ``vectorized pipeline`` section listing each
+        conjunct's kernel (``hash join``, ``endpoint sweep``,
         ``valid-time range scan``, ``batched calendar sweep``,
-        ``sequential fallback``), naming why the range scan declined
-        where a batched calendar sweep stands in for it; otherwise a
-        ``vectorized: off`` line states why — e.g. that an ``as of``
-        historical scan forces the sequential path.
+        ``sequential fallback``, with why the range scan declined where
+        it could have served) are printed from the plan that executes;
+        otherwise a ``vectorized: off`` line states why — e.g. that an
+        ``as of`` historical scan forces the sequential path.
         """
         if not isinstance(statement, Retrieve):
             raise ExecutionError("explain supports retrieve statements")
+        plan, reason = vector.plan_retrieve(statement, self.db, set())
         lines: list[str] = []
-        conjuncts = []
-        for term in self._conjuncts(statement.where):
-            refs: set = set()
-            self._referenced_vars(term, refs)
-            level = 0
-            remaining = set(refs)
-            for i, rv in enumerate(statement.range_vars):
-                remaining.discard(rv.var)
-                if not remaining:
-                    level = i
-                    break
-            else:
-                level = max(0, len(statement.range_vars) - 1)
-            conjuncts.append((level, term))
+        by_level = self._pushdown(statement.range_vars, statement.where, ())
         for i, rv in enumerate(statement.range_vars):
             relation = self.db.relation(rv.relation)
-            if rv.as_of is not None:
+            if plan is not None:
+                strategy = plan.access[rv.var].label
+            elif rv.as_of is not None:
                 strategy = f"historical scan (as of {rv.as_of})"
             else:
-                strategy = "sequential scan"
+                strategy = vector.SEQUENTIAL_SCAN
                 for column, _ in self._equality_terms(
-                        statement.where, rv.var, {})                         if statement.where is not None else ():
-                    if isinstance(relation.indexes.get(column),
-                                  OrderedIndex):
+                        statement.where, rv.var, {}) \
+                        if statement.where is not None else ():
+                    if column in relation.indexes:
                         strategy = f"index probe on {rv.relation}.{column}"
                         break
             lines.append(f"{'  ' * i}-> {rv.var} in {rv.relation}: "
                          f"{strategy}")
-            terms = [str(t) for lvl, t in conjuncts if lvl == i]
+            terms = [str(t) for t in by_level.get(i, ())]
             if terms:
                 lines.append(f"{'  ' * i}   filter: "
                              + " and ".join(terms))
-        plan, reason = (vector.plan_retrieve(statement, self.db, set())
-                        if statement.range_vars else (None, None))
         if statement.on_calendar:
-            probe = "interval index"
+            probe = "calendar probe"
             if plan is not None:
-                decline = self._on_range_decline(statement, plan)
-                probe = vector.STRAT_RANGE if decline is None else (
-                    f"{vector.STRAT_CALENDAR}; range scan declined: "
-                    f"{decline}")
+                probe = plan.on.strategy if plan.on.declined is None else \
+                    (f"{plan.on.strategy}; range scan declined: "
+                     f"{plan.on.declined}")
             lines.append(f"valid-time restriction: on "
                          f"{statement.on_calendar!r} ({probe})")
         if plan is not None:
-            strategies = self._vector_strategies(statement, plan)
-            if strategies:
+            if plan.kernels:
                 lines.append("vectorized pipeline:")
-                for term, strategy in strategies:
-                    lines.append(f"  {term}: {strategy}")
+                for kernel in plan.kernels:
+                    lines.append(f"  {kernel.term}: {kernel}")
             else:
-                lines.append("vectorized pipeline: full scan, no predicate")
-        elif reason is not None:
+                lines.append("vectorized pipeline: no predicate")
+        elif reason is not None and statement.range_vars:
             lines.append(f"vectorized: off ({reason})")
         if statement.unique:
             lines.append("post: unique")
@@ -410,7 +366,7 @@ class Executor:
 
     def _retrieve(self, stmt: Retrieve, bindings: dict) -> Result:
         where = stmt.where
-        calendar_index = self._on_calendar_index(stmt)
+        on_probe = self._on_probe(stmt)
         aggregate_mode = stmt.targets and all(
             isinstance(t.expr, FuncCall) and t.expr.name in AGGREGATES
             for t in stmt.targets)
@@ -430,18 +386,14 @@ class Executor:
                 for rv in stmt.range_vars)
             try:
                 order, rows_by, positions = self._vector_positions(
-                    stmt, plan, bindings, calendar_index, count_fast)
+                    stmt, plan, bindings, on_probe, count_fast)
             except (ExecutionError, TypeError):
                 # A batch kernel hit a data-dependent evaluation error
                 # (NULL in a comparison, incomparable types) on a row
                 # the row engine's short-circuit order might never have
                 # reached.  Re-run sequentially so both the rows and
                 # any error are exactly the row engine's.
-                self.db.instrumentation.metrics.counter(
-                    "db.join.strategy",
-                    "Vectorized conjunct executions by chosen strategy",
-                    labels=("strategy",), max_series=8,
-                ).labels(vector.STRAT_SEQUENTIAL).inc()
+                self._strategies().labels(vector.STRAT_SEQUENTIAL).inc()
                 plan = None
         if plan is not None:
             if count_fast:
@@ -452,7 +404,7 @@ class Executor:
                                                bindings)
         else:
             combos = self._sequential_combos(stmt, where, bindings,
-                                             calendar_index)
+                                             on_probe)
         for combo in combos:
             self._fire_retrieve(stmt.range_vars, combo)
             if aggregate_mode:
@@ -533,24 +485,25 @@ class Executor:
             return max(values)
         raise ExecutionError(f"unknown aggregate {name!r}")
 
-    def _on_calendar_index(self, stmt: Retrieve) -> IntervalIndex | None:
+    def _on_probe(self, stmt: Retrieve):
+        """The ``on <calendar>`` clause's calendar probe, resolved up
+        front so an unknown calendar raises whatever the data."""
         if stmt.on_calendar is None:
             return None
         if not stmt.range_vars:
             raise ExecutionError("'on <calendar>' requires a from clause")
-        return IntervalIndex(self.db.resolve_calendar(stmt.on_calendar))
+        self.db.resolve_calendar(stmt.on_calendar)
+        return self.db.calendar_probe(stmt.on_calendar)
 
-    def _valid_time_ok(self, stmt: Retrieve, combo: dict,
-                       index: IntervalIndex) -> bool:
-        var = stmt.range_vars[0].var
+    def _valid_time_column(self, stmt: Retrieve) -> str:
+        """The first range variable's valid-time column (``on``)."""
         relation = self.db.relation(stmt.range_vars[0].relation)
         column = relation.schema.valid_time_column
         if column is None:
             raise ExecutionError(
                 f"relation {relation.name!r} has no valid-time column for "
                 "'on <calendar>'")
-        value = combo[var].get(column)
-        return value is not None and index.contains(value)
+        return column
 
     def _fire_retrieve(self, range_vars, combo: dict) -> None:
         for rv in range_vars:
@@ -560,13 +513,15 @@ class Executor:
     # -- vectorized pipeline -------------------------------------------------------
 
     def _sequential_combos(self, stmt: Retrieve, where, bindings: dict,
-                           calendar_index) -> Iterator[dict]:
+                           on_probe) -> Iterator[dict]:
         """The row-at-a-time engine: nested-loop bindings, per-tuple
         calendar probe, full predicate recheck."""
         for combo in self._bindings(stmt.range_vars, where, bindings):
-            if calendar_index is not None and not self._valid_time_ok(
-                    stmt, combo, calendar_index):
-                continue
+            if on_probe is not None:
+                value = combo[stmt.range_vars[0].var].get(
+                    self._valid_time_column(stmt))
+                if value is None or not on_probe.contains(value):
+                    continue
             if where is not None and not self._truthy(
                     self._eval(where, combo)):
                 continue
@@ -582,9 +537,16 @@ class Executor:
                 combo[var] = rows_by[var][p]
             yield combo
 
+    def _strategies(self):
+        """The ``db.join.strategy`` counter family."""
+        return self.db.instrumentation.metrics.counter(
+            "db.join.strategy",
+            "Vectorized conjunct executions by chosen strategy",
+            labels=("strategy",), max_series=8)
+
     def _vector_positions(self, stmt: Retrieve, plan, extra: dict,
-                          calendar_index, count_only: bool = False):
-        """Run the batch pipeline for a classified retrieve.
+                          on_probe, count_only: bool = False):
+        """Run the batch pipeline ``plan`` records for a retrieve.
 
         Returns ``(order, rows_by, positions)``: the range-variable
         order, each variable's candidate row list, and the surviving
@@ -594,12 +556,10 @@ class Executor:
         only ``len(positions)`` is read, so a lone variable's selection
         vector comes back as it is, without a one-tuple per row.
         """
-        metrics = self.db.instrumentation.metrics
-        strategies = metrics.counter(
-            "db.join.strategy",
-            "Vectorized conjunct executions by chosen strategy",
-            labels=("strategy",), max_series=8)
-        batch_rows = metrics.histogram(
+        strategies = self._strategies()
+        for label in plan.strategies():
+            strategies.labels(label).inc()
+        batch_rows = self.db.instrumentation.metrics.histogram(
             "db.batch.rows",
             "Candidate batch sizes entering the vectorized pipeline")
         order = list(plan.order)
@@ -607,221 +567,110 @@ class Executor:
         rows_by: dict[str, list] = {}
         empty = (order, rows_by, [])
         for term in plan.const_terms:
-            strategies.labels(vector.STRAT_SEQUENTIAL).inc()
             if not self._truthy(self._eval(term, env_base)):
                 return empty
         sel_by: dict[str, list[int]] = {}
-        full_by: dict[str, bool] = {}
-        on_tids = None
-        if calendar_index is not None and \
-                self._on_range_decline(stmt, plan) is None:
-            strategies.labels(vector.STRAT_RANGE).inc()
-            relation = self.db.relation(stmt.range_vars[0].relation)
-            los, his = calendar_index.lanes()
-            on_tids = self._range_tids(
-                relation.indexes[relation.schema.valid_time_column],
-                lambda lo, hi: _clip_runs(los, his, lo, hi))
-        for rv in stmt.range_vars:
-            relation = self.db.relation(rv.relation)
-            rows, sel, full = self._vector_candidates(
-                relation, rv.var, plan, env_base, strategies,
-                on_tids if rv is stmt.range_vars[0] else None)
+        relations = {rv.var: self.db.relation(rv.relation)
+                     for rv in stmt.range_vars}
+        for var in order:
+            rows, sel = self._vector_candidates(
+                relations[var], var, plan, env_base, on_probe)
             batch_rows.observe(len(rows))
-            rows_by[rv.var] = rows
-            sel_by[rv.var] = sel
-            full_by[rv.var] = full
+            rows_by[var] = rows
+            sel_by[var] = sel
             if not sel:
                 return empty
-        if count_only and len(order) == 1 and (calendar_index is None or
-                                               on_tids is not None):
+        on_filter = plan.on is not None and \
+            plan.on.strategy == vector.STRAT_CALENDAR
+        if count_only and len(order) == 1 and not on_filter:
             return order, rows_by, sel_by[order[0]]
         combos: list[tuple] = [(p,) for p in sel_by[order[0]]]
         idx_of = {order[0]: 0}
-        edges_left = list(plan.edges)
-        relations = {rv.var: self.db.relation(rv.relation)
-                     for rv in stmt.range_vars}
-        base_pair = True  # combos are still exactly var0's candidates
         for var in order[1:]:
-            applicable = [e for e in edges_left
-                          if var in e.vars() and
-                          (set(e.vars()) - {var}) <= set(idx_of)]
-            if not applicable:
+            joins = plan.joins[var]
+            if not joins:
                 sel = sel_by[var]
                 combos = [c + (p,) for c in combos for p in sel]
-            else:
-                primary = applicable[0]
-                combos = self._vector_join(
-                    primary, combos, idx_of, var, rows_by, sel_by,
-                    full_by, relations, base_pair, env_base, strategies)
                 idx_of[var] = len(idx_of)
-                for edge in applicable[1:]:
-                    strategies.labels(vector.STRAT_SEQUENTIAL).inc()
+            else:
+                combos = self._vector_join(joins[0], combos, idx_of, var,
+                                           rows_by, sel_by, env_base)
+                idx_of[var] = len(idx_of)
+                for edge in joins[1:]:
                     combos = self._edge_filter(edge.term, combos, idx_of,
                                                edge.vars(), rows_by,
                                                env_base)
-                for edge in applicable:
-                    edges_left.remove(edge)
-            if var not in idx_of:
-                idx_of[var] = len(idx_of)
-            base_pair = False
             if not combos:
                 return order, rows_by, []
-        if calendar_index is not None and on_tids is None and combos:
-            strategies.labels(vector.STRAT_CALENDAR).inc()
-            combos = self._vector_calendar_filter(stmt, combos, rows_by,
-                                                  calendar_index)
+        if on_filter:
+            combos = self._on_filter(stmt, combos, rows_by, on_probe)
         return order, rows_by, combos
 
     def _vector_candidates(self, relation, var: str, plan, env_base: dict,
-                           strategies, tids=None):
+                           on_probe):
         """One variable's candidate rows plus its selection vector.
 
-        Mirrors the row engine's per-level behaviour: an equality
-        filter with an :class:`OrderedIndex` bootstraps the candidate
-        set via an index probe, else a leading ``within`` filter takes
-        the valid-time range scan (:meth:`_within_range`), else the
-        relation is scanned; then the variable's remaining filters run
-        in original conjunct order, each narrowing the selection vector
-        (short-circuit: later filters only see survivors).  ``tids``
-        are candidates the caller already took from the valid-time
-        index (the ``on <calendar>`` range scan).  ``full`` is True only
-        for an unfiltered full scan — the precondition for feeding a
-        sort-merge join straight from index lanes.
+        The rows come from the access path the plan records — an index
+        probe, the valid-time range scan of a leading ``within`` or of
+        ``on <calendar>`` (:meth:`_range_rows`), or a scan; then the
+        variable's remaining filters run in original conjunct order,
+        each narrowing the selection vector (short-circuit: later
+        filters only see survivors).  A probe value that is NULL or
+        does not evaluate reads the relation by a scan instead, counted
+        as a ``sequential fallback``: NULL keys are not indexed, yet
+        the filter may still match them.
         """
+        access = plan.access[var]
         filters = plan.filters_of(var)
-        probe = None
-        if tids is None:
-            probe = self._vector_probe(relation, var, filters, env_base)
-        if probe is not None:
-            rows = [row for row in (relation.get(tid) for tid in probe)
-                    if row is not None]
-        else:
-            if tids is None:
-                tids, _ = self._within_range(relation, filters)
-                if tids is not None:
-                    strategies.labels(vector.STRAT_RANGE).inc()
-                    filters = filters[1:]
-            rows = _TidRows(relation, tids) if tids is not None \
-                else list(relation.scan())
+        rows = None
+        if access.kind == "probe":
+            try:
+                value = self._eval(access.value, env_base)
+            except ExecutionError:
+                value = None
+            if value is None:
+                self._strategies().labels(vector.STRAT_SEQUENTIAL).inc()
+            else:
+                get = relation.get
+                rows = [row for row in map(get, relation.indexes[
+                    access.column].lookup_eq(value)) if row is not None]
+        elif access.kind == "range":
+            probe = on_probe if access.served is None else \
+                self.db.calendar_probe(access.calendar_ref)
+            rows = self._range_rows(relation, access.column, probe)
+            filters = [f for f in filters if f is not access.served]
+        if rows is None:
+            rows = list(relation.scan())
         sel = list(range(len(rows)))
         for f in filters:
             if not sel:
                 break
             if isinstance(f, vector.WithinFilter):
-                strategies.labels(vector.STRAT_CALENDAR).inc()
                 sel = self._batched_within(rows, sel, f)
-            else:
-                strategies.labels(vector.STRAT_SEQUENTIAL).inc()
-                fast = self._lane_filter(rows, sel, var, f.term,
-                                         env_base)
-                if fast is not None:
-                    sel = fast
-                    continue
-                env = dict(env_base)
-                term = f.term
-                out = []
-                for p in sel:
-                    env[var] = rows[p]
-                    if self._truthy(self._eval(term, env)):
-                        out.append(p)
-                sel = out
-        full = probe is None and tids is None and not filters
-        return rows, sel, full
-
-    # -- valid-time range scan -------------------------------------------------
-
-    def _range_decline(self, relation, column: str,
-                       cover: bool) -> "str | None":
-        """Why the valid-time range scan cannot read ``column``, or None.
-
-        ``cover`` demands an index entry for every live row: ``within``
-        raises on a NULL tick in the row engine, so an index that skips
-        NULLs would drop the error.
-        """
-        if column not in relation.schema or \
-                relation.schema.column(column).type_name != "abstime":
-            return f"{column} is not an abstime column"
-        index = relation.indexes.get(column)
-        if not isinstance(index, OrderedIndex):
-            return f"no ordered index on {column}"
-        if cover and len(index) != len(relation):
-            return "NULL ticks leave the index short of the live rows"
-        return None
+                continue
+            fast = self._lane_filter(rows, sel, var, f.term, env_base)
+            if fast is not None:
+                sel = fast
+                continue
+            env = dict(env_base)
+            term = f.term
+            out = []
+            for p in sel:
+                env[var] = rows[p]
+                if self._truthy(self._eval(term, env)):
+                    out.append(p)
+            sel = out
+        return rows, sel
 
     @staticmethod
-    def _range_tids(index: OrderedIndex, runs_of) -> "list[int] | None":
-        """tids of the index keys inside ``runs_of(lo, hi)`` — the
-        calendar's runs over the index's key range — unsorted; None
-        when ``runs_of`` declines with None."""
+    def _range_rows(relation, column: str, probe) -> _TidRows:
+        """The valid-time range scan: the rows whose ``column`` tick
+        lies in one of the calendar's runs over the index's key range —
+        one bisect pair per run, rows fetched only when read."""
+        index = relation.indexes[column]
         span = index.key_range()
-        if span is None:
-            return []
-        runs = runs_of(*span)
-        return None if runs is None else index.lookup_runs(runs)
-
-    def _within_range(self, relation, filters):
-        """``(tids, None)`` when the leading filter is a ``within`` the
-        valid-time range scan answers, else ``(None, reason)`` — the
-        reason is None when no ``within`` leads.  The caller has already
-        preferred an equality probe."""
-        f = filters[0] if filters else None
-        if not isinstance(f, vector.WithinFilter):
-            return None, None
-        reason = self._range_decline(relation, f.column, cover=True)
-        if reason is not None:
-            return None, reason
-        tids = self._range_tids(
-            relation.indexes[f.column],
-            lambda lo, hi: self._within_runs(f.calendar_ref, lo, hi))
-        if tids is None:
-            return None, "the calendar's lanes are unsorted"
-        return tids, None
-
-    def _within_runs(self, ref: str, lo: int, hi: int):
-        """The members of calendar ``ref`` inside ``[lo, hi]`` as
-        ascending runs (tick 0 excluded), from the source
-        :meth:`_membership_map` probes: the compiled periodic set inside
-        its safe range — so a cold read pays only the compile — and the
-        resolved calendar's lanes outside it.  None when those lanes are
-        needed but not sorted."""
-        probe = self.db.resolve_periodic(ref)
-        if probe is not None:
-            pset, safe_lo, safe_hi = probe
-            a, b = max(lo, safe_lo), min(hi, safe_hi)
-            if a <= b:
-                left = self._lane_runs(ref, lo, a - 1) if lo < a else []
-                right = self._lane_runs(ref, b + 1, hi) if b < hi else []
-                if left is None or right is None:
-                    return None
-                return left + pset.runs_between(a, b) + right
-        return self._lane_runs(ref, lo, hi)
-
-    def _lane_runs(self, ref: str, lo: int, hi: int):
-        """Runs of the resolved calendar inside ``[lo, hi]``, or None
-        when its endpoint lanes are not both nondecreasing."""
-        cols = self.db.resolve_calendar(ref).flatten().columns
-        if not cols.hi_sorted:  # both lanes nondecreasing
-            return None
-        return _clip_runs(cols.los, cols.his, lo, hi)
-
-    def _on_range_decline(self, stmt: Retrieve, plan) -> "str | None":
-        """Why ``on <calendar>`` cannot take the first variable's
-        candidates from the valid-time index, or None.
-
-        The row engine checks the calendar only once a whole combo is
-        bound, after every conjunct; restricting the candidates first
-        would skip a conjunct that raises on an excluded row, so the
-        scan serves only an unjoined, unfiltered variable.  NULL ticks
-        are never on a calendar, so partial coverage is fine here.
-        """
-        var = plan.order[0]
-        if len(plan.order) > 1 or plan.filters_of(var):
-            return "a filter or join reads the rows before the calendar"
-        relation = self.db.relation(stmt.range_vars[0].relation)
-        column = relation.schema.valid_time_column
-        if column is None:
-            return "no valid-time column"
-        return self._range_decline(relation, column, cover=False)
+        tids = [] if span is None else index.lookup_runs(probe.runs(*span))
+        return _TidRows(relation, tids)
 
     #: Builtin comparison semantics of :meth:`_builtin_binop`, for the
     #: lane fast path (arithmetic ops never appear as whole conjuncts).
@@ -870,39 +719,10 @@ class Executor:
             return [p for p in sel if cmp(rows[p][column], value)]
         return None
 
-    def _vector_probe(self, relation, var: str, filters,
-                      env_base: dict):
-        """tids from the first probeable equality filter, or None."""
-        for f in filters:
-            if isinstance(f, vector.WithinFilter):
-                continue
-            term = f.term
-            if not (isinstance(term, BinOp) and term.op == "="):
-                continue
-            for colref, other in ((term.left, term.right),
-                                  (term.right, term.left)):
-                if isinstance(colref, ColumnRef) and \
-                        colref.var == var and colref.column:
-                    index = relation.indexes.get(colref.column)
-                    if isinstance(index, OrderedIndex):
-                        try:
-                            value = self._eval(other, env_base)
-                        except ExecutionError:
-                            continue
-                        if value is None:  # unindexed, see _index_probe
-                            continue
-                        return index.lookup_eq(value)
-        return None
-
     def _batched_within(self, rows, sel, f) -> list[int]:
-        """Batched calendar probe for ``var.col within "<calendar>"``.
-
-        Gathers the valid-time lane over the surviving positions,
-        resolves membership once per *distinct* tick (compiled
-        periodic-set probe inside its safe range, one sorted merge pass
-        over the calendar's endpoint lanes otherwise), then filters the
-        selection vector through the resulting map.
-        """
+        """Batched calendar probe for ``var.col within "<calendar>"``:
+        gathers the tick lane over the surviving positions and asks the
+        calendar's probe once per distinct tick."""
         values = []
         for p in sel:
             row = rows[p]
@@ -910,42 +730,12 @@ class Executor:
                 raise ExecutionError(
                     f"tuple variable {f.var!r} has no column "
                     f"{f.column!r}")
-            value = row[f.column]
-            if not isinstance(value, int):
-                raise ExecutionError(
-                    "within expects an abstime tick on the left")
-            values.append(value)
-        member = self._membership_map(f.calendar_ref, sorted(set(values)))
-        return [p for p, v in zip(sel, values) if member[v]]
-
-    def _membership_map(self, ref: str, ticks: list) -> dict:
-        """tick -> calendar membership for ascending distinct ticks."""
-        member: dict = {}
-        rest = ticks
-        probe = self.db.resolve_periodic(ref)
-        if probe is not None:
-            pset, safe_lo, safe_hi = probe
-            rest = []
-            for t in ticks:
-                if safe_lo <= t <= safe_hi:
-                    member[t] = pset.contains(t)
-                else:
-                    rest.append(t)
-        if rest:
-            calendar = self.db.resolve_calendar(ref)
-            cols = calendar.columns if calendar.order == 1 else None
-            if cols is not None and cols.hi_sorted:
-                from repro.core.columnar import batch_membership
-                member.update(zip(rest, batch_membership(cols.los,
-                                                         cols.his, rest)))
-            else:
-                for t in rest:
-                    member[t] = calendar.contains_point(t)
-        return member
+            values.append(row[f.column])
+        member = self.db.calendar_probe(f.calendar_ref).members(values)
+        return [p for p, hit in zip(sel, member) if hit]
 
     def _vector_join(self, edge, combos, idx_of, var: str, rows_by,
-                     sel_by, full_by, relations, base_pair: bool,
-                     env_base: dict, strategies):
+                     sel_by, env_base: dict):
         """Extend combos with ``var`` through one join edge."""
         if isinstance(edge, vector.EquiEdge):
             if edge.left_var == var:
@@ -954,68 +744,11 @@ class Executor:
             else:
                 vcol, bvar, bcol = (edge.right_col, edge.left_var,
                                     edge.left_col)
-            if base_pair and full_by[bvar] and full_by[var]:
-                merged = self._merge_join(relations, bvar, bcol, var,
-                                          vcol, rows_by)
-                if merged is not None:
-                    strategies.labels(vector.STRAT_MERGE).inc()
-                    return merged
-            strategies.labels(vector.STRAT_HASH).inc()
             return self._hash_join(edge.term, combos, idx_of[bvar], bvar,
                                    bcol, var, vcol, rows_by, sel_by,
                                    env_base)
-        strategies.labels(vector.STRAT_SWEEP).inc()
         return self._sweep_join(edge, combos, idx_of, var, rows_by,
                                 sel_by)
-
-    def _merge_join(self, relations, bvar: str, bcol: str, var: str,
-                    vcol: str, rows_by):
-        """Sort-merge join fed directly from two OrderedIndex lanes.
-
-        Eligible only when both sides are unfiltered full scans and
-        their indexes cover every live row (a None-valued row is not
-        indexed, yet ``None = None`` joins — partial coverage must fall
-        back to the hash join).  Returns None when ineligible.
-        """
-        index_b = relations[bvar].indexes.get(bcol)
-        index_v = relations[var].indexes.get(vcol)
-        if not isinstance(index_b, OrderedIndex) or \
-                not isinstance(index_v, OrderedIndex):
-            return None
-        rows_b, rows_v = rows_by[bvar], rows_by[var]
-        if len(index_b) != len(rows_b) or len(index_v) != len(rows_v):
-            return None
-        pos_b = {row["_tid"]: i for i, row in enumerate(rows_b)}
-        pos_v = {row["_tid"]: i for i, row in enumerate(rows_v)}
-        keys_b, tids_b = index_b.items()
-        keys_v, tids_v = index_v.items()
-        nb, nv = len(keys_b), len(keys_v)
-        out: list[tuple] = []
-        i = j = 0
-        try:
-            while i < nb and j < nv:
-                kb, kv = keys_b[i], keys_v[j]
-                if kb < kv:
-                    i += 1
-                elif kv < kb:
-                    j += 1
-                else:
-                    i2 = i + 1
-                    while i2 < nb and keys_b[i2] == kb:
-                        i2 += 1
-                    j2 = j + 1
-                    while j2 < nv and keys_v[j2] == kb:
-                        j2 += 1
-                    for a in range(i, i2):
-                        pa = pos_b[tids_b[a]]
-                        for b in range(j, j2):
-                            out.append((pa, pos_v[tids_v[b]]))
-                    i, j = i2, j2
-        except TypeError:
-            # Mixed-type key lanes do not totally order; the hash join
-            # handles them with plain equality like the row engine.
-            return None
-        return out
 
     def _hash_join(self, term, combos, bidx: int, bvar: str, bcol: str,
                    var: str, vcol: str, rows_by, sel_by, env_base: dict):
@@ -1066,7 +799,9 @@ class Executor:
     def _pairwise_edge_join(self, term, combos, bidx: int, bvar: str,
                             var: str, rows_by, sel_by, env_base: dict):
         """Escape hatch for unhashable join keys: evaluate the conjunct
-        per pair, exactly like the row engine."""
+        per pair, exactly like the row engine (counted as a
+        ``sequential fallback``)."""
+        self._strategies().labels(vector.STRAT_SEQUENTIAL).inc()
         rows_b, rows_v = rows_by[bvar], rows_by[var]
         sel = sel_by[var]
         env = dict(env_base)
@@ -1171,149 +906,47 @@ class Executor:
                 out.extend(c + (p,) for p in bucket)
         return out
 
-    def _vector_calendar_filter(self, stmt: Retrieve, combos, rows_by,
-                                calendar_index):
+    def _on_filter(self, stmt: Retrieve, combos, rows_by, on_probe):
         """One batched membership pass for the ``on <calendar>``
-        clause: distinct valid-time ticks of the surviving first-
-        variable positions, sorted, swept once through the interval
-        lanes."""
-        relation = self.db.relation(stmt.range_vars[0].relation)
-        column = relation.schema.valid_time_column
-        if column is None:
-            raise ExecutionError(
-                f"relation {relation.name!r} has no valid-time column "
-                "for 'on <calendar>'")
+        clause over the surviving first-variable positions (NULL ticks
+        are never on a calendar)."""
+        column = self._valid_time_column(stmt)
         rows = rows_by[stmt.range_vars[0].var]
-        positions = {c[0] for c in combos}
-        ticks = sorted({rows[p][column] for p in positions
-                        if rows[p][column] is not None})
-        member = dict(zip(ticks, calendar_index.contains_batch(ticks)))
-        keep = {p for p in positions
-                if rows[p][column] is not None and
-                member[rows[p][column]]}
+        ticked = [p for p in {c[0] for c in combos}
+                  if rows[p][column] is not None]
+        member = on_probe.members([rows[p][column] for p in ticked])
+        keep = {p for p, hit in zip(ticked, member) if hit}
         return [c for c in combos if c[0] in keep]
-
-    def _vector_strategies(self, stmt: Retrieve, plan
-                           ) -> list[tuple[object, str]]:
-        """(term, strategy) pairs for EXPLAIN, mirroring the runtime
-        fold: the first edge binding a new variable gets the join
-        kernel (merge when both sides can feed from full index lanes),
-        later edges between already-bound variables run as per-combo
-        filters."""
-        out: list[tuple[object, str]] = []
-        for term in plan.const_terms:
-            out.append((term, vector.STRAT_SEQUENTIAL))
-        relations = {rv.var: self.db.relation(rv.relation)
-                     for rv in stmt.range_vars}
-        for var in plan.order:
-            filters = plan.filters_of(var)
-            for i, f in enumerate(filters):
-                strategy = f.strategy
-                if i == 0 and isinstance(f, vector.WithinFilter):
-                    strategy = self._within_strategy(relations[var], var,
-                                                     filters)
-                out.append((f.term, strategy))
-        edges_left = list(plan.edges)
-        bound = {plan.order[0]}
-        base_pair = True
-        for var in plan.order[1:]:
-            applicable = [e for e in edges_left
-                          if var in e.vars() and
-                          (set(e.vars()) - {var}) <= bound]
-            for rank, edge in enumerate(applicable):
-                if rank > 0:
-                    strategy = vector.STRAT_SEQUENTIAL
-                elif isinstance(edge, vector.EquiEdge):
-                    strategy = (vector.STRAT_MERGE
-                                if base_pair and
-                                self._merge_static(stmt, plan, edge)
-                                else vector.STRAT_HASH)
-                else:
-                    strategy = vector.STRAT_SWEEP
-                out.append((edge.term, strategy))
-                edges_left.remove(edge)
-            bound.add(var)
-            base_pair = False
-        return out
-
-    def _within_strategy(self, relation, var: str, filters) -> str:
-        """EXPLAIN's label for a leading ``within`` filter: the range
-        scan, or the batched sweep with the reason the scan declined."""
-        if self._vector_probe(relation, var, filters, {}) is not None:
-            reason = "equality probe chosen"
-        else:
-            try:
-                _, reason = self._within_range(relation, filters)
-            except ReproError as exc:
-                reason = f"calendar does not resolve ({exc})"
-        if reason is None:
-            return vector.STRAT_RANGE
-        return f"{vector.STRAT_CALENDAR} (range scan declined: {reason})"
-
-    def _merge_static(self, stmt: Retrieve, plan, edge) -> bool:
-        """Whether the runtime fold would pick the sort-merge join for
-        this edge (both sides unfiltered with full index coverage)."""
-        relations = {rv.var: self.db.relation(rv.relation)
-                     for rv in stmt.range_vars}
-        for v, col in ((edge.left_var, edge.left_col),
-                       (edge.right_var, edge.right_col)):
-            if plan.filters_of(v):
-                return False
-            index = relations[v].indexes.get(col)
-            if not isinstance(index, OrderedIndex) or \
-                    len(index) != len(relations[v]):
-                return False
-        return True
 
     # -- binding enumeration -------------------------------------------------------
 
-    @classmethod
-    def _conjuncts(cls, expr: QlExpr | None) -> list:
-        """Top-level AND-ed terms of a predicate."""
-        if expr is None:
-            return []
-        if isinstance(expr, BinOp) and expr.op == "and":
-            return cls._conjuncts(expr.left) + cls._conjuncts(expr.right)
-        return [expr]
-
-    @classmethod
-    def _referenced_vars(cls, expr: QlExpr, out: set) -> None:
-        if isinstance(expr, ColumnRef):
-            out.add(expr.var)
-        elif isinstance(expr, BinOp):
-            cls._referenced_vars(expr.left, out)
-            cls._referenced_vars(expr.right, out)
-        elif isinstance(expr, UnOp):
-            cls._referenced_vars(expr.operand, out)
-        elif isinstance(expr, FuncCall):
-            for arg in expr.args:
-                cls._referenced_vars(arg, out)
+    @staticmethod
+    def _pushdown(range_vars, where: QlExpr | None, extra) -> dict:
+        """Predicate pushdown: each conjunct under the join level at
+        which every variable it references is bound (names in
+        ``extra`` are bound from the start)."""
+        by_level: dict[int, list] = {}
+        for term in vector.conjuncts(where):
+            remaining: set = set()
+            vector.referenced_vars(term, remaining)
+            remaining -= set(extra)
+            level = max(0, len(range_vars) - 1)
+            for i, rv in enumerate(range_vars):
+                remaining.discard(rv.var)
+                if not remaining:
+                    level = i
+                    break
+            by_level.setdefault(level, []).append(term)
+        return by_level
 
     def _bindings(self, range_vars, where: QlExpr | None,
                   extra: dict) -> Iterator[dict]:
         if not range_vars:
             yield dict(extra)
             return
-        # Predicate pushdown: a conjunct is evaluated as soon as every
-        # variable it references is bound, pruning the join early.
-        conjuncts = []
-        for term in self._conjuncts(where):
-            refs: set = set()
-            self._referenced_vars(term, refs)
-            refs -= set(extra)
-            level = 0
-            remaining = set(refs)
-            for i, rv in enumerate(range_vars):
-                remaining.discard(rv.var)
-                if not remaining:
-                    level = i
-                    break
-            else:
-                level = len(range_vars) - 1
-            conjuncts.append((level, term))
-        by_level: dict[int, list] = {}
-        for level, term in conjuncts:
-            by_level.setdefault(level, []).append(term)
+        # A conjunct is evaluated as soon as every variable it
+        # references is bound, pruning the join early.
+        by_level = self._pushdown(range_vars, where, extra)
 
         def recurse(index: int, current: dict) -> Iterator[dict]:
             if index == len(range_vars):
@@ -1507,17 +1140,7 @@ class Executor:
 
     def _builtin_binop(self, op: str, left, right):
         if op == "within":
-            if not isinstance(left, int):
-                raise ExecutionError(
-                    "within expects an abstime tick on the left")
-            # Compiled membership probe: O(log offsets) modular
-            # arithmetic instead of materialising the calendar's cover
-            # (falls back near the default-window boundary, where the
-            # materialised calendar is clipped).
-            probe = self.db.resolve_periodic(right)
-            if probe is not None and probe[1] <= left <= probe[2]:
-                return probe[0].contains(left)
-            return self.db.resolve_calendar(right).contains_point(left)
+            return self.db.calendar_probe(right).contains(left)
         try:
             if op == "=":
                 return left == right

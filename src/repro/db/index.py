@@ -1,4 +1,4 @@
-"""Secondary indexes: ordered column indexes and interval indexes.
+"""Secondary indexes: ordered column indexes and calendar probes.
 
 The paper lists "creation of indexes to optimize the performance of these
 operators" among the extensible-DBMS features it uses.  Two index kinds
@@ -8,9 +8,10 @@ are provided:
   column, answering equality, range and calendar-run probes in
   O(log n); maintained incrementally by
   :class:`~repro.db.storage.Relation`.
-* :class:`IntervalIndex` — a static sorted-interval index over an order-1
-  calendar answering point-membership and next-point queries; used by the
-  ``within`` operator and by DBCRON.
+* :class:`CalendarProbe` — membership of one calendar reference, the
+  single source every ``within`` / ``on`` / ``member()`` site reads: a
+  compiled periodic set inside its safe range, the calendar's merged
+  endpoint lanes outside it.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from __future__ import annotations
 import bisect
 from itertools import chain, compress
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
-from repro.core.calendar import Calendar
+from repro.db.errors import ExecutionError
 
-__all__ = ["OrderedIndex", "IntervalIndex"]
+__all__ = ["OrderedIndex", "CalendarProbe"]
 
 
 class OrderedIndex:
@@ -289,73 +290,132 @@ def _merge(old_keys: list, old_tids: list, new_keys: list,
     return keys, tids
 
 
-class IntervalIndex:
-    """A static point-membership index over an order-1 calendar.
+class CalendarProbe:
+    """Membership of one calendar: point probes and member runs.
 
-    Intervals are flattened, sorted and (overlap-)merged at construction;
-    probes are O(log n).
+    ``resolve`` produces the calendar on first need; ``compile``, if
+    given, produces ``(pset, safe_lo, safe_hi)`` or None on first need —
+    a compiled periodic set and the tick range inside which it provably
+    agrees with the resolved calendar.  Inside that range the set
+    answers, so a cold read pays only the compile; outside it the
+    calendar's flattened endpoint lanes answer, sorted by ``lo`` and
+    merged once when they are not already nondecreasing at both ends.
+    Tick 0 is never a member.
     """
 
-    def __init__(self, calendar: Calendar) -> None:
-        cols = calendar.flatten().columns
-        los, his = cols.los, cols.his
-        order = range(len(los)) if cols.lo_sorted else \
-            sorted(range(len(los)), key=los.__getitem__)
-        merged_los: list[int] = []
-        merged_his: list[int] = []
-        for i in order:
-            lo, hi = los[i], his[i]
-            if merged_his and lo <= merged_his[-1]:
-                if hi > merged_his[-1]:
-                    merged_his[-1] = hi
-            else:
-                merged_los.append(lo)
-                merged_his.append(hi)
-        self._los = merged_los
-        self._his = merged_his
+    __slots__ = ("_resolve", "_compile", "_calendar", "_periodic", "_lanes")
 
-    def __len__(self) -> int:
-        return len(self._los)
+    def __init__(self, resolve: Callable,
+                 compile: "Callable | None" = None) -> None:
+        self._resolve = resolve
+        self._compile = compile
+        self._calendar = None
+        self._periodic = None
+        self._lanes = None
 
-    def contains(self, t: int) -> bool:
-        """True when axis point ``t`` is covered by the calendar."""
+    @property
+    def calendar(self):
+        """The resolved calendar (resolved on first access)."""
+        if self._calendar is None:
+            self._calendar = self._resolve()
+        return self._calendar
+
+    @property
+    def periodic(self):
+        """``(pset, safe_lo, safe_hi)``, or None when there is no
+        compiled form (compiled on first access)."""
+        if self._compile is not None:
+            self._periodic = self._compile()
+            self._compile = None
+        return self._periodic
+
+    def _endpoint_lanes(self) -> tuple[Sequence[int], Sequence[int]]:
+        """``(los, his)``, both nondecreasing, covering the calendar."""
+        if self._lanes is None:
+            cols = self.calendar.flatten().columns
+            los, his = cols.los, cols.his
+            if not cols.hi_sorted:  # sort by lo, merge overlaps
+                merged_los: list[int] = []
+                merged_his: list[int] = []
+                for i in sorted(range(len(los)), key=los.__getitem__):
+                    lo, hi = los[i], his[i]
+                    if merged_his and lo <= merged_his[-1]:
+                        merged_his[-1] = max(merged_his[-1], hi)
+                    else:
+                        merged_los.append(lo)
+                        merged_his.append(hi)
+                los, his = merged_los, merged_his
+            self._lanes = (los, his)
+        return self._lanes
+
+    def contains(self, t) -> bool:
+        """Whether tick ``t`` is a member; a value that is not an
+        ``abstime`` tick (a bool, NULL, text) raises."""
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise ExecutionError("within expects an abstime tick on the left")
         if t == 0:
             return False
-        pos = bisect.bisect_right(self._los, t) - 1
-        return pos >= 0 and self._his[pos] >= t
+        periodic = self.periodic
+        if periodic is not None and periodic[1] <= t <= periodic[2]:
+            return periodic[0].contains(t)
+        los, his = self._endpoint_lanes()
+        i = bisect.bisect_left(his, t)
+        return i < len(los) and los[i] <= t
 
-    def contains_batch(self, values: Sequence[int]) -> list[bool]:
-        """Membership of an *ascending* batch of points — one merge pass.
+    def members(self, ticks: Iterable) -> list[bool]:
+        """:meth:`contains` of each tick, each distinct tick probed once."""
+        contains = self.contains
+        seen: dict = {}
+        out: list[bool] = []
+        for t in ticks:
+            if type(t) is int:
+                hit = seen.get(t)
+                if hit is None:
+                    hit = seen[t] = contains(t)
+            else:
+                hit = contains(t)
+            out.append(hit)
+        return out
 
-        Equivalent to ``[self.contains(v) for v in values]``; the
-        executor's batched calendar probe sorts a valid-time column
-        once and sweeps it through the merged interval lanes instead
-        of bisecting per tuple.
-        """
-        from repro.core.columnar import batch_membership
-        return batch_membership(self._los, self._his, values)
+    def runs(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """The members inside ``[lo, hi]`` as ascending, disjoint,
+        inclusive runs (tick 0 excluded)."""
+        periodic = self.periodic
+        if periodic is not None:
+            pset, safe_lo, safe_hi = periodic
+            a, b = max(lo, safe_lo), min(hi, safe_hi)
+            if a <= b:
+                left = self._lane_runs(lo, a - 1) if lo < a else []
+                right = self._lane_runs(b + 1, hi) if b < hi else []
+                return left + pset.runs_between(a, b) + right
+        return self._lane_runs(lo, hi)
 
-    def lanes(self) -> tuple[list[int], list[int]]:
-        """The merged, sorted ``(los, his)`` endpoint lanes."""
-        return self._los, self._his
-
-    def next_at_or_after(self, t: int) -> int | None:
-        """Smallest covered point >= ``t``, or None."""
-        if t == 0:
-            t = 1
-        pos = bisect.bisect_right(self._los, t) - 1
-        if pos >= 0 and self._his[pos] >= t:
-            return t
-        pos += 1
-        if pos < len(self._los):
-            return self._los[pos]
-        return None
-
-    def iter_points(self) -> Iterator[int]:
-        """All covered axis points in ascending order."""
-        for lo, hi in zip(self._los, self._his):
-            t = lo
-            while t <= hi:
-                if t != 0:
-                    yield t
-                t += 1
+    def _lane_runs(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """The endpoint lanes' coverage inside ``[lo, hi]``; overlapping
+        and adjacent intervals merge, so a run of single-day intervals
+        costs one run."""
+        los, his = self._endpoint_lanes()
+        merged: list[list[int]] = []
+        for i in range(bisect.bisect_left(his, lo), len(los)):
+            a = los[i]
+            if a > hi:
+                break
+            b = his[i]
+            if merged and a <= merged[-1][1] + 1:
+                if b > merged[-1][1]:
+                    merged[-1][1] = b
+            else:
+                merged.append([a, b])
+        if merged:
+            merged[0][0] = max(merged[0][0], lo)
+            merged[-1][1] = min(merged[-1][1], hi)
+        out: list[tuple[int, int]] = []
+        for a, b in merged:
+            if a <= 0 <= b:
+                if a < 0:
+                    out.append((a, -1))
+                if b > 0:
+                    out.append((1, b))
+            else:
+                out.append((a, b))
+        return out

@@ -127,9 +127,9 @@ class Relation:
         self._known = frozenset(schema.column_names()) | {
             "_tid", "_tmin", "_tmax"}
         #: Bumped on every mutation (insert/delete/update/truncate).
-        #: Extracted column lanes (see :meth:`extract_lane`) are only
-        #: valid while this stays unchanged — the executor extracts per
-        #: statement and never caches lanes across statements.
+        #: Column values gathered from the rows are only valid while
+        #: this stays unchanged — the executor gathers them per
+        #: statement and never caches them across statements.
         self._version = 0
 
     @property
@@ -253,24 +253,6 @@ class Relation:
             for row in rows:
                 self._fire("append", new=row)
         return rows
-
-    def extract_lane(self, column: str,
-                     rows: "Sequence[dict] | None" = None) -> list:
-        """One column's values as a flat list (the executor's lane pull).
-
-        ``rows`` defaults to the live tuples in scan order; pass an
-        explicit row list to extract over a filtered candidate set.
-        The lane is a snapshot: it is only coherent with the relation
-        while :attr:`data_version` is unchanged, which is why the
-        vectorized executor extracts at statement start and never
-        caches lanes across statements (notes §14).
-        """
-        if column not in self.schema:
-            raise SchemaError(
-                f"unknown column {column!r} in {self.name}")
-        if rows is None:
-            rows = list(self._rows.values())
-        return [row.get(column) for row in rows]
 
     def delete(self, tid: int, fire_hooks: bool = True) -> dict:
         """Remove a live tuple; its version moves to history."""

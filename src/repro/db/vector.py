@@ -1,37 +1,44 @@
-"""Vectorized retrieve planning: the batch pipeline's front half.
+"""Vectorized retrieve planning: the batch pipeline's one decision.
 
 The executor's historical binding loop enumerates every range-variable
 combination through a Python nested-loop ``recurse`` with per-tuple dict
-plumbing.  This module classifies a ``retrieve`` statement's predicate
-into batch-executable pieces so :class:`~repro.db.executor.Executor` can
-run it as a vectorized pipeline instead:
+plumbing.  :func:`plan_retrieve` classifies a ``retrieve`` statement's
+predicate into batch-executable pieces and records, once, every choice
+the batch pipeline makes; :class:`~repro.db.executor.Executor` runs that
+record and ``explain`` prints it:
 
+* **access** — how each range variable's candidates are read: an
+  ``index probe on R.c`` when an equality filter compares an indexed
+  column with a constant or bound parameter, a *valid-time range scan*
+  (one bisect pair per calendar run over the column's
+  :class:`~repro.db.index.OrderedIndex`) when the variable's first
+  filter is ``<col> within "<calendar>"`` over an indexed ``abstime``
+  column — or under ``on <calendar>`` for an unfiltered, unjoined
+  variable — else a ``sequential scan``;
 * **per-variable filters** — conjuncts referencing a single range
-  variable, applied to that relation's candidate batch with a
-  short-circuit selection vector; a variable whose first filter is
-  ``<col> within "<calendar>"`` over an indexed ``abstime`` column takes
-  its candidates from a *valid-time range scan* (one bisect pair per
-  calendar run over the column's :class:`OrderedIndex`), and any other
-  ``within`` conjunct becomes a *batched calendar probe* (sort the
-  valid-time lane once, one merge pass over the calendar's endpoint
-  lanes);
-* **join edges** — equi-conjuncts ``a.x = b.y`` become hash joins (or
-  sort-merge joins fed by both relations' :class:`OrderedIndex` lanes),
-  and ``overlaps(a.lo, a.hi, b.lo, b.hi)`` / ``during(...)`` conjuncts
+  variable, applied to that variable's candidate batch with a
+  short-circuit selection vector; a ``within`` the range scan does not
+  serve is a *batched calendar sweep* (one membership probe per
+  distinct tick), with the reason the scan declined when it leads;
+* **join edges** — equi-conjuncts ``a.x = b.y`` become hash joins, and
+  ``overlaps(a.lo, a.hi, b.lo, b.hi)`` / ``during(...)`` conjuncts
   become Piatov-style endpoint sweeps
-  (:func:`repro.core.columnar.interval_join_pairs`);
+  (:func:`repro.core.columnar.interval_join_pairs`); the first edge
+  folding a variable in picks the kernel, later ones filter the joined
+  combos;
 * **residue** — anything else on a single variable runs row-at-a-time
   over the surviving batch; a non-vectorizable *join-level* conjunct
   (e.g. ``a.k = b.k + 1``, or an ``or`` spanning two variables) rejects
   the whole plan so the statement takes the existing nested-loop path
   and its pushdown pruning.
 
-Classification is purely syntactic over the QL AST plus two semantic
+Classification is syntactic over the QL AST plus three semantic
 guards: an operator the user has overridden in the
 :class:`~repro.db.types.OperatorRegistry` is never vectorized (the
-batch kernels bake in the built-in semantics), and ``overlaps`` /
+batch kernels bake in the built-in semantics), ``overlaps`` /
 ``during`` only sweep when they still resolve to the database's own
-builtin implementations.
+builtin implementations, and the access paths read the relations'
+current indexes (never their rows).
 """
 
 from __future__ import annotations
@@ -49,26 +56,30 @@ from repro.db.ql.ast import (
 __all__ = [
     "plan_retrieve",
     "VectorPlan",
+    "Access",
+    "Kernel",
     "WithinFilter",
     "ScalarFilter",
     "EquiEdge",
     "IntervalEdge",
     "STRAT_HASH",
-    "STRAT_MERGE",
     "STRAT_SWEEP",
     "STRAT_CALENDAR",
     "STRAT_RANGE",
     "STRAT_SEQUENTIAL",
+    "SEQUENTIAL_SCAN",
 ]
 
 #: Strategy labels — shared by EXPLAIN output and the
 #: ``db.join.strategy`` counter family.
 STRAT_HASH = "hash join"
-STRAT_MERGE = "merge join"
 STRAT_SWEEP = "endpoint sweep"
 STRAT_CALENDAR = "batched calendar sweep"
 STRAT_RANGE = "valid-time range scan"
 STRAT_SEQUENTIAL = "sequential fallback"
+
+#: The access label of a variable read by a full scan.
+SEQUENTIAL_SCAN = "sequential scan"
 
 #: The two builtin interval-predicate functions the sweep understands.
 SWEEP_FUNCTIONS = ("overlaps", "during")
@@ -76,14 +87,12 @@ SWEEP_FUNCTIONS = ("overlaps", "during")
 
 @dataclass(frozen=True)
 class WithinFilter:
-    """``var.column within "<calendar>"`` — a batched calendar probe."""
+    """``var.column within "<calendar>"`` — a calendar filter."""
 
     var: str
     column: str
     calendar_ref: str
     term: object
-
-    strategy = STRAT_CALENDAR
 
 
 @dataclass(frozen=True)
@@ -94,12 +103,10 @@ class ScalarFilter:
     var: str
     term: object
 
-    strategy = STRAT_SEQUENTIAL
-
 
 @dataclass(frozen=True)
 class EquiEdge:
-    """``left_var.left_col = right_var.right_col`` — hash / merge join."""
+    """``left_var.left_col = right_var.right_col`` — hash join."""
 
     left_var: str
     left_col: str
@@ -128,16 +135,54 @@ class IntervalEdge:
     right_hi: str
     term: object
 
-    strategy = STRAT_SWEEP
-
     def vars(self) -> tuple[str, str]:
         """The two range variables this edge connects."""
         return (self.left_var, self.right_var)
 
 
+@dataclass(frozen=True)
+class Access:
+    """How one range variable's candidate rows are read.
+
+    ``kind`` is ``probe``, ``range`` or ``scan``; ``label`` is what
+    ``explain`` prints.  A probe reads ``column``'s index for the value
+    of ``value`` (an expression over constants and bound parameters); a
+    range scan reads ``column``'s index for the runs of
+    ``calendar_ref``, answering the ``served`` within filter (None
+    under ``on <calendar>``).
+    """
+
+    kind: str
+    label: str
+    column: "str | None" = None
+    value: object = None
+    calendar_ref: "str | None" = None
+    served: "WithinFilter | None" = None
+
+
+SCAN = Access("scan", SEQUENTIAL_SCAN)
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """The batch kernel one conjunct (or the ``on`` clause) runs as,
+    with the reason the range scan declined where it could have
+    served."""
+
+    term: object
+    strategy: str
+    declined: "str | None" = None
+
+    def __str__(self) -> str:
+        if self.declined is None:
+            return self.strategy
+        return f"{self.strategy} (range scan declined: {self.declined})"
+
+
 @dataclass
 class VectorPlan:
-    """A classified retrieve predicate, ready for batch execution."""
+    """A classified retrieve predicate and every choice its batch
+    execution makes."""
 
     #: Range-variable names in from-clause order.
     order: tuple[str, ...]
@@ -147,31 +192,49 @@ class VectorPlan:
     filters: dict = field(default_factory=dict)
     #: Join edges in original conjunct order.
     edges: list = field(default_factory=list)
+    #: var -> :class:`Access`.
+    access: dict = field(default_factory=dict)
+    #: var -> the edges that fold it in (first one picks the kernel).
+    joins: dict = field(default_factory=dict)
+    #: Every conjunct's kernel: constants, filters by variable, edges
+    #: in fold order.
+    kernels: list = field(default_factory=list)
+    #: The ``on <calendar>`` clause's kernel, if there is one.
+    on: "Kernel | None" = None
 
     def filters_of(self, var: str) -> list:
         """One variable's filters, in original conjunct order."""
         return self.filters.get(var, [])
 
+    def strategies(self) -> list[str]:
+        """The strategy of every kernel one execution runs."""
+        labels = [k.strategy for k in self.kernels]
+        if self.on is not None:
+            labels.append(self.on.strategy)
+        return labels
 
-def _conjuncts(expr) -> list:
+
+def conjuncts(expr) -> list:
+    """Top-level AND-ed terms of a predicate."""
     if expr is None:
         return []
     if isinstance(expr, BinOp) and expr.op == "and":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
+        return conjuncts(expr.left) + conjuncts(expr.right)
     return [expr]
 
 
-def _referenced_vars(expr, out: set) -> None:
+def referenced_vars(expr, out: set) -> None:
+    """Add the names of the variables ``expr`` references to ``out``."""
     if isinstance(expr, ColumnRef):
         out.add(expr.var)
     elif isinstance(expr, BinOp):
-        _referenced_vars(expr.left, out)
-        _referenced_vars(expr.right, out)
+        referenced_vars(expr.left, out)
+        referenced_vars(expr.right, out)
     elif isinstance(expr, FuncCall):
         for arg in expr.args:
-            _referenced_vars(arg, out)
+            referenced_vars(arg, out)
     elif hasattr(expr, "operand"):  # UnOp
-        _referenced_vars(expr.operand, out)
+        referenced_vars(expr.operand, out)
 
 
 def _classify_pair(term, overridden_ops: set, db) -> "object | None":
@@ -211,10 +274,110 @@ def _classify_single(term, var: str, overridden_ops: set) -> object:
     return ScalarFilter(var, term)
 
 
+def _range_decline(relation, column: str, cover: bool) -> "str | None":
+    """Why the valid-time range scan cannot read ``column``, or None.
+
+    ``cover`` demands an index entry for every live row: ``within``
+    raises on a NULL tick in the row engine, so an index that skips
+    NULLs would drop the error.
+    """
+    if column not in relation.schema or \
+            relation.schema.column(column).type_name != "abstime":
+        return f"{column} is not an abstime column"
+    index = relation.indexes.get(column)
+    if index is None:
+        return f"no ordered index on {column}"
+    if cover and len(index) != len(relation):
+        return "NULL ticks leave the index short of the live rows"
+    return None
+
+
+def _probe_access(rv, relation, filters, extra_keys: set):
+    """An index-probe :class:`Access` from the first equality filter
+    comparing an indexed column with constants and bound parameters."""
+    for f in filters:
+        term = f.term
+        if isinstance(f, WithinFilter) or \
+                not (isinstance(term, BinOp) and term.op == "="):
+            continue
+        for colref, other in ((term.left, term.right),
+                              (term.right, term.left)):
+            if isinstance(colref, ColumnRef) and colref.var == rv.var \
+                    and colref.column in relation.indexes:
+                refs: set = set()
+                referenced_vars(other, refs)
+                if refs <= extra_keys:
+                    return Access(
+                        "probe", f"index probe on {rv.relation}."
+                        f"{colref.column}", colref.column, value=other)
+    return None
+
+
+def _decide(plan: VectorPlan, stmt: Retrieve, db, extra_keys: set) -> None:
+    """Record each variable's access, each conjunct's kernel and the
+    join fold (the order the executor binds variables in)."""
+    plan.kernels = [Kernel(term, STRAT_SEQUENTIAL)
+                    for term in plan.const_terms]
+    for rv in stmt.range_vars:
+        relation = db.relation(rv.relation)
+        filters = plan.filters_of(rv.var)
+        access = _probe_access(rv, relation, filters, extra_keys) or SCAN
+        lead = filters[0] if filters and \
+            isinstance(filters[0], WithinFilter) else None
+        declined = None
+        if lead is not None:
+            declined = "equality probe chosen" if access is not SCAN \
+                else _range_decline(relation, lead.column, cover=True)
+            if declined is None:
+                access = Access("range", STRAT_RANGE, lead.column,
+                                calendar_ref=lead.calendar_ref, served=lead)
+        if stmt.on_calendar is not None and rv is stmt.range_vars[0]:
+            column = relation.schema.valid_time_column
+            if len(plan.order) > 1 or filters:
+                on_declined = ("a filter or join reads the rows before "
+                               "the calendar")
+            elif column is None:
+                on_declined = "no valid-time column"
+            else:
+                on_declined = _range_decline(relation, column, cover=False)
+            if on_declined is None:
+                access = Access("range", STRAT_RANGE, column,
+                                calendar_ref=stmt.on_calendar)
+            plan.on = Kernel(f"on {stmt.on_calendar!r}",
+                             STRAT_CALENDAR if on_declined else STRAT_RANGE,
+                             on_declined)
+        plan.access[rv.var] = access
+        for f in filters:
+            if f is access.served:
+                plan.kernels.append(Kernel(f.term, STRAT_RANGE))
+            elif isinstance(f, WithinFilter):
+                plan.kernels.append(Kernel(
+                    f.term, STRAT_CALENDAR,
+                    declined if f is lead else None))
+            else:
+                plan.kernels.append(Kernel(f.term, STRAT_SEQUENTIAL))
+    edges_left = list(plan.edges)
+    bound = {plan.order[0]}
+    for var in plan.order[1:]:
+        applicable = [e for e in edges_left
+                      if var in e.vars() and set(e.vars()) - {var} <= bound]
+        plan.joins[var] = applicable
+        for rank, edge in enumerate(applicable):
+            if rank:
+                strategy = STRAT_SEQUENTIAL  # filters the joined combos
+            elif isinstance(edge, EquiEdge):
+                strategy = STRAT_HASH
+            else:
+                strategy = STRAT_SWEEP
+            plan.kernels.append(Kernel(edge.term, strategy))
+            edges_left.remove(edge)
+        bound.add(var)
+
+
 def plan_retrieve(stmt: Retrieve, db,
                   extra_keys: "set[str]"
                   ) -> tuple["VectorPlan | None", "str | None"]:
-    """Classify a retrieve for batch execution.
+    """Classify a retrieve for batch execution and record its choices.
 
     Returns ``(plan, None)`` when every conjunct landed in a batch-
     executable bucket, or ``(None, reason)`` when the statement must
@@ -228,6 +391,8 @@ def plan_retrieve(stmt: Retrieve, db,
         if rv.as_of is not None:
             return None, (f"as of historical scan on {rv.var} "
                           "forces the sequential path")
+        if rv.relation not in db:
+            return None, f"unknown relation {rv.relation!r}"
     names = [rv.var for rv in stmt.range_vars]
     if len(set(names)) != len(names):
         return None, "duplicate range variable"
@@ -236,9 +401,9 @@ def plan_retrieve(stmt: Retrieve, db,
     known = set(names)
     overridden = set(db.operators.names())
     plan = VectorPlan(order=tuple(names))
-    for term in _conjuncts(stmt.where):
+    for term in conjuncts(stmt.where):
         refs: set = set()
-        _referenced_vars(term, refs)
+        referenced_vars(term, refs)
         refs -= extra_keys
         if not refs <= known:
             unbound = sorted(refs - known)
@@ -257,4 +422,5 @@ def plan_retrieve(stmt: Retrieve, db,
                 plan.edges.append(edge)
                 continue
         return None, f"non-vectorizable join conjunct {term}"
+    _decide(plan, stmt, db, extra_keys)
     return plan, None

@@ -7,14 +7,16 @@ maintenance (``insert_many`` / ``insert_batch``), NULL semantics and
 the valid-time range scan with each reason it declines.
 """
 
+from collections import Counter
 from unittest import mock
 
 import pytest
 
-from repro.core.columnar import batch_membership, interval_join_pairs
+from repro.core import Calendar
+from repro.core.columnar import interval_join_pairs
 from repro.db import Database, ExecutionError
 from repro.db import vector
-from repro.db.index import IntervalIndex, OrderedIndex
+from repro.db.index import CalendarProbe, OrderedIndex
 from repro.db.ql.parser import parse_statement
 from repro.db.storage import Relation
 
@@ -53,19 +55,40 @@ def both_engines(db, query, bindings=None):
     return vec, row
 
 
+def lanes_probe(intervals):
+    """A calendar probe answering from ``intervals``' lanes alone."""
+    calendar = Calendar.from_intervals(intervals)
+    return CalendarProbe(lambda: calendar)
+
+
+def both_engines_raising(db, query):
+    """The ``ExecutionError`` each engine raises on ``query``."""
+    errors = []
+    with pytest.raises(ExecutionError) as vec:
+        db.execute(query)
+    errors.append(vec)
+    with mock.patch.object(vector, "plan_retrieve",
+                           lambda *args: (None, "row engine forced")):
+        with pytest.raises(ExecutionError) as row:
+            db.execute(query)
+    errors.append(row)
+    return errors
+
+
 class TestKernelEdges:
+    # Batch membership is the probe's ``members``.
     def test_batch_membership_empty_values(self):
-        assert batch_membership([1, 5], [3, 9], []) == []
+        assert lanes_probe([(1, 3), (5, 9)]).members([]) == []
 
     def test_batch_membership_empty_lanes(self):
-        assert batch_membership([], [], [1, 2, 3]) == [False] * 3
+        assert lanes_probe([]).members([1, 2, 3]) == [False] * 3
 
     def test_batch_membership_single(self):
-        assert batch_membership([5], [9], [4, 5, 9, 10]) == \
+        assert lanes_probe([(5, 9)]).members([4, 5, 9, 10]) == \
             [False, True, True, False]
 
     def test_batch_membership_zero_never_member(self):
-        assert batch_membership([-3], [3], [0]) == [False]
+        assert lanes_probe([(-3, 3)]).members([0]) == [False]
 
     def test_interval_join_empty_sides(self):
         assert interval_join_pairs([], [], [], []) == []
@@ -105,12 +128,12 @@ class TestKernelEdges:
         with pytest.raises(ValueError):
             interval_join_pairs([1], [2], [1], [2], predicate="meets")
 
-    def test_contains_batch_matches_contains(self, registry):
-        cal = registry.evaluate("MONDAYS")
-        index = IntervalIndex(cal)
-        points = sorted({1, 2, 7, 8, 30, 365})
-        assert index.contains_batch(points) == \
-            [index.contains(p) for p in points]
+    def test_contains_batch_matches_contains(self, db, registry):
+        probe = db.calendar_probe("MONDAYS")
+        points = [365, 1, 2, 7, 8, 30, 2, 365]
+        assert probe.members(points) == [probe.contains(p) for p in points]
+        assert probe.members(points) == [
+            registry.evaluate("MONDAYS").contains_point(p) for p in points]
 
 
 class TestBatchIndexMaintenance:
@@ -227,34 +250,36 @@ class TestEngineParity:
         assert sorted(map(repr, vec)) == sorted(map(repr, row))
         assert {r["name"] for r in vec} >= {"e"}  # the None = None pair
 
-    def test_merge_join_requires_full_coverage(self, joined):
+    def test_indexed_equi_join_runs_a_hash_join(self, joined):
         joined.create_index("emp", "dept")
         joined.create_index("dept", "id")
-        # emp.dept holds a None → index does not cover every live row →
-        # explain must NOT claim a merge join (None = None would be
-        # missed); the hash join keeps parity.
-        plan = joined.explain("retrieve (e.name) from e in emp, "
-                              "d in dept where e.dept = d.id")
-        assert "hash join" in plan and "merge join" not in plan
-        vec, row = both_engines(
-            joined, "retrieve (e.name, d.site) from e in emp, d in dept "
-                    "where e.dept = d.id")
-        assert sorted(map(repr, vec)) == sorted(map(repr, row))
+        joined.insert("dept", id=None, site="limbo")
+        # Both join columns indexed, one of them holding a None: the
+        # hash join serves it and the None = None pair still joins.
+        q = ("retrieve (e.name, d.site) from e in emp, d in dept "
+             "where e.dept = d.id")
+        assert "(e.dept = d.id): hash join" in joined.explain(q)
+        vec, row = both_engines(joined, q)
+        assert vec == row and {"name": "e", "site": "limbo"} in vec
 
-    def test_merge_join_used_and_agrees(self, db):
-        db.create_table("l", [("k", "int4")])
-        db.create_table("r", [("k", "int4")])
-        for k in (1, 2, 2, 5):
-            db.insert("l", k=k)
-        for k in (2, 2, 3, 5):
-            db.insert("r", k=k)
+    def test_fully_indexed_equi_join_keeps_row_engine_order(self, db):
+        # Keys repeat and come in no order on either side: a join fed
+        # by the index lanes would hand rows over in key order.
+        db.create_table("l", [("k", "int4"), ("n", "int4")])
+        db.create_table("r", [("k", "int4"), ("n", "int4")])
+        for n, k in enumerate((5, 2, 9, 2, 1, 5)):
+            db.insert("l", k=k, n=n)
+        for n, k in enumerate((2, 5, 1, 2, 7, 5)):
+            db.insert("r", k=k, n=n)
         db.create_index("l", "k")
         db.create_index("r", "k")
-        q = "retrieve (a.k) from a in l, b in r where a.k = b.k"
-        assert "merge join" in db.explain(q)
+        q = ("retrieve (a.n as an, b.n as bn) from a in l, b in r "
+             "where a.k = b.k")
         vec, row = both_engines(db, q)
-        assert sorted(map(repr, vec)) == sorted(map(repr, row))
-        assert len(vec) == 5  # 2x2 on k=2, 1 on k=5
+        assert vec == row
+        assert [(r["an"], r["bn"]) for r in vec] == [
+            (0, 1), (0, 5), (1, 0), (1, 3), (3, 0), (3, 3), (4, 2),
+            (5, 1), (5, 5)]
 
     def test_interval_sweep_parity_with_inverted_and_null(self, joined):
         # An inverted interval (lo > hi) and a NULL endpoint take the
@@ -276,6 +301,22 @@ class TestEngineParity:
         with pytest.raises(ExecutionError, match="abstime tick"):
             joined.execute('retrieve (e.name) from e in emp '
                            'where e.lo within "MONDAYS"')
+
+    def test_a_bool_is_not_a_tick(self, db):
+        db.create_table("e", [("f", "bool"), ("t", "int4")],
+                        valid_time_column="f")
+        for _ in range(10):
+            db.insert("e", f=True, t=0)
+        for query in ('retrieve (count()) from x in e '
+                      'where x.f within "DAYS"',
+                      'retrieve (member(x.f, "DAYS") as m) from x in e',
+                      "retrieve (x.t) from x in e on DAYS"):
+            for engine in both_engines_raising(db, query):
+                assert engine.match(r"within expects an abstime tick"), query
+        # Tick 0 is no member, and no error.
+        vec, row = both_engines(
+            db, 'retrieve (count()) from x in e where x.t within "DAYS"')
+        assert vec == row == [{"count()": 0}]
 
     def test_on_calendar_parity(self, joined):
         vec, row = both_engines(
@@ -400,14 +441,18 @@ class TestValidTimeRangeScan:
             joined.explain('retrieve (e.name) from e in emp where '
                            'e.lo within "MONDAYS" and e.dept = 1')
 
-    def test_declines_on_unsorted_calendar_lanes(self, joined):
-        # Ticks below the compiled set's safe range read the lanes.
+    def test_range_scan_serves_unsorted_lanes_in_order(self, joined):
+        # Ticks below the compiled set's safe range read the lanes,
+        # which the probe sorts and merges once.
         joined.calendars.define("JUMBLE", values=[(20, 25), (1, 9)],
                                 granularity="DAYS")
         query = ('retrieve (e.name) from e in emp '
                  'where e.lo within "JUMBLE"')
-        assert "the calendar's lanes are unsorted" in joined.explain(query)
+        assert '(e.lo within "JUMBLE"): valid-time range scan' in \
+            joined.explain(query)
+        before = TestMetrics._count(joined, vector.STRAT_RANGE)
         vec, row = both_engines(joined, query)
+        assert TestMetrics._count(joined, vector.STRAT_RANGE) == before + 1
         assert [r["name"] for r in vec] == ["a", "b", "c"] and vec == row
 
     def test_on_declines_behind_a_filter(self, joined):
@@ -436,3 +481,121 @@ class TestValidTimeRangeScan:
         vec, row = both_engines(joined, self.WITHIN)
         assert vec == row
         assert [r["name"] for r in vec] == ["a", "m0", "m1", "m2"]
+
+
+class TestExplainMatchesRun:
+    """``explain`` prints the plan the vectorized engine runs: one
+    access line per variable, and exactly the kernels one execution
+    counts under ``db.join.strategy``."""
+
+    RANGE, SCAN = vector.STRAT_RANGE, vector.SEQUENTIAL_SCAN
+    #: ``(statement, raises, first variable's access)``: a statement
+    #: that raises counts its retreat to the row engine on top of the
+    #: plan's kernels.
+    CORPUS = [
+        ('retrieve (e.name) from e in emp where e.lo within "MONDAYS"',
+         False, RANGE),
+        ("retrieve (e.name) from e in emp on MONDAYS", False, RANGE),
+        ("retrieve (e.name) from e in emp where e.dept = 1 on MONDAYS",
+         False, SCAN),
+        ('retrieve (e.name) from e in emp where e.lo within "MONDAYS" '
+         'and e.name = "a"', False, "index probe on emp.name"),
+        ('retrieve (n.k) from n in nul where n.lo within "MONDAYS"',
+         True, SCAN),
+        ("retrieve (n.k) from n in nul on MONDAYS", False, RANGE),
+        ('retrieve (n.k) from n in nul where n.k within "MONDAYS"',
+         False, SCAN),
+        ('retrieve (e.name) from e in emp where e.hi within "MONDAYS"',
+         False, SCAN),
+        ("retrieve (e.name, d.site) from e in emp, d in dept "
+         "where e.dept = d.id", False, SCAN),
+        ("retrieve (a.name, b.name) from a in emp, b in emp "
+         "where overlaps(a.lo, a.hi, b.lo, b.hi) and a.dept = 1",
+         False, SCAN),
+        ("retrieve (a.name) from a in emp, b in emp "
+         "where a.name = b.name or a.dept = 1", False, SCAN),
+    ]
+
+    @pytest.fixture()
+    def corpus_db(self, joined):
+        joined.create_index("emp", "name")
+        joined.create_table("nul", [("k", "int4"), ("lo", "abstime")],
+                            valid_time_column="lo")
+        monday = joined.system.day_of("Feb 1 1993")
+        for k, lo in ((1, monday), (2, None), (3, monday + 1)):
+            joined.insert("nul", k=k, lo=lo)
+        # nul.k is not an abstime column; e.hi is one with no index.
+        return joined
+
+    @staticmethod
+    def _labels(text: str) -> list[str]:
+        """Kernel labels: the pipeline lines and the ``on`` line."""
+        labels = []
+        lines = text.splitlines()
+        if "vectorized pipeline:" in lines:
+            for line in lines[lines.index("vectorized pipeline:") + 1:]:
+                if not line.startswith("  "):
+                    break
+                kernel = line.strip().split(": ", 1)[1]
+                labels.append(kernel.split(" (range scan declined")[0])
+        for line in lines:
+            if line.startswith("valid-time restriction:"):
+                labels.append(line.split("(", 1)[1].split(";")[0]
+                              .rstrip(")"))
+        return labels
+
+    @staticmethod
+    def _increments(db) -> dict:
+        return {key: value for key, value in
+                db.instrumentation.metrics.snapshot().items()
+                if key.startswith("db.join.strategy{")}
+
+    def test_explain_prints_the_plan_that_runs(self, corpus_db):
+        db = corpus_db
+        for query, raises, first in self.CORPUS:
+            with mock.patch.object(OrderedIndex, "lookup_runs",
+                                   side_effect=AssertionError), \
+                    mock.patch.object(Relation, "scan",
+                                      side_effect=AssertionError):
+                text = db.explain(query)
+            stmt = parse_statement(query)
+            access = [line for line in text.splitlines()
+                      if line.lstrip().startswith("-> ")]
+            assert len(access) == len(stmt.range_vars), query
+            assert access[0].endswith(f": {first}"), (query, access)
+            vectorized = "vectorized: off" not in text
+            expected = Counter(self._labels(text))
+            if raises:
+                expected[vector.STRAT_SEQUENTIAL] += 1
+            before = Counter(self._increments(db))
+            calls = Counter()
+
+            def spy(name, real):
+                def wrapper(*args, **kwargs):
+                    calls[name] += 1
+                    return real(*args, **kwargs)
+                return wrapper
+
+            with mock.patch.object(
+                    OrderedIndex, "lookup_runs",
+                    spy("range", OrderedIndex.lookup_runs)), \
+                    mock.patch.object(OrderedIndex, "lookup_eq",
+                                      spy("probe", OrderedIndex.lookup_eq)), \
+                    mock.patch.object(Relation, "scan",
+                                      spy("scan", Relation.scan)):
+                if raises:
+                    with pytest.raises(ExecutionError):
+                        db.execute(query)
+                else:
+                    db.execute(query)
+            after = Counter(self._increments(db))
+            counted = Counter({key.split('"')[1]: after[key] - before[key]
+                               for key in after if after[key] > before[key]})
+            assert counted == expected, query
+            if vectorized and not raises:
+                kinds = {"range" if line.endswith(vector.STRAT_RANGE)
+                         else "probe" if "index probe on" in line
+                         else "scan" for line in access}
+                assert set(calls) == kinds, (query, calls)
+            elif not vectorized:
+                assert not expected and not counted

@@ -31,7 +31,7 @@ def _registry() -> CalendarRegistry:
             default_horizon_years=5)
         install_standard_calendars(_REGISTRY)
         # Overlapping values: sorted lanes the range scan merges, and
-        # the same intervals out of order, whose lanes it must refuse.
+        # the same intervals out of order, which the probe sorts first.
         _REGISTRY.define("OVERLAP", values=[(-20, 4), (2, 30), (25, 405),
                                             (1420, 1440)],
                          granularity="DAYS")
@@ -122,7 +122,7 @@ QUERIES = [
     # single-variable interval predicate stays a scalar filter
     ("retrieve (a.k) from a in ta "
      "where overlaps(a.lo, a.hi, a.lo, a.hi)", None, False),
-    # hash / merge equi join (merge when both sides fully indexed)
+    # hash equi join, indexed sides or not
     ("retrieve (a.k, b.lo) from a in ta, b in tb where a.k = b.k",
      None, False),
     ("retrieve (a.k) from a in ta, b in tb "
@@ -157,6 +157,16 @@ QUERIES = [
     ("retrieve (a.k) from a in ta where a.hi > 3 on MONDAYS", None, False),
 ]
 
+#: Join projections compared in row order with no ``order by``: the
+#: join kernels hand rows over in the nested loop's order.
+ORDERED_JOINS = [
+    "retrieve (a._tid as t1, b._tid as t2, a.k) from a in ta, b in tb "
+    "where a.k = b.k",
+    "retrieve (a._tid as t1, b._tid as t2) from a in ta, b in tb "
+    "where overlaps(a.lo, a.hi, b.lo, b.hi)",
+]
+QUERIES += [(query, None, True) for query in ORDERED_JOINS]
+
 #: Queries the valid-time range scan serves while ``ta.lo`` has no NULL
 #: (``on`` serves them regardless): ``(query, ordered, needs_cover)``.
 #: Projections compare in order with no ``order by``: the scan must
@@ -181,9 +191,10 @@ def _assert_range_parity(db):
     for query, ordered, needs_cover in RANGE_QUERIES:
         _assert_parity(db, query, ordered=ordered,
                        ranged=covered or not needs_cover)
-    # Out-of-order lanes: the scan may decline, parity must hold.
+    # Out-of-order lanes: the probe sorts them, the scan still serves.
     _assert_parity(db, 'retrieve (a.lo) from a in ta '
-                       'where a.lo within "JUMBLE"', ordered=True)
+                       'where a.lo within "JUMBLE"', ordered=True,
+                   ranged=covered)
 
 
 class TestVectorizedParity:
@@ -195,6 +206,30 @@ class TestVectorizedParity:
         for query, bindings, ordered in QUERIES:
             _assert_parity(db, query, bindings, ordered)
         _assert_range_parity(db)
+        # With both join columns indexed too.
+        db.create_index("ta", "k")
+        db.create_index("tb", "k")
+        for query in ORDERED_JOINS:
+            _assert_parity(db, query, ordered=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(flags=st.lists(st.one_of(st.none(), st.booleans()), max_size=8),
+           ticks=st.lists(st.integers(min_value=-3, max_value=3),
+                          max_size=4))
+    def test_a_bool_is_not_a_tick(self, flags, ticks):
+        db = Database(calendars=_registry())
+        db.create_table("e", [("f", "bool"), ("t", "int4")],
+                        valid_time_column="f")
+        for f in flags:
+            db.insert("e", f=f, t=1)
+        for t in ticks:  # tick 0 is a non-member, not an error
+            db.insert("e", f=None, t=t)
+        for query in ('retrieve (count()) from x in e '
+                      'where x.f within "DAYS"',
+                      'retrieve (x.t) from x in e where x.t within "DAYS"',
+                      'retrieve (member(x.f, "DAYS") as m) from x in e',
+                      'retrieve (x.t) from x in e on DAYS'):
+            _assert_parity(db, query)
 
     @settings(max_examples=30, deadline=None)
     @given(rows_a=_rows, steps=st.lists(st.tuples(
