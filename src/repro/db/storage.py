@@ -17,6 +17,11 @@ version), so queries can inspect the historical state of a relation
 ("as of" transaction t) — the paper's section 4 notes rule conditions may
 check "the current or historical (with respect to transaction time)
 state of database objects".
+
+A relation whose ``keeps_history`` is False is the exception: its
+updates and deletes overwrite in place and leave no dead version, and
+an ``as of`` scan of it raises.  DBCRON's RULE_TIME probe table is the
+one such relation (:class:`~repro.rules.tables.RuleTables` sets it).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from repro.db.errors import IntegrityError, SchemaError
+from repro.db.errors import ExecutionError, IntegrityError, SchemaError
 from repro.db.index import OrderedIndex
 from repro.db.types import TypeRegistry
 
@@ -104,6 +109,10 @@ class Relation:
         self._rows: dict[int, dict] = {}
         #: Dead tuple versions (no-overwrite storage), in burial order.
         self._history: list[dict] = []
+        #: False for a relation nothing reads in transaction time: its
+        #: updates and deletes then bury no dead version, so it stays
+        #: bounded by its live rows, and ``scan(as_of=...)`` raises.
+        self.keeps_history = True
         self._tid_counter = itertools.count(1)
         self._xact_source = xact_source or (lambda: 1)
         #: kind -> list of callables(event) — wired up by the rule manager.
@@ -150,11 +159,16 @@ class Relation:
         """Iterate over tuples (dicts including ``_tid``).
 
         With ``as_of``, yields the versions visible to transaction
-        ``as_of``: created at or before it and not invalidated by it.
+        ``as_of``: created at or before it and not invalidated by it; a
+        relation that keeps no history raises :class:`ExecutionError`.
         """
         if as_of is None:
             yield from list(self._rows.values())
             return
+        if not self.keeps_history:
+            raise ExecutionError(
+                f"relation {self.name!r} keeps no history: it cannot be "
+                f"read as of transaction {as_of}")
         for row in self._history:
             if row["_tmin"] <= as_of and row["_tmax"] > as_of:
                 yield row
@@ -166,6 +180,13 @@ class Relation:
         """The live tuple with id ``tid``, or None."""
         return self._rows.get(tid)
 
+    def tid_of(self, key: tuple) -> int | None:
+        """The tid of the live tuple whose key columns equal ``key``
+        (one value per key column), or None — a key-map lookup."""
+        if self._key_map is None:
+            raise SchemaError(f"relation {self.name!r} has no key")
+        return self._key_map.get(key)
+
     # -- validation ---------------------------------------------------------------
 
     def _validate(self, values: dict) -> dict:
@@ -175,10 +196,12 @@ class Relation:
             row[column.name] = self._types.get(column.type_name).validate(
                 value)
         if not self._known.issuperset(values):
-            raise SchemaError(
-                f"unknown columns for {self.name}: "
-                f"{sorted(set(values) - self._known)}")
+            self._raise_unknown(values)
         return row
+
+    def _raise_unknown(self, values: dict) -> None:
+        raise SchemaError(f"unknown columns for {self.name}: "
+                          f"{sorted(set(values) - self._known)}")
 
     def _key_of(self, row: dict) -> tuple:
         return tuple(row[k] for k in self.schema.key)
@@ -255,16 +278,17 @@ class Relation:
         return rows
 
     def delete(self, tid: int, fire_hooks: bool = True) -> dict:
-        """Remove a live tuple; its version moves to history."""
+        """Remove a live tuple; its version moves to history (if kept)."""
         try:
             row = self._rows.pop(tid)
         except KeyError:
             raise IntegrityError(
                 f"no tuple with tid {tid} in {self.name}") from None
-        dead = dict(row)
-        dead["_tmax"] = self._xact_source()
+        if self.keeps_history:
+            dead = dict(row)
+            dead["_tmax"] = self._xact_source()
+            self._history.append(dead)
         self._version += 1
-        self._history.append(dead)
         if self._key_map is not None:
             self._key_map.pop(self._key_of(row), None)
         for index in self.indexes.values():
@@ -275,7 +299,8 @@ class Relation:
 
     def update(self, tid: int, changes: dict,
                fire_hooks: bool = True) -> dict:
-        """Replace columns of a tuple; the old version moves to history."""
+        """Replace columns of a tuple; the old version moves to history
+        (if kept)."""
         return self.update_many([(tid, changes)], fire_hooks=fire_hooks)[0]
 
     def update_many(self, updates: "Sequence[tuple[int, dict]]",
@@ -284,28 +309,38 @@ class Relation:
 
         Semantically ``[self.update(tid, changes) for ...]`` — same
         validation, key checks against the state each earlier update
-        left, dead versions in history, ``data_version`` bumps and
-        replace events in order (a tid may appear more than once) — but
-        every row is checked before any is stored, so a bad batch never
-        half-applies.  The bookkeeping is paid once per batch: the key
-        map is touched only for rows whose key changed, and each index
-        swaps the batch's entries through one
+        left, dead versions in history (none when the relation keeps no
+        history), ``data_version`` bumps and replace events in order (a
+        tid may appear more than once) — but every row is checked
+        before any is stored, so a bad batch never half-applies.  It is
+        the one update path, history or not.  The bookkeeping is paid
+        once per batch: column types are resolved once and only the
+        changed columns are validated (the rest were checked when the
+        row was stored), the key map is touched only for rows whose key
+        changed, and each index swaps the batch's entries through one
         :meth:`~repro.db.index.OrderedIndex.replace_batch`.
         """
-        key_map, key_get = self._key_map, self._key_get
+        key_map, key_get, known = self._key_map, self._key_get, self._known
+        rows, types = self._rows, self._types
+        validators = {column.name: types.get(column.type_name).validate
+                      for column in self.schema.columns}
         # Key-map changes the batch makes: key -> new holder (None =
         # freed), consulted before the live map by later checks.
         moved: dict[tuple, "int | None"] = {}
         latest: dict[int, dict] = {}
         staged: list[tuple[dict, dict]] = []
         for tid, changes in updates:
-            old = latest.get(tid) or self._rows.get(tid)
+            old = latest.get(tid) or rows.get(tid)
             if old is None:
                 raise IntegrityError(
                     f"no tuple with tid {tid} in {self.name}")
-            merged = dict(old)  # hidden stamps: dropped by _validate
-            merged.update(changes)
-            row = self._validate(merged)
+            row = old.copy()
+            for name, value in changes.items():
+                validate = validators.get(name)
+                if validate is not None:  # hidden stamps are not changed
+                    row[name] = validate(value)
+            if not known.issuperset(changes):
+                self._raise_unknown(changes)
             if key_map is not None and key_get(row) != key_get(old):
                 new_key = self._key_of(row)
                 holder = moved[new_key] if new_key in moved \
@@ -315,20 +350,21 @@ class Relation:
                         f"duplicate key {new_key!r} in {self.name}")
                 moved[self._key_of(old)] = None
                 moved[new_key] = tid
-            row["_tid"] = tid
             latest[tid] = row
             staged.append((old, row))
         xact = self._xact_source()
         self._version += len(staged)
+        history = self._history if self.keeps_history else None
         originals: dict[int, dict] = {}
         for old, row in staged:
             tid = row["_tid"]
             originals.setdefault(tid, old)
             row["_tmin"] = xact
-            dead = dict(old)
-            dead["_tmax"] = xact
-            self._history.append(dead)
-            self._rows[tid] = row
+            if history is not None:
+                dead = dict(old)
+                dead["_tmax"] = xact
+                history.append(dead)
+            rows[tid] = row
         for key, tid in moved.items():
             if tid is None:
                 key_map.pop(key, None)

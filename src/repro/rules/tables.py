@@ -4,13 +4,15 @@
 factorized expression, and the rendered evaluation plan.  ``RULE_TIME``
 stores the *next* time point at which each rule must trigger; DBCRON
 probes it every T time units.  Both are ordinary relations of the host
-database, so they are themselves queryable with Postquel.
+database, so they are themselves queryable with Postquel.  RULE_TIME is
+DBCRON's probe table, not user history: it keeps no dead versions (a
+write overwrites the row in place) and cannot be read ``as of`` a past
+transaction.
 """
 
 from __future__ import annotations
 
 from repro.db.database import Database
-from repro.db.errors import RuleError
 
 __all__ = ["RuleTables"]
 
@@ -23,12 +25,6 @@ class RuleTables:
 
     def __init__(self, database: Database) -> None:
         self.db = database
-        #: RULE_TIME tid per rulename — O(1) next-fire maintenance at
-        #: alerting scale (the relation update keeps a row's tid stable).
-        #: Purely a cache: every read validates against the live row and
-        #: falls back to a scan, so direct Postquel mutation of the
-        #: catalog tables stays legal.
-        self._time_tids: dict[str, int] = {}
         if RULE_INFO not in database:
             database.create_table(RULE_INFO, [
                 ("rulename", "text"),
@@ -37,10 +33,13 @@ class RuleTables:
                 ("eval_plan", "text"),
             ], key=("rulename",))
         if RULE_TIME not in database:
-            database.create_table(RULE_TIME, [
+            relation = database.create_table(RULE_TIME, [
                 ("rulename", "text"),
                 ("next_fire", "abstime"),
             ], key=("rulename",))
+            # Rewritten on every fire and never read in transaction
+            # time: bounded by its live rows, one per armed rule.
+            relation.keeps_history = False
             database.create_index(RULE_TIME, "next_fire")
 
     # -- maintenance ------------------------------------------------------------
@@ -55,38 +54,17 @@ class RuleTables:
             "eval_plan": rule.plan.text() if rule.plan is not None else "",
         }, fire_hooks=False)
         if next_fire is not None:
-            row = self.db.relation(RULE_TIME).insert(
+            self.db.relation(RULE_TIME).insert(
                 {"rulename": rule.name, "next_fire": next_fire},
                 fire_hooks=False)
-            self._time_tids[rule.name] = row["_tid"]
-
-    def _time_row(self, name: str, relation=None) -> dict | None:
-        """The live RULE_TIME row of ``name`` (cached tid, scan fallback)."""
-        if relation is None:
-            relation = self.db.relation(RULE_TIME)
-        tid = self._time_tids.get(name)
-        if tid is not None:
-            row = relation.get(tid)
-            if row is not None and row["rulename"] == name:
-                return row
-            del self._time_tids[name]  # stale: mutated behind our back
-        for row in relation.scan():
-            if row["rulename"] == name:
-                self._time_tids[name] = row["_tid"]
-                return row
-        return None
 
     def unregister(self, name: str) -> None:
         """Delete a rule's RULE_INFO / RULE_TIME rows."""
-        relation = self.db.relation(RULE_INFO)
-        for row in list(relation.scan()):
-            if row["rulename"] == name:
-                relation.delete(row["_tid"], fire_hooks=False)
-        row = self._time_row(name)
-        if row is not None:
-            self.db.relation(RULE_TIME).delete(row["_tid"],
-                                               fire_hooks=False)
-            self._time_tids.pop(name, None)
+        for table in (RULE_INFO, RULE_TIME):
+            relation = self.db.relation(table)
+            tid = relation.tid_of((name,))
+            if tid is not None:
+                relation.delete(tid, fire_hooks=False)
 
     def set_next_fire(self, name: str, next_fire: int | None) -> None:
         """Upsert (or clear, with None) a rule's next trigger point."""
@@ -95,9 +73,10 @@ class RuleTables:
     def set_next_fires(self, pairs) -> None:
         """Upsert (or clear, with None) many rules' next trigger points.
 
-        The RULE_TIME write of one DBCRON wave: existing rows change
-        through one :meth:`~repro.db.storage.Relation.update_many`,
-        rows that appear are inserted and rows cleared with None are
+        The RULE_TIME write of one DBCRON wave: existing rows are
+        overwritten through one :meth:`~repro.db.storage.Relation.
+        update_many` (type-checked, in place, no dead version), rows
+        that appear are inserted and rows cleared with None are
         deleted, as :meth:`set_next_fire` would per pair.  A name
         listed twice keeps its last value.
         """
@@ -105,26 +84,26 @@ class RuleTables:
         updates: list[tuple[int, dict]] = []
         inserts: list[dict] = []
         for name, next_fire in dict(pairs).items():
-            row = self._time_row(name, relation)
-            if row is None:
+            tid = relation.tid_of((name,))
+            if tid is None:
                 if next_fire is not None:
                     inserts.append({"rulename": name,
                                     "next_fire": next_fire})
             elif next_fire is None:
-                relation.delete(row["_tid"], fire_hooks=False)
-                del self._time_tids[name]
+                relation.delete(tid, fire_hooks=False)
             else:
-                updates.append((row["_tid"], {"next_fire": next_fire}))
+                updates.append((tid, {"next_fire": next_fire}))
         if updates:
             relation.update_many(updates, fire_hooks=False)
         if inserts:
-            for row in relation.insert_many(inserts, fire_hooks=False):
-                self._time_tids[row["rulename"]] = row["_tid"]
+            relation.insert_many(inserts, fire_hooks=False)
 
     def next_fire_of(self, name: str) -> int | None:
-        """The stored next trigger point of a rule, or None."""
-        row = self._time_row(name)
-        return row["next_fire"] if row is not None else None
+        """The stored next trigger point of a rule, or None — found
+        through the key map, which follows direct Postquel mutation."""
+        relation = self.db.relation(RULE_TIME)
+        tid = relation.tid_of((name,))
+        return relation.get(tid)["next_fire"] if tid is not None else None
 
     def all_next_fires(self) -> list[tuple[str, int]]:
         """Every (rulename, next_fire) pair — the wheel's one-time sync."""

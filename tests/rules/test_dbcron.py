@@ -5,7 +5,9 @@ import datetime
 import pytest
 
 from repro.core import AxisError
+from repro.db.errors import ExecutionError
 from repro.rules import DBCron, RuleManager, SimulatedClock
+from repro.session import Session
 
 
 def tuesdays_between(start: datetime.date, end: datetime.date):
@@ -152,3 +154,88 @@ class TestDaemonMechanics:
             cron.run_until(fresh.system.day_of("Feb 15 1993"))
             results[period] = fired
         assert results[1] == results[7] == results[30]
+
+
+#: The expression shapes of the benchmark's DBCRON workload: weekday
+#: patterns, business-day selections, holiday differences and shapes
+#: the periodic compiler declines.
+RULE_TIME_MIX = (
+    "[1]/DAYS:during:WEEKS", "[3]/DAYS:during:WEEKS",
+    "[1-5]/DAYS:during:WEEKS", "[6-7]/DAYS:during:WEEKS",
+    "[1]/AM_BUS_DAYS:during:MONTHS", "[n]/AM_BUS_DAYS:during:MONTHS",
+    "[5]/AM_BUS_DAYS:during:WEEKS", "([2]/DAYS:during:WEEKS) - HOLIDAYS",
+    "AM_BUS_DAYS - HOLIDAYS", "[n]/AM_BUS_DAYS:<:[3]/DAYS:during:WEEKS",
+    "[2]/DAYS:during:WEEKS:during:DECADES", "[n]/AM_BUS_DAYS:<:LDOM",
+)
+
+
+class TestRuleTimeKeepsNoHistory:
+    """RULE_TIME is DBCRON's probe table: every fire rewrites a row in
+    place, so it holds exactly one version per armed rule however long
+    the daemon runs."""
+
+    @pytest.fixture(scope="class")
+    def fired_session(self):
+        session = Session("Jan 1 1987", holiday_years=(1987, 1989),
+                          workers=1)
+        start = session.system.day_of("Jan 1 1988")
+        session.clock.advance(start - session.clock.now)
+        session.db.create_table("fire_log", [("rule", "text"),
+                                             ("t", "abstime")])
+        for i in range(200):
+            expression = RULE_TIME_MIX[i % len(RULE_TIME_MIX)]
+            name = f"r{i}"
+            if i % 5 == 0:
+                session.rules.on_calendar(
+                    name, expression=expression,
+                    do=[f'append fire_log (rule = "{name}", t = now.t)'])
+            else:
+                session.rules.on_calendar(name, expression=expression,
+                                          callback=lambda db, t: None)
+        xact = session.db.current_xact()
+        fires = session.cron.run_until(start + 200)
+        yield session, fires, xact
+        session.close()
+
+    def test_one_version_per_live_row(self, fired_session):
+        session, fires, _ = fired_session
+        rule_time = session.db.relation("rule_time")
+        assert fires > 10 * len(rule_time) > 0
+        assert rule_time.version_count() == len(rule_time) == 200
+
+    def test_vacuum_reclaims_nothing_from_rule_time(self, fired_session):
+        session, _, _ = fired_session
+        rule_time = session.db.relation("rule_time")
+        rows = sorted((row["rulename"], row["next_fire"])
+                      for row in rule_time.scan())
+        versions = rule_time.version_count()
+        session.db.vacuum()
+        assert rule_time.version_count() == versions
+        assert sorted((row["rulename"], row["next_fire"])
+                      for row in rule_time.scan()) == rows
+
+    def test_as_of_raises_a_typed_error(self, fired_session):
+        session, _, xact = fired_session
+        with pytest.raises(ExecutionError,
+                           match="'rule_time' keeps no history"):
+            session.db.execute(
+                f"retrieve (r.rulename) from r in rule_time as of {xact}")
+
+    def test_postquel_writes_overwrite_in_place(self, ruled_db):
+        db, manager, clock, _ = ruled_db
+        for name in ("a", "b"):
+            manager.declare_temporal(name, expression="[2]/DAYS:during:WEEKS",
+                                     callback=lambda d, t: None)
+        tables, rule_time = manager.tables, db.relation("rule_time")
+        tid = rule_time.tid_of(("a",))
+        db.execute('replace r (next_fire = 99999) from r in rule_time '
+                   'where r.rulename = "a"')
+        assert tables.next_fire_of("a") == 99999
+        assert rule_time.tid_of(("a",)) == tid
+        db.execute('replace r (rulename = "a2") from r in rule_time '
+                   'where r.rulename = "a"')
+        assert tables.next_fire_of("a") is None
+        assert tables.next_fire_of("a2") == 99999
+        db.execute('delete r from r in rule_time where r.rulename = "a2"')
+        assert tables.next_fire_of("a2") is None
+        assert rule_time.version_count() == len(rule_time) == 1

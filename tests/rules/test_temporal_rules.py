@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.db import RuleError
+from repro.db import DataTypeError, RuleError
 from repro.rules import RULE_INFO, RULE_TIME, RuleManager, TemporalRule
 
 
@@ -122,18 +122,41 @@ class TestRuleTables:
         tables.set_next_fire("x", None)
         assert tables.next_fire_of("x") is None
 
+    @pytest.mark.parametrize("bad", [True, 1.5, "20"],
+                             ids=["bool", "float", "text"])
+    def test_set_next_fires_type_checks_every_value(self, manager, db, bad):
+        # RULE_TIME is overwritten in place, but every value is still an
+        # abstime: a bad one fails the batch before any row changes.
+        tables = manager.tables
+        tables.set_next_fires([("a", 5), ("b", 6)])
+        with pytest.raises(DataTypeError):
+            tables.set_next_fires([("a", 7), ("b", bad)])
+        assert sorted(tables.all_next_fires()) == [("a", 5), ("b", 6)]
+        assert db.relation("rule_time").indexes["next_fire"].lookup_eq(7) \
+            == []
+
     def test_set_next_fires_upserts_and_clears_in_one_batch(self, manager,
                                                             db):
         tables = manager.tables
         tables.set_next_fires([("keep", 5), ("move", 6), ("drop", 7)])
         relation = db.relation("rule_time")
-        versions = relation.version_count()
+        move_tid = relation.tid_of(("move",))
+        data_version = relation.data_version
         tables.set_next_fires([("move", 16), ("drop", None), ("new", 9),
                                ("gone", None), ("move", 26)])
         assert sorted(tables.all_next_fires()) == \
             [("keep", 5), ("move", 26), ("new", 9)]
-        # A name listed twice is written once, with its last value.
-        assert relation.version_count() == versions + 2
+        # A name listed twice is written once, with its last value: one
+        # live row under its old tid, indexed at 26 only, and one
+        # update + one delete + one insert batch in the data version.
+        rows = [row for row in relation.scan() if row["rulename"] == "move"]
+        assert [(row["_tid"], row["next_fire"]) for row in rows] == \
+            [(move_tid, 26)]
+        index = relation.indexes["next_fire"]
+        assert index.lookup_eq(16) == []
+        assert index.lookup_eq(26) == [move_tid]
+        assert len(index) == len(relation) == 3
+        assert relation.data_version == data_version + 3
         tids = {row["rulename"]: row["_tid"] for row in relation.scan()}
         assert relation.indexes["next_fire"].lookup_range(hi=100) == \
             [tids[name] for name in ("keep", "new", "move")]
