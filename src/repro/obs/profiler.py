@@ -32,6 +32,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 
 __all__ = ["SamplingProfiler", "DEFAULT_HERTZ"]
 
@@ -90,7 +91,9 @@ class SamplingProfiler:
                 return self
             self._stop_event = threading.Event()
             self._thread = threading.Thread(
-                target=self._run, name="repro-profiler", daemon=True)
+                target=self._run,
+                args=(weakref.ref(self), self._stop_event, self.interval),
+                name="repro-profiler", daemon=True)
             self._started_at = time.perf_counter()
             self._thread.start()
         return self
@@ -115,15 +118,25 @@ class SamplingProfiler:
 
     # -- sampling -----------------------------------------------------------
 
-    def _run(self) -> None:
-        stop = self._stop_event
+    @staticmethod
+    def _run(ref: "weakref.ref[SamplingProfiler]", stop: threading.Event,
+             interval: float) -> None:
+        """The sampling thread.  It holds its profiler weakly between
+        samples: a profiler dropped without :meth:`stop` (say, by a
+        session never closed) ends its thread at the next tick instead
+        of sampling every thread of the process for as long as it
+        runs."""
         own_id = threading.get_ident()
-        while not stop.wait(self.interval):
+        while not stop.wait(interval):
+            profiler = ref()
+            if profiler is None:
+                return
             try:
-                self._sample_once(own_id)
+                profiler._sample_once(own_id)
             except Exception:
-                with self._lock:
-                    self._errors += 1
+                with profiler._lock:
+                    profiler._errors += 1
+            del profiler
 
     def _sample_once(self, own_id: int) -> None:
         frames = sys._current_frames()

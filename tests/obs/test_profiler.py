@@ -1,5 +1,6 @@
 """The continuous sampling profiler: folded stacks, bounds, windows."""
 
+import gc
 import re
 import threading
 import time
@@ -26,21 +27,33 @@ class TestLifecycle:
 
     def test_start_stop_idempotent(self):
         def sampler_threads():
-            return sum(t.name == "repro-profiler"
-                       for t in threading.enumerate())
+            return {t for t in threading.enumerate()
+                    if t.name == "repro-profiler"}
 
-        # Other sessions' samplers (e.g. under REPRO_PROFILE=1) may
-        # still be winding down — assert on the delta, not the total.
-        baseline = sampler_threads()
+        # Other sessions' samplers (e.g. under REPRO_PROFILE=1) may be
+        # winding down meanwhile — assert on the threads started, not
+        # on the total.
+        before = sampler_threads()
         profiler = SamplingProfiler(hertz=200)
         assert not profiler.running
         profiler.start()
         profiler.start()  # no-op
         assert profiler.running
-        assert sampler_threads() == baseline + 1
+        assert sampler_threads() - before == {profiler._thread}
         profiler.stop()
         profiler.stop()  # no-op
         assert not profiler.running
+
+    def test_a_dropped_profiler_ends_its_thread(self):
+        # A profiler dropped without stop() — a session never closed —
+        # must not leave its thread sampling the process for good.
+        profiler = SamplingProfiler(hertz=500)
+        profiler.start()
+        thread = profiler._thread
+        del profiler
+        gc.collect()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
 
     def test_samples_survive_stop_and_clear_drops_them(self):
         profiler = SamplingProfiler(hertz=500)
