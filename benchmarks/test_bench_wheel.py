@@ -4,10 +4,12 @@ Scheduler-core benchmarks isolating the *scheduling* path of each
 strategy at 10k / 100k (and, gated, 1M) registered rules:
 
 * **heap leg** — the legacy design's full scheduling loop: a RULE_TIME
-  catalog (with its ordered ``next_fire`` index) kept current per fire,
+  catalog (with its ordered ``next_fire`` index) written per fire,
   probed every period for due rules, feeding a binary heap.  The
   catalog work belongs in this leg because the probe *requires* it —
-  RULE_TIME is the heap's scheduling source of truth.
+  RULE_TIME is the heap's scheduling source of truth.  RULE_TIME is
+  materialised on read, so each probe applies the writes of the fires
+  since the last one.
 * **wheel leg** — the sharded hierarchical wheel on its own: arms and
   re-arms go straight into O(1) buckets and no catalog is consulted
   (in the live daemon RULE_TIME survives only as a durability record
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import os
 import resource
+import threading
 
 from time import perf_counter
 
@@ -63,7 +66,8 @@ class _HeapState:
     """Legacy scheduling core: RULE_TIME catalog + probe + heap."""
 
     def __init__(self, registry, n_rules: int) -> None:
-        self.tables = RuleTables(Database(calendars=registry))
+        self.tables = RuleTables(Database(calendars=registry),
+                                 threading.RLock())
         self.sched = HeapSchedule()
         self.now = 1
         self.strides: dict[str, int] = {}

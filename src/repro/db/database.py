@@ -126,9 +126,12 @@ class Database:
     def relation(self, name: str) -> Relation:
         """The relation object under ``name`` (case-insensitive)."""
         try:
-            return self._relations[name.lower()]
+            relation = self._relations[name.lower()]
         except KeyError:
             raise SchemaError(f"unknown relation {name!r}") from None
+        if relation.before_access is not None:
+            relation.before_access()
+        return relation
 
     def relation_names(self) -> list[str]:
         """Sorted names of all relations, system catalogs included."""

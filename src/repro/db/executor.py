@@ -163,6 +163,8 @@ class Executor:
 
     def __init__(self, database) -> None:
         self.db = database
+        #: (registry, latency, per-relation family, {relation: child}).
+        self._handles: "tuple | None" = None
 
     # -- public ------------------------------------------------------------------
 
@@ -178,7 +180,8 @@ class Executor:
         with a telemetry pipeline attached a ``query.execute`` event
         records the statement kind and result cardinality.  The
         instrumentation bundle is looked up per call because a session
-        may swap the database's bundle after this executor was built.
+        may swap the database's bundle after this executor was built;
+        the metric handles are bound once per registry.
         """
         inst = self.db.instrumentation
         kind = type(statement).__name__
@@ -194,13 +197,25 @@ class Executor:
         else:
             result = self._dispatch(statement, bindings)
         elapsed = perf_counter() - t0
-        inst.metrics.histogram("db.query.latency").observe(elapsed)
-        inst.metrics.histogram(
-            "db.relation.query_seconds",
-            "Query latency per target relation",
-            labels=("relation",), max_series=128,
-        ).labels(self._statement_relation(statement)) \
-            .observe(elapsed, trace_id)
+        handles = self._handles
+        if handles is None or handles[0] is not inst.metrics:
+            metrics = inst.metrics
+            handles = self._handles = (
+                metrics, metrics.histogram("db.query.latency"),
+                metrics.histogram("db.relation.query_seconds",
+                                  "Query latency per target relation",
+                                  labels=("relation",), max_series=128),
+                {})
+        _, latency, family, children = handles
+        latency.observe(elapsed)
+        relation = self._statement_relation(statement)
+        child = children.get(relation)
+        if child is None:
+            child = family.labels(relation)
+            # One collapsed into ``other`` is resolved (counted) again.
+            if family.series().get((relation,)) is child:
+                children[relation] = child
+        child.observe(elapsed, trace_id)
         if inst.pipeline is not None:
             inst.pipeline.emit("query.execute", kind=kind,
                                rows=len(result.rows),

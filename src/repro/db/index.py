@@ -166,34 +166,12 @@ class OrderedIndex:
         The batch form of ``remove(old)`` + ``insert(new)`` per tuple,
         for ``Relation.update_many``: ``old_rows`` are the indexed
         versions (one per tid) and ``new_rows`` their replacements.
-        A batch that moves whole runs — a DBCRON wave moves every
-        entry of one key to a few others — averages eight or more
-        entries per distinct key: each key's run is then rewritten once
-        (:meth:`_splice`).  Otherwise small batches take the per-row
-        path, and a batch that rivals the index drops its tids in one
-        filtering pass and merges the replacements in (O(n + batch log
-        batch)).  All three land every replacement at its ``(key,
-        tid)`` place.
+        Small batches take the per-row path; a batch that rivals the
+        index drops its tids in one filtering pass and merges the
+        replacements in (O(n + batch log batch)).  Both land every
+        replacement at its ``(key, tid)`` place.
         """
         column = self.column
-        if len(new_rows) >= 8:
-            distinct = {row.get(column)
-                        for row in chain(old_rows, new_rows)}
-            distinct.discard(None)
-            if len(distinct) * 8 <= len(new_rows):
-                # key -> (tids dropped from its run, tids added to it)
-                groups = {value: (set(), []) for value in distinct}
-                for row in old_rows:
-                    value = row.get(column)
-                    if value is not None:
-                        groups[value][0].add(row["_tid"])
-                for row in new_rows:
-                    value = row.get(column)
-                    if value is not None:
-                        groups[value][1].append(row["_tid"])
-                for value, (drop, add) in groups.items():
-                    self._splice(value, drop, sorted(add))
-                return
         if len(new_rows) * 8 < self._len:
             for row in old_rows:
                 self.remove(row)
@@ -209,60 +187,6 @@ class OrderedIndex:
         self._set_lanes(*_merge(
             list(compress(keys, keep)), list(compress(tids, keep)),
             *self._sorted_lanes(sorted(new_rows, key=itemgetter("_tid")))))
-
-    def _splice(self, value, drop: set, add: list[int]) -> None:
-        """Rewrite the run of key ``value``: drop the tids in ``drop``
-        and merge the ascending tids ``add`` in — one bisect pair
-        finds the run, however many blocks it spans; the rewritten run
-        lands in the run's first block, which splits once it outgrows
-        ``2 * BLOCK``."""
-        kb, tb, last = self._kb, self._tb, self._last
-        if not kb:
-            if add:
-                self._set_lanes([value] * len(add), add)
-            return
-        end_of_lanes = (len(kb) - 1, len(kb[-1]))
-        b1, o1 = self._bound(value, False)
-        b2, o2 = self._bound(value, True)
-        if b1 == len(kb):  # above every key: append to the last block
-            b1, o1 = end_of_lanes
-        if b2 == len(kb):
-            b2, o2 = end_of_lanes
-        if b1 == b2:
-            run = tb[b1][o1:o2]
-        else:
-            run = tb[b1][o1:]
-            for b in range(b1 + 1, b2):
-                run += tb[b]
-            run += tb[b2][:o2]
-        size = len(run)
-        if drop:
-            run = [tid for tid in run if tid not in drop]
-        if add:
-            run = sorted(run + add) if run else add
-        self._len += len(run) - size
-        if b1 != b2:
-            # The run's tail blocks give up their part of it.
-            del kb[b2][:o2], tb[b2][:o2]
-            if not kb[b2]:
-                b2 += 1
-            del kb[b1 + 1:b2], tb[b1 + 1:b2], last[b1 + 1:b2]
-            o2 = len(kb[b1])
-        keys, tids = kb[b1], tb[b1]
-        keys[o1:o2] = [value] * len(run)
-        tids[o1:o2] = run
-        if not keys:
-            del kb[b1], tb[b1], last[b1]
-        elif len(keys) > 2 * self.BLOCK:
-            size = self.BLOCK
-            kb[b1:b1 + 1] = [keys[i:i + size]
-                             for i in range(0, len(keys), size)]
-            tb[b1:b1 + 1] = [tids[i:i + size]
-                             for i in range(0, len(tids), size)]
-            last[b1:b1 + 1] = [block[-1] for block in
-                               kb[b1:b1 + (len(keys) + size - 1) // size]]
-        else:
-            last[b1] = keys[-1]
 
     def _bound(self, value, right: bool) -> tuple[int, int]:
         """``(block, offset)`` of the first entry whose key is at least

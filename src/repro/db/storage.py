@@ -22,6 +22,8 @@ A relation whose ``keeps_history`` is False is the exception: its
 updates and deletes overwrite in place and leave no dead version, and
 an ``as of`` scan of it raises.  DBCRON's RULE_TIME probe table is the
 one such relation (:class:`~repro.rules.tables.RuleTables` sets it).
+RuleTables also sets RULE_TIME's ``before_access`` hook, which applies
+its pending writes before any whole-relation read or any write.
 """
 
 from __future__ import annotations
@@ -113,6 +115,9 @@ class Relation:
         #: updates and deletes then bury no dead version, so it stays
         #: bounded by its live rows, and ``scan(as_of=...)`` raises.
         self.keeps_history = True
+        #: Called before any whole-relation read or write (not before
+        #: the per-row ``get``/``tid_of``) to apply deferred writes.
+        self.before_access: "Callable[[], None] | None" = None
         self._tid_counter = itertools.count(1)
         self._xact_source = xact_source or (lambda: 1)
         #: kind -> list of callables(event) — wired up by the rule manager.
@@ -149,11 +154,13 @@ class Relation:
     # -- basic properties ------------------------------------------------------
 
     def __len__(self) -> int:
+        if self.before_access is not None:
+            self.before_access()
         return len(self._rows)
 
     def version_count(self) -> int:
         """Total stored tuple versions, live and dead."""
-        return len(self._rows) + len(self._history)
+        return len(self) + len(self._history)
 
     def scan(self, as_of: int | None = None) -> Iterator[dict]:
         """Iterate over tuples (dicts including ``_tid``).
@@ -162,6 +169,8 @@ class Relation:
         ``as_of``: created at or before it and not invalidated by it; a
         relation that keeps no history raises :class:`ExecutionError`.
         """
+        if self.before_access is not None:
+            self.before_access()
         if as_of is None:
             yield from list(self._rows.values())
             return
@@ -219,6 +228,8 @@ class Relation:
 
     def insert(self, values: dict, fire_hooks: bool = True) -> dict:
         """Append a tuple (validated, key-checked, version-stamped)."""
+        if self.before_access is not None:
+            self.before_access()
         row = self._validate(values)
         self._check_key(row)
         row["_tid"] = next(self._tid_counter)
@@ -246,6 +257,8 @@ class Relation:
         Validation failures raise before any row is stored, so a bad
         batch never half-applies.
         """
+        if self.before_access is not None:
+            self.before_access()
         rows: list[dict] = []
         batch_keys: set[tuple] = set()
         for values in values_batch:
@@ -279,6 +292,8 @@ class Relation:
 
     def delete(self, tid: int, fire_hooks: bool = True) -> dict:
         """Remove a live tuple; its version moves to history (if kept)."""
+        if self.before_access is not None:
+            self.before_access()
         try:
             row = self._rows.pop(tid)
         except KeyError:
@@ -320,6 +335,8 @@ class Relation:
         changed, and each index swaps the batch's entries through one
         :meth:`~repro.db.index.OrderedIndex.replace_batch`.
         """
+        if self.before_access is not None:
+            self.before_access()
         key_map, key_get, known = self._key_map, self._key_get, self._known
         rows, types = self._rows, self._types
         validators = {column.name: types.get(column.type_name).validate
@@ -391,6 +408,8 @@ class Relation:
 
     def truncate(self) -> None:
         """Discard all tuples, live and historical."""
+        if self.before_access is not None:
+            self.before_access()
         self._version += 1
         self._rows.clear()
         self._history.clear()
@@ -402,6 +421,8 @@ class Relation:
     def vacuum(self, before_xact: int | None = None) -> int:
         """Discard dead versions (all, or those invalidated before a
         transaction id); returns how many were reclaimed."""
+        if self.before_access is not None:
+            self.before_access()
         if before_xact is None:
             reclaimed = len(self._history)
             self._history.clear()

@@ -17,7 +17,9 @@ schedule behind one strategy protocol:
 As the clock advances, due entries are popped and fired; each fired rule
 computes its next trigger point (via the calendar pipeline), and once
 per wave RULE_TIME is updated and one re-arm notification re-enters the
-whole wave into the schedule (IMPLEMENTATION_NOTES §11.6).
+whole wave into the schedule (IMPLEMENTATION_NOTES §11.6).  RULE_TIME is
+materialised on read (:mod:`repro.rules.tables`): the wheel never reads
+it, while each heap probe first applies its pending writes.
 
 Independent due rules can fire **in parallel**: :meth:`DBCron.fire_due`
 pops all entries sharing the earliest due fire tick as one *wave* and

@@ -34,7 +34,6 @@ class RuleManager:
     def __init__(self, database: Database,
                  max_cascade_depth: int = 16) -> None:
         self.db = database
-        self.tables = RuleTables(database)
         self.event_rules: dict[str, EventRule] = {}
         self.temporal_rules: dict[str, TemporalRule] = {}
         self.max_cascade_depth = max_cascade_depth
@@ -48,6 +47,7 @@ class RuleManager:
         #: unaffected.  The expensive calendar-pipeline work
         #: (``next_trigger``) deliberately runs outside it.
         self._mutate_lock = threading.RLock()
+        self.tables = RuleTables(database, self._mutate_lock)
         #: Set by DBCron; used as the default schedule start for rules
         #: declared without an explicit ``after``.
         self.clock = None
@@ -216,7 +216,7 @@ class RuleManager:
         (skipped when ``shed``) and ``next_trigger``; the result per
         entry is the rule's new next fire (None when it was not
         rescheduled).  The bookkeeping is paid once per wave, in a
-        ``finally``: one RULE_TIME write (:meth:`RuleTables.
+        ``finally``: one (pending) RULE_TIME write (:meth:`RuleTables.
         set_next_fires`) and one schedule notification for every rule
         still registered as the same object — a rule that an earlier
         action dropped or redeclared keeps what that action left.

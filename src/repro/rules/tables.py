@@ -2,15 +2,25 @@
 
 ``RULE_INFO`` stores, per temporal rule, the calendar expression text, the
 factorized expression, and the rendered evaluation plan.  ``RULE_TIME``
-stores the *next* time point at which each rule must trigger; DBCRON
-probes it every T time units.  Both are ordinary relations of the host
-database, so they are themselves queryable with Postquel.  RULE_TIME is
-DBCRON's probe table, not user history: it keeps no dead versions (a
-write overwrites the row in place) and cannot be read ``as of`` a past
+stores the *next* time point at which each rule must trigger.  Both are
+ordinary relations of the host database, so they are themselves
+queryable with Postquel.  RULE_TIME keeps no dead versions (a write
+overwrites the row in place) and cannot be read ``as of`` a past
 transaction.
+
+The timing wheel is the schedule of record, so RULE_TIME is a
+durability and query record, **materialised on read**: new next fires
+(declare, each DBCRON wave, a restore) wait in one type-checked pending
+map, which RULE_TIME's ``before_access`` hook applies through the
+relation's write path right before anything reads or writes it.  A
+clear (a dropped rule, an ended schedule) is applied at once, after
+what is pending, so every read sees the rows and row order the writes
+would have left one by one (IMPLEMENTATION_NOTES §11.5).
 """
 
 from __future__ import annotations
+
+import threading
 
 from repro.db.database import Database
 
@@ -21,10 +31,17 @@ RULE_TIME = "rule_time"
 
 
 class RuleTables:
-    """Creates and maintains RULE_INFO / RULE_TIME in a database."""
+    """Creates and maintains RULE_INFO / RULE_TIME in a database.
 
-    def __init__(self, database: Database) -> None:
+    ``lock`` (re-entrant; the rule manager's mutation lock) guards the
+    pending map and its application.
+    """
+
+    def __init__(self, database: Database, lock: threading.RLock) -> None:
         self.db = database
+        self._lock = lock
+        #: rulename -> next_fire not yet in RULE_TIME, in write order.
+        self._pending: dict[str, int] = {}
         if RULE_INFO not in database:
             database.create_table(RULE_INFO, [
                 ("rulename", "text"),
@@ -41,6 +58,8 @@ class RuleTables:
             # time: bounded by its live rows, one per armed rule.
             relation.keeps_history = False
             database.create_index(RULE_TIME, "next_fire")
+        self._time = database.relation(RULE_TIME)
+        self._time.before_access = self.apply_pending
 
     # -- maintenance ------------------------------------------------------------
 
@@ -54,17 +73,15 @@ class RuleTables:
             "eval_plan": rule.plan.text() if rule.plan is not None else "",
         }, fire_hooks=False)
         if next_fire is not None:
-            self.db.relation(RULE_TIME).insert(
-                {"rulename": rule.name, "next_fire": next_fire},
-                fire_hooks=False)
+            self.set_next_fire(rule.name, next_fire)
 
     def unregister(self, name: str) -> None:
         """Delete a rule's RULE_INFO / RULE_TIME rows."""
-        for table in (RULE_INFO, RULE_TIME):
-            relation = self.db.relation(table)
-            tid = relation.tid_of((name,))
-            if tid is not None:
-                relation.delete(tid, fire_hooks=False)
+        info = self.db.relation(RULE_INFO)
+        tid = info.tid_of((name,))
+        if tid is not None:
+            info.delete(tid, fire_hooks=False)
+        self.set_next_fire(name, None)
 
     def set_next_fire(self, name: str, next_fire: int | None) -> None:
         """Upsert (or clear, with None) a rule's next trigger point."""
@@ -73,60 +90,72 @@ class RuleTables:
     def set_next_fires(self, pairs) -> None:
         """Upsert (or clear, with None) many rules' next trigger points.
 
-        The RULE_TIME write of one DBCRON wave: existing rows are
-        overwritten through one :meth:`~repro.db.storage.Relation.
-        update_many` (type-checked, in place, no dead version), rows
-        that appear are inserted and rows cleared with None are
-        deleted, as :meth:`set_next_fire` would per pair.  A name
-        listed twice keeps its last value.
+        The RULE_TIME write of one DBCRON wave.  Every value is
+        type-checked first (a non-``abstime`` raises
+        :class:`~repro.db.errors.DataTypeError` and writes nothing);
+        clears delete their rows now, new values wait in the pending
+        map.  A name listed twice keeps its last value.
         """
-        relation = self.db.relation(RULE_TIME)
-        updates: list[tuple[int, dict]] = []
-        inserts: list[dict] = []
-        for name, next_fire in dict(pairs).items():
-            tid = relation.tid_of((name,))
-            if tid is None:
-                if next_fire is not None:
-                    inserts.append({"rulename": name,
-                                    "next_fire": next_fire})
-            elif next_fire is None:
-                relation.delete(tid, fire_hooks=False)
-            else:
-                updates.append((tid, {"next_fire": next_fire}))
-        if updates:
-            relation.update_many(updates, fire_hooks=False)
-        if inserts:
-            relation.insert_many(inserts, fire_hooks=False)
+        pairs = dict(pairs)
+        validate = self.db.types.get("abstime").validate
+        for next_fire in pairs.values():
+            validate(next_fire)
+        with self._lock:
+            if None in pairs.values():
+                self.apply_pending()
+                for name, next_fire in pairs.items():
+                    tid = self._time.tid_of((name,))
+                    if next_fire is None and tid is not None:
+                        self._time.delete(tid, fire_hooks=False)
+            self._pending.update((name, next_fire)
+                                 for name, next_fire in pairs.items()
+                                 if next_fire is not None)
+
+    def apply_pending(self) -> None:
+        """Write the pending map into RULE_TIME (its ``before_access``
+        hook): stored rows through one ``update_many``, the others
+        through one ``insert_many``, in write order."""
+        if not self._pending:
+            return
+        with self._lock:
+            pending, self._pending = self._pending, {}
+            relation = self._time
+            updates: list[tuple[int, dict]] = []
+            inserts: list[dict] = []
+            for name, next_fire in pending.items():
+                tid = relation.tid_of((name,))
+                if tid is None:
+                    inserts.append({"rulename": name, "next_fire": next_fire})
+                else:
+                    updates.append((tid, {"next_fire": next_fire}))
+            if updates:
+                relation.update_many(updates, fire_hooks=False)
+            if inserts:
+                relation.insert_many(inserts, fire_hooks=False)
 
     def next_fire_of(self, name: str) -> int | None:
-        """The stored next trigger point of a rule, or None — found
-        through the key map, which follows direct Postquel mutation."""
-        relation = self.db.relation(RULE_TIME)
-        tid = relation.tid_of((name,))
-        return relation.get(tid)["next_fire"] if tid is not None else None
+        """The next trigger point of a rule, or None — from the pending
+        map, else through the key map (which follows direct Postquel
+        mutation); applies nothing."""
+        with self._lock:
+            if name in self._pending:
+                return self._pending[name]
+            tid = self._time.tid_of((name,))
+            return self._time.get(tid)["next_fire"] if tid is not None \
+                else None
 
     def all_next_fires(self) -> list[tuple[str, int]]:
         """Every (rulename, next_fire) pair — the wheel's one-time sync."""
         return [(row["rulename"], row["next_fire"])
-                for row in self.db.relation(RULE_TIME).scan()]
+                for row in self._time.scan()]
 
     def due_within(self, now: int, horizon: int) -> list[tuple[int, str]]:
         """(next_fire, rulename) pairs with next_fire <= now + horizon.
 
-        Uses the ordered index on ``next_fire`` — this is DBCRON's probe.
+        Uses the ordered index on ``next_fire`` — this is the heap
+        schedule's probe, and it pays for applying the pending writes.
         """
         relation = self.db.relation(RULE_TIME)
-        index = relation.indexes.get("next_fire")
-        bound = now + horizon
-        pairs: list[tuple[int, str]] = []
-        if index is not None:
-            for tid in index.lookup_range(hi=bound):
-                row = relation.get(tid)
-                if row is not None:
-                    pairs.append((row["next_fire"], row["rulename"]))
-        else:
-            for row in relation.scan():
-                if row["next_fire"] <= bound:
-                    pairs.append((row["next_fire"], row["rulename"]))
-        pairs.sort()
-        return pairs
+        tids = relation.indexes["next_fire"].lookup_range(hi=now + horizon)
+        return sorted((row["next_fire"], row["rulename"])
+                      for row in map(relation.get, tids))

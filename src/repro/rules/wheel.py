@@ -14,7 +14,7 @@ amortised-O(1) cascade when a coarser slot's window opens).  Because the
 wheel holds *arbitrarily* far futures — coarse levels plus a far-future
 overflow heap — DBCRON no longer needs a probe horizon at all: rule
 (re)arms go straight into a bucket and RULE_TIME becomes a durability
-record instead of the scheduling hot path.
+and query record, materialised only when read (:mod:`repro.rules.tables`).
 
 Scale-out is by **hash sharding**: rule names are distributed across N
 independent shards (stable CRC32, so runs are reproducible under hash

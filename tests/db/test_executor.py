@@ -341,3 +341,67 @@ class TestExplain:
     def test_non_retrieve_rejected(self, ex_db):
         with pytest.raises(ExecutionError):
             ex_db.explain("append t2 (k = 1)")
+
+
+class TestMetricHandles:
+    """``Executor.execute`` binds its metric handles once per registry:
+    a swapped instrumentation bundle gets every later statement."""
+
+    @staticmethod
+    def _stack():
+        from repro.catalog import CalendarRegistry
+        from repro.core import CalendarSystem
+        from repro.obs.instrument import Instrumentation
+        registry = CalendarRegistry(CalendarSystem.starting("Jan 1 1987"),
+                                    instrumentation=Instrumentation())
+        db = Database(calendars=registry)
+        db.create_table("t", [("x", "int4")])
+        return registry, db, Instrumentation
+
+    @staticmethod
+    def _counts(metrics, relation: str) -> tuple[int, int]:
+        latency = metrics.get("db.query.latency")
+        family = metrics.get("db.relation.query_seconds")
+        child = family.series().get((relation,)) if family else None
+        return (latency.count if latency else 0,
+                child.count if child else 0)
+
+    def test_a_swapped_bundle_gets_the_next_statement(self):
+        registry, db, Instrumentation = self._stack()
+        first = registry.instrumentation
+        db.execute("append t (x = 1)")
+        registry.instrumentation = second = Instrumentation(tracing=True)
+        db.execute("append t (x = 2)")
+        db.execute("retrieve (a.x) from a in t")
+        assert self._counts(first.metrics, "t") == (1, 1)
+        assert self._counts(second.metrics, "t") == (2, 2)
+        # Back to the first registry: its handles are bound again.
+        registry.instrumentation = first
+        db.execute("append t (x = 3)")
+        assert self._counts(first.metrics, "t") == (2, 2)
+        assert self._counts(second.metrics, "t") == (2, 2)
+
+    def test_the_exemplar_links_the_executor_trace(self):
+        registry, db, Instrumentation = self._stack()
+        db.execute("append t (x = 1)")
+        registry.instrumentation = traced = Instrumentation(tracing=True)
+        db.execute("append t (x = 2)")
+        child = traced.metrics.get("db.relation.query_seconds") \
+            .series()[("t",)]
+        linked = {trace_id for _, trace_id, _ in child.exemplars().values()}
+        traces = {span.trace_id for span in traced.tracer.recent()}
+        assert linked and linked <= traces
+
+    def test_the_129th_relation_collapses_into_other(self):
+        registry, db, _ = self._stack()
+        for i in range(130):
+            db.create_table(f"r{i}", [("x", "int4")])
+        for i in range(130):
+            db.execute(f"append r{i} (x = {i})")
+        db.execute("append r129 (x = 0)")
+        metrics = registry.instrumentation.metrics
+        series = metrics.get("db.relation.query_seconds").series()
+        assert len(series) == 129
+        assert ("r127",) in series and ("r128",) not in series
+        assert series[("other",)].count == 3  # r128, r129, r129 again
+        assert metrics.get("metrics.series_dropped").value == 3

@@ -130,15 +130,15 @@ def _wave_batch(rng: random.Random, rows: list[dict]):
 _FEW, _MANY = range(6), range(-3, 12)
 
 #: shape -> (index size, batch size, new keys, path): a few rows, a
-#: sixth of the index over its own keys (eight or more rows per key:
-#: run by run) or over many keys, the whole index, and waves, whose
-#: batch is the rows of one key.  A small wave takes whichever path
-#: its seed's run length calls for.
+#: sixth of the index over its own keys (eight or more rows per key) or
+#: over many keys, the whole index, and waves, whose batch is the rows
+#: of one key.  A wave takes whichever path its seed's run length calls
+#: for.
 _SHAPES = {"per-row": (400, 10, _MANY, "per-row"),
-           "runs": (400, 60, _FEW, "runs"),
+           "runs": (400, 60, _FEW, "merge"),
            "merge": (400, 60, _MANY, "merge"),
            "whole-index": (40, 40, _MANY, "merge"),
-           "wave": (400, None, None, "runs"),
+           "wave": (400, None, None, None),
            "small-wave": (40, None, None, None)}
 
 
@@ -161,18 +161,15 @@ def test_replace_batch_matches_a_rebuild(seed, shape, block):
         index.rebuild(rows)
         old, new = _random_batch(rng, rows, batch, keys) if batch else \
             _wave_batch(rng, rows)
-        with mock.patch.object(OrderedIndex, "_splice", autospec=True,
-                               side_effect=OrderedIndex._splice) as spliced, \
-                mock.patch("repro.db.index._merge",
-                           side_effect=_merge) as merged:
+        with mock.patch("repro.db.index._merge",
+                        side_effect=_merge) as merged:
             index.replace_batch(old, new)
         replaced = {row["_tid"]: row for row in new}
         expected = OrderedIndex("v")
         expected.rebuild([replaced.get(row["_tid"], row) for row in rows])
     # Each path must match the rebuild.
     if path is not None:
-        taken = "runs" if spliced.called else \
-            "merge" if merged.called else "per-row"
+        taken = "merge" if merged.called else "per-row"
         assert taken == path
     # Same entries in the same (key, tid) order as the rebuild.
     assert index.items() == expected.items()

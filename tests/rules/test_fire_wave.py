@@ -4,12 +4,15 @@ A wave fires its rules one by one in wave order, then writes their
 RULE_TIME rows and re-arms them once (``RuleManager.fire_wave``).  These
 tests pin what that batching must not change — fire order, fire ticks,
 RULE_TIME after each wave — and the error path: a raising rule must not
-take the rest of its wave out of the schedule.
+take the rest of its wave out of the schedule.  RULE_TIME's rows are
+materialised on read; the last section checks every read against the
+same writes applied at once.
 """
 
 import sys
+import threading
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import pytest
@@ -17,7 +20,8 @@ import pytest
 from repro.catalog import CalendarRegistry
 from repro.core import CalendarSystem
 from repro.db import Database
-from repro.db.errors import RuleError
+from repro.db.errors import DataTypeError, RuleError
+from repro.db.persist import load_database, save_database
 from repro.obs.instrument import Instrumentation
 from repro.obs.telemetry import CallbackSink
 from repro.rules import (
@@ -28,6 +32,7 @@ from repro.rules import (
     WheelSchedule,
 )
 from repro.rules.manager import _Wave
+from repro.rules.tables import RuleTables
 from repro.rules.temporal import TemporalRule
 from repro.runtime import WorkerPool
 from repro.session import Session
@@ -447,3 +452,206 @@ def test_lifespans_split_a_group():
                         if ("life_short", None) in flush))
     assert wave_13 == {"life_none": 20, "life_short": None,
                        "life_long": 20, "life_none2": 20}
+
+
+# -- RULE_TIME materialised on read -----------------------------------------
+#
+# The manager's RULE_TIME writes wait in ``RuleTables``' pending map
+# until something reads or writes the relation.  The oracle applies
+# every write at once, as it is made; each read below must match it,
+# row order included.
+
+
+@contextmanager
+def _eager_rule_time():
+    """Every RULE_TIME write applied as it is made."""
+    real = RuleTables.set_next_fires
+
+    def eager(self, pairs):
+        real(self, pairs)
+        self.apply_pending()
+
+    with mock.patch.object(RuleTables, "set_next_fires", eager):
+        yield
+
+
+_QUERY = "retrieve (r.rulename, r.next_fire) from r in rule_time"
+
+
+def _rows(result) -> list:
+    return [tuple(row.values()) for row in result.rows]
+
+
+def _reads_run(eager: bool, scheduler: str, workers: int, tmp_path=None):
+    """Every RULE_TIME read of 60 days with mixed rules, a rule that
+    reads RULE_TIME mid-wave and a drop + redeclare while writes are
+    pending; with ``tmp_path``, also a save/load round trip taken on
+    day 27 while its Tuesday wave is pending."""
+    registry = CalendarRegistry(CalendarSystem.starting("Jan 1 1987"),
+                                default_horizon_years=3)
+    db = Database(calendars=registry)
+    db.create_table("fire_log", [("rule", "text"), ("t", "abstime")])
+    manager = RuleManager(db)
+    clock = SimulatedClock(now=1)
+    pool = WorkerPool(workers)
+    schedule = HeapSchedule() if scheduler == "heap" else \
+        WheelSchedule(clock.now, shards=SHARDS)
+    cron = DBCron(manager, clock, period=7, pool=pool, schedule=schedule)
+    before = db.relation("rule_time")  # fetched before any wave
+    mid_wave: dict[int, list] = {}
+
+    def reader(_db, tick):
+        mid_wave[tick] = _rows(_db.execute(_QUERY))
+
+    reads: list = []
+    with ExitStack() as patches:
+        if eager:
+            patches.enter_context(_eager_rule_time())
+        for i, (expression, span) in enumerate([
+                (TUESDAYS, None), ("[5]/DAYS:during:WEEKS", None),
+                ("[1]/DAYS:during:MONTHS", None), (TUESDAYS, (1, 15)),
+                ("[15]/DAYS:during:MONTHS", None), (TUESDAYS, None)]):
+            manager.declare_temporal(f"r{i}", expression=expression,
+                                     after=1, valid_between=span,
+                                     actions=[_log_action(f"r{i}")])
+        manager.declare_temporal("t_reader", expression=TUESDAYS, after=1,
+                                 callback=reader)
+        try:
+            for day in range(2, 61):
+                if day == 20:
+                    # The heap's daily probe leaves nothing pending.
+                    assert eager or scheduler == "heap" or \
+                        manager.tables._pending, "no write is pending"
+                    manager.drop_rule("r1")
+                    manager.declare_temporal(
+                        "r1", expression=TUESDAYS, after=day,
+                        actions=[_log_action("r1")])
+                cron.run_until(day)
+                if day == 27 and tmp_path is not None:
+                    assert eager or manager.tables._pending
+                    path = str(tmp_path / f"rules-{eager}.json")
+                    save_database(db, path)
+                    loaded = load_database(path)
+                    reads.append(("loaded", sorted(
+                        _rows(loaded.execute(_QUERY)))))
+                if day % 7 == 0:  # a probe tick
+                    reads.append(("prefetched", [
+                        (row["rulename"], row["next_fire"])
+                        for row in before.scan()]))
+                    reads.append(("heap probe",
+                                  manager.tables.due_within(day, 7)))
+                    reads.append(("postquel", _rows(db.execute(_QUERY))))
+                    reads.append(("index", _rows(db.execute(
+                        _QUERY + f" where r.next_fire <= {day + 10}"))))
+        finally:
+            pool.close()
+    log = sorted(_rows(db.execute("retrieve (f.rule, f.t) from f in "
+                                  "fire_log")))
+    return reads, mid_wave, log, _rows(db.execute(_QUERY))
+
+
+@pytest.mark.parametrize("scheduler,workers",
+                         [("heap", 1), ("wheel", 1), ("wheel", 4)])
+def test_rule_time_reads_match_eager_writes(scheduler, workers):
+    lazy = _reads_run(False, scheduler, workers)
+    assert lazy == _reads_run(True, scheduler, workers)
+    reads, _, log, final = lazy
+    assert reads and log and final
+
+
+def test_a_mid_wave_read_sees_pre_wave_values():
+    # ``t_reader`` fires in the same Tuesday waves as r0, r3 and r5,
+    # after them (arm order); their rows still hold this wave's tick.
+    _, mid_wave, _, _ = _reads_run(False, "wheel", 1)
+    assert sorted(mid_wave) == [6, 13, 20, 27, 34, 41, 48, 55]
+    for tick, rows in mid_wave.items():
+        tuesdays = {name: next_fire for name, next_fire in rows
+                    if name in ("r0", "r5", "t_reader")}
+        assert tuesdays == dict.fromkeys(("r0", "r5", "t_reader"), tick)
+
+
+def test_save_load_round_trip_with_writes_pending(tmp_path):
+    lazy_reads = _reads_run(False, "wheel", 1, tmp_path)[0]
+    eager_reads = _reads_run(True, "wheel", 1, tmp_path)[0]
+    loaded = [rows for kind, rows in lazy_reads if kind == "loaded"]
+    assert loaded and loaded[0]
+    assert loaded == [rows for kind, rows in eager_reads
+                      if kind == "loaded"]
+
+
+def test_drop_and_redeclare_while_pending(stack):
+    # r1's row goes and a new one comes last, as a delete and an insert
+    # made at once would leave it; a vacuum applies the writes too.
+    _, db, manager, clock, pool = stack
+    DBCron(manager, clock, period=7, pool=pool)
+    for name in ("r0", "r1", "r2"):
+        manager.declare_temporal(name, expression=TUESDAYS, after=1,
+                                 callback=lambda _db, tick: None)
+    rule_time = db.relation("rule_time")
+    clock.advance(6)
+    manager.drop_rule("r1")
+    manager.declare_temporal("r1", expression="[5]/DAYS:during:WEEKS",
+                             after=7, callback=lambda _db, tick: None)
+    assert manager.tables.next_fire_of("r1") == 9
+    assert manager.tables._pending
+    db.vacuum()
+    assert not manager.tables._pending
+    assert [(row["rulename"], row["next_fire"])
+            for row in rule_time.scan()] == [("r0", 13), ("r2", 13),
+                                             ("r1", 9)]
+    assert _rows(db.execute(_QUERY)) == [("r0", 13), ("r2", 13),
+                                         ("r1", 9)]
+
+
+@pytest.mark.parametrize("bad", [True, "13", 13.0])
+def test_a_non_abstime_next_fire_raises_at_the_write(stack, bad):
+    _, db, manager, clock, pool = stack
+    manager.declare_temporal("a", expression=TUESDAYS, after=1,
+                             callback=lambda _db, tick: None)
+    with pytest.raises(DataTypeError):
+        manager.tables.set_next_fires([("b", 20), ("a", bad)])
+    assert manager.tables.next_fire_of("a") == 6
+    assert manager.tables.next_fire_of("b") is None
+    assert _rows(db.execute(_QUERY)) == [("a", 6)]
+
+
+def test_concurrent_reader_never_sees_a_partial_write():
+    # 60 Tuesday rules move together in every wave, fired on four pool
+    # workers; a reader thread querying RULE_TIME throughout must see
+    # them all at one tick each time, never some moved and some not.
+    registry = CalendarRegistry(CalendarSystem.starting("Jan 1 1987"),
+                                default_horizon_years=3)
+    db = Database(calendars=registry)
+    manager = RuleManager(db)
+    clock = SimulatedClock(now=1)
+    pool = WorkerPool(4)
+    cron = DBCron(manager, clock, period=7, pool=pool,
+                  schedule=WheelSchedule(clock.now, shards=4))
+    for i in range(60):
+        manager.declare_temporal(f"r{i}", expression=TUESDAYS, after=1,
+                                 callback=lambda _db, tick: None)
+    seen: list = []
+    done = threading.Event()
+
+    def read() -> None:
+        while not done.is_set():
+            rows = _rows(db.execute(_QUERY))
+            seen.append((len(rows), {next_fire for _, next_fire in rows}))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=read)
+    thread.start()
+    try:
+        for _ in range(200):
+            cron.run_until(clock.now + 1)
+    finally:
+        done.set()
+        thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+        pool.close()
+    assert not thread.is_alive()
+    assert cron.stats.fires == 60 * 28
+    assert len(seen) > 1
+    assert all(count == 60 and len(ticks) == 1 for count, ticks in seen), \
+        [entry for entry in seen if entry[0] != 60 or len(entry[1]) != 1]
