@@ -247,17 +247,22 @@ def restore_database(payload: dict) -> Database:
 def save_database(db: Database, path: str) -> SaveReport:
     """Serialise ``db`` to a JSON file; returns what was saved/skipped.
 
+    The document is compact (no indentation or spaces after
+    separators), which lets :func:`json.dumps` use CPython's C encoder;
+    :func:`load_database` reads indented files written before as well.
+
     Crash-safe: the payload goes to a temporary file in the target's
     directory, is flushed and fsynced, then atomically replaces
     ``path``.  A failure part-way leaves the previous file untouched
     (and removes the temporary one).
     """
     payload, report = dump_database(db)
+    text = json.dumps(payload, separators=(",", ":"))
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
         # Mode "x" creates the file like "w" would (umask applies).
         with open(tmp, "x", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         if os.path.exists(path):

@@ -23,6 +23,7 @@ from repro.core.matcache import MaterialisationCache
 from repro.core.periodic import (
     GREGORIAN_PERIOD_DAYS,
     PeriodicSet,
+    compile_expression_oracle,
     compile_expression_periodic,
 )
 
@@ -228,31 +229,60 @@ class _CacheEvents:
         self.events.append((kind, fields))
 
 
+def _oracle_compile(registry, text: str, max_eval_days: int = 220_000):
+    """Compile ``text`` with every window read from the interpreter."""
+    from repro.lang.factorizer import factorize
+    from repro.lang.parser import parse_expression
+
+    factored = factorize(parse_expression(text),
+                         registry.resolver).expression
+    return compile_expression_oracle(
+        factored, system=registry.system, resolver=registry.resolver,
+        evaluate=lambda win: registry.eval_expression(
+            text, window=win, optimize=False),
+        source=text, max_eval_days=max_eval_days)
+
+
 class TestSharedCacheAnchor:
     def test_full_tier_compiles_do_not_pin_the_shared_cache(self):
-        """A Gregorian-period compile evaluates its anchor period next to
-        the present era, so the shared DAYS entry it leaves behind still
-        serves (or extends over) later present-era requests instead of
-        turning them into uncached narrow bypasses."""
+        """An oracle compile of a Gregorian-period shape evaluates its
+        anchor period next to the present era, so the shared DAYS entry
+        it leaves behind still serves (or extends over) later
+        present-era requests instead of turning them into uncached
+        narrow bypasses."""
         from repro.session import Session
 
         cache = MaterialisationCache()
         registry = Session(holiday_years=(1987, 2006),
                            matcache=cache).registry
         for text in ("LDOM", "[1]/AM_BUS_DAYS:during:MONTHS"):
-            pset = registry.periodic_set(text)
+            pset = _oracle_compile(registry, text)
             assert pset is not None
             assert pset.period == GREGORIAN_PERIOD_DAYS
         bypasses = cache.stats()["narrow_bypass"]
         sink = cache.pipeline = _CacheEvents()
-        assert registry.periodic_set(
-            "[3]/DAYS:during:WEEKS:during:2004/YEARS") is not None
+        assert _oracle_compile(
+            registry, "[3]/DAYS:during:WEEKS:during:2004/YEARS") is not None
         assert cache.stats()["narrow_bypass"] == bypasses
         days = [kind for kind, fields in sink.events
                 if (fields.get("calendar"), fields.get("unit"))
                 == ("DAYS", "DAYS")]
         assert days
         assert set(days) <= {"cache.hit", "cache.extend"}
+
+    def test_closed_form_compiles_leave_the_shared_cache_alone(self):
+        """The default compile reads these shapes in closed form: no
+        materialisation request reaches the shared cache."""
+        from repro.session import Session
+
+        cache = MaterialisationCache()
+        registry = Session(holiday_years=(1987, 2006),
+                           matcache=cache).registry
+        before = cache.stats()["requests"]
+        for text in ("LDOM", "[1]/AM_BUS_DAYS:during:MONTHS",
+                     "[3]/DAYS:during:WEEKS:during:2004/YEARS"):
+            assert registry.periodic_set(text) is not None
+        assert cache.stats()["requests"] == before
 
 
 class TestNoMaterialisation:

@@ -183,18 +183,53 @@ class TestCrashSafeSave:
         populated.insert("students", name="dee", hours=40,
                          week=populated.system.day_of("Mar 1 1993"))
 
-        def crash_midway(payload, handle, **kwargs):
-            text = json.dumps(payload, **kwargs)
-            handle.write(text[:len(text) // 2])
-            raise OSError("disk full")
+        class CrashMidway:
+            """The temporary file's handle; its write stops half-way."""
 
-        monkeypatch.setattr(persist.json, "dump", crash_midway)
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.handle.__exit__(*exc)
+
+            def write(self, text):
+                self.handle.write(text[:len(text) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(persist, "open",
+                            lambda *args, **kwargs: CrashMidway(
+                                open(*args, **kwargs)), raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_database(populated, str(path))
         monkeypatch.undo()
 
         assert load_database(str(path)).execute(query).rows == before
         assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
+
+    def test_save_uses_the_c_encoder(self, populated, tmp_path):
+        """A save never runs the pure-Python encoder, which any
+        indentation would select."""
+        with mock.patch("json.encoder._make_iterencode",
+                        side_effect=AssertionError("pure-Python encoder")):
+            save_database(populated, str(tmp_path / "db.json"))
+        assert load_database(str(tmp_path / "db.json")).relation(
+            "students") is not None
+
+    def test_indented_file_still_loads(self, populated, tmp_path):
+        """Files written with the former ``indent=1`` layout load."""
+        path = tmp_path / "db.json"
+        compact = tmp_path / "compact.json"
+        payload, _ = dump_database(populated)
+        path.write_text(json.dumps(payload, indent=1), encoding="utf-8")
+        save_database(populated, str(compact))
+        assert json.loads(compact.read_text(encoding="utf-8")) == \
+            json.loads(path.read_text(encoding="utf-8"))
+        query = "retrieve (s.name, s.hours) from s in students order by name"
+        assert load_database(str(path)).execute(query).rows == \
+            load_database(str(compact)).execute(query).rows
 
     def test_save_replaces_existing_file_keeping_its_mode(
             self, populated, tmp_path):

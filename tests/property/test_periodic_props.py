@@ -2,11 +2,14 @@
 
 Two strategies:
 
-* ``compilable_expressions`` leans on weekly and finite shapes (cheap
-  to compile at the full budget tier) so most draws exercise the
-  compiled arithmetic — ``contains`` / ``next_occurrence`` /
-  ``iter_from`` are checked point-for-point against the membership set
-  the eager interpreter produces;
+* ``compilable_expressions`` draws the closed form's shapes — weekly,
+  monthly and yearly selections, business-day selections, ``&`` with a
+  year, ``- HOLIDAYS``, unions — so every draw exercises the compiled
+  arithmetic: ``contains`` / ``next_occurrence`` / ``iter_from`` are
+  checked point-for-point against the membership set the eager
+  interpreter produces, and the closed-form compile is checked field
+  for field against the oracle compile (the interpreter read over the
+  same windows) at both budget tiers;
 * the broad ``cel_expressions`` fuzz (same grammar as
   ``test_lang_props``) checks the *clean fallback* property: for any
   parseable expression the compiler either returns a parity-correct
@@ -18,6 +21,8 @@ against ``contains`` tick by tick, on compiled and on synthetic sets.
 
 from __future__ import annotations
 
+import os
+import sys
 from bisect import bisect_left, bisect_right
 from unittest import mock
 
@@ -30,7 +35,12 @@ from repro.catalog import (
 )
 from repro.core import CalendarSystem
 from repro.core.matcache import MaterialisationCache
-from repro.core.periodic import GREGORIAN_PERIOD_DAYS, PeriodicSet
+from repro.core.periodic import (
+    GREGORIAN_PERIOD_DAYS,
+    PeriodicSet,
+    compile_expression_oracle,
+    compile_expression_periodic,
+)
 from repro.lang.interpreter import Interpreter
 
 #: One registry for the whole module: compiles and oracle evaluations
@@ -77,15 +87,44 @@ def weekly_operand(draw):
 
 
 @st.composite
+def monthly_operand(draw):
+    """A Gregorian-period selection from MONTHS or YEARS."""
+    tiling = draw(st.sampled_from(["MONTHS", "YEARS"]))
+    if draw(st.booleans()):
+        index = draw(st.sampled_from(["1-3", "2;5", "27-31"]))
+        return f"flatten([{index}]/DAYS:during:{tiling})"
+    index = draw(st.sampled_from(
+        ["1", "2", "15", "29", "31", "n", "-1", "-3"]
+        + (["60", "366"] if tiling == "YEARS" else [])))
+    return f"[{index}]/DAYS:during:{tiling}"
+
+
+@st.composite
+def business_operand(draw):
+    index = draw(st.sampled_from(["1", "2", "5", "n", "-1"]))
+    tiling = draw(st.sampled_from(["WEEKS", "MONTHS"]))
+    return f"[{index}]/AM_BUS_DAYS:during:{tiling}"
+
+
+def operands():
+    return st.one_of(weekly_operand(), monthly_operand(),
+                     business_operand())
+
+
+@st.composite
 def compilable_expressions(draw):
-    base = draw(weekly_operand())
-    form = draw(st.sampled_from(["plain", "year", "union", "minus"]))
+    base = draw(operands())
+    form = draw(st.sampled_from(["plain", "year", "union", "minus",
+                                 "holidays"]))
     if form == "year":
-        return f"({base}) & 1993/YEARS"
+        year = draw(st.integers(min_value=1988, max_value=2005))
+        return f"({base}) & {year}/YEARS"
     if form == "union":
-        return f"({base}) + ({draw(weekly_operand())})"
+        return f"({base}) + ({draw(operands())})"
     if form == "minus":
         return f"({base}) - (({draw(weekly_operand())}) & 1993/YEARS)"
+    if form == "holidays":
+        return f"({base}) - HOLIDAYS"
     return base
 
 
@@ -179,6 +218,116 @@ def test_iter_from_matches_oracle_prefix(text, offset):
             break
         got.append(occurrence)
     assert got == expected, f"iter_from({tick}) disagrees for {text!r}"
+
+
+# -- closed form against the oracle compile ------------------------------------
+
+#: Every field of a compiled set; the closed form must reproduce each.
+_FIELDS = ("period", "offsets", "patch_window", "patch", "elements",
+           "patch_elements", "granularity", "exact_elements")
+
+#: (text, budget) -> (oracle set, oracle fallback reasons); a full-tier
+#: oracle compile of a Gregorian-period shape evaluates 400 years.
+_ORACLE_COMPILES: dict = {}
+
+
+def _oracle_compile(registry, text, budget):
+    key = (text, budget)
+    if key not in _ORACLE_COMPILES:
+        parsed, factored = registry._parsed_asts(text, None)
+        reasons = []
+        calls = []
+        evaluate = Interpreter.evaluate
+
+        def counted(interpreter, node):
+            calls.append(node)
+            return evaluate(interpreter, node)
+
+        with mock.patch.object(Interpreter, "evaluate", counted):
+            pset = compile_expression_oracle(
+                factored, system=registry.system,
+                resolver=registry.resolver,
+                evaluate=lambda win: registry.eval_expression(
+                    text, window=win, optimize=False),
+                source=text, max_eval_days=budget, reason_out=reasons)
+        assert calls or pset is None, \
+            f"the oracle compile of {text!r} bypassed the interpreter"
+        _ORACLE_COMPILES[key] = (pset, reasons)
+    return _ORACLE_COMPILES[key]
+
+
+def _closed_compile(registry, text, budget):
+    parsed, factored = registry._parsed_asts(text, None)
+    reasons, paths = [], []
+
+    def refuse(window):
+        raise AssertionError(f"{text!r} read the oracle")
+
+    pset = compile_expression_periodic(
+        factored, system=registry.system, resolver=registry.resolver,
+        evaluate=refuse, source=text, max_eval_days=budget,
+        reason_out=reasons, raw=parsed, memo=registry._closed_memo(),
+        path_out=paths)
+    return pset, reasons, paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(compilable_expressions())
+def test_closed_form_equals_the_oracle_compile(text):
+    """Both tiers: the closed form compiles (or falls back, for the same
+    reason) exactly as the oracle compile does, every field equal."""
+    registry = _registry()
+    for budget in (registry._PERIODIC_FULL_DAYS,
+                   registry._PERIODIC_SMALL_DAYS):
+        closed, reasons, paths = _closed_compile(registry, text, budget)
+        assert paths == [("closed", None)], paths
+        oracle, oracle_reasons = _oracle_compile(registry, text, budget)
+        assert reasons == oracle_reasons, text
+        assert (closed is None) == (oracle is None), text
+        if closed is not None:
+            for field in _FIELDS:
+                assert getattr(closed, field) == getattr(oracle, field), \
+                    f"{field} differs for {text!r} at budget {budget}"
+
+
+def _dbcron_texts() -> list[str]:
+    """The dbcron_month set-up expressions (perfbench/wl_dbcron.py)."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__)))), "perfbench"))
+    try:
+        import wl_dbcron
+    finally:
+        sys.path.pop(0)
+    return [text for _, exprs in wl_dbcron.MIX for text, _ in exprs]
+
+
+def test_dbcron_setup_compiles_never_run_the_interpreter():
+    """The 25 compiled dbcron_month set-up texts compile in closed form:
+    no interpreter evaluation and no materialisation request."""
+    from repro import Session
+    from repro.obs.instrument import Instrumentation
+
+    registry = Session("Jan 1 1987", holiday_years=(1987, 2016),
+                       instrumentation=Instrumentation(),
+                       matcache=MaterialisationCache()).registry
+    requests = registry.matcache.stats()["requests"]
+    calls = []
+    evaluate = Interpreter.evaluate
+
+    def counted(interpreter, node):
+        calls.append(node)
+        return evaluate(interpreter, node)
+
+    with mock.patch.object(Interpreter, "evaluate", counted):
+        compiled = [text for text in _dbcron_texts()
+                    if registry.periodic_set(text) is not None]
+    assert len(compiled) == 25
+    assert calls == []
+    assert registry.matcache.stats()["requests"] == requests
+    paths = registry.instrumentation.metrics.counter(
+        "periodic.compile", labels=("path",))
+    assert paths.labels("closed").value == 25
+    assert paths.labels("oracle").value == 0
 
 
 # -- anchor independence --------------------------------------------------------

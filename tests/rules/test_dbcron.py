@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import AxisError
 from repro.db.errors import ExecutionError
-from repro.rules import DBCron, RuleManager, SimulatedClock
+from repro.rules import DBCron, HeapSchedule, RuleManager, SimulatedClock
 from repro.session import Session
 
 
@@ -52,6 +52,33 @@ class TestEveryTuesday:
         cron.run_until(db.system.day_of("Feb 1 1993"))
         next_fire = manager.tables.next_fire_of("every_tuesday")
         assert next_fire > clock.now - cron.period
+
+
+class TestFarFutureRule:
+    """A compiled rule whose first point lies decades ahead is armed."""
+
+    @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
+    def test_armed_for_2016_and_fires_there(self, db, scheduler):
+        manager = RuleManager(db)
+        clock = SimulatedClock(now=db.system.day_of("Jan 1 1993"))
+        cron = DBCron(manager, clock, period=7,
+                      schedule=HeapSchedule() if scheduler == "heap"
+                      else None)
+        fired = []
+        manager.declare_temporal(
+            "far", expression="[1]/DAYS:during:WEEKS:during:2016/YEARS",
+            callback=lambda d, t: fired.append(t), after=clock.now)
+        # The first Monday of a week wholly inside 2016.
+        first = db.system.day_of("Jan 4 2016")
+        rows = db.execute("retrieve (r.rulename, r.next_fire) "
+                          "from r in rule_time").rows
+        assert [(r["rulename"], r["next_fire"]) for r in rows] == \
+            [("far", first)]
+        cron.run_until(first - 1)
+        assert fired == []
+        cron.run_until(first)
+        assert fired == [first]
+        assert manager.tables.next_fire_of("far") == first + 7
 
 
 class TestDaemonMechanics:

@@ -136,19 +136,29 @@ class TestProfile:
         profile = session.profile(text)
         assert len(profile.steps()) == len(plan.steps)
 
-    def test_profile_coverage_at_least_90_percent(self, session):
-        profile = session.profile("DAYS:during:[1]/MONTHS:during:"
-                                  "1993/YEARS")
-        assert profile.coverage >= 0.90
+    def test_profile_coverage_at_least_90_percent(self):
+        """The first profile of a session (it pays the periodic compile)
+        is at least 90% covered by leaf spans.  A run is a millisecond or
+        two, so one scheduler stall in an untraced gap can swing a single
+        reading across the bound: the median of five fresh sessions'
+        first profiles decides."""
+        coverages = []
+        for _ in range(5):
+            fresh = Session("Jan 1 1987", holiday_years=(1987, 1996),
+                            instrumentation=Instrumentation())
+            coverages.append(fresh.profile(
+                "DAYS:during:[1]/MONTHS:during:1993/YEARS").coverage)
+        assert median(coverages) >= 0.90, coverages
 
     def test_first_profile_of_a_process_covers_periodic_compile(self):
         """A process's first profile pays the periodic compile; it runs
-        under a ``periodic.compile`` span, with the oracle evaluation
-        nested in it, so coverage holds from the first call.  Each run
-        is a fresh process; the median of three keeps one scheduler
-        stall in an untraced gap from deciding the outcome.  The
-        children drop the ``REPRO_*`` settings, so every CI leg measures
-        the same untraced first profile."""
+        under a ``periodic.compile`` span, with the closed form's own
+        ``periodic.closed`` span nested in it (no interpreter evaluation),
+        so coverage holds from the first call.  Each run is a fresh
+        process; the median of three keeps one scheduler stall in an
+        untraced gap from deciding the outcome.  The children drop the
+        ``REPRO_*`` settings, so every CI leg measures the same untraced
+        first profile."""
         import repro
 
         script = (
@@ -165,7 +175,8 @@ class TestProfile:
                                capture_output=True, text=True, check=True,
                                timeout=120).stdout.split(" ", 1)
                 for _ in range(3)]
-        assert all("registry.eval_expression" in children
+        assert all("'periodic.closed'" in children
+                   and "registry.eval_expression" not in children
                    for _, children in runs)
         assert median(float(coverage) for coverage, _ in runs) >= 0.90, \
             runs
