@@ -168,6 +168,21 @@ class TestNextOccurrence:
         assert registry.next_occurrence("OneShot", 10,
                                         horizon_days=400) is None
 
+    def test_explicit_horizon_caps_a_compiled_expression(self, registry):
+        text = "[1]/DAYS:during:WEEKS:during:2016/YEARS"
+        assert registry.periodic_set(text) is not None
+        t0 = registry.system.day_of("Jan 1 1993")
+        first = registry.next_occurrence(text, t0, horizon_days=None)
+        assert registry.system.date_of(first).year == 2016
+        # An explicit horizon caps the compiled path as it caps the
+        # windowed one; the default is the windowed search's horizon.
+        assert registry.next_occurrence(text, t0, horizon_days=30) is None
+        assert registry.next_occurrence(text, t0) is None
+        assert registry.next_occurrence(
+            text, t0, horizon_days=first - t0) == first
+        assert registry.next_occurrence(
+            text, t0, horizon_days=first - t0 - 1) is None
+
     def test_far_occurrence_found_by_growing_window(self, registry):
         registry.define("FarShot", values=[(3000, 3000)],
                         granularity="DAYS")
