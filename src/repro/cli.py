@@ -22,9 +22,9 @@ Run with ``python -m repro``.  Three kinds of input:
                                 (initial size: the REPRO_WORKERS env var)
       \clock                    show the simulated clock
       \advance N                advance the clock N days (DBCRON fires)
-      \rules [stats|drop NAME]  list rules; "stats" reports the daemon,
-                                scheduler shards and per-tenant throttle
-                                counters; "drop NAME" removes a rule
+      \rules [stats|drop NAME]  list rules; "stats" reports the daemon
+                                and its scheduler shards; "drop NAME"
+                                removes a rule
       \tables                   list relations
       \explain [-noopt] EXPR | retrieve ...  evaluation plan of an
                                 expression (with the optimizer's
@@ -150,8 +150,7 @@ class Session(CoreSession):
                     f"  daemon: {daemon['scheduler']} scheduler, "
                     f"period {daemon['period']}, "
                     f"{daemon['probes']} probes, {daemon['fires']} fires, "
-                    f"{daemon['reschedules']} reschedules, "
-                    f"{daemon['sheds']} sheds",
+                    f"{daemon['reschedules']} reschedules",
                     f"  schedule: {schedule['scheduled']} armed across "
                     f"{schedule['shards']} shard(s)",
                 ]
@@ -162,12 +161,6 @@ class Session(CoreSession):
                     lines.append(
                         f"    overflow: {schedule['overflow']} entries, "
                         f"{schedule.get('cascades', 0)} cascades")
-                for tenant, counters in stats.get("throttle", {}).items():
-                    lines.append(
-                        f"  tenant {tenant}: {counters['fired']} fired, "
-                        f"{counters['shed']} shed, "
-                        f"{counters['registered']} registered, "
-                        f"{counters['denied']} denied")
                 return "\n".join(lines)
             if sub == "drop":
                 name = rest.strip()

@@ -129,32 +129,46 @@ def _type_name(value: object) -> str:
 
 
 class _TidRows:
-    """A range scan's candidate rows, named by tid and fetched on first
-    access.
+    """A range scan's candidate rows: the index entries inside a
+    calendar's runs, counted or fetched on first need.
 
-    A hook-free ``count()`` only takes the length, so it fetches no row
-    dict at all.  Any other consumer's first access sorts the tids
-    ascending (scan order) and fetches every row; that happens before
-    any selection narrows the candidates, so positions always index the
-    sorted list.
+    A hook-free ``count()`` only takes the length, which the index
+    counts from its per-key counts where it keeps them, so it builds no
+    tid list and fetches no row dict.  Any other consumer's first access
+    collects the tids, sorts them ascending (scan order) and fetches
+    every row; that happens before any selection narrows the candidates,
+    and before any retrieve hook can write to the relation, so positions
+    always index the sorted list.
     """
 
-    __slots__ = ("_relation", "_tids", "_rows")
+    __slots__ = ("_relation", "_index", "_runs", "_tids", "_len", "_rows")
 
-    def __init__(self, relation, tids: list) -> None:
+    def __init__(self, relation, index, runs: list) -> None:
         self._relation = relation
-        self._tids = tids
+        self._index = index
+        self._runs = runs
+        self._tids = None
+        self._len = None
         self._rows = None
 
+    def _tid_list(self) -> list:
+        if self._tids is None:
+            self._tids = self._index.lookup_runs(self._runs)
+        return self._tids
+
     def __len__(self) -> int:
-        return len(self._tids)
+        if self._len is None:
+            n = self._index.count_runs(self._runs)
+            self._len = len(self._tid_list()) if n is None else n
+        return self._len
 
     def __getitem__(self, p: int) -> dict:
         rows = self._rows
         if rows is None:
-            self._tids.sort()
+            tids = self._tid_list()
+            tids.sort()
             get = self._relation.get
-            rows = self._rows = [get(tid) for tid in self._tids]
+            rows = self._rows = [get(tid) for tid in tids]
         return rows[p]
 
 
@@ -173,10 +187,8 @@ class Executor:
         """Run one parsed statement with optional variable bindings.
 
         Every execution is timed into the ``db.query.latency`` histogram
-        and the per-relation ``db.relation.query_seconds`` family
-        (exemplar-linked to the executor span's trace id when tracing
-        is on) and — with tracing on — wrapped in an
-        ``executor.<Kind>`` span;
+        and the per-relation ``db.relation.query_seconds`` family and
+        — with tracing on — wrapped in an ``executor.<Kind>`` span;
         with a telemetry pipeline attached a ``query.execute`` event
         records the statement kind and result cardinality.  The
         instrumentation bundle is looked up per call because a session
@@ -187,13 +199,9 @@ class Executor:
         kind = type(statement).__name__
         tracer = inst.tracer
         t0 = perf_counter()
-        trace_id = None
         if tracer is not None:
-            with tracer.span(f"executor.{kind}") as span:
+            with tracer.span(f"executor.{kind}"):
                 result = self._dispatch(statement, bindings)
-            # Past the per-trace span budget the tracer hands out a
-            # timing-free stand-in with no trace id to link to.
-            trace_id = getattr(span, "trace_id", None)
         else:
             result = self._dispatch(statement, bindings)
         elapsed = perf_counter() - t0
@@ -215,7 +223,7 @@ class Executor:
             # One collapsed into ``other`` is resolved (counted) again.
             if family.series().get((relation,)) is child:
                 children[relation] = child
-        child.observe(elapsed, trace_id)
+        child.observe(elapsed)
         if inst.pipeline is not None:
             inst.pipeline.emit("query.execute", kind=kind,
                                rows=len(result.rows),
@@ -584,7 +592,7 @@ class Executor:
         for term in plan.const_terms:
             if not self._truthy(self._eval(term, env_base)):
                 return empty
-        sel_by: dict[str, list[int]] = {}
+        sel_by: dict[str, Sequence[int]] = {}
         relations = {rv.var: self.db.relation(rv.relation)
                      for rv in stmt.range_vars}
         for var in order:
@@ -656,7 +664,7 @@ class Executor:
             filters = [f for f in filters if f is not access.served]
         if rows is None:
             rows = list(relation.scan())
-        sel = list(range(len(rows)))
+        sel = range(len(rows))
         for f in filters:
             if not sel:
                 break
@@ -681,11 +689,12 @@ class Executor:
     def _range_rows(relation, column: str, probe) -> _TidRows:
         """The valid-time range scan: the rows whose ``column`` tick
         lies in one of the calendar's runs over the index's key range —
-        one bisect pair per run, rows fetched only when read."""
+        counted from the index's per-key counts or one bisect pair per
+        run, rows fetched only when read."""
         index = relation.indexes[column]
         span = index.key_range()
-        tids = [] if span is None else index.lookup_runs(probe.runs(*span))
-        return _TidRows(relation, tids)
+        return _TidRows(relation, index,
+                        [] if span is None else probe.runs(*span))
 
     #: Builtin comparison semantics of :meth:`_builtin_binop`, for the
     #: lane fast path (arithmetic ops never appear as whole conjuncts).

@@ -17,7 +17,8 @@ are provided:
 from __future__ import annotations
 
 import bisect
-from itertools import chain, compress
+from collections import Counter
+from itertools import accumulate, chain, compress
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -39,6 +40,13 @@ class OrderedIndex:
     block, where a flat lane shifts half the index — on a 50k-row
     relation a few KB instead of ~400 KB of pointers per index on every
     append.  Probes bisect the block ends, then one block.
+
+    Over integer keys (``abstime`` ticks) the index also counts its
+    entries per key value, from the smallest key up, once a calendar
+    count first asks for them: an entry added or dropped inside that
+    range moves one count, anything else drops the counts until the
+    next ask.  :meth:`count_runs` reads their running sums, two list
+    reads per run.
     """
 
     #: Entries per block when the lanes are laid out afresh; a block
@@ -56,6 +64,14 @@ class OrderedIndex:
         self._tb = [tids[i:i + size] for i in range(0, len(tids), size)]
         self._last = [block[-1] for block in self._kb]
         self._len = len(keys)
+        #: Entries per key value from ``_tick_base`` up (None: not kept)
+        #: and their running sums, stale once an entry has moved since.
+        #: A write only marks them stale: freeing a sum per key value
+        #: is left to the next count, which sums afresh.
+        self._tick_counts: "list[int] | None" = None
+        self._tick_base = 0
+        self._tick_sums: "list[int] | None" = None
+        self._tick_stale = True
 
     def _block_of(self, value, tid: int) -> int:
         """The block holding — or due to hold — entry ``(value, tid)``:
@@ -89,6 +105,7 @@ class OrderedIndex:
         keys.insert(pos, value)
         tids.insert(pos, tid)
         self._len += 1
+        self._count_key(value, 1)
         if pos == len(keys) - 1:
             self._last[b] = value
         if len(keys) > 2 * self.BLOCK:
@@ -113,10 +130,24 @@ class OrderedIndex:
         del keys[pos]
         del tids[pos]
         self._len -= 1
+        self._count_key(value, -1)
         if not keys:
             del self._kb[b], self._tb[b], self._last[b]
         elif pos == len(keys):
             self._last[b] = keys[-1]
+
+    def _count_key(self, value, delta: int) -> None:
+        """Move the per-key count of one entry added (``delta`` 1) or
+        dropped (-1); a key outside the counted range drops the counts."""
+        counts = self._tick_counts
+        if counts is None:
+            return
+        self._tick_stale = True
+        i = value - self._tick_base if type(value) is int else -1
+        if 0 <= i < len(counts):
+            counts[i] += delta
+        else:
+            self._tick_counts = None
 
     def _sorted_lanes(self, rows: "Iterable[dict]") -> tuple[list, list]:
         """``(keys, tids)`` of the non-None rows, sorted by key.
@@ -250,6 +281,52 @@ class OrderedIndex:
             if b < len(last):
                 out += tb[b][:bisect.bisect_right(kb[b], hi)]
         return out
+
+    def count_runs(self, runs: "Sequence[tuple]") -> "int | None":
+        """``len(self.lookup_runs(runs))`` for ascending, disjoint
+        ``runs`` without building the tid list, read off the running
+        per-key counts: entries below each run's first key subtracted
+        from those up to its last.
+
+        None when the keys are not integers dense enough to count per
+        value (fewer entries than a quarter of their range); the caller
+        then reads :meth:`lookup_runs`.
+        """
+        if self._tick_stale:
+            counts = self._tick_counts
+            if counts is None:
+                counts = self._tick_counts = self._key_counts()
+                if counts is None:
+                    return None
+            self._tick_sums = list(accumulate(counts, initial=0))
+            self._tick_stale = False
+        sums = self._tick_sums
+        base = self._tick_base
+        top = base + len(sums) - 2  # the largest key counted
+        if runs and (runs[0][0] < base or runs[-1][1] > top):
+            runs = [(max(lo, base), min(hi, top)) for lo, hi in runs
+                    if hi >= base and lo <= top]
+        at = sums.__getitem__
+        return (sum(map(at, [hi + 1 - base for _, hi in runs]))
+                - sum(map(at, [lo - base for lo, _ in runs])))
+
+    def _key_counts(self) -> "list[int] | None":
+        """Entries per key value from the smallest key up, or None when
+        a key is not an ``int`` or the keys are too sparse."""
+        if not self._len:
+            return None
+        base, top = self._kb[0][0], self._last[-1]
+        if type(base) is not int or type(top) is not int or \
+                top - base >= 4 * self._len:
+            return None
+        keys = list(chain.from_iterable(self._kb))
+        if set(map(type, keys)) != {int}:
+            return None
+        self._tick_base = base
+        counts = [0] * (top - base + 1)
+        for key, n in Counter(keys).items():
+            counts[key - base] = n
+        return counts
 
     def key_range(self) -> "tuple | None":
         """``(smallest, largest)`` indexed key, or None when empty."""

@@ -152,8 +152,6 @@ def dump_database(db: Database) -> tuple[dict, SaveReport]:
                               if rule.condition is not None else None),
                 "actions": [render_statement(a) for a in rule.actions],
                 "enabled": rule.enabled,
-                "tenant": rule.tenant,
-                "priority": rule.priority,
             })
             report.event_rules += 1
         for name, rule in manager.temporal_rules.items():
@@ -167,8 +165,6 @@ def dump_database(db: Database) -> tuple[dict, SaveReport]:
                 "enabled": rule.enabled,
                 "next_fire": manager.tables.next_fire_of(name),
                 "catchup": rule.catchup,
-                "tenant": rule.tenant,
-                "priority": rule.priority,
             })
             report.temporal_rules += 1
     return payload, report
@@ -225,17 +221,13 @@ def restore_database(payload: dict) -> Database:
             rule = manager.declare_event(
                 spec["name"], event=spec["event"],
                 relation=spec["relation"],
-                condition=spec["condition"], actions=spec["actions"],
-                tenant=spec.get("tenant", "default"),
-                priority=spec.get("priority", 0))
+                condition=spec["condition"], actions=spec["actions"])
             rule.enabled = spec["enabled"]
         for spec in payload["temporal_rules"]:
             rule = manager.declare_temporal(
                 spec["name"], expression=spec["expression"],
                 actions=spec["actions"],
-                catchup=spec.get("catchup", "all"),
-                tenant=spec.get("tenant", "default"),
-                priority=spec.get("priority", 0))
+                catchup=spec.get("catchup", "all"))
             rule.enabled = spec["enabled"]
         # The saved next fires replace the declared ones in one write.
         manager.tables.set_next_fires(

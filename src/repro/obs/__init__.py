@@ -7,16 +7,17 @@ labelled families with cardinality governance),
 :mod:`repro.obs.instrument` (the bundle wired through interpreter, plan
 VM, planner, materialisation cache, query executor and DBCRON),
 :mod:`repro.obs.telemetry` (the typed event pipeline and slow-query
-log), :mod:`repro.obs.promexport` (Prometheus text exposition with
-label sets and exemplars, and OTLP-style span export),
-:mod:`repro.obs.profiler` (the continuous wall-clock sampling
-profiler), :mod:`repro.obs.slo` (self-monitoring SLO rules fired by
-DBCRON), :mod:`repro.obs.httpd` (the embedded ``/metrics`` endpoint)
-and :mod:`repro.obs.export` (JSON snapshots).
+log), :mod:`repro.obs.profiler` (the continuous wall-clock sampling
+profiler) and :mod:`repro.obs.export` (JSON snapshots and OTLP-style
+span export).
 """
 
-from repro.obs.export import export_json, metrics_to_dict, traces_to_dict
-from repro.obs.httpd import TelemetryServer
+from repro.obs.export import (
+    export_json,
+    metrics_to_dict,
+    spans_to_otlp,
+    traces_to_dict,
+)
 from repro.obs.instrument import (
     Instrumentation,
     get_default_instrumentation,
@@ -34,13 +35,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.profiler import DEFAULT_HERTZ, SamplingProfiler
-from repro.obs.promexport import render_prometheus, spans_to_otlp
-from repro.obs.slo import (
-    LatencyObjective,
-    Objective,
-    RatioObjective,
-    SLOMonitor,
-)
 from repro.obs.telemetry import (
     CallbackSink,
     Event,
@@ -59,11 +53,8 @@ __all__ = [
     "Span", "Tracer",
     "Instrumentation", "get_default_instrumentation",
     "set_default_instrumentation",
-    "metrics_to_dict", "traces_to_dict", "export_json",
+    "metrics_to_dict", "traces_to_dict", "export_json", "spans_to_otlp",
     "Event", "RingSink", "FileSink", "CallbackSink", "TelemetryPipeline",
     "SlowQuery", "SlowQueryLog",
-    "render_prometheus", "spans_to_otlp",
     "SamplingProfiler", "DEFAULT_HERTZ",
-    "Objective", "LatencyObjective", "RatioObjective", "SLOMonitor",
-    "TelemetryServer",
 ]

@@ -12,16 +12,16 @@ an instrument once and update it lock-cheap in hot loops.  Three kinds:
   tuned for wall-clock timings measured with
   :func:`time.perf_counter` (1µs … 10s).
 
-Passing ``labels=("tenant", "shard")`` to the registry constructors
+Passing ``labels=("relation", "shard")`` to the registry constructors
 returns a *family* (:class:`CounterFamily` / :class:`GaugeFamily` /
 :class:`HistogramFamily`) instead of a single instrument.  A family
 holds one child instrument per label-value tuple
-(``family.labels("acme", "3")``); children are plain instruments, so
+(``family.labels("emp", "3")``); children are plain instruments, so
 hot call sites bind a child once and pay exactly the unlabelled cost
 thereafter.  Every family has a cardinality governor: at most
 ``max_series`` children are admitted, after which unseen label sets
 collapse into a reserved all-``other`` child and the registry's
-``metrics.series_dropped`` counter is incremented — hostile tenant ids
+``metrics.series_dropped`` counter is incremented — hostile label values
 cannot grow the registry without bound.
 
 Every instrument is thread-safe; snapshots (:meth:`MetricsRegistry.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import bisect
 import threading
-import time
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "CounterFamily", "GaugeFamily", "HistogramFamily",
@@ -61,7 +60,7 @@ SERIES_DROPPED_METRIC = "metrics.series_dropped"
 
 
 def escape_label_value(value: str) -> str:
-    """Escape a label value for the Prometheus text exposition."""
+    """Escape a label value inside a ``name{k="v"}`` series key."""
     return (value.replace("\\", "\\\\")
                  .replace('"', '\\"')
                  .replace("\n", "\\n"))
@@ -149,13 +148,11 @@ class Histogram:
     overflow bucket; the defaults cover 1µs–10s on a 1-2.5-5 series.
     Tracks count, sum, min and max exactly; quantiles are estimated from
     the bucket boundaries (an upper bound — good enough to find a hot
-    kernel, not for SLA maths).  An observation may carry a trace id;
-    the latest such observation per bucket is retained as an exemplar
-    for the Prometheus exposition.
+    kernel, not for SLA maths).
     """
 
     __slots__ = ("name", "description", "bounds", "_counts", "_count",
-                 "_sum", "_min", "_max", "_exemplars", "_lock")
+                 "_sum", "_min", "_max", "_lock")
 
     def __init__(self, name: str, description: str = "",
                  bounds: "tuple[float, ...] | None" = None) -> None:
@@ -172,11 +169,10 @@ class Histogram:
         self._sum = 0.0
         self._min: float | None = None
         self._max: float | None = None
-        self._exemplars: "dict[int, tuple[float, str, float]] | None" = None
         self._lock = threading.Lock()
 
-    def observe(self, value: float, trace_id: "str | None" = None) -> None:
-        """Record one sample, optionally tagged with a trace id."""
+    def observe(self, value: float) -> None:
+        """Record one sample."""
         index = bisect.bisect_left(self.bounds, value)
         with self._lock:
             self._counts[index] += 1
@@ -186,11 +182,6 @@ class Histogram:
                 self._min = value
             if self._max is None or value > self._max:
                 self._max = value
-            if trace_id is not None:
-                if self._exemplars is None:
-                    self._exemplars = {}
-                self._exemplars[index] = (float(value), str(trace_id),
-                                          time.time())
 
     @property
     def count(self) -> int:
@@ -201,15 +192,6 @@ class Histogram:
     def sum(self) -> float:
         """Sum of all recorded samples."""
         return self._sum
-
-    def exemplars(self) -> "dict[int, tuple[float, str, float]]":
-        """Latest ``(value, trace_id, wall_ts)`` per bucket index.
-
-        Index ``len(bounds)`` is the overflow (``+Inf``) bucket, matching
-        the enumeration order of :meth:`cumulative_buckets`.
-        """
-        with self._lock:
-            return dict(self._exemplars) if self._exemplars else {}
 
     def quantile(self, q: float) -> float | None:
         """Estimated ``q``-quantile (0..1); None when empty.
@@ -269,22 +251,6 @@ class Histogram:
             seen += bucket_count
         return hi
 
-    def cumulative_buckets(self) -> "list[tuple[float, int]]":
-        """``(upper_bound, cumulative_count)`` pairs, Prometheus-style.
-
-        The final pair carries ``float('inf')`` and equals the total
-        sample count — the ``le="+Inf"`` bucket of the text exposition.
-        """
-        with self._lock:
-            counts = list(self._counts)
-        out: list[tuple[float, int]] = []
-        cumulative = 0
-        for bound, bucket_count in zip(self.bounds, counts):
-            cumulative += bucket_count
-            out.append((bound, cumulative))
-        out.append((float("inf"), cumulative + counts[-1]))
-        return out
-
     def summary(self) -> dict:
         """Count/sum/mean/min/max plus p50/p90/p99 estimates."""
         with self._lock:
@@ -309,7 +275,6 @@ class Histogram:
             self._sum = 0.0
             self._min = None
             self._max = None
-            self._exemplars = None
 
     def __repr__(self) -> str:
         return f"Histogram({self.name}, n={self._count})"
@@ -321,7 +286,7 @@ class Histogram:
 class _Family:
     """A named set of child instruments keyed by label-value tuples.
 
-    ``labels(*values)`` (or ``labels(tenant="acme", ...)``) resolves the
+    ``labels(*values)`` (or ``labels(relation="emp", ...)``) resolves the
     child for one label set, creating it on first use.  The cardinality
     governor caps the number of distinct children at ``max_series``:
     once full, unseen label sets resolve to a single reserved child

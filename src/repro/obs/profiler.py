@@ -48,11 +48,9 @@ OTHER_STACK = "(other)"
 class SamplingProfiler:
     """Continuous folded-stack sampler over ``sys._current_frames``.
 
-    ``start()``/``stop()`` control a daemon sampling thread;
-    :meth:`folded` renders the aggregate as collapsed-stack text and
-    :meth:`profile_for` captures an isolated window (used by the
-    ``/profile?seconds=N`` telemetry endpoint).  All methods are
-    thread-safe; ``start`` and ``stop`` are idempotent.
+    ``start()``/``stop()`` control a daemon sampling thread and
+    :meth:`folded` renders the aggregate as collapsed-stack text.  All
+    methods are thread-safe; ``start`` and ``stop`` are idempotent.
     """
 
     def __init__(self, hertz: float = DEFAULT_HERTZ, *,
@@ -190,16 +188,13 @@ class SamplingProfiler:
         with self._lock:
             return dict(self._counts)
 
-    def folded(self, counts: "dict[str, int] | None" = None) -> str:
+    def folded(self) -> str:
         """Collapsed-stack text: one ``stack count`` line, hottest first.
 
         The format ``flamegraph.pl`` and speedscope ingest directly.
-        ``counts`` defaults to the profiler's full accumulation; pass a
-        delta (see :meth:`profile_for`) to render a window.
         """
-        if counts is None:
-            counts = self.counts()
-        ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        ordered = sorted(self.counts().items(),
+                         key=lambda item: (-item[1], item[0]))
         return "\n".join(f"{stack} {count}" for stack, count in ordered)
 
     def top(self, n: int = 10) -> "list[tuple[str, int]]":
@@ -210,28 +205,6 @@ class SamplingProfiler:
             leaves[leaf] = leaves.get(leaf, 0) + count
         ordered = sorted(leaves.items(), key=lambda item: (-item[1], item[0]))
         return ordered[:n]
-
-    def profile_for(self, seconds: float) -> str:
-        """Sample for ``seconds`` and return that window's folded text.
-
-        Starts the sampler if it is not running (and stops it again
-        afterwards in that case); a running sampler is left running and
-        the window is computed as a count delta, so the endpoint can be
-        hit while continuous profiling is on without disturbing it.
-        """
-        seconds = max(0.05, float(seconds))
-        was_running = self.running
-        before = self.counts() if was_running else {}
-        if not was_running:
-            self.start()
-        time.sleep(seconds)
-        after = self.counts()
-        if not was_running:
-            self.stop()
-        window = {stack: count - before.get(stack, 0)
-                  for stack, count in after.items()
-                  if count - before.get(stack, 0) > 0}
-        return self.folded(window)
 
     def stats(self) -> dict:
         """Sampler state for ``\\prof`` and JSON surfaces."""

@@ -6,9 +6,8 @@ firing, a pool dispatch — becomes one typed :class:`Event` pushed
 through a :class:`TelemetryPipeline` into pluggable sinks (an in-memory
 ring, a JSONL file, an arbitrary callback).  The POSTGRES rule system
 kept statistics tables an operator could query from outside; the
-pipeline is that posture for the whole reproduction, feeding the
-``/metrics``-adjacent endpoints of :mod:`repro.obs.httpd` and the JSONL
-files an operator can tail.
+pipeline is that posture for the whole reproduction, feeding
+``Session.events()`` and the JSONL files an operator can tail.
 
 **Backpressure drops, never blocks.**  Emission sites sit on hot paths
 (the materialisation cache's hit path emits under its stripe lock), so
@@ -23,8 +22,8 @@ schedule lock) cannot deadlock; see docs/IMPLEMENTATION_NOTES.md §8.
 The **slow-query log** rides on the pipeline: evaluations whose wall
 time reaches a configurable threshold capture their plan text, window,
 cache-stats snapshot and (when tracing) span tree into a bounded ring,
-surfaced by ``Session.slow_queries()``, the ``\\slowlog`` CLI command
-and the ``/slowlog`` HTTP endpoint.
+surfaced by ``Session.slow_queries()`` and the ``\\slowlog`` CLI
+command.
 """
 
 from __future__ import annotations
@@ -153,7 +152,7 @@ class TelemetryPipeline:
     """Fans typed events out to sinks without ever blocking an emitter.
 
     A pipeline always carries one :class:`RingSink` (``ring_capacity``
-    events) so ``/slowlog``-style consumers have something to read even
+    events) so ``Session.events()`` has something to read even
     before any sink is configured; further sinks attach via
     :meth:`add_sink`.  Thread-safe; see the module docstring for the
     drop-instead-of-block contract.
@@ -275,7 +274,7 @@ class SlowQuery:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        """JSON-ready dict for ``/slowlog`` and ``\\slowlog``."""
+        """JSON-ready dict of one slow-query record."""
         return {
             "ts": self.ts,
             "source": self.source,

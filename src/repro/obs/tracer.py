@@ -42,8 +42,8 @@ class Span:
         self.start: float | None = None
         self.end: float | None = None
         #: 32-hex trace id; assigned on enter (new for roots, inherited
-        #: from the parent otherwise) so histogram exemplars can link
-        #: observations back to the trace they occurred in.
+        #: from the parent otherwise), so an exported span names the
+        #: trace it belongs to.
         self.trace_id: str | None = None
         self.children: list[Span] = []
         self._tracer = tracer
@@ -287,16 +287,6 @@ class Tracer:
         """The innermost open span of this thread, if any."""
         stack = self._stack()
         return stack[-1] if stack else None
-
-    def current_trace_id(self) -> "str | None":
-        """The trace id of this thread's open trace, if any.
-
-        Exemplar hook: hot emitters pass this to
-        :meth:`~repro.obs.metrics.Histogram.observe` so bucket exemplars
-        point back into the trace ring.
-        """
-        stack = self._stack()
-        return stack[0].trace_id if stack else None
 
     def _publish(self, span: Span) -> None:
         """Append a finished root span unless a clear() superseded it.

@@ -8,7 +8,6 @@ from repro.rules.manager import RuleManager
 from repro.rules.rule import EventRule
 from repro.rules.tables import RULE_INFO, RULE_TIME, RuleTables
 from repro.rules.temporal import TemporalRule
-from repro.rules.throttle import TenantThrottle, ThrottledError, TokenBucket
 from repro.rules.wheel import HierarchicalWheel, WheelSchedule
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "SimulatedClock", "WallClock", "DBCron",
     "HeapSchedule", "WheelSchedule", "HierarchicalWheel",
     "RulesFacade",
-    "TenantThrottle", "TokenBucket", "ThrottledError",
 ]

@@ -32,13 +32,6 @@ the deterministic cross-tick firing order of the sequential daemon, and
 per-wave results are folded back on the dispatching thread in wave
 order so sequential and parallel runs count identically.
 
-Admission control is optional and non-blocking: with a
-:class:`~repro.rules.throttle.TenantThrottle` attached, each wave is
-filtered through the owning tenants' token buckets *before* firing —
-over-budget entries are **shed** (lowest priority first), counted, and
-rescheduled at their next trigger point without running their action,
-so a misbehaving tenant degrades itself instead of stalling the clock.
-
 Both schedules share the staleness discipline introduced with the
 wheel: every arm carries a generation, redefinition/cancel kills older
 entries in place, and a per-rule *fired-at* watermark refuses re-arms
@@ -80,7 +73,6 @@ class _Stats:
     probes: int = 0
     fires: int = 0
     reschedules: int = 0
-    sheds: int = 0
     #: Peak live size of the main-memory schedule (heap or wheel).
     max_heap_size: int = 0
 
@@ -187,7 +179,7 @@ class DBCron:
 
     def __init__(self, manager: RuleManager, clock: SimulatedClock,
                  period: int = 7, pool: WorkerPool | None = None,
-                 schedule=None, throttle=None) -> None:
+                 schedule=None) -> None:
         if period < 1:
             raise AxisError("the probe period must be at least 1 tick")
         self.manager = manager
@@ -198,14 +190,6 @@ class DBCron:
         self.pool = pool if pool is not None else get_default_pool()
         self.sched = schedule if schedule is not None else \
             WheelSchedule(clock.now, shards=max(1, self.pool.size))
-        #: Optional per-tenant admission control (see
-        #: :class:`~repro.rules.throttle.TenantThrottle`); None = fire
-        #: everything.
-        self.throttle = throttle
-        if throttle is not None and hasattr(throttle, "bind_metrics"):
-            # Tenant-labelled fired/shed/denied counters live in the
-            # stack's shared registry once a daemon adopts the throttle.
-            throttle.bind_metrics(self.db.instrumentation.metrics)
         self._horizon = clock.now  # end of the currently probed window
         self.stats = _Stats()
         manager.clock = clock
@@ -310,12 +294,10 @@ class DBCron:
         Due entries are processed in *waves* — all entries sharing the
         earliest due fire tick — and each wave goes through
         :meth:`RuleManager.fire_wave`, which pays the RULE_TIME write
-        and the re-arm once per wave.  With a throttle attached, each
-        wave is first filtered through the owning tenants' fire budgets
-        and the over-budget remainder is shed (rescheduled, not fired).
-        The surviving wave fires across the worker pool when it holds
-        more than one rule and the pool has more than one worker;
-        otherwise the rules fire sequentially on this thread.  Records
+        and the re-arm once per wave.  A wave fires across the worker
+        pool when it holds more than one rule and the pool has more than
+        one worker; otherwise the rules fire sequentially on this
+        thread.  Records
         per-fire latency (``dbcron.fire_seconds``) and how far behind
         schedule the daemon is running (``dbcron.fire_drift_ticks``);
         with tracing on, each fire gets a ``rule.fire`` span (parallel
@@ -330,10 +312,6 @@ class DBCron:
             wave = self.sched.pop_wave(now)
             if not wave:
                 break
-            if self.throttle is not None:
-                wave = self._shed_overbudget(wave, now, inst)
-                if not wave:
-                    continue
             drift_gauge.set(now - wave[0][0])
             if inst.pipeline is not None:
                 inst.pipeline.emit("dbcron.wave", tick=wave[0][0],
@@ -410,48 +388,6 @@ class DBCron:
                 shard_fires.labels(str(shard)).inc(count)
             self.stats.fires += fired
         return fired
-
-    def _shed_overbudget(self, wave, now: int, inst):
-        """Apply per-tenant fire budgets; reschedule what gets shed.
-
-        Sheds the lowest-priority entries of each over-budget tenant
-        first (ties broken by wave position, so the outcome is
-        deterministic), advances every shed rule past this trigger
-        point in one ``RuleManager.fire_wave(..., shed=True)``, and
-        returns the surviving wave in its original order.  The clock is
-        never blocked: shedding is a reschedule, not a wait.
-        """
-        rules = self.manager.temporal_rules
-        by_tenant: dict[str, list[int]] = {}
-        for position, (_, name, _) in enumerate(wave):
-            rule = rules.get(name)
-            tenant = getattr(rule, "tenant", "default") if rule else \
-                "default"
-            by_tenant.setdefault(tenant, []).append(position)
-        shed_positions: set[int] = set()
-        for tenant, positions in by_tenant.items():
-            granted = self.throttle.grant_fires(tenant, now,
-                                                len(positions))
-            if granted >= len(positions):
-                continue
-            # Keep the highest-priority entries; shed the rest.
-            ranked = sorted(
-                positions,
-                key=lambda p: (-getattr(rules.get(wave[p][1]),
-                                        "priority", 0), p))
-            shed_positions.update(ranked[granted:])
-        if not shed_positions:
-            return wave
-        shed = [wave[position][:2] for position in sorted(shed_positions)]
-        self.stats.sheds += len(shed)
-        inst.metrics.counter("dbcron.sheds").inc(len(shed))
-        self.manager.fire_wave(shed, shed=True)
-        if inst.pipeline is not None:
-            for tick, name in shed:
-                inst.pipeline.emit("dbcron.shed", rule=name, tick=tick,
-                                   now=now)
-        return [entry for position, entry in enumerate(wave)
-                if position not in shed_positions]
 
     def _dispatch_parallel(self, wave, fire, timed) -> None:
         """Run one wave's fires across the pool.

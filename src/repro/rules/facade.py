@@ -9,13 +9,11 @@ object with keyword-only arguments mirroring the paper's syntax::
     session.rules.on_event("audit", event="append", relation="emp",
                            where="new.hours > 20", do=[...])
     session.rules.on_calendar("payday", expression="LAST_BUS_DAYS",
-                              do=[...], tenant="payroll", priority=5)
+                              do=[...])
     session.rules.drop("audit")
     session.rules.stats()
 
-Every rule carries a ``tenant`` (the admission-control and reporting
-key) and a ``priority`` (higher survives longer when the daemon sheds
-load).  The facade reads the manager and daemon through the session on
+The facade reads the manager and daemon through the session on
 every call, so it stays valid across ``Session.attach_database``.
 """
 
@@ -46,26 +44,22 @@ class RulesFacade:
                  where: "str | Callable | None" = None,
                  do: "Sequence[str] | None" = None,
                  callback: Callable | None = None,
-                 valid_between: tuple | None = None,
-                 tenant: str = "default", priority: int = 0):
+                 valid_between: tuple | None = None):
         """Declare ``On Event [to relation] where Condition do Action``."""
         return self._manager.declare_event(
             name, event=event, relation=relation, condition=where,
-            actions=do, callback=callback, valid_between=valid_between,
-            tenant=tenant, priority=priority)
+            actions=do, callback=callback, valid_between=valid_between)
 
     def on_calendar(self, name: str, *, expression: str,
                     do: "Sequence[str] | None" = None,
                     callback: Callable | None = None,
                     after: int | None = None,
                     valid_between: tuple | None = None,
-                    catchup: str = "all",
-                    tenant: str = "default", priority: int = 0):
+                    catchup: str = "all"):
         """Declare ``On Calendar-Expression do Action``."""
         return self._manager.declare_temporal(
             name, expression=expression, actions=do, callback=callback,
-            after=after, valid_between=valid_between, catchup=catchup,
-            tenant=tenant, priority=priority)
+            after=after, valid_between=valid_between, catchup=catchup)
 
     def drop(self, name: str) -> None:
         """Remove a rule of either kind (catalog rows included)."""
@@ -94,13 +88,12 @@ class RulesFacade:
         return len(manager.event_rules) + len(manager.temporal_rules)
 
     def stats(self) -> dict:
-        """One dict for dashboards: rules, daemon, scheduler, throttle.
+        """One dict for dashboards: rules, daemon and scheduler.
 
-        Backs the CLI ``\\rules stats`` report and the telemetry
-        server's ``/rules`` endpoint.
+        Backs the CLI ``\\rules stats`` report.
         """
         manager, cron = self._manager, self._cron
-        out = {
+        return {
             "event_rules": len(manager.event_rules),
             "temporal_rules": len(manager.temporal_rules),
             "clock": cron.clock.now,
@@ -110,16 +103,7 @@ class RulesFacade:
                 "probes": cron.stats.probes,
                 "fires": cron.stats.fires,
                 "reschedules": cron.stats.reschedules,
-                "sheds": cron.stats.sheds,
                 "max_schedule_size": cron.stats.max_heap_size,
             },
             "schedule": cron.sched.stats(),
         }
-        if cron.throttle is not None:
-            out["throttle"] = cron.throttle.stats()
-        shed = {rule.name: rule.shed_count
-                for rule in manager.temporal_rules.values()
-                if rule.shed_count}
-        if shed:
-            out["shed_rules"] = shed
-        return out

@@ -19,7 +19,6 @@ from repro.rules.events import Event
 from repro.rules.rule import EventRule
 from repro.rules.tables import RuleTables
 from repro.rules.temporal import TemporalRule
-from repro.rules.throttle import ThrottledError
 
 __all__ = ["RuleManager"]
 
@@ -53,9 +52,6 @@ class RuleManager:
         self.clock = None
         #: Callbacks notified when temporal rules are (re)scheduled.
         self._schedule_listeners: list[ScheduleListener] = []
-        #: Optional :class:`~repro.rules.throttle.TenantThrottle`; when
-        #: set, declarations are admission-controlled per tenant.
-        self.throttle = None
         database.rule_manager = self
 
     @property
@@ -69,16 +65,10 @@ class RuleManager:
 
     # -- admission ----------------------------------------------------------------
 
-    def _admit(self, name: str, tenant: str) -> None:
-        """Check duplicate names and the tenant's registration budget."""
+    def _admit(self, name: str) -> None:
+        """Refuse a name already taken by a rule of either kind."""
         if name in self.event_rules or name in self.temporal_rules:
             raise RuleError(f"rule {name!r} is already defined")
-        if self.throttle is not None:
-            now = self.clock.now if self.clock is not None else 0
-            if not self.throttle.admit_registration(tenant, now):
-                raise ThrottledError(
-                    f"tenant {tenant!r} exceeded its registration budget "
-                    f"(rule {name!r} refused)")
 
     # -- event rules --------------------------------------------------------------
 
@@ -86,16 +76,12 @@ class RuleManager:
                       condition: "str | Callable | None" = None,
                       actions: "Sequence[str] | None" = None,
                       callback: Callable | None = None,
-                      valid_between: tuple | None = None,
-                      tenant: str = "default",
-                      priority: int = 0) -> EventRule:
+                      valid_between: tuple | None = None) -> EventRule:
         """``On Event [to relation] where Condition do Action``."""
-        self._admit(name, tenant)
+        self._admit(name)
         rule = EventRule.define(name, event, relation, condition, actions,
                                 callback)
         rule.valid_between = valid_between
-        rule.tenant = tenant
-        rule.priority = priority
         self.db.relation(relation)  # validate it exists
         self.event_rules[name] = rule
         hook = self._make_hook(rule)
@@ -127,9 +113,7 @@ class RuleManager:
                          callback: Callable | None = None,
                          after: int | None = None,
                          valid_between: tuple | None = None,
-                         catchup: str = "all",
-                         tenant: str = "default",
-                         priority: int = 0) -> TemporalRule:
+                         catchup: str = "all") -> TemporalRule:
         """``On Calendar-Expression do Action`` (section 4).
 
         The expression is parsed, factorized and compiled (memoised per
@@ -137,13 +121,12 @@ class RuleManager:
         (default: the clock, else day 1) is computed and stored in
         RULE_TIME, and the schedule notification arms DBCRON directly.
         """
-        self._admit(name, tenant)
+        self._admit(name)
         rule = TemporalRule.define(name, expression,
                                    self.db.calendars,
                                    actions=actions, callback=callback,
                                    valid_between=valid_between,
-                                   catchup=catchup, tenant=tenant,
-                                   priority=priority)
+                                   catchup=catchup)
         if after is not None:
             start = after
         elif self.clock is not None:
@@ -196,30 +179,18 @@ class RuleManager:
         """
         return self.fire_wave([(at_tick, name)])[0]
 
-    def skip_temporal(self, name: str, at_tick: int) -> int | None:
-        """Advance a rule past ``at_tick`` *without* running its action.
-
-        The shedding path of admission control, as a one-entry
-        ``fire_wave(..., shed=True)``: the rule is rescheduled at its
-        next trigger point exactly as if it had fired, its
-        ``shed_count`` is bumped, and the skipped occurrence is gone —
-        shedding trades completeness for clock liveness.
-        """
-        return self.fire_wave([(at_tick, name)], shed=True)[0]
-
     def fire_wave(self, entries: "Sequence[tuple[int, str]]", *,
-                  shed: bool = False,
                   dispatch: "Callable | None" = None) -> list[int | None]:
         """Fire one DBCRON wave of ``(tick, name)`` entries, in order.
 
         Each entry runs its catch-up, cascade-depth check, ``rule.fire``
-        (skipped when ``shed``) and ``next_trigger``; the result per
-        entry is the rule's new next fire (None when it was not
-        rescheduled).  The bookkeeping is paid once per wave, in a
-        ``finally``: one (pending) RULE_TIME write (:meth:`RuleTables.
-        set_next_fires`) and one schedule notification for every rule
-        still registered as the same object — a rule that an earlier
-        action dropped or redeclared keeps what that action left.
+        and ``next_trigger``; the result per entry is the rule's new next
+        fire (None when it was not rescheduled).  The bookkeeping is paid
+        once per wave, in a ``finally``: one (pending) RULE_TIME write
+        (:meth:`RuleTables.set_next_fires`) and one schedule notification
+        for every rule still registered as the same object — a rule that
+        an earlier action dropped or redeclared keeps what that action
+        left.
         RULE_TIME therefore changes at the end of the wave: an action
         reading it mid-wave sees the pre-wave ``next_fire`` of rules
         that already fired in the same wave.
@@ -243,13 +214,13 @@ class RuleManager:
         tick and the catalog version, so it is looked up once per such
         group; the Postquel ``now`` binding is built once per tick.
         """
-        run = self._shed_entry if shed else self._fire_entry
         outcomes: list = [None] * len(entries)
         wave = _Wave(self.db)
 
         def fire(position: int) -> int | None:
             tick, name = entries[position]
-            outcome = outcomes[position] = run(name, tick, wave)
+            outcome = outcomes[position] = self._fire_entry(name, tick,
+                                                            wave)
             return outcome[2] if outcome is not None else None
 
         try:
@@ -272,7 +243,11 @@ class RuleManager:
 
     def _fire_entry(self, name: str, at_tick: int,
                     wave: "_Wave") -> "tuple | None":
-        """Fire one rule of a wave; its outcome (see :meth:`_outcome`)."""
+        """Fire one rule of a wave; ``(name, rule, next_fire, error)``.
+
+        None for a missing or disabled rule; ``rule`` is None when the
+        next trigger itself failed, which leaves the rule unarmed.
+        """
         rule = self.temporal_rules.get(name)
         if rule is None or not rule.enabled:
             return None
@@ -301,21 +276,6 @@ class RuleManager:
                 local.depth = depth
         except Exception as exc:
             error = exc
-        return self._outcome(name, rule, at_tick, error, wave)
-
-    def _shed_entry(self, name: str, at_tick: int,
-                    wave: "_Wave") -> "tuple | None":
-        """Shed one rule of a wave: reschedule without running it."""
-        rule = self.temporal_rules.get(name)
-        if rule is None or not rule.enabled:
-            return None
-        rule.shed_count += 1
-        return self._outcome(name, rule, at_tick, None, wave)
-
-    def _outcome(self, name: str, rule: TemporalRule, at_tick: int,
-                 error: "Exception | None", wave: "_Wave") -> tuple:
-        """``(name, rule, next_fire, error)``; ``rule`` is None when the
-        next trigger itself failed, which leaves the rule unarmed."""
         try:
             return name, rule, wave.next_trigger(rule, at_tick), error
         except Exception as exc:

@@ -36,10 +36,6 @@ class EventRule:
     #: Activation lifespan (inclusive axis ticks, checked against the
     #: rule manager's clock when one is attached).  None = always active.
     valid_between: tuple | None = None
-    #: Owning tenant (admission-control and reporting key).
-    tenant: str = "default"
-    #: Shedding rank under overload: higher survives longer.
-    priority: int = 0
     fire_count: int = field(default=0, init=False)
 
     @classmethod

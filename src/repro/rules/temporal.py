@@ -53,14 +53,8 @@ class TemporalRule:
     #: Catch-up policy when the clock jumps past several trigger points:
     #: "all" fires every missed point, "latest" only the most recent.
     catchup: str = "all"
-    #: Owning tenant (admission-control and reporting key).
-    tenant: str = "default"
-    #: Shedding rank under overload: higher survives longer.
-    priority: int = 0
     fire_count: int = field(default=0, init=False)
     last_fired: int | None = field(default=None, init=False)
-    #: Fires shed by admission control (rescheduled without running).
-    shed_count: int = field(default=0, init=False)
 
     @classmethod
     def define(cls, name: str, calendar_expression: str,
@@ -68,8 +62,7 @@ class TemporalRule:
                actions: "Sequence[str] | None" = None,
                callback: Callable | None = None,
                valid_between: tuple | None = None,
-               catchup: str = "all", tenant: str = "default",
-               priority: int = 0) -> "TemporalRule":
+               catchup: str = "all") -> "TemporalRule":
         """Parse/factorize/plan a temporal rule declaration."""
         if not actions and callback is None:
             raise RuleError(f"temporal rule {name!r} has no action")
@@ -110,8 +103,7 @@ class TemporalRule:
                    expression=factored, plan=plan, catalog_texts=texts,
                    periodic=pset,
                    actions=parsed_actions, callback=callback,
-                   valid_between=valid_between, catchup=catchup,
-                   tenant=tenant, priority=priority)
+                   valid_between=valid_between, catchup=catchup)
 
     # -- scheduling --------------------------------------------------------------
 

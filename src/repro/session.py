@@ -54,12 +54,9 @@ from repro.lang.parser import parse_expression, parse_script
 from repro.lang.optimizer import optimize_plan
 from repro.lang.plan import PeriodicStep, Plan, PlanVM
 from repro.lang.planner import compile_expression
-from repro.obs.httpd import TelemetryServer
 from repro.obs.instrument import Instrumentation
 from repro.obs.export import export_json
 from repro.obs.profiler import SamplingProfiler
-from repro.obs.promexport import render_prometheus, spans_to_otlp
-from repro.obs.slo import SLOMonitor
 from repro.obs.telemetry import SlowQuery, SlowQueryLog, TelemetryPipeline
 from repro.obs.tracer import Span, Tracer
 from repro.rules import DBCron, RuleManager, RulesFacade, SimulatedClock
@@ -202,16 +199,6 @@ class _BatchJob:
     error: Exception | None = None  #: planning-phase failure, raised later
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
-
-
 def _env_float(name: str) -> float | None:
     raw = os.environ.get(name)
     if raw is None or not raw.strip():
@@ -249,18 +236,13 @@ class Session:
                  instrumentation: Instrumentation | None = None,
                  workers: int | None = None,
                  telemetry: bool = False,
-                 telemetry_port: int | None = None,
-                 slow_query_threshold: float | None = None,
-                 throttle=None) -> None:
+                 slow_query_threshold: float | None = None) -> None:
         self._explicit_instrumentation = instrumentation
         #: Worker pool shared by ``eval_many`` and the DBCRON daemon;
         #: sized by ``workers`` (default: the ``REPRO_WORKERS`` env var,
         #: falling back to 1 = fully sequential).  Lazy: no threads are
         #: started until the first parallel dispatch.
         self.pool = WorkerPool(workers)
-        #: Optional per-tenant admission control shared by the manager
-        #: (registration budgets) and the daemon (fire shedding).
-        self.throttle = throttle
         if database is None:
             if registry is None:
                 registry = CalendarRegistry(
@@ -273,11 +255,8 @@ class Session:
                 if holiday_years is not None:
                     install_us_holidays(registry, *holiday_years)
             database = Database(calendars=registry)
-        #: Telemetry pipeline (None until enabled) and its HTTP server.
+        #: Telemetry pipeline (None until enabled).
         self.telemetry: TelemetryPipeline | None = None
-        self.server: TelemetryServer | None = None
-        if telemetry_port is None:
-            telemetry_port = _env_int("REPRO_TELEMETRY_PORT")
         if slow_query_threshold is None:
             slow_query_threshold = _env_float("REPRO_SLOWLOG_SECONDS")
         #: Slow-query log; disabled while the threshold is None.
@@ -286,14 +265,10 @@ class Session:
         self._started_wall = time.time()
         #: Lazily constructed continuous profiler (``session.profiler``).
         self._profiler: SamplingProfiler | None = None
-        #: The installed SLO monitor, if any (``install_slos``).
-        self.slo: SLOMonitor | None = None
         self.attach_database(database, clock_start=clock_start,
                              cron_period=cron_period)
-        if telemetry or telemetry_port is not None:
+        if telemetry:
             self.enable_telemetry()
-        if telemetry_port is not None:
-            self.start_telemetry_server(telemetry_port)
         if _env_truthy("REPRO_PROFILE"):
             self.profiler.start()
 
@@ -316,11 +291,9 @@ class Session:
         self.registry = database.calendars
         self.system = self.registry.system
         self.manager = database.rule_manager or RuleManager(database)
-        self.manager.throttle = getattr(self, "throttle", None)
         self.clock = SimulatedClock(now=clock_start)
         self.cron = DBCron(self.manager, self.clock, period=cron_period,
-                           pool=getattr(self, "pool", None),
-                           throttle=getattr(self, "throttle", None))
+                           pool=getattr(self, "pool", None))
         #: The unified rule API (``session.rules.on_calendar(...)``);
         #: reads the manager/daemon through the session, so the same
         #: facade object stays valid across re-attachment.  (Explicit
@@ -362,9 +335,9 @@ class Session:
     def _refresh_process_metrics(self) -> None:
         """Update the ``process.*`` gauges from live process state.
 
-        Called on every metrics snapshot / Prometheus scrape rather
-        than continuously: these are point-in-time readings, and paying
-        for them per scrape keeps the idle session at zero overhead.
+        Called on every metrics snapshot rather than continuously:
+        these are point-in-time readings, and paying for them per
+        snapshot keeps the idle session at zero overhead.
         """
         metrics = self.instrumentation.metrics
         if resource is not None:
@@ -447,100 +420,20 @@ class Session:
         """Captured slow-query records, oldest first."""
         return self.slowlog.records()
 
-    def prometheus_text(self) -> str:
-        """Every metric in Prometheus text exposition format (0.0.4).
-
-        Labelled families render as proper label sets; histogram buckets
-        carry exemplar annotations when tracing has tagged observations.
-        Process self-metrics are refreshed per scrape.
-        """
-        self._refresh_process_metrics()
-        return render_prometheus(self.instrumentation.metrics)
-
-    def health(self) -> dict:
-        """Liveness summary backing the ``/healthz`` endpoint.
-
-        ``status`` is ``"ok"`` or ``"degraded"`` (with a ``problems``
-        list): the daemon running more than two probe periods behind its
-        schedule, a closed worker pool, or a violated SLO objective
-        (named, with its burn-rate detail) degrade the session.  Cache
-        fill is informational.
-        """
-        problems: list[str] = []
-        metrics = self.instrumentation.metrics
-        drift_gauge = metrics.get("dbcron.fire_drift_ticks")
-        drift = drift_gauge.value if drift_gauge is not None else 0
-        if drift > 2 * self.cron.period:
-            problems.append(
-                f"dbcron {drift:g} ticks behind schedule "
-                f"(period {self.cron.period})")
-        if not self.pool.alive:
-            problems.append("worker pool closed")
-        if self.slo is not None:
-            problems.extend(self.slo.problems())
-        cache = self.registry.matcache
-        entries = cache.stats()["entries"]
-        out = {
-            "status": "ok" if not problems else "degraded",
-            "problems": problems,
-            "clock": self.clock.now,
-            "drift_ticks": drift,
-            "pool": {"size": self.pool.size, "alive": self.pool.alive},
-            "cache": {
-                "entries": entries,
-                "maxsize": cache.maxsize,
-                "fill": (entries / cache.maxsize) if cache.maxsize else 0.0,
-            },
-        }
-        if self.telemetry is not None:
-            out["telemetry"] = {"emitted": self.telemetry.emitted,
-                                "dropped": self.telemetry.dropped}
-        if self.slo is not None:
-            out["slo"] = self.slo.status()
-        return out
-
-    def start_telemetry_server(self, port: int = 0,
-                               host: str = "127.0.0.1") -> TelemetryServer:
-        """Serve ``/metrics``/``/healthz``/``/slowlog``/``/traces``/``/rules``.
-
-        Enables telemetry if it is not already on (the endpoints read
-        the pipeline).  ``port=0`` binds an ephemeral port, reported by
-        ``session.server.port``.
-        """
-        if self.telemetry is None:
-            self.enable_telemetry()
-        if self.server is not None:
-            return self.server
-        self.server = TelemetryServer(
-            metrics_text=self.prometheus_text,
-            health=self.health,
-            slowlog=lambda: [r.to_dict() for r in self.slow_queries()],
-            traces=lambda: spans_to_otlp(
-                self.instrumentation.raw_tracer.recent()),
-            events=lambda: [e.to_dict() for e in self.events()],
-            rules=lambda: self.rules.stats(),
-            profile=lambda seconds: self.profiler.profile_for(seconds),
-            flamegraph=lambda: self.profiler.folded(),
-            port=port, host=host)
-        return self.server
-
     def close(self) -> None:
-        """Stop the telemetry server (if any), profiler and worker pool.
+        """Stop the profiler and worker pool.
 
         Also detaches the telemetry pipeline: a session built on the
         process-default instrumentation must not leave its pipeline
         wired into shared state after it is gone.
         """
-        if self.server is not None:
-            self.server.close()
-            self.server = None
         if self._profiler is not None:
             self._profiler.stop()
         if self.telemetry is not None:
             self.disable_telemetry()
         self.pool.close(wait=False)
 
-    # -- profiling & SLOs ----------------------------------------------------
+    # -- profiling -----------------------------------------------------------
 
     @property
     def profiler(self) -> SamplingProfiler:
@@ -553,25 +446,6 @@ class Session:
         if self._profiler is None:
             self._profiler = SamplingProfiler()
         return self._profiler
-
-    def install_slos(self, objectives, *, every: str = "DAYS",
-                     rule_name: str = "slo.monitor", tenant: str = "slo",
-                     priority: int = 100) -> SLOMonitor:
-        """Install self-monitoring SLO rules evaluated by DBCRON.
-
-        Registers one ordinary calendar rule (``expression=every``)
-        whose callback evaluates the given objectives against the live
-        metrics registry; violations degrade :meth:`health` (and thus
-        ``/healthz``) naming the objective, emit telemetry ``alert``
-        events and move the ``slo.status``/``slo.breaches`` series.
-        Re-installing replaces the previous monitor.
-        """
-        if self.slo is not None:
-            self.slo.uninstall()
-        self.slo = SLOMonitor(self, objectives, every=every,
-                              rule_name=rule_name, tenant=tenant,
-                              priority=priority)
-        return self.slo
 
     # -- evaluation ----------------------------------------------------------
 
@@ -832,10 +706,8 @@ class Session:
         finally:
             duration = perf_counter() - t0
             # Always-on labelled latency (cardinality-governed by the
-            # family cap); the batch root's trace id becomes the bucket
-            # exemplar when tracing is on.
-            self._script_seconds.labels(job.text).observe(
-                duration, root.trace_id if root is not None else None)
+            # family cap).
+            self._script_seconds.labels(job.text).observe(duration)
             if observe:
                 if self.telemetry is not None:
                     self.telemetry.emit("eval.finish", source=job.text,

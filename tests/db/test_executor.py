@@ -381,17 +381,6 @@ class TestMetricHandles:
         assert self._counts(first.metrics, "t") == (2, 2)
         assert self._counts(second.metrics, "t") == (2, 2)
 
-    def test_the_exemplar_links_the_executor_trace(self):
-        registry, db, Instrumentation = self._stack()
-        db.execute("append t (x = 1)")
-        registry.instrumentation = traced = Instrumentation(tracing=True)
-        db.execute("append t (x = 2)")
-        child = traced.metrics.get("db.relation.query_seconds") \
-            .series()[("t",)]
-        linked = {trace_id for _, trace_id, _ in child.exemplars().values()}
-        traces = {span.trace_id for span in traced.tracer.recent()}
-        assert linked and linked <= traces
-
     def test_the_129th_relation_collapses_into_other(self):
         registry, db, _ = self._stack()
         for i in range(130):

@@ -66,6 +66,32 @@ class TestOrderedIndex:
             == [1, 3, 4, 6]
         assert index.lookup_runs([(4, 6)]) == []
 
+    def test_count_runs_reads_per_key_counts_kept_in_step(self):
+        index = OrderedIndex("day")
+        index.rebuild([row(tid, value) for tid, value in
+                       enumerate([-2, 1, 3, 3, 7, 9], start=1)])
+        runs = [(-5, -1), (2, 3), (8, 20)]
+        assert index.count_runs(runs) == 4
+        index.insert(row(7, 3))
+        index.remove(row(1, -2))
+        assert index.count_runs(runs) == len(index.lookup_runs(runs)) == 4
+        # A key past the counted ones drops the counts; the next count
+        # counts afresh.
+        index.insert(row(8, 12))
+        assert index.count_runs([(8, 50)]) == 2
+
+    def test_count_runs_declines_sparse_or_non_integer_keys(self):
+        index = OrderedIndex("day")
+        assert index.count_runs([(0, 5)]) is None
+        index.rebuild([row(1, 0), row(2, 1000)])
+        assert index.count_runs([(0, 5)]) is None
+        index.rebuild([row(1, 1.5), row(2, 2), row(3, 3)])
+        assert index.count_runs([(0, 5)]) is None
+        index.rebuild([row(1, 1), row(2, 2), row(3, 3)])
+        assert index.count_runs([(0, 5)]) == 3
+        index.insert(row(4, True))
+        assert index.count_runs([(0, 5)]) is None
+
 
 def lanes_probe(calendar):
     """A probe answering from the calendar's lanes alone."""

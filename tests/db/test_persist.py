@@ -20,6 +20,7 @@ from repro.db.ql.parser import parse_statement
 from repro.db.ql.printer import render_statement
 from repro.db.storage import Relation
 from repro.rules import RuleManager
+from repro.session import Session
 
 
 class TestStatementPrinter:
@@ -134,6 +135,35 @@ class TestRoundTrip:
         loaded = load_database(str(path))
         assert loaded.rule_manager.tables.next_fire_of("tuesdays") == \
             expected
+
+    def test_saves_with_tenant_and_priority_keys_still_load(
+            self, populated, tmp_path):
+        """Older saves tag every rule spec with a tenant and a priority;
+        the loader ignores both keys, under the same format version."""
+        expected = populated.rule_manager.tables.next_fire_of("tuesdays")
+        payload, _ = dump_database(populated)
+        assert payload["format"] == persist._FORMAT_VERSION == 1
+        specs = payload["event_rules"] + payload["temporal_rules"]
+        assert specs
+        for spec in specs:
+            assert "tenant" not in spec and "priority" not in spec
+            spec.update(tenant="payroll", priority=5)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = load_database(str(path))
+        assert set(loaded.rule_manager.event_rules) == {"watch"}
+        assert loaded.rule_manager.tables.next_fire_of("tuesdays") == \
+            expected
+        # Armed: a daemon adopting the restored stack fires the rule at
+        # that tick and not before.
+        session = Session(database=loaded, clock_start=expected - 1)
+        try:
+            audit = "retrieve (a.msg) from a in audit"
+            assert loaded.execute(audit).column("msg") == []
+            session.cron.run_until(expected)
+            assert loaded.execute(audit).column("msg") == ["tick"]
+        finally:
+            session.close()
 
     def test_callback_rules_reported_skipped(self, populated, tmp_path):
         populated.rule_manager.declare_event(

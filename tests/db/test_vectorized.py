@@ -472,6 +472,27 @@ class TestValidTimeRangeScan:
                 'where e.lo within "MONDAYS"',
                 "retrieve (count()) from e in emp on MONDAYS")] == expected
 
+    def test_count_reads_the_per_key_counts(self, joined):
+        # Five keys over 26 ticks are too sparse to count per value, so
+        # that count takes the tid list; over dense keys a count reads
+        # the index's running per-key counts, which appends keep current.
+        query = 'retrieve (count()) from e in emp where e.lo within "MONDAYS"'
+        vec, row = both_engines(joined, query)
+        assert vec == row
+        for lo in range(1, 60):
+            joined.insert("emp", name="f", dept=1, lo=lo, hi=lo)
+        monday = next(t for t in range(1, 60)
+                      if joined.calendar_probe("MONDAYS").contains(t))
+        counts = []
+        with mock.patch.object(OrderedIndex, "lookup_runs",
+                               side_effect=AssertionError):
+            counts.append(joined.execute(query).rows[0]["count()"])
+            joined.insert("emp", name="g", dept=1, lo=monday, hi=monday)
+            counts.append(joined.execute(query).rows[0]["count()"])
+        vec, row = both_engines(joined, query)
+        assert vec == row
+        assert counts == [row[0]["count()"] - 1, row[0]["count()"]]
+
     def test_rows_come_in_scan_order(self, joined):
         emp = joined.relation("emp")
         mondays = [joined.system.day_of(f"Feb {d} 1993") for d in (15, 1, 8)]

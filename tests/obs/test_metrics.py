@@ -124,22 +124,6 @@ class TestHistogram:
         p99 = h.percentile(0.99)
         assert 0.011 <= p99 <= 0.013
 
-    def test_exemplar_stored_per_bucket_and_reset(self):
-        h = Histogram("h")
-        h.observe(0.0009)                      # no trace id: no exemplar
-        assert h.exemplars() == {}
-        h.observe(0.0009, "00" * 16)
-        h.observe(50.0, "11" * 16)             # overflow bucket
-        exemplars = h.exemplars()
-        assert len(exemplars) == 2
-        inf_index = len(h.bounds)
-        value, trace_id, ts = exemplars[inf_index]
-        assert value == pytest.approx(50.0)
-        assert trace_id == "11" * 16
-        assert ts > 0
-        h.reset()
-        assert h.exemplars() == {}
-
 
 class TestMetricsRegistry:
     def test_get_or_create_returns_same_instrument(self):

@@ -256,12 +256,14 @@ def test_index_lanes_stay_in_key_tid_order(steps, block, cuts):
 
 
 def _assert_probes(index, model, cuts):
-    """Equality, range and run probes against the sorted model."""
+    """Equality, range and run probes (and run counts, where the index
+    keeps per-key counts) against the sorted model."""
     for key in range(-1, 5):
         assert index.lookup_eq(key) == [t for k, t in model if k == key]
     runs = list(zip(cuts[::2], cuts[1::2]))  # ascending, disjoint
     assert index.lookup_runs(runs) == [
         t for k, t in model if any(a <= k <= b for a, b in runs)]
+    assert index.count_runs(runs) in (None, len(index.lookup_runs(runs)))
     for a, b in runs:
         assert index.lookup_range(a, b, hi_inclusive=False) == [
             t for k, t in model if a <= k < b]

@@ -1,8 +1,5 @@
 """Tests for the ``Session.rules`` facade."""
 
-import json
-import urllib.request
-
 import pytest
 
 from repro.rules import DBCron, HeapSchedule, WheelSchedule
@@ -24,8 +21,7 @@ class TestOnCalendar:
         rule = session.rules.on_calendar(
             "ping", expression="PINGS",
             callback=lambda d, t: fired.append(t), after=1)
-        assert rule.tenant == "default"
-        assert rule.priority == 0
+        assert session.rules.get("ping") is rule
         assert "ping" in session.rules
         session.cron.run_until(12)
         assert fired == [5, 9]
@@ -33,13 +29,6 @@ class TestOnCalendar:
     def test_arguments_are_keyword_only(self, session):
         with pytest.raises(TypeError):
             session.rules.on_calendar("ping", "PINGS")
-
-    def test_tenant_and_priority_land_on_the_rule(self, session):
-        rule = session.rules.on_calendar(
-            "ping", expression="PINGS", callback=lambda d, t: None,
-            tenant="payroll", priority=7)
-        assert (rule.tenant, rule.priority) == ("payroll", 7)
-        assert session.rules.get("ping") is rule
 
 
 class TestOnEvent:
@@ -98,7 +87,6 @@ class TestFacadeSurface:
             assert daemon["fires"] == 2
             assert daemon["probes"] >= 1
             assert stats["schedule"]["kind"] == "wheel"
-            assert "throttle" not in stats  # none attached
         finally:
             sess.close()
 
@@ -152,20 +140,3 @@ class TestDeprecatedShims:
                                          callback=lambda d, t: None)
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
-
-
-class TestRulesEndpoint:
-    def test_rules_stats_served_over_http(self, session):
-        fired = []
-        session.rules.on_calendar("ping", expression="PINGS",
-                                  callback=lambda d, t: fired.append(t),
-                                  after=1)
-        session.cron.run_until(6)
-        server = session.start_telemetry_server(0)
-        url = f"http://127.0.0.1:{server.port}/rules"
-        with urllib.request.urlopen(url, timeout=5) as response:
-            payload = json.loads(response.read())
-        assert payload["temporal_rules"] == 1
-        assert payload["daemon"]["scheduler"] == session.cron.sched.kind
-        assert payload["daemon"]["fires"] == len(fired) == 1
-        assert payload["schedule"]["kind"] == session.cron.sched.kind

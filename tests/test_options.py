@@ -37,14 +37,13 @@ def _env_names() -> set[str]:
 def test_environment_variables_are_settings_not_path_switches():
     assert _env_names() == {
         "REPRO_TRACE", "REPRO_PROFILE", "REPRO_WORKERS",
-        "REPRO_TELEMETRY_PORT", "REPRO_SLOWLOG_SECONDS",
-        "REPRO_MATCACHE_SIZE"}
+        "REPRO_SLOWLOG_SECONDS", "REPRO_MATCACHE_SIZE"}
 
 
 def test_session_takes_no_code_path_switch():
     parameters = inspect.signature(Session).parameters
     for name in ("optimize", "periodic", "vector_db", "scheduler",
-                 "wheel_shards"):
+                 "wheel_shards", "throttle", "telemetry_port"):
         assert name not in parameters
 
 
