@@ -236,11 +236,11 @@ class Database:
 
     def _catalog_remove(self, name: str) -> None:
         pg_class = self._relations["pg_class"]
-        for row in list(pg_class.scan()):
+        for row in pg_class.scan():
             if row["relname"] == name:
                 pg_class.delete(row["_tid"], fire_hooks=False)
         pg_attribute = self._relations["pg_attribute"]
-        for row in list(pg_attribute.scan()):
+        for row in pg_attribute.scan():
             if row["relname"] == name:
                 pg_attribute.delete(row["_tid"], fire_hooks=False)
 

@@ -34,6 +34,8 @@ the result, which is what lets event rules monitor reads (section 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 from time import perf_counter
 from typing import Iterator, Sequence
 
@@ -663,7 +665,7 @@ class Executor:
             rows = self._range_rows(relation, access.column, probe)
             filters = [f for f in filters if f is not access.served]
         if rows is None:
-            rows = list(relation.scan())
+            rows = relation.scan()
         sel = range(len(rows))
         for f in filters:
             if not sel:
@@ -776,49 +778,60 @@ class Executor:
 
     def _hash_join(self, term, combos, bidx: int, bvar: str, bcol: str,
                    var: str, vcol: str, rows_by, sel_by, env_base: dict):
-        """Order-preserving hash join: build on the new variable's
-        selection, probe per existing combo in order."""
-        rows_v = rows_by[var]
-        table: dict = {}
+        """Order-preserving hash join, the table built on the smaller
+        input: the new variable's selection, or the combos so far when
+        they are fewer.  The other input streams through the table in
+        order, and the matched (combo, selection) index pairs come out
+        sorted by combo index — Python's sort is stable, so each
+        combo's matches stay in selection order, the nested loop's."""
+        sel = sel_by[var]
+        rows_b, rows_v = rows_by[bvar], rows_by[var]
+        bpos = [c[bidx] for c in combos]
+        build, probe = (rows_b, bpos, bcol, bvar), (rows_v, sel, vcol, var)
+        build_combos = len(combos) < len(sel)
+        if not build_combos:
+            build, probe = probe, build
+        probe_rows, probe_pos, pcol, pvar = probe
         try:
-            for p in sel_by[var]:
-                key = rows_v[p][vcol]
-                try:
-                    if key != key:  # NaN never equals, even itself
-                        continue
-                except Exception:
-                    pass
-                table.setdefault(key, []).append(p)
+            get = self._key_table(*build).get
+            found = [get(probe_rows[p][pcol]) for p in probe_pos]
         except KeyError:
             raise ExecutionError(
-                f"tuple variable {var!r} has no column {vcol!r}") \
+                f"tuple variable {pvar!r} has no column {pcol!r}") \
                 from None
         except TypeError:
             return self._pairwise_edge_join(term, combos, bidx, bvar,
                                             var, rows_by, sel_by,
                                             env_base)
-        rows_b = rows_by[bvar]
-        out: list[tuple] = []
+        # (probe index, build index) for each match, in probe order.
+        pairs = [(k, i) for k in compress(range(len(found)), found)
+                 for i in found[k]]
+        if build_combos:
+            pairs.sort(key=itemgetter(1))
+            return [combos[i] + (sel[k],) for k, i in pairs]
+        return [combos[k] + (sel[i],) for k, i in pairs]
+
+    @staticmethod
+    def _key_table(rows, positions, column: str, var: str) -> dict:
+        """A hash join's table: each ``rows[p][column]`` key maps to the
+        ascending indices into ``positions`` that hold it.  NaN keys
+        equal nothing, themselves included, so they are left out; an
+        unhashable key raises ``TypeError``."""
+        table: dict = {}
         try:
-            for c in combos:
-                key = rows_b[c[bidx]][bcol]
+            for i, p in enumerate(positions):
+                key = rows[p][column]
                 try:
                     if key != key:
                         continue
                 except Exception:
                     pass
-                matches = table.get(key)
-                if matches:
-                    out.extend(c + (p,) for p in matches)
+                table.setdefault(key, []).append(i)
         except KeyError:
             raise ExecutionError(
-                f"tuple variable {bvar!r} has no column {bcol!r}") \
+                f"tuple variable {var!r} has no column {column!r}") \
                 from None
-        except TypeError:
-            return self._pairwise_edge_join(term, combos, bidx, bvar,
-                                            var, rows_by, sel_by,
-                                            env_base)
-        return out
+        return table
 
     def _pairwise_edge_join(self, term, combos, bidx: int, bvar: str,
                             var: str, rows_by, sel_by, env_base: dict):

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.db.errors import ExecutionError, IntegrityError, SchemaError
 from repro.db.index import OrderedIndex
@@ -162,28 +162,26 @@ class Relation:
         """Total stored tuple versions, live and dead."""
         return len(self) + len(self._history)
 
-    def scan(self, as_of: int | None = None) -> Iterator[dict]:
-        """Iterate over tuples (dicts including ``_tid``).
+    def scan(self, as_of: int | None = None) -> list[dict]:
+        """A snapshot list of the live tuples (dicts including ``_tid``),
+        taken when called, so writes made while reading it do not show.
 
-        With ``as_of``, yields the versions visible to transaction
-        ``as_of``: created at or before it and not invalidated by it; a
-        relation that keeps no history raises :class:`ExecutionError`.
+        With ``as_of``, the versions visible to transaction ``as_of``:
+        created at or before it and not invalidated by it, dead ones
+        first; a relation that keeps no history raises
+        :class:`ExecutionError`.
         """
         if self.before_access is not None:
             self.before_access()
         if as_of is None:
-            yield from list(self._rows.values())
-            return
+            return list(self._rows.values())
         if not self.keeps_history:
             raise ExecutionError(
                 f"relation {self.name!r} keeps no history: it cannot be "
                 f"read as of transaction {as_of}")
-        for row in self._history:
-            if row["_tmin"] <= as_of and row["_tmax"] > as_of:
-                yield row
-        for row in self._rows.values():
-            if row["_tmin"] <= as_of:
-                yield row
+        return [row for row in self._history
+                if row["_tmin"] <= as_of and row["_tmax"] > as_of] + \
+            [row for row in self._rows.values() if row["_tmin"] <= as_of]
 
     def get(self, tid: int) -> dict | None:
         """The live tuple with id ``tid``, or None."""

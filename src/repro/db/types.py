@@ -110,11 +110,16 @@ class OperatorRegistry:
     """Binary operators resolved by (name, left type, right type).
 
     Resolution tries the exact signature, then wildcard variants
-    (``ANY`` on either or both sides).
+    (``ANY`` on either or both sides).  Answers, ``None`` included, are
+    memoised per ``(name, left, right)``; :meth:`register`, the only
+    writer of the operator table, starts a fresh memo.
     """
 
     def __init__(self) -> None:
         self._ops: dict[_OpKey, Callable] = {}
+        #: Sorted distinct operator names, kept in step by ``register``.
+        self._names: tuple[str, ...] = ()
+        self._memo: dict[tuple[str, str, str], Callable | None] = {}
 
     def register(self, name: str, left: str, right: str,
                  func: Callable[[object, object], object],
@@ -125,9 +130,24 @@ class OperatorRegistry:
             raise DataTypeError(
                 f"operator {name!r}({left}, {right}) is already defined")
         self._ops[key] = func
+        self._memo = {}
+        if name not in self._names:
+            self._names = tuple(sorted((*self._names, name)))
 
     def resolve(self, name: str, left: str, right: str) -> Callable | None:
         """Best implementation for the operand types, or None."""
+        # A lookup racing a ``register`` stores into the memo it began
+        # with, which the register has already replaced.
+        memo = self._memo
+        key = (name, left, right)
+        try:
+            return memo[key]
+        except KeyError:
+            func = memo[key] = self._lookup(name, left, right)
+            return func
+
+    def _lookup(self, name: str, left: str, right: str) -> Callable | None:
+        """The uncached resolution :meth:`resolve` memoises."""
         for lt, rt in ((left, right), (left, ANY), (ANY, right), (ANY, ANY)):
             func = self._ops.get(_OpKey(name, lt.lower(), rt.lower()))
             if func is not None:
@@ -136,7 +156,7 @@ class OperatorRegistry:
 
     def names(self) -> list[str]:
         """Sorted distinct operator names."""
-        return sorted({key.name for key in self._ops})
+        return list(self._names)
 
 
 class FunctionRegistry:

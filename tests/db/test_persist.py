@@ -184,7 +184,7 @@ class TestRoundTrip:
         path = tmp_path / "db.json"
         save_database(db, str(path))
         loaded = load_database(str(path))
-        row = next(loaded.relation("mixed").scan())
+        row = loaded.relation("mixed").scan()[0]
         assert row["d"] == CivilDate(1993, 11, 19)
         assert row["c"].to_pairs() == ((1, 5), (9, 9))
         assert row["f"] == math.inf

@@ -29,7 +29,7 @@ class TestVersioning:
         assert relation.version_count() == 3  # 1 live + 2 dead
 
     def test_tuples_carry_stamps(self, history_db):
-        row = next(history_db.relation("prices").scan())
+        row = history_db.relation("prices").scan()[0]
         assert row["_tmin"] > 1
         assert "_tmax" not in row
 

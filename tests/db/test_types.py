@@ -1,5 +1,7 @@
 """Unit tests for the extensible type/operator/function registries."""
 
+from unittest import mock
+
 import pytest
 
 from repro.core import Calendar, CivilDate
@@ -85,6 +87,29 @@ class TestOperatorRegistry:
         ops.register("+", "int4", "int4", lambda a, b: 1)
         ops.register("+", "int4", "int4", lambda a, b: 2, replace=True)
         assert ops.resolve("+", "int4", "int4")(0, 0) == 2
+
+    def test_resolution_memoised_until_the_next_register(self):
+        ops = OperatorRegistry()
+        spy = mock.Mock(wraps=ops._lookup)
+        with mock.patch.object(ops, "_lookup", spy):
+            for _ in range(3):
+                assert ops.resolve("+", "int4", "int4") is None
+            assert spy.call_count == 1
+            ops.register("+", ANY, "int4", lambda a, b: "any-int")
+            assert ops.resolve("+", "int4", "int4")(0, 0) == "any-int"
+            ops.register("+", "int4", "int4", lambda a, b: "exact")
+            assert ops.resolve("+", "int4", "int4")(0, 0) == "exact"
+            assert spy.call_count == 3
+
+    def test_names_sorted_distinct_and_a_copy(self):
+        ops = OperatorRegistry()
+        ops.register("~", "text", ANY, lambda a, b: 1)
+        ops.register("+", "int4", "int4", lambda a, b: 2)
+        ops.register("+", "text", "text", lambda a, b: 3)
+        names = ops.names()
+        assert names == ["+", "~"]
+        names.append("*")
+        assert ops.names() == ["+", "~"]
 
 
 class TestFunctionRegistry:

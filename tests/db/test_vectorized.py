@@ -16,6 +16,7 @@ from repro.core import Calendar
 from repro.core.columnar import interval_join_pairs
 from repro.db import Database, ExecutionError
 from repro.db import vector
+from repro.db.executor import Executor
 from repro.db.index import CalendarProbe, OrderedIndex
 from repro.db.ql.parser import parse_statement
 from repro.db.storage import Relation
@@ -359,6 +360,146 @@ class TestEngineParity:
         assert vec == row
 
 
+def built_tables(db, query):
+    """(the size of each hash-join table built, the rows) for a query."""
+    spy = mock.Mock(wraps=Executor._key_table)
+    with mock.patch.object(Executor, "_key_table", spy):
+        rows = db.execute(query).rows
+    return [len(call.args[1]) for call in spy.call_args_list], rows
+
+
+@pytest.fixture()
+def keyed(db):
+    """``few`` (5 rows) and ``many`` (10 rows) on a float8 key: keys
+    repeat on both sides, and each side holds NULL and NaN keys."""
+    nan = float("nan")
+    for name, keys in (("few", (2.0, None, 1.0, 2.0, nan)),
+                       ("many", (1.0, 2.0, nan, None, 3.0, 2.0, 1.0,
+                                 None, 2.0, 5.0))):
+        db.create_table(name, [("k", "float8"), ("n", "int4")])
+        for n, k in enumerate(keys):
+            db.insert(name, k=k, n=n)
+    return db
+
+
+class TestHashJoinBuildSide:
+    """The table is built over the smaller input, and the output keeps
+    the nested loop's order either way."""
+
+    SMALL_LEFT = ("retrieve (a.n as an, b.n as bn) from a in few, "
+                  "b in many where a.k = b.k")
+    LARGE_LEFT = ("retrieve (a.n as an, b.n as bn) from b in many, "
+                  "a in few where a.k = b.k")
+
+    def test_smaller_left_input_builds_over_the_combos(self, keyed):
+        assert built_tables(keyed, self.SMALL_LEFT)[0] == [5]
+        vec, row = both_engines(keyed, self.SMALL_LEFT)
+        assert vec == row
+        pairs = [(r["an"], r["bn"]) for r in vec]
+        assert pairs == [(0, 1), (0, 5), (0, 8), (1, 3), (1, 7), (2, 0),
+                         (2, 6), (3, 1), (3, 5), (3, 8)]
+
+    def test_larger_left_input_builds_over_the_selection(self, keyed):
+        assert built_tables(keyed, self.LARGE_LEFT)[0] == [5]
+        vec, row = both_engines(keyed, self.LARGE_LEFT)
+        assert vec == row
+        pairs = [(r["bn"], r["an"]) for r in vec]
+        assert pairs == [(0, 2), (1, 0), (1, 3), (3, 1), (5, 0), (5, 3),
+                         (6, 2), (7, 1), (8, 0), (8, 3)]
+
+    def test_no_nan_pair_and_null_pairs_join(self, keyed):
+        for query in (self.SMALL_LEFT, self.LARGE_LEFT):
+            pairs = {(r["an"], r["bn"]) for r in keyed.execute(query).rows}
+            assert (4, 2) not in pairs  # NaN = NaN is false
+            assert {(1, 3), (1, 7)} <= pairs  # NULL = NULL is true
+
+    @pytest.mark.parametrize("side", ["few", "many"])
+    def test_unhashable_key_takes_the_pairwise_escape(self, db, side):
+        db.types.define("bag", lambda v: isinstance(v, (list, int)))
+        for name, keys in (("few", (2, 1, 2)),
+                           ("many", (1, 2, 3, 2, 1, 2, 4))):
+            db.create_table(name, [("k", "bag"), ("n", "int4")])
+            for n, k in enumerate(keys):
+                db.insert(name, k=k, n=n)
+        # ``few`` is the built side in both orders: a list key there
+        # fails the build, one in ``many`` fails the probe.
+        db.insert(side, k=[1], n=99)
+        for query in (self.SMALL_LEFT, self.LARGE_LEFT):
+            before = TestMetrics._count(db, vector.STRAT_SEQUENTIAL)
+            vec, row = both_engines(db, query)
+            assert vec == row and len(vec) == 8
+            assert TestMetrics._count(db, vector.STRAT_SEQUENTIAL) > before
+
+    def test_three_variable_fold_second_edge_on_the_swapped_build(self, db):
+        db.create_table("one", [("k", "int4")])
+        db.create_table("mid", [("k", "int4"), ("j", "int4")])
+        db.create_table("big", [("j", "int4"), ("n", "int4")])
+        for k in (1, 2):
+            db.insert("one", k=k)
+        for k, j in ((2, 10), (1, 20), (3, 10), (1, 10), (2, 30), (9, 20)):
+            db.insert("mid", k=k, j=j)
+        for n, j in enumerate((10, 20, 30, 10, 40, 20, 10, 30, 50, 10,
+                               20, 60)):
+            db.insert("big", j=j, n=n)
+        query = ("retrieve (a.k, b.j, c.n) from a in one, b in mid, "
+                 "c in big where a.k = b.k and b.j = c.j")
+        # 2 combos join 6 mid rows, then 4 combos join 12 big rows.
+        assert built_tables(db, query)[0] == [2, 4]
+        vec, row = both_engines(db, query)
+        assert vec == row and len(vec) == 13
+
+    def test_five_row_side_is_built_in_both_orders(self, db):
+        db.create_table("five", [("id", "int4")])
+        db.create_table("lots", [("id", "int4")])
+        db.relation("five").insert_many(
+            [{"id": i * 1000} for i in range(5)], fire_hooks=False)
+        db.relation("lots").insert_many(
+            [{"id": i} for i in range(5000)], fire_hooks=False)
+        for query in ("retrieve (count()) from f in five, l in lots "
+                      "where f.id = l.id",
+                      "retrieve (count()) from l in lots, f in five "
+                      "where l.id = f.id"):
+            assert built_tables(db, query) == ([5], [{"count()": 5}])
+
+
+class TestOperatorMemo:
+    REFUSED = ("retrieve (count()) from a in desks, b in desks "
+               "where a.sym = b.sym or a.id - b.id > 25")
+
+    def test_refused_self_join_resolves_each_signature_once(self, db):
+        db.create_table("desks", [("id", "int4"), ("sym", "text")])
+        for i in range(30):
+            db.insert("desks", id=i, sym=f"S{i % 7}")
+        assert vector.plan_retrieve(parse_statement(self.REFUSED), db,
+                                    set())[0] is None
+        spy = mock.Mock(wraps=db.operators._lookup)
+        with mock.patch.object(db.operators, "_lookup", spy):
+            first = db.execute(self.REFUSED).rows
+            assert db.execute(self.REFUSED).rows == first
+        calls = [call.args for call in spy.call_args_list]
+        assert sorted(calls) == [("-", "int4", "int4"),
+                                 ("=", "text", "text"),
+                                 (">", "int4", "int4")]
+
+    def test_registration_after_a_cached_miss_takes_effect(self, db):
+        db.create_table("t", [("k", "text")])
+        for k in ("abc", "ABC", "xy"):
+            db.insert("t", k=k)
+        query = 'retrieve (x.k) from x in t where x.k = "abc"'
+        vec, row = both_engines(db, query)
+        assert vec == row == [{"k": "abc"}]
+        # The row engine's run cached "no custom = for text/text".
+        assert db.operators.resolve("=", "text", "text") is None
+        db.operators.register("=", "text", "text",
+                              lambda a, b: a.lower() == b.lower())
+        vec, row = both_engines(db, query)
+        assert vec == row == [{"k": "abc"}, {"k": "ABC"}]
+        db.operators.register("=", "text", "text",
+                              lambda a, b: a == b.upper(), replace=True)
+        vec, row = both_engines(db, query)
+        assert vec == row == [{"k": "ABC"}]
+
+
 class TestExplainStrategies:
     def test_strategies_reported(self, joined):
         plan = joined.explain(
@@ -498,7 +639,7 @@ class TestValidTimeRangeScan:
         mondays = [joined.system.day_of(f"Feb {d} 1993") for d in (15, 1, 8)]
         for i, day in enumerate(mondays):
             emp.insert({"name": f"m{i}", "dept": 1, "lo": day, "hi": day})
-        emp.update(emp.scan().__next__()["_tid"], {"lo": mondays[2]})
+        emp.update(emp.scan()[0]["_tid"], {"lo": mondays[2]})
         vec, row = both_engines(joined, self.WITHIN)
         assert vec == row
         assert [r["name"] for r in vec] == ["a", "m0", "m1", "m2"]
