@@ -10,7 +10,7 @@ strategy at 10k / 100k (and, gated, 1M) registered rules:
   RULE_TIME is the heap's scheduling source of truth.  RULE_TIME is
   materialised on read, so each probe applies the writes of the fires
   since the last one.
-* **wheel leg** — the sharded hierarchical wheel on its own: arms and
+* **wheel leg** — the hierarchical wheel on its own: arms and
   re-arms go straight into O(1) buckets and no catalog is consulted
   (in the live daemon RULE_TIME survives only as a durability record
   off the scheduling path).
@@ -49,13 +49,16 @@ PROBE_PERIOD = 7
 class _StubRule:
     """The minimal surface RuleTables.register needs."""
 
-    __slots__ = ("name", "expression_text", "expression", "plan")
+    __slots__ = ("name", "expression_text", "expression", "plan",
+                 "catalog_texts")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.expression_text = "DAYS"
         self.expression = "DAYS"
         self.plan = None
+        #: RULE_INFO's (factorized, eval_plan) texts.
+        self.catalog_texts = ("DAYS", "")
 
 
 def _stride(index: int) -> int:
@@ -95,7 +98,7 @@ class _HeapState:
                 wave = self.sched.pop_wave(self.now)
                 if not wave:
                     break
-                for tick, name, _ in wave:
+                for tick, name in wave:
                     fires += 1
                     drifts.append(self.now - tick)
                     nxt = tick + self.strides[name]
@@ -110,8 +113,8 @@ class _HeapState:
 class _WheelState:
     """Wheel scheduling core: buckets only, no catalog in the path."""
 
-    def __init__(self, n_rules: int, shards: int = 4) -> None:
-        self.sched = WheelSchedule(1, shards=shards)
+    def __init__(self, n_rules: int) -> None:
+        self.sched = WheelSchedule(1)
         self.now = 1
         self.strides: dict[str, int] = {}
         for i in range(n_rules):
@@ -134,7 +137,7 @@ class _WheelState:
                 wave = self.sched.pop_wave(self.now)
                 if not wave:
                     break
-                for tick, name, _ in wave:
+                for tick, name in wave:
                     fires += 1
                     drifts.append(self.now - tick)
                     self.sched.schedule(name, tick + self.strides[name])
@@ -187,7 +190,7 @@ def test_wheel_vs_heap_fire_throughput(registry, n_rules):
 def test_wheel_one_million_rules_bounded():
     """1M armed rules: completes, bounded memory and drift."""
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    stats = _measure(_WheelState(1_000_000, shards=8), rounds=2)
+    stats = _measure(_WheelState(1_000_000), rounds=2)
     rss_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     rss_mb = (rss_after - rss_before) / 1024  # ru_maxrss is KiB on Linux
     assert stats["fires"] > 0

@@ -60,7 +60,7 @@ TIERS = (CalendarRegistry._PERIODIC_FULL_DAYS,
 def registry() -> CalendarRegistry:
     """The workloads' catalog (1987 epoch, 1987-2016 holidays) over a
     private materialisation cache."""
-    return Session("Jan 1 1987", holiday_years=(1987, 2016), workers=1,
+    return Session("Jan 1 1987", holiday_years=(1987, 2016),
                    matcache=MaterialisationCache()).registry
 
 

@@ -17,14 +17,11 @@ Run with ``python -m repro``.  Three kinds of input:
       \cache [clear]            materialisation-cache stats (or clear it);
                                 includes lock-contention and columnar
                                 materialisation-counter lines
-      \workers [N]              show or set the worker-pool size used by
-                                eval_many and parallel DBCRON firing
-                                (initial size: the REPRO_WORKERS env var)
       \clock                    show the simulated clock
       \advance N                advance the clock N days (DBCRON fires)
       \rules [stats|drop NAME]  list rules; "stats" reports the daemon
-                                and its scheduler shards; "drop NAME"
-                                removes a rule
+                                and its schedule; "drop NAME" removes
+                                a rule
       \tables                   list relations
       \explain [-noopt] EXPR | retrieve ...  evaluation plan of an
                                 expression (with the optimizer's
@@ -151,12 +148,8 @@ class Session(CoreSession):
                     f"period {daemon['period']}, "
                     f"{daemon['probes']} probes, {daemon['fires']} fires, "
                     f"{daemon['reschedules']} reschedules",
-                    f"  schedule: {schedule['scheduled']} armed across "
-                    f"{schedule['shards']} shard(s)",
+                    f"  schedule: {schedule['scheduled']} armed",
                 ]
-                if schedule.get("shard_sizes"):
-                    lines.append("    shard sizes: " + ", ".join(
-                        map(str, schedule["shard_sizes"])))
                 if schedule.get("overflow"):
                     lines.append(
                         f"    overflow: {schedule['overflow']} entries, "
@@ -248,17 +241,6 @@ class Session(CoreSession):
                 f"  columnar materialisations "
                 f"{columnar.MATERIALISATIONS.value}")
             return "\n".join(lines)
-        if command == "workers":
-            if not argument:
-                return f"worker pool size: {self.pool.size}"
-            try:
-                workers = int(argument)
-            except ValueError:
-                return "usage: \\workers N"
-            if workers < 1:
-                return "usage: \\workers N  (N >= 1)"
-            self.pool.resize(workers)
-            return f"worker pool resized to {workers}"
         if command == "clock":
             return (f"clock at {self.system.date_of(self.clock.now)} "
                     f"(tick {self.clock.now})")

@@ -721,7 +721,7 @@ class Executor:
         """
         if not (isinstance(term, BinOp) and term.op in self._LANE_CMP):
             return None
-        if term.op in self.db.operators.names():
+        if term.op in self.db.operators:
             return None
         cmp = self._LANE_CMP[term.op]
         for colref, other, flipped in ((term.left, term.right, False),
@@ -1169,10 +1169,14 @@ class Executor:
                     or self._truthy(self._eval(expr.right, bindings)))
         left = self._eval(expr.left, bindings)
         right = self._eval(expr.right, bindings)
-        custom = self.db.operators.resolve(expr.op, _type_name(left),
-                                           _type_name(right))
-        if custom is not None:
-            return custom(left, right)
+        operators = self.db.operators
+        # Typing the operands costs more than the builtin operator
+        # itself; a name no operator has cannot resolve to one.
+        if expr.op in operators:
+            custom = operators.resolve(expr.op, _type_name(left),
+                                       _type_name(right))
+            if custom is not None:
+                return custom(left, right)
         return self._builtin_binop(expr.op, left, right)
 
     def _builtin_binop(self, op: str, left, right):

@@ -117,8 +117,9 @@ class OperatorRegistry:
 
     def __init__(self) -> None:
         self._ops: dict[_OpKey, Callable] = {}
-        #: Sorted distinct operator names, kept in step by ``register``.
-        self._names: tuple[str, ...] = ()
+        #: Distinct operator names, kept in step by ``register`` (replaced,
+        #: never mutated, so a concurrent reader sees one whole set).
+        self._names: frozenset[str] = frozenset()
         self._memo: dict[tuple[str, str, str], Callable | None] = {}
 
     def register(self, name: str, left: str, right: str,
@@ -132,7 +133,7 @@ class OperatorRegistry:
         self._ops[key] = func
         self._memo = {}
         if name not in self._names:
-            self._names = tuple(sorted((*self._names, name)))
+            self._names = self._names | {name}
 
     def resolve(self, name: str, left: str, right: str) -> Callable | None:
         """Best implementation for the operand types, or None."""
@@ -154,9 +155,13 @@ class OperatorRegistry:
                 return func
         return None
 
+    def __contains__(self, name: str) -> bool:
+        """Whether any operator of this name is registered."""
+        return name in self._names
+
     def names(self) -> list[str]:
         """Sorted distinct operator names."""
-        return list(self._names)
+        return sorted(self._names)
 
 
 class FunctionRegistry:

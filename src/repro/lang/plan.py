@@ -372,10 +372,10 @@ class Plan:
 
     A compiled plan is **frozen by convention**: nothing mutates
     ``steps`` after the planner returns it.  That is what lets the
-    catalog cache one plan per expression and lets
-    ``Session.eval_many`` hand the same plan object to several worker
-    threads at once — each execution's mutable state lives in the
-    :class:`PlanVM` run, never on the plan.
+    catalog cache one plan per expression and lets callers sharing a
+    session run the same plan object on several threads at once — each
+    execution's mutable state lives in the :class:`PlanVM` run, never
+    on the plan.
     """
 
     steps: list[PlanStep] = field(default_factory=list)
@@ -417,8 +417,8 @@ class PlanVM:
 
     **Re-entrancy contract**: a VM instance is cheap and single-use —
     construct one per ``run`` call.  The register file is a local of
-    :meth:`run`, so concurrent runs of the *same* plan (the batch
-    engine's worker threads) never share execution state; the only
+    :meth:`run`, so concurrent runs of the *same* plan (callers sharing
+    a session across threads) never share execution state; the only
     shared mutable structure is the context's materialisation dict,
     whose entries are idempotent (same key → equal calendar), making
     duplicate concurrent writes harmless.

@@ -2,7 +2,7 @@
 
 Metrics (PR 2) aggregate; this module *records*: every interesting
 moment in the stack — an evaluation starting, a cache miss, a rule
-firing, a pool dispatch — becomes one typed :class:`Event` pushed
+firing — becomes one typed :class:`Event` pushed
 through a :class:`TelemetryPipeline` into pluggable sinks (an in-memory
 ring, a JSONL file, an arbitrary callback).  The POSTGRES rule system
 kept statistics tables an operator could query from outside; the

@@ -33,7 +33,7 @@ class Span:
     """
 
     __slots__ = ("name", "meta", "start", "end", "children", "trace_id",
-                 "_tracer", "_parent", "_adopt", "_spans", "_dropped",
+                 "_tracer", "_parent", "_spans", "_dropped",
                  "_epoch")
 
     def __init__(self, tracer: "Tracer", name: str, meta: dict) -> None:
@@ -48,7 +48,6 @@ class Span:
         self.children: list[Span] = []
         self._tracer = tracer
         self._parent: Span | None = None
-        self._adopt: Span | None = None   # cross-thread parent (child_span)
         self._spans = 0      # descendants created (maintained on roots)
         self._dropped = 0    # descendants dropped past the budget
         #: Ring epoch at creation; a clear() between this span's start
@@ -58,24 +57,11 @@ class Span:
     # -- context manager ----------------------------------------------------
 
     def __enter__(self) -> "Span":
-        """Start timing and become the current span of this thread.
-
-        A span created with :meth:`Tracer.child_span` and entered on a
-        thread with an empty stack attaches to its designated
-        cross-thread parent instead of becoming a root — this is how
-        per-worker trace fragments roll up into the dispatching thread's
-        trace tree.
-        """
+        """Start timing and become the current span of this thread."""
         stack = self._tracer._stack()
         if stack:
             self._parent = stack[-1]
             self._parent.children.append(self)
-        elif self._adopt is not None:
-            self._parent = self._adopt
-            # list.append is atomic under the GIL, so concurrent workers
-            # attaching to one parent do not need a lock.
-            self._parent.children.append(self)
-        if self._parent is not None:
             self.trace_id = self._parent.trace_id
         else:
             self.trace_id = self._tracer._new_trace_id()
@@ -103,7 +89,6 @@ class Span:
         # Drop the upward/tracer references so finished trees are plain
         # parent->children DAGs: no cycles, collectible by refcounting.
         self._parent = None
-        self._adopt = None
         self._tracer = None
         return False
 
@@ -239,20 +224,6 @@ class Tracer:
                 return _DROPPED
         return Span(self, name, meta)
 
-    def child_span(self, parent: Span, name: str, **meta) -> Span:
-        """A span pre-parented to ``parent`` for use on *another* thread.
-
-        The dispatching thread creates one of these per work item while
-        its own span (``parent``) is open; the worker thread enters it,
-        and — its stack being empty — the span attaches beneath
-        ``parent`` instead of starting a separate root trace.  Further
-        spans opened by the worker nest under it through the ordinary
-        per-thread stack, so a parallel batch still renders as one tree.
-        """
-        span = Span(self, name, meta)
-        span._adopt = parent
-        return span
-
     def event(self, name: str, **meta) -> Span:
         """Record an instantaneous (zero-duration) point event.
 
@@ -292,8 +263,8 @@ class Tracer:
         """Append a finished root span unless a clear() superseded it.
 
         The epoch check happens under the ring lock: without it, a
-        worker thread (``eval_many``) finishing a span concurrently
-        with :meth:`clear` could re-populate the ring *after* the
+        caller's thread finishing a span concurrently with
+        :meth:`clear` could re-populate the ring *after* the
         clear returned — the caller would observe supposedly dropped
         traces reappearing.
         """

@@ -8,9 +8,9 @@ schedule behind one strategy protocol:
   within the next period and loads them into a binary heap.  It is the
   wheel's parity oracle, injected with ``DBCron(schedule=HeapSchedule())``.
 * :class:`~repro.rules.wheel.WheelSchedule` — the default, built when
-  ``schedule=`` is None: a hash-sharded hierarchical timing wheel that
-  holds the *entire* future, so registration and re-arming go straight
-  into an O(1) bucket and the periodic RULE_TIME probe disappears from
+  ``schedule=`` is None: a hierarchical timing wheel that holds the
+  *entire* future, so registration and re-arming go straight into an
+  O(1) bucket and the periodic RULE_TIME probe disappears from
   the hot path entirely (it survives only as a cheap due-count report
   plus the one-time sync of rules declared before the daemon existed).
 
@@ -21,16 +21,10 @@ whole wave into the schedule (IMPLEMENTATION_NOTES §11.6).  RULE_TIME is
 materialised on read (:mod:`repro.rules.tables`): the wheel never reads
 it, while each heap probe first applies its pending writes.
 
-Independent due rules can fire **in parallel**: :meth:`DBCron.fire_due`
-pops all entries sharing the earliest due fire tick as one *wave* and
-dispatches the wave across a :class:`~repro.runtime.WorkerPool`.  Under
-the wheel the wave is batched **per shard** — one pool task per wheel
-shard, each firing its batch sequentially — which keeps dispatch
-overhead constant as waves grow to alerting scale; the heap keeps its
-original one-task-per-rule dispatch.  Processing wave-by-wave preserves
-the deterministic cross-tick firing order of the sequential daemon, and
-per-wave results are folded back on the dispatching thread in wave
-order so sequential and parallel runs count identically.
+:meth:`DBCron.fire_due` pops all entries sharing the earliest due fire
+tick as one *wave* and fires its rules one by one, in arm order, on the
+calling thread — one daemon, as in Figure 4.  Processing wave-by-wave
+gives a deterministic firing order across and within ticks.
 
 Both schedules share the staleness discipline introduced with the
 wheel: every arm carries a generation, redefinition/cancel kills older
@@ -63,7 +57,6 @@ from repro.db.database import Database
 from repro.rules.clock import SimulatedClock
 from repro.rules.manager import RuleManager
 from repro.rules.wheel import WheelSchedule
-from repro.runtime import WorkerPool, get_default_pool
 
 __all__ = ["DBCron", "HeapSchedule"]
 
@@ -133,9 +126,9 @@ class HeapSchedule:
             self._scheduled.pop(name, None)
             self._fired_at.pop(name, None)
 
-    def pop_wave(self, now: int) -> list[tuple[int, str, int]]:
-        """Every live entry of the earliest due tick (shard always 0)."""
-        wave: list[tuple[int, str, int]] = []
+    def pop_wave(self, now: int) -> list[tuple[int, str]]:
+        """Every live entry of the earliest due tick, in arm order."""
+        wave: list[tuple[int, str]] = []
         with self._lock:
             wave_tick = None
             while self._heap and self._heap[0][0] <= now:
@@ -148,7 +141,7 @@ class HeapSchedule:
                 del self._scheduled[name]
                 self._fired_at[name] = tick
                 wave_tick = tick
-                wave.append((tick, name, 0))
+                wave.append((tick, name))
         return wave
 
     def __len__(self) -> int:
@@ -164,7 +157,7 @@ class HeapSchedule:
     def stats(self) -> dict:
         """Snapshot for ``Session.rules.stats()`` / the CLI."""
         with self._lock:
-            return {"kind": self.kind, "shards": 1,
+            return {"kind": self.kind,
                     "scheduled": len(self._scheduled),
                     "heap_entries": len(self._heap)}
 
@@ -173,23 +166,20 @@ class DBCron:
     """The temporal-rule daemon.
 
     ``schedule`` is the main-memory schedule; None builds the default
-    :class:`~repro.rules.wheel.WheelSchedule` with one shard per pool
-    worker.  Pass a :class:`HeapSchedule` to run the paper's design.
+    :class:`~repro.rules.wheel.WheelSchedule`.  Pass a
+    :class:`HeapSchedule` to run the paper's design.
     """
 
     def __init__(self, manager: RuleManager, clock: SimulatedClock,
-                 period: int = 7, pool: WorkerPool | None = None,
-                 schedule=None) -> None:
+                 period: int = 7, schedule=None) -> None:
         if period < 1:
             raise AxisError("the probe period must be at least 1 tick")
         self.manager = manager
         self.db: Database = manager.db
         self.clock = clock
         self.period = period
-        #: Worker pool for parallel wave firing (size 1 = sequential).
-        self.pool = pool if pool is not None else get_default_pool()
         self.sched = schedule if schedule is not None else \
-            WheelSchedule(clock.now, shards=max(1, self.pool.size))
+            WheelSchedule(clock.now)
         self._horizon = clock.now  # end of the currently probed window
         self.stats = _Stats()
         manager.clock = clock
@@ -215,9 +205,8 @@ class DBCron:
         Under the heap this is the periodic RULE_TIME scan of Figure 4
         and returns the number of entries loaded.  Under the wheel the
         schedule is already complete — the probe merely reports how many
-        armed rules fall inside the window and refreshes the gauges
-        (including the per-shard lag histogram), without touching the
-        database.
+        armed rules fall inside the window and refreshes the gauges,
+        without touching the database.
         """
         now = self.clock.now
         self._horizon = axis_add(now, self.period)
@@ -237,38 +226,15 @@ class DBCron:
         inst.metrics.counter("dbcron.probes").inc()
         inst.metrics.gauge("dbcron.heap_size").set(sched_size)
         if self.sched.kind == "wheel":
-            self._observe_wheel(inst, now)
+            inst.metrics.gauge("dbcron.wheel.cascades").set(
+                self.sched.cascades())
+            inst.metrics.gauge("dbcron.wheel.overflow").set(
+                self.sched.overflow_size())
         if inst.pipeline is not None:
             inst.pipeline.emit("dbcron.probe", now=now, loaded=loaded,
                                heap=sched_size, horizon=self._horizon,
                                scheduler=self.sched.kind)
         return loaded
-
-    def _observe_wheel(self, inst, now: int) -> None:
-        """Wheel-specific gauges: cascades, overflow, per-shard lag.
-
-        Lag is recorded twice: the flat histogram keeps the historical
-        distribution view, while the labelled gauge family exposes each
-        shard's *current* lag as its own Prometheus series so a stuck
-        shard is identifiable by number.
-        """
-        metrics = inst.metrics
-        metrics.gauge("dbcron.wheel.shards").set(self.sched.shards)
-        metrics.gauge("dbcron.wheel.cascades").set(self.sched.cascades())
-        metrics.gauge("dbcron.wheel.overflow").set(
-            self.sched.overflow_size())
-        lag_hist = metrics.histogram("dbcron.wheel.shard_lag_ticks")
-        lag_family = metrics.gauge(
-            "dbcron.wheel.shard_lag", "Current lag ticks per wheel shard",
-            labels=("shard",))
-        sizes = metrics.gauge(
-            "dbcron.wheel.shard_size", "Armed rules per wheel shard",
-            labels=("shard",))
-        for shard, lag in enumerate(self.sched.shard_lags(now)):
-            lag_hist.observe(lag)
-            lag_family.labels(str(shard)).set(float(lag))
-        for shard, size in enumerate(self.sched.shard_sizes()):
-            sizes.labels(str(shard)).set(float(size))
 
     def _on_schedule_change(self, changes) -> None:
         """Rules were declared/dropped/rescheduled while we are awake."""
@@ -294,15 +260,11 @@ class DBCron:
         Due entries are processed in *waves* — all entries sharing the
         earliest due fire tick — and each wave goes through
         :meth:`RuleManager.fire_wave`, which pays the RULE_TIME write
-        and the re-arm once per wave.  A wave fires across the worker
-        pool when it holds more than one rule and the pool has more than
-        one worker; otherwise the rules fire sequentially on this
-        thread.  Records
-        per-fire latency (``dbcron.fire_seconds``) and how far behind
-        schedule the daemon is running (``dbcron.fire_drift_ticks``);
-        with tracing on, each fire gets a ``rule.fire`` span (parallel
-        waves roll the per-worker spans up under one
-        ``dbcron.fire_wave``).
+        and the re-arm once per wave; its rules fire in order on this
+        thread.  Records per-fire latency (``dbcron.fire_seconds``) and
+        how far behind schedule the daemon is running
+        (``dbcron.fire_drift_ticks``); with tracing on, each fire gets a
+        ``rule.fire`` span.
         """
         now = self.clock.now
         inst = self.db.instrumentation
@@ -322,41 +284,26 @@ class DBCron:
     def _fire_wave(self, wave, now: int, inst) -> int:
         """Fire one wave through the manager; count fired.
 
-        Every fire is timed (and traced) individually, on whichever
-        thread runs it; metrics and stats are folded in on this thread,
-        in wave order and once per wave, so sequential and parallel
-        runs count identically — even when a rule of the wave raised.
+        Every fire is timed (and traced) individually; metrics and stats
+        are folded in once per wave, even when a rule of the wave raised.
         """
         tracer = inst.tracer
         # (next_fire, elapsed seconds) per wave position once fired.
         results: list = [None] * len(wave)
 
-        def timed(fire, position: int, parent_span=None) -> None:
-            tick, name, _ = wave[position]
-            t0 = perf_counter()
-            if tracer is None:
-                next_fire = fire(position)
-            elif parent_span is not None:
-                # A pool worker's span, adopted into the wave's trace.
-                with tracer.child_span(parent_span, "rule.fire", rule=name,
-                                       tick=tick, drift=now - tick):
-                    next_fire = fire(position)
-            else:
-                with tracer.span("rule.fire", rule=name, tick=tick,
-                                 drift=now - tick):
-                    next_fire = fire(position)
-            results[position] = (next_fire, perf_counter() - t0)
-
         def dispatch(fire) -> None:
-            if len(wave) > 1 and self.pool.size > 1:
-                self._dispatch_parallel(wave, fire, timed)
-            else:
-                for position in range(len(wave)):
-                    timed(fire, position)
+            for position, (tick, name) in enumerate(wave):
+                t0 = perf_counter()
+                if tracer is None:
+                    next_fire = fire(position)
+                else:
+                    with tracer.span("rule.fire", rule=name, tick=tick,
+                                     drift=now - tick):
+                        next_fire = fire(position)
+                results[position] = (next_fire, perf_counter() - t0)
 
         try:
-            self.manager.fire_wave([(tick, name) for tick, name, _ in wave],
-                                   dispatch=dispatch)
+            self.manager.fire_wave(wave, dispatch=dispatch)
         finally:
             fired = self._account(wave, results, inst)
         return fired
@@ -365,15 +312,13 @@ class DBCron:
         """Fold one wave's fires into stats and metrics; count fired."""
         metrics = inst.metrics
         fire_hist = metrics.histogram("dbcron.fire_seconds")
-        per_shard: dict[int, int] = {}
         fired = 0
-        for (tick, name, shard), result in zip(wave, results):
+        for (tick, name), result in zip(wave, results):
             if result is None:
                 continue  # never reached (the wave was interrupted)
             next_fire, elapsed = result
             fired += 1
             fire_hist.observe(elapsed)
-            per_shard[shard] = per_shard.get(shard, 0) + 1
             if next_fire is not None:
                 self.stats.reschedules += 1
             if inst.pipeline is not None:
@@ -381,43 +326,8 @@ class DBCron:
                                    duration_s=elapsed, next_fire=next_fire)
         if fired:
             metrics.counter("dbcron.fires").inc(fired)
-            shard_fires = metrics.counter(
-                "dbcron.shard_fires", "Rules fired per scheduler shard",
-                labels=("shard",))
-            for shard, count in per_shard.items():
-                shard_fires.labels(str(shard)).inc(count)
             self.stats.fires += fired
         return fired
-
-    def _dispatch_parallel(self, wave, fire, timed) -> None:
-        """Run one wave's fires across the pool.
-
-        Wheel waves arrive pre-sharded: entries are grouped by wheel
-        shard and each shard's batch runs as one pool task (constant
-        dispatch overhead per wave).  Heap waves carry a single shard id
-        and fall back to one task per rule — the pre-wheel behaviour.
-        """
-        batches: dict[int, list[int]] = {}
-        for position, (_, _, shard) in enumerate(wave):
-            batches.setdefault(shard, []).append(position)
-        if len(batches) == 1:
-            work = [[position] for position in range(len(wave))]
-        else:
-            work = list(batches.values())
-
-        def fire_batch(batch, parent_span=None):
-            for position in batch:
-                timed(fire, position, parent_span)
-
-        tracer = self.db.instrumentation.tracer
-        if tracer is not None:
-            with tracer.span("dbcron.fire_wave", tick=wave[0][0],
-                             rules=len(wave),
-                             batches=len(work)) as wave_span:
-                self.pool.sharded_map(
-                    lambda batch: fire_batch(batch, wave_span), work)
-        else:
-            self.pool.sharded_map(fire_batch, work)
 
     # -- driving ------------------------------------------------------------------
 

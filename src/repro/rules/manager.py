@@ -36,15 +36,17 @@ class RuleManager:
         self.event_rules: dict[str, EventRule] = {}
         self.temporal_rules: dict[str, TemporalRule] = {}
         self.max_cascade_depth = max_cascade_depth
-        #: Cascade depth is tracked per *thread*: DBCRON may fire
-        #: independent rules on pool workers concurrently, and each
-        #: worker's rule chain is a separate cascade.
+        #: Cascade depth is tracked per *thread*: event-rule hooks
+        #: (``_make_hook``) run cascades on whichever caller thread
+        #: mutated the relation, outside ``_mutate_lock``, so a shared
+        #: counter would add up the cascades of two callers sharing the
+        #: database and raise a false depth error.
         self._local = threading.local()
         #: Serialises database-mutating rule work (``rule.fire``,
-        #: RULE_TIME updates, schedule notifications) when rules fire on
-        #: pool threads; re-entrant so a cascading rule on one thread is
-        #: unaffected.  The expensive calendar-pipeline work
-        #: (``next_trigger``) deliberately runs outside it.
+        #: RULE_TIME updates, schedule notifications) when callers share
+        #: the database across their own threads; re-entrant so a
+        #: cascading rule on one thread is unaffected.  The expensive
+        #: calendar-pipeline work (``next_trigger``) runs outside it.
         self._mutate_lock = threading.RLock()
         self.tables = RuleTables(database, self._mutate_lock)
         #: Set by DBCron; used as the default schedule start for rules
@@ -200,13 +202,12 @@ class RuleManager:
         trigger, and the first error is raised afterwards — as a
         :class:`RuleError` unless it already is a ``ReproError``.
 
-        ``dispatch`` lets DBCRON run the per-entry part elsewhere (pool
-        workers, spans, timing): it is called with ``fire(position)``
-        and must call it once per entry position.  Safe for *distinct*
-        rules on pool workers: ``next_trigger``, the calendar-pipeline
-        work, runs unlocked — the registry and matcache below it are
-        thread-safe — while ``rule.fire`` and the flush are serialised
-        by ``_mutate_lock``.
+        ``dispatch`` lets DBCRON wrap the per-entry part (per-fire
+        timing and spans): it is called with ``fire(position)`` and must
+        call it once per entry position, in order.  ``next_trigger``,
+        the calendar-pipeline work, runs unlocked — the registry and
+        matcache below it are thread-safe — while ``rule.fire`` and the
+        flush are serialised by ``_mutate_lock``.
 
         Per-rule work is paid only where rules differ (:class:`_Wave`):
         a wave's rules share a handful of expressions, and a next
@@ -304,11 +305,8 @@ class _Wave:
     answer in the registry, but behind the shared matcache's lock, LRU
     touch and hit counter; an unlocked dict per wave saves that on
     every rule after a group's first.  ``bindings`` builds the Postquel
-    ``now`` binding once per tick.  Pool workers share one instance: a
-    plain dict read or write is atomic, and two workers computing the
-    same group at once only duplicate a pure computation.  A raising
-    next trigger is not stored, so every rule of its group raises
-    alike.
+    ``now`` binding once per tick.  A raising next trigger is not
+    stored, so every rule of its group raises alike.
     """
 
     __slots__ = ("_db", "_next", "_bindings")

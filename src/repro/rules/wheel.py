@@ -16,12 +16,9 @@ overflow heap — DBCRON no longer needs a probe horizon at all: rule
 (re)arms go straight into a bucket and RULE_TIME becomes a durability
 and query record, materialised only when read (:mod:`repro.rules.tables`).
 
-Scale-out is by **hash sharding**: rule names are distributed across N
-independent shards (stable CRC32, so runs are reproducible under hash
-randomisation), each shard owning its own wheel, its own lock and its
-own liveness maps.  Same-tick waves are assembled per shard, which is
-what lets :class:`~repro.rules.dbcron.DBCron` fire one batch per shard
-across the :class:`~repro.runtime.WorkerPool`.
+One wheel and one lock hold every armed rule; a same-tick wave comes
+out in arm order and :class:`~repro.rules.dbcron.DBCron` fires it
+sequentially, as the paper's single daemon does.
 
 Staleness is handled by **generation counters**, shared with the fixed
 heap schedule (see ``docs/IMPLEMENTATION_NOTES.md`` §11): every push
@@ -41,7 +38,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import threading
-import zlib
 
 from repro.core.errors import AxisError
 
@@ -64,12 +60,11 @@ def _unlin(lin: int) -> int:
 
 
 class HierarchicalWheel:
-    """One shard's wheel: slotted time, cascading, far-future overflow.
+    """Slotted time, cascading, far-future overflow.
 
     Entries are opaque ``(seq, name, gen)`` triples keyed by a linear
     tick; the wheel never inspects them beyond the tick.  Not
-    thread-safe — the owning :class:`WheelSchedule` shard serialises
-    access.
+    thread-safe — the owning :class:`WheelSchedule` serialises access.
     """
 
     def __init__(self, now_lin: int,
@@ -190,65 +185,8 @@ class HierarchicalWheel:
         return len(self._overflow)
 
 
-class _Shard:
-    """One wheel plus its liveness maps, guarded by one lock."""
-
-    __slots__ = ("wheel", "lock", "scheduled", "fired_at", "arm_counter",
-                 "tick_counts", "ticks")
-
-    def __init__(self, now_lin: int, slots: tuple[int, ...]) -> None:
-        self.wheel = HierarchicalWheel(now_lin, slots)
-        self.lock = threading.Lock()
-        #: Monotonic generation source: every arm gets a fresh value, so
-        #: a dead wheel entry can never impersonate a later incarnation.
-        self.arm_counter = 0
-        #: Live armament per rule name: (axis tick, generation).  An
-        #: entry in the wheel is real only while its (tick, gen) pair is
-        #: recorded here — cancel/redefine just re-points or drops the
-        #: record and the wheel entry dies in place.
-        self.scheduled: dict[str, tuple[int, int]] = {}
-        #: Last tick actually handed to the daemon per rule name; arms
-        #: at or before it are refused (anti double-fire watermark).
-        self.fired_at: dict[str, int] = {}
-        #: Live armed rules per axis tick, and those ticks ascending:
-        #: the probe's due count and lag read the front of ``ticks``
-        #: instead of scanning every armed rule.
-        self.tick_counts: dict[int, int] = {}
-        self.ticks: list[int] = []
-
-    def arm(self, name: str, tick: int, seq: int) -> bool:
-        """Arm ``name`` at axis ``tick`` (caller holds the lock)."""
-        current = self.scheduled.get(name)
-        if current is not None and current[0] == tick:
-            return False  # already armed at this tick
-        fired = self.fired_at.get(name)
-        if fired is not None and tick <= fired:
-            return False  # stale re-arm at/before the last fire
-        if current is not None:
-            self.disarm(current[0])
-        self.arm_counter += 1
-        self.scheduled[name] = (tick, self.arm_counter)
-        self.wheel.push(_lin(tick), seq, name, self.arm_counter)
-        count = self.tick_counts.get(tick)
-        if count is None:
-            self.tick_counts[tick] = 1
-            bisect.insort(self.ticks, tick)
-        else:
-            self.tick_counts[tick] = count + 1
-        return True
-
-    def disarm(self, tick: int) -> None:
-        """Forget one live armament at ``tick`` in the tick counts."""
-        count = self.tick_counts[tick] - 1
-        if count:
-            self.tick_counts[tick] = count
-        else:
-            del self.tick_counts[tick]
-            del self.ticks[bisect.bisect_left(self.ticks, tick)]
-
-
 class WheelSchedule:
-    """The sharded wheel behind :class:`~repro.rules.dbcron.DBCron`.
+    """The timing wheel behind :class:`~repro.rules.dbcron.DBCron`.
 
     Implements the schedule strategy protocol shared with
     :class:`~repro.rules.dbcron.HeapSchedule`:
@@ -257,13 +195,15 @@ class WheelSchedule:
     * ``schedule_many(arms)`` — arm ``(name, tick)`` pairs in order,
     * ``cancel(name)`` — disarm and forget the fired-at watermark,
     * ``pop_wave(now)`` — the earliest due same-tick wave, as
-      ``(tick, name, shard)`` triples in global arm order,
+      ``(tick, name)`` pairs in arm order,
     * ``len()`` — live armed rules.
 
     Unlike the heap, the wheel holds the *entire* future: DBCRON's probe
     horizon does not apply (``bounded_horizon`` is False) and the only
     RULE_TIME scan ever performed is the one-time synchronisation of
-    rules declared before the daemon existed.
+    rules declared before the daemon existed.  One lock guards the
+    wheel and its liveness maps, so callers on their own threads may
+    arm, cancel and pop concurrently.
     """
 
     #: The daemon must not filter arms through its probe horizon.
@@ -271,25 +211,28 @@ class WheelSchedule:
     #: The scheduler kind the daemon reports (stats, CLI, probe events).
     kind = "wheel"
 
-    def __init__(self, now: int, shards: int = 1,
+    def __init__(self, now: int,
                  slots: tuple[int, ...] = DEFAULT_SLOTS) -> None:
-        if shards < 1:
-            raise AxisError("a wheel needs at least one shard")
-        now_lin = _lin(now)
         self._slots = slots
-        self._shards = [_Shard(now_lin, slots) for _ in range(shards)]
-        self._seq = 0
-        self._seq_lock = threading.Lock()
-
-    # -- sharding -------------------------------------------------------------
-
-    @property
-    def shards(self) -> int:
-        return len(self._shards)
-
-    def shard_of(self, name: str) -> int:
-        """Stable shard index of a rule name (CRC32, not ``hash``)."""
-        return zlib.crc32(name.encode("utf-8")) % len(self._shards)
+        self._wheel = HierarchicalWheel(_lin(now), slots)
+        self._lock = threading.Lock()
+        #: Monotonic generation source: every arm gets a fresh value, so
+        #: a dead wheel entry can never impersonate a later incarnation.
+        #: It doubles as the arm sequence that orders a wave.
+        self._gen = 0
+        #: Live armament per rule name: (axis tick, generation).  An
+        #: entry in the wheel is real only while its (tick, gen) pair is
+        #: recorded here — cancel/redefine just re-points or drops the
+        #: record and the wheel entry dies in place.
+        self._scheduled: dict[str, tuple[int, int]] = {}
+        #: Last tick actually handed to the daemon per rule name; arms
+        #: at or before it are refused (anti double-fire watermark).
+        self._fired_at: dict[str, int] = {}
+        #: Live armed rules per axis tick, and those ticks ascending:
+        #: the probe's due count reads the front of ``_ticks`` instead
+        #: of scanning every armed rule.
+        self._tick_counts: dict[int, int] = {}
+        self._ticks: list[int] = []
 
     # -- strategy protocol ----------------------------------------------------
 
@@ -298,148 +241,123 @@ class WheelSchedule:
         return self.schedule_many([(name, tick)]) == 1
 
     def schedule_many(self, arms) -> int:
-        """Arm ``(name, tick)`` pairs; how many were armed.
+        """Arm ``(name, tick)`` pairs in order under one lock; count armed.
 
-        Each pair behaves as :meth:`schedule`; arm sequences are
-        allocated in the given order (so a re-armed wave keeps its
-        order in later waves) and each shard's lock is taken once.
-        Raises :class:`AxisError` (arming nothing) for a tick 0.
+        Each pair behaves as :meth:`schedule`; generations are allocated
+        in the given order, so a re-armed wave keeps its order in later
+        waves.  Raises :class:`AxisError` (arming nothing) for a tick 0.
         """
         arms = list(arms)
-        with self._seq_lock:
-            seq = self._seq
-            self._seq += len(arms)
-        by_shard: dict[int, list] = {}
-        for name, tick in arms:
-            if tick == 0:
-                raise AxisError("tick 0 does not exist")
-            seq += 1
-            by_shard.setdefault(self.shard_of(name), []).append(
-                (name, tick, seq))
+        if any(tick == 0 for _, tick in arms):
+            raise AxisError("tick 0 does not exist")
         armed = 0
-        for index, batch in by_shard.items():
-            shard = self._shards[index]
-            with shard.lock:
-                for name, tick, seq in batch:
-                    armed += shard.arm(name, tick, seq)
+        with self._lock:
+            for name, tick in arms:
+                armed += self._arm(name, tick)
         return armed
+
+    def _arm(self, name: str, tick: int) -> bool:
+        """Arm ``name`` at axis ``tick`` (caller holds the lock)."""
+        current = self._scheduled.get(name)
+        if current is not None and current[0] == tick:
+            return False  # already armed at this tick
+        fired = self._fired_at.get(name)
+        if fired is not None and tick <= fired:
+            return False  # stale re-arm at/before the last fire
+        if current is not None:
+            self._disarm(current[0])
+        self._gen += 1
+        self._scheduled[name] = (tick, self._gen)
+        self._wheel.push(_lin(tick), self._gen, name, self._gen)
+        count = self._tick_counts.get(tick)
+        if count is None:
+            self._tick_counts[tick] = 1
+            bisect.insort(self._ticks, tick)
+        else:
+            self._tick_counts[tick] = count + 1
+        return True
+
+    def _disarm(self, tick: int) -> None:
+        """Forget one live armament at ``tick`` in the tick counts."""
+        count = self._tick_counts[tick] - 1
+        if count:
+            self._tick_counts[tick] = count
+        else:
+            del self._tick_counts[tick]
+            del self._ticks[bisect.bisect_left(self._ticks, tick)]
 
     def cancel(self, name: str) -> None:
         """Disarm ``name``; its wheel entries die in place."""
-        shard = self._shards[self.shard_of(name)]
-        with shard.lock:
-            current = shard.scheduled.pop(name, None)
+        with self._lock:
+            current = self._scheduled.pop(name, None)
             if current is not None:
-                shard.disarm(current[0])
-            shard.fired_at.pop(name, None)
+                self._disarm(current[0])
+            self._fired_at.pop(name, None)
 
-    def pop_wave(self, now: int) -> list[tuple[int, str, int]]:
+    def pop_wave(self, now: int) -> list[tuple[int, str]]:
         """All live entries of the earliest due tick, in arm order.
 
-        Advances every shard's wheel to ``now``, filters dead entries
-        (generation or armament mismatch), picks the minimum due tick
-        across shards and returns that tick's entries as
-        ``(tick, name, shard)`` sorted by global arm sequence — the
-        same deterministic order the heap's (tick, seq) comparator
-        yields.  A ripe tick whose entries all died (cancelled or
-        re-pointed rules) is consumed and the next tick examined, so a
-        graveyard tick never masks a live later one.  Raises
-        :class:`AxisError` when ``now`` is behind the wheel's cursor.
+        Advances the wheel to ``now``, drops dead entries (generation or
+        armament mismatch) and returns the earliest ripe tick's entries
+        as ``(tick, name)`` sorted by generation — the same
+        deterministic order the heap's (tick, gen) comparator yields.
+        A ripe tick whose entries all died (cancelled or re-pointed
+        rules) is consumed and the next tick examined, so a graveyard
+        tick never masks a live later one.  Raises :class:`AxisError`
+        when ``now`` is behind the wheel's cursor.
         """
         if now == 0:
             raise AxisError("tick 0 does not exist")
-        now_lin = _lin(now)
-        while True:
-            wave_tick: int | None = None
-            # Pass 1: advance and find the earliest ripe tick across
-            # shards.
-            for shard in self._shards:
-                with shard.lock:
-                    shard.wheel.advance_to(now_lin)
-                    tick_lin = shard.wheel.peek_tick()
-                if tick_lin is not None and \
-                        (wave_tick is None or tick_lin < wave_tick):
-                    wave_tick = tick_lin
-            if wave_tick is None:
-                return []
-            tick = _unlin(wave_tick)
-            # Pass 2: take that tick's bucket from each shard, dropping
-            # entries whose generation no longer matches the live
-            # armament.
-            wave: list[tuple[int, int, str, int]] = []
-            for index, shard in enumerate(self._shards):
-                with shard.lock:
-                    if shard.wheel.peek_tick() != wave_tick:
-                        continue
-                    for seq, name, gen in shard.wheel.take_tick(wave_tick):
-                        if shard.scheduled.get(name) != (tick, gen):
-                            continue  # cancelled or re-pointed: dead
-                        del shard.scheduled[name]
-                        shard.disarm(tick)
-                        shard.fired_at[name] = tick
-                        wave.append((seq, tick, name, index))
-            if wave:
-                wave.sort()
-                return [(tick, name, index)
-                        for _, tick, name, index in wave]
-            # All entries of wave_tick were dead: try the next tick.
+        wheel = self._wheel
+        with self._lock:
+            wheel.advance_to(_lin(now))
+            while (tick_lin := wheel.peek_tick()) is not None:
+                tick = _unlin(tick_lin)
+                wave: list[tuple[int, str]] = []
+                for gen, name, _ in wheel.take_tick(tick_lin):
+                    if self._scheduled.get(name) != (tick, gen):
+                        continue  # cancelled or re-pointed: dead
+                    del self._scheduled[name]
+                    self._disarm(tick)
+                    self._fired_at[name] = tick
+                    wave.append((gen, name))
+                if wave:
+                    wave.sort()
+                    return [(tick, name) for _, name in wave]
+                # All entries of this tick were dead: try the next tick.
+        return []
 
     def __len__(self) -> int:
-        return sum(len(shard.scheduled) for shard in self._shards)
+        return len(self._scheduled)
 
     # -- introspection --------------------------------------------------------
 
     def due_within(self, now: int, horizon: int) -> int:
         """Live armed rules with tick <= now + horizon (probe report).
 
-        Reads only the ticks at or before the bound in each shard's
-        tick counts — proportional to the due ticks, not the rules.
+        Reads only the ticks at or before the bound in the tick counts —
+        proportional to the due ticks, not the rules.
         """
         bound = now + horizon
-        count = 0
-        for shard in self._shards:
-            with shard.lock:
-                due = shard.ticks[:bisect.bisect_right(shard.ticks, bound)]
-                count += sum(map(shard.tick_counts.__getitem__, due))
-        return count
+        with self._lock:
+            due = self._ticks[:bisect.bisect_right(self._ticks, bound)]
+            return sum(map(self._tick_counts.__getitem__, due))
 
     def cascades(self) -> int:
-        """Total cascade operations across all shards."""
-        return sum(shard.wheel.cascades for shard in self._shards)
-
-    def shard_lags(self, now: int) -> list[int]:
-        """Per-shard scheduling lag in ticks (0 = keeping up).
-
-        A shard's lag is how far behind ``now`` its earliest live
-        armament sits; a persistently non-zero shard means its wave
-        batches are not draining — the signal behind the
-        ``dbcron.wheel.shard_lag_ticks`` histogram.
-        """
-        lags: list[int] = []
-        for shard in self._shards:
-            with shard.lock:
-                earliest = shard.ticks[0] if shard.ticks else None
-            lags.append(max(0, now - earliest)
-                        if earliest is not None else 0)
-        return lags
-
-    def shard_sizes(self) -> list[int]:
-        """Live armed rules per shard (rebalances as rules drop)."""
-        return [len(shard.scheduled) for shard in self._shards]
+        """Cascade operations the wheel has performed."""
+        return self._wheel.cascades
 
     def overflow_size(self) -> int:
         """Far-future entries parked beyond the slotted capacity."""
-        return sum(shard.wheel.overflow_size for shard in self._shards)
+        return self._wheel.overflow_size
 
     def stats(self) -> dict:
         """Snapshot for ``Session.rules.stats()`` / the CLI."""
-        sizes = self.shard_sizes()
-        return {
-            "kind": self.kind,
-            "shards": len(self._shards),
-            "scheduled": sum(sizes),
-            "shard_sizes": sizes,
-            "cascades": self.cascades(),
-            "overflow": self.overflow_size(),
-            "slots": list(self._slots),
-        }
+        with self._lock:
+            return {
+                "kind": self.kind,
+                "scheduled": len(self._scheduled),
+                "cascades": self._wheel.cascades,
+                "overflow": self._wheel.overflow_size,
+                "slots": list(self._slots),
+            }

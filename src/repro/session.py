@@ -44,6 +44,7 @@ from repro.catalog import (
 )
 from repro.core import columnar
 from repro.core.basis import CalendarSystem
+from repro.core.errors import ConfigurationError
 from repro.core.matcache import MaterialisationCache
 from repro.db import Database
 from repro.errors import ReproError
@@ -60,7 +61,6 @@ from repro.obs.profiler import SamplingProfiler
 from repro.obs.telemetry import SlowQuery, SlowQueryLog, TelemetryPipeline
 from repro.obs.tracer import Span, Tracer
 from repro.rules import DBCron, RuleManager, RulesFacade, SimulatedClock
-from repro.runtime import WorkerPool
 
 __all__ = ["Session", "Explanation", "Profile"]
 
@@ -234,15 +234,17 @@ class Session:
                  clock_start: int = 1, cron_period: int = 7,
                  matcache: MaterialisationCache | None = None,
                  instrumentation: Instrumentation | None = None,
-                 workers: int | None = None,
+                 workers: int = 1,
                  telemetry: bool = False,
                  slow_query_threshold: float | None = None) -> None:
+        if workers != 1:
+            # The only legal value: batches and DBCRON waves run on the
+            # calling thread.  Kept so ``workers=1`` callers still build.
+            raise ConfigurationError(
+                f"workers={workers!r}: the worker pool was removed; "
+                "batches and DBCRON waves run on the calling thread, "
+                "so workers must be 1")
         self._explicit_instrumentation = instrumentation
-        #: Worker pool shared by ``eval_many`` and the DBCRON daemon;
-        #: sized by ``workers`` (default: the ``REPRO_WORKERS`` env var,
-        #: falling back to 1 = fully sequential).  Lazy: no threads are
-        #: started until the first parallel dispatch.
-        self.pool = WorkerPool(workers)
         if database is None:
             if registry is None:
                 registry = CalendarRegistry(
@@ -292,8 +294,7 @@ class Session:
         self.system = self.registry.system
         self.manager = database.rule_manager or RuleManager(database)
         self.clock = SimulatedClock(now=clock_start)
-        self.cron = DBCron(self.manager, self.clock, period=cron_period,
-                           pool=getattr(self, "pool", None))
+        self.cron = DBCron(self.manager, self.clock, period=cron_period)
         #: The unified rule API (``session.rules.on_calendar(...)``);
         #: reads the manager/daemon through the session, so the same
         #: facade object stays valid across re-attachment.  (Explicit
@@ -389,15 +390,14 @@ class Session:
         """Attach a structured event pipeline to the whole stack.
 
         Wires the (possibly new) pipeline into the instrumentation
-        bundle, the materialisation cache, the worker pool and the
-        slow-query log, so eval/cache/rule/pool event sites start
-        emitting.  Idempotent; returns the live pipeline.
+        bundle, the materialisation cache and the slow-query log, so
+        eval/cache/rule event sites start emitting.  Idempotent;
+        returns the live pipeline.
         """
         pipeline = self.instrumentation.attach_telemetry(
             pipeline if pipeline is not None else self.telemetry)
         self.telemetry = pipeline
         self.registry.matcache.pipeline = pipeline
-        self.pool.telemetry = pipeline
         self.slowlog.pipeline = pipeline
         return pipeline
 
@@ -406,7 +406,6 @@ class Session:
         pipeline = self.instrumentation.detach_telemetry()
         self.telemetry = None
         self.registry.matcache.pipeline = None
-        self.pool.telemetry = None
         self.slowlog.pipeline = None
         return pipeline
 
@@ -421,7 +420,7 @@ class Session:
         return self.slowlog.records()
 
     def close(self) -> None:
-        """Stop the profiler and worker pool.
+        """Stop the profiler.
 
         Also detaches the telemetry pipeline: a session built on the
         process-default instrumentation must not leave its pipeline
@@ -431,7 +430,6 @@ class Session:
             self._profiler.stop()
         if self.telemetry is not None:
             self.disable_telemetry()
-        self.pool.close(wait=False)
 
     # -- profiling -----------------------------------------------------------
 
@@ -535,9 +533,8 @@ class Session:
 
     # -- batch evaluation ----------------------------------------------------
 
-    def eval_many(self, scripts, *, window=None, today=None,
-                  max_workers: int | None = None) -> list:
-        """Evaluate a batch of scripts concurrently; results in order.
+    def eval_many(self, scripts, *, window=None, today=None) -> list:
+        """Evaluate a batch of scripts; results in input order.
 
         Semantically equivalent to ``[self.eval(s, window=window,
         today=today) for s in scripts]`` but structured as a shared-work
@@ -551,26 +548,16 @@ class Session:
            shared by every job, so a basic calendar referenced by N
            scripts is generated (or fetched from the matcache) exactly
            once for the whole batch.
-        3. **Execute** — jobs run on the session's worker pool (or a
-           transient pool when ``max_workers`` differs from its size);
-           with tracing on, per-thread spans roll up under one
+        3. **Execute** — jobs run in input order on the calling thread;
+           with tracing on, their spans nest under one
            ``session.eval_many`` root.
 
         The first exception, by *input* order, is re-raised after all
-        jobs settle.  ``max_workers=None`` uses the session pool's size
-        (``workers=`` at construction, else ``REPRO_WORKERS``, else 1);
-        with one worker the batch runs inline on the calling thread —
-        still deduplicated — with no thread overhead.
+        jobs settle.
         """
         scripts = list(scripts)
         if not scripts:
             return []
-        if max_workers is None:
-            pool, workers = self.pool, self.pool.size
-        else:
-            workers = max(1, int(max_workers))
-            pool = self.pool if workers == self.pool.size \
-                else WorkerPool(workers)
         tracer = self.instrumentation.tracer
         # Deduplicate: input position -> unique-job index.
         unique: dict[str, int] = {}
@@ -578,24 +565,19 @@ class Session:
         texts = list(unique)
         if self.telemetry is not None:
             self.telemetry.emit("batch.start", scripts=len(scripts),
-                                unique=len(texts), workers=workers)
+                                unique=len(texts))
         t0 = perf_counter()
         try:
             if tracer is not None:
                 with tracer.span("session.eval_many", scripts=len(scripts),
-                                 unique=len(texts),
-                                 workers=workers) as root:
-                    settled = self._eval_batch(texts, window, today,
-                                               workers, pool, root)
+                                 unique=len(texts)):
+                    settled = self._eval_batch(texts, window, today)
             else:
-                settled = self._eval_batch(texts, window, today, workers,
-                                           pool, None)
+                settled = self._eval_batch(texts, window, today)
         finally:
-            if pool is not self.pool:
-                pool.close(wait=False)
             if self.telemetry is not None:
                 self.telemetry.emit("batch.finish", scripts=len(scripts),
-                                    unique=len(texts), workers=workers,
+                                    unique=len(texts),
                                     duration_s=perf_counter() - t0)
         for idx in order:
             error = settled[idx][1]
@@ -603,8 +585,7 @@ class Session:
                 raise error
         return [settled[idx][0] for idx in order]
 
-    def _eval_batch(self, texts: list, window, today, workers: int,
-                    pool: WorkerPool, root: "Span | None") -> list:
+    def _eval_batch(self, texts: list, window, today) -> list:
         """Plan + hoist + execute unique ``texts``; [(result, error)]."""
         registry = self.registry
         base_ctx = registry.context(window, today=today)
@@ -621,19 +602,17 @@ class Session:
         else:
             jobs = [self._plan_job(text, base_ctx) for text in texts]
             self._hoist_generates(jobs, base_ctx)
-
-        def run_job(job: _BatchJob):
+        settled = []
+        for job in jobs:
             if job.error is not None:
-                return (None, job.error)
+                settled.append((None, job.error))
+                continue
             try:
-                return (self._exec_job(job, window, today, shared_cache,
-                                       root), None)
+                settled.append((self._exec_job(job, window, today,
+                                               shared_cache), None))
             except Exception as exc:
-                return (None, exc)
-
-        if workers > 1 and len(jobs) > 1:
-            return pool.map(run_job, jobs)
-        return [run_job(job) for job in jobs]
+                settled.append((None, exc))
+        return settled
 
     def _plan_job(self, text: str, base_ctx) -> _BatchJob:
         """Classify and pre-compile one unique batch script."""
@@ -666,8 +645,8 @@ class Session:
 
         ``materialise_basic`` keys on (granularity, unit, padded window,
         mode), so steps shared across plans collapse to one computation
-        whose result lands in the batch-shared context cache; the
-        workers then hit that dict without touching the matcache.
+        whose result lands in the batch-shared context cache; the jobs
+        then hit that dict without touching the matcache.
         """
         for job in jobs:
             if job.plan is None:
@@ -678,15 +657,12 @@ class Session:
                     base_ctx.materialise_basic(step.calendar, window,
                                                mode="cover")
 
-    def _exec_job(self, job: _BatchJob, window, today, shared_cache,
-                  root: "Span | None"):
+    def _exec_job(self, job: _BatchJob, window, today, shared_cache):
         """Run one planned job in a fresh context wired to the shared cache.
 
-        Called from pool workers during parallel batches: the fresh
-        per-job context keeps mutable evaluation state (env, stats)
-        thread-private, while ``shared_cache`` carries the hoisted
-        materialisations.  With tracing on, the job span adopts ``root``
-        so worker-thread spans join the dispatching thread's trace tree.
+        The fresh per-job context keeps mutable evaluation state (env,
+        stats) private to the job, while ``shared_cache`` carries the
+        hoisted materialisations.
         """
         registry = self.registry
         tracer = registry.instrumentation.tracer
@@ -694,9 +670,9 @@ class Session:
         error = None
         t0 = perf_counter()
         try:
-            if tracer is not None and root is not None:
-                with tracer.child_span(root, "session.eval_job",
-                                       script=job.text, kind=job.kind):
+            if tracer is not None:
+                with tracer.span("session.eval_job", script=job.text,
+                                 kind=job.kind):
                     return self._exec_job_inner(job, window, today,
                                                 shared_cache)
             return self._exec_job_inner(job, window, today, shared_cache)

@@ -140,10 +140,15 @@ class TestClearPublishRace:
 
 class TestEvalManyInteraction:
     def test_clear_between_batches_stays_empty(self):
-        """The user-visible symptom: \\trace clear during eval_many."""
+        """The user-visible symptom: \\trace clear during eval_many.
+
+        Three caller threads share one session, two running
+        ``eval_many`` batches and the third plain ``eval`` calls, while
+        a fourth thread clears the trace ring.
+        """
         # Private bundle: enabling tracing here must not leak into the
         # process-default instrumentation other tests share.
-        session = Session(workers=4, instrumentation=Instrumentation())
+        session = Session(instrumentation=Instrumentation())
         session.instrumentation.enable_tracing()
         scripts = [f"[{i}]/WEEKS:during:1993/YEARS" for i in range(1, 9)]
         session.eval_many(scripts)
@@ -160,13 +165,23 @@ class TestEvalManyInteraction:
                     if span._epoch < tracer._epoch:
                         stale.append(span)
 
+        evaluators = 3
+        finished: list = []
+
         def evaluating(index: int) -> None:
             try:
                 for _ in range(3):
-                    session.eval_many(scripts)
+                    if index == evaluators:
+                        for script in scripts:
+                            session.eval(script)
+                    else:
+                        session.eval_many(scripts)
             finally:
-                if index == 1:
+                finished.append(index)
+                if len(finished) == evaluators:
                     stop.set()
 
-        _hammer(3, lambda i: clearing(i) if i == 0 else evaluating(i))
+        _hammer(evaluators + 1,
+                lambda i: clearing(i) if i == 0 else evaluating(i))
+        assert sorted(finished) == [1, 2, 3]
         assert not stale

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.obs.instrument import Instrumentation
@@ -111,17 +113,30 @@ class TestSessionCapture:
         assert record.trace["name"]
 
     def test_eval_many_batch_produces_records(self):
-        """The acceptance shape: a 32-script batch, threshold forced low."""
-        session = Session(slow_query_threshold=0.0, workers=4)
+        """The acceptance shape: a 32-script batch, threshold forced low,
+        run by three caller threads sharing one session."""
+        session = Session(slow_query_threshold=0.0)
         scripts = [f"[{i}]/DAYS:during:[1]/MONTHS:during:1993/YEARS"
                    for i in range(1, 17)] + \
                   [f"[{i}]/WEEKS:during:1993/YEARS" for i in range(1, 17)]
         assert len(scripts) == 32
-        results = session.eval_many(scripts)
-        assert len(results) == 32
+        results: list = [None] * 3
+
+        def run(index: int) -> None:
+            results[index] = session.eval_many(scripts)
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert [len(batch) for batch in results] == [32, 32, 32]
+        # Every job of every caller's batch was captured once.
+        assert session.slowlog.captured == 3 * 32
         records = session.slow_queries()
         assert len(records) >= 1
-        assert any(r.via == "eval_many" for r in records)
+        assert all(r.via == "eval_many" for r in records)
 
     def test_failed_eval_still_recorded_with_error(self):
         session = Session(slow_query_threshold=0.0)

@@ -1,9 +1,9 @@
 """Property: ``Session.eval_many`` equals sequential ``eval``.
 
 For any batch drawn from a pool of defined names, expressions and
-scripts — duplicates included — and any worker count, the batch engine
-must return exactly what a script-by-script ``session.eval`` loop
-returns, in the same order.  One module-level session is shared across
+scripts — duplicates included — the batch engine must return exactly
+what a script-by-script ``session.eval`` loop returns, in the same
+order.  One module-level session is shared across
 examples so the batch paths run against progressively warmer plan/
 materialisation caches (the realistic steady state).
 """
@@ -33,8 +33,6 @@ SCRIPT_POOL = [
 
 batches = st.lists(st.sampled_from(SCRIPT_POOL), min_size=1, max_size=10)
 
-worker_counts = st.sampled_from([1, 2, 4])
-
 
 def assert_same(got, expected) -> None:
     assert type(got) is type(expected)
@@ -46,19 +44,11 @@ def assert_same(got, expected) -> None:
 
 
 @settings(max_examples=25, deadline=None)
-@given(batch=batches, workers=worker_counts)
-def test_eval_many_equals_sequential_eval(batch, workers):
+@given(batch=batches)
+def test_eval_many_equals_sequential_eval(batch):
     expected = [SESSION.eval(text, window=WINDOW) for text in batch]
-    got = SESSION.eval_many(batch, window=WINDOW, max_workers=workers)
+    got = SESSION.eval_many(batch, window=WINDOW)
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
         assert_same(g, e)
 
-
-@settings(max_examples=10, deadline=None)
-@given(batch=batches)
-def test_eval_many_default_workers_matches(batch):
-    expected = [SESSION.eval(text, window=WINDOW) for text in batch]
-    got = SESSION.eval_many(batch, window=WINDOW)
-    for g, e in zip(got, expected):
-        assert_same(g, e)

@@ -1,7 +1,7 @@
 """Property-based parity: the timing wheel ≡ the legacy heap scheduler.
 
-For random rule sets (random explicit calendars, probe periods and shard
-counts), a wheel-scheduled daemon must fire exactly the same (rule, tick)
+For random rule sets (random explicit calendars and probe periods), a
+wheel-scheduled daemon must fire exactly the same (rule, tick)
 sequence as a heap-scheduled one.  Order *within* one tick is normalised
 — both schedulers are deterministic, but the contract is per-tick set
 equality plus cross-tick ordering, and that is what downstream rule
@@ -24,7 +24,6 @@ rule_schedules = st.lists(
              min_size=1, max_size=10, unique=True),
     min_size=1, max_size=5)
 periods = st.integers(min_value=1, max_value=40)
-shard_counts = st.integers(min_value=1, max_value=5)
 
 
 def run_daemon(schedules, period, schedule):
@@ -57,14 +56,12 @@ def run_daemon(schedules, period, schedule):
 
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(rule_schedules, periods, shard_counts)
-def test_wheel_fires_identically_to_heap(schedules, period, shards):
+@given(rule_schedules, periods)
+def test_wheel_fires_identically_to_heap(schedules, period):
     heap_waves = run_daemon(schedules, period, HeapSchedule())
-    wheel_waves = run_daemon(schedules, period,
-                             WheelSchedule(1, shards=shards))
+    wheel_waves = run_daemon(schedules, period, WheelSchedule(1))
     assert wheel_waves == heap_waves, \
-        f"period={period} shards={shards}: " \
-        f"wheel {wheel_waves} != heap {heap_waves}"
+        f"period={period}: wheel {wheel_waves} != heap {heap_waves}"
 
 
 @settings(max_examples=30, deadline=None,
@@ -72,13 +69,11 @@ def test_wheel_fires_identically_to_heap(schedules, period, shards):
 @given(st.lists(st.tuples(st.text(alphabet="abcdef", min_size=1,
                                   max_size=6),
                           st.integers(min_value=0, max_value=200)),
-                min_size=1, max_size=30),
-       shard_counts)
-def test_schedule_pop_parity_on_raw_arms(arms, shards):
+                min_size=1, max_size=30))
+def test_schedule_pop_parity_on_raw_arms(arms):
     """The bare strategy objects agree, whatever the arm stream; both
     refuse the nonexistent tick 0 with the same typed error."""
-    heap, wheel = HeapSchedule(), WheelSchedule(1, shards=shards,
-                                                slots=(4, 4, 4))
+    heap, wheel = HeapSchedule(), WheelSchedule(1, slots=(4, 4, 4))
     for name, tick in arms:
         if tick == 0:
             for sched in (heap, wheel):
@@ -94,7 +89,7 @@ def test_schedule_pop_parity_on_raw_arms(arms, shards):
             wave = sched.pop_wave(500)
             if not wave:
                 return out
-            out.append((wave[0][0], {name for _, name, _ in wave}))
+            out.append((wave[0][0], {name for _, name in wave}))
 
     assert waves(wheel) == waves(heap)
 
@@ -114,13 +109,13 @@ _ops = st.lists(st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(_ops, shard_counts, _ticks, st.integers(min_value=0, max_value=40))
-def test_probe_counts_match_a_brute_force_count(ops, shards, now, horizon):
-    """``due_within`` and ``shard_lags`` read per-shard tick counts; they
-    must equal a brute-force count over a model of the live armament.
-    Arms at tick 0 and pops behind the wheel's cursor (an earlier
-    ``now``) raise :class:`AxisError` and change nothing."""
-    wheel = WheelSchedule(-20, shards=shards, slots=(4, 4, 4))
+@given(_ops, _ticks, st.integers(min_value=0, max_value=40))
+def test_probe_counts_match_a_brute_force_count(ops, now, horizon):
+    """``due_within`` reads the wheel's tick counts; it must equal a
+    brute-force count over a model of the live armament.  Arms at tick
+    0 and pops behind the wheel's cursor (an earlier ``now``) raise
+    :class:`AxisError` and change nothing."""
+    wheel = WheelSchedule(-20, slots=(4, 4, 4))
     armed: dict[str, int] = {}
     fired: dict[str, int] = {}
     clock = -20
@@ -158,17 +153,12 @@ def test_probe_counts_match_a_brute_force_count(ops, shards, now, horizon):
                 assert wave == []
                 continue
             tick = min(due)
-            assert {name for _, name, _ in wave} == \
+            assert {name for _, name in wave} == \
                 {name for name, t in armed.items() if t == tick}
-            for _, name, _ in wave:
+            for _, name in wave:
                 del armed[name]
                 fired[name] = tick
     bound = now + horizon
     assert wheel.due_within(now, horizon) == \
         sum(1 for tick in armed.values() if tick <= bound)
-    lags = [0] * shards
-    for name, tick in armed.items():
-        shard = wheel.shard_of(name)
-        lags[shard] = max(lags[shard], now - tick)
-    assert wheel.shard_lags(now) == lags
     assert len(wheel) == len(armed)

@@ -203,8 +203,7 @@ class TestRuleTimeKeepsNoHistory:
 
     @pytest.fixture(scope="class")
     def fired_session(self):
-        session = Session("Jan 1 1987", holiday_years=(1987, 1989),
-                          workers=1)
+        session = Session("Jan 1 1987", holiday_years=(1987, 1989))
         start = session.system.day_of("Jan 1 1988")
         session.clock.advance(start - session.clock.now)
         session.db.create_table("fire_log", [("rule", "text"),

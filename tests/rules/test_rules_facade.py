@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rules import DBCron, HeapSchedule, WheelSchedule
+from repro.rules import DBCron, HeapSchedule
 from repro.session import Session
 
 
@@ -112,8 +112,7 @@ class TestSchedulerSelection:
     def inject(sess, schedule):
         """Swap the session's daemon for one on ``schedule``."""
         sess.cron.detach()
-        sess.cron = DBCron(sess.manager, sess.clock, pool=sess.pool,
-                           schedule=schedule)
+        sess.cron = DBCron(sess.manager, sess.clock, schedule=schedule)
 
     def test_session_scheduler_override(self):
         sess = Session("Jan 1 1987")
@@ -122,14 +121,6 @@ class TestSchedulerSelection:
             stats = sess.rules.stats()
             assert stats["daemon"]["scheduler"] == "heap"
             assert stats["schedule"]["kind"] == "heap"
-        finally:
-            sess.close()
-
-    def test_wheel_shards_override(self):
-        sess = Session("Jan 1 1987")
-        try:
-            self.inject(sess, WheelSchedule(sess.clock.now, shards=3))
-            assert sess.rules.stats()["schedule"]["shards"] == 3
         finally:
             sess.close()
 

@@ -1,4 +1,4 @@
-"""Unit tests for the hierarchical timing wheel and its sharded schedule.
+"""Unit tests for the hierarchical timing wheel and its schedule.
 
 Small slot geometries (e.g. ``(4, 4, 4)`` — capacity 64 ticks) make
 cascade boundaries and overflow drains reachable in a handful of ticks;
@@ -122,16 +122,12 @@ class TestHierarchicalWheel:
 
 
 class TestWheelSchedule:
-    def test_needs_at_least_one_shard(self):
-        with pytest.raises(AxisError):
-            WheelSchedule(1, shards=0)
-
     def test_schedule_and_pop_single(self):
-        sched = WheelSchedule(1, shards=2, slots=SMALL)
+        sched = WheelSchedule(1, slots=SMALL)
         assert sched.schedule("r", 5)
         assert len(sched) == 1
         assert sched.pop_wave(4) == []
-        assert sched.pop_wave(5) == [(5, "r", sched.shard_of("r"))]
+        assert sched.pop_wave(5) == [(5, "r")]
         assert len(sched) == 0
 
     def test_duplicate_arm_refused(self):
@@ -144,7 +140,7 @@ class TestWheelSchedule:
         # racing an in-flight fire — refuse them (anti double-fire).
         sched = WheelSchedule(1, slots=SMALL)
         sched.schedule("r", 5)
-        assert sched.pop_wave(5) == [(5, "r", 0)]
+        assert sched.pop_wave(5) == [(5, "r")]
         assert not sched.schedule("r", 5)
         assert not sched.schedule("r", 3)
         assert sched.schedule("r", 6)
@@ -157,47 +153,27 @@ class TestWheelSchedule:
         sched.schedule("r", 5)
         sched.schedule("r", 8)
         assert len(sched) == 1
-        assert sched.pop_wave(10) == [(8, "r", 0)]
+        assert sched.pop_wave(10) == [(8, "r")]
 
     def test_cancel_forgets_rule_and_watermark(self):
         sched = WheelSchedule(1, slots=SMALL)
         sched.schedule("r", 5)
-        assert sched.pop_wave(5) == [(5, "r", 0)]
+        assert sched.pop_wave(5) == [(5, "r")]
         sched.cancel("r")
         # A dropped-and-recreated rule starts fresh: the old watermark
         # must not refuse ticks the new incarnation legitimately owns.
         assert sched.schedule("r", 4)
-        assert sched.pop_wave(5) == [(4, "r", 0)]
+        assert sched.pop_wave(5) == [(4, "r")]
 
-    def test_wave_in_global_arm_order_across_shards(self):
-        sched = WheelSchedule(1, shards=4, slots=SMALL)
+    def test_wave_in_arm_order(self):
+        sched = WheelSchedule(1, slots=SMALL)
         names = [f"rule-{i}" for i in range(12)]
         for name in names:
             assert sched.schedule(name, 7)
-        assert len({sched.shard_of(n) for n in names}) > 1
-        wave = sched.pop_wave(7)
-        assert [name for _, name, _ in wave] == names
-        assert all(tick == 7 for tick, _, _ in wave)
-        assert all(shard == sched.shard_of(name)
-                   for _, name, shard in wave)
-
-    def test_shard_sizes_rebalance_on_drop(self):
-        sched = WheelSchedule(1, shards=4, slots=SMALL)
-        names = [f"rule-{i}" for i in range(20)]
-        for name in names:
-            sched.schedule(name, 9)
-        before = sched.shard_sizes()
-        assert sum(before) == 20
-        for name in names[:10]:
-            sched.cancel(name)
-        after = sched.shard_sizes()
-        assert sum(after) == 10
-        assert after == [sum(1 for n in names[10:]
-                             if sched.shard_of(n) == i)
-                         for i in range(4)]
+        assert sched.pop_wave(7) == [(7, name) for name in names]
 
     def test_due_within_counts_only_the_window(self):
-        sched = WheelSchedule(1, shards=2, slots=SMALL)
+        sched = WheelSchedule(1, slots=SMALL)
         sched.schedule("soon", 3)
         sched.schedule("later", 30)
         sched.schedule("far", 500)
@@ -206,25 +182,14 @@ class TestWheelSchedule:
         assert len(sched) == 3
 
     def test_overflow_visible_in_stats(self):
-        sched = WheelSchedule(1, shards=2, slots=SMALL)
+        sched = WheelSchedule(1, slots=SMALL)
         sched.schedule("far", 500)
         assert sched.overflow_size() == 1
         stats = sched.stats()
         assert stats["kind"] == "wheel"
-        assert stats["shards"] == 2
         assert stats["scheduled"] == 1
         assert stats["overflow"] == 1
         assert stats["slots"] == list(SMALL)
-
-    def test_shard_lags_report_backlog(self):
-        sched = WheelSchedule(1, shards=2, slots=SMALL)
-        sched.schedule("behind", 5)
-        lags = sched.shard_lags(12)
-        assert lags[sched.shard_of("behind")] == 7
-        assert all(lag == 0 for i, lag in enumerate(lags)
-                   if i != sched.shard_of("behind"))
-        sched.pop_wave(12)
-        assert sched.shard_lags(12) == [0, 0]
 
     def test_negative_ticks_cross_the_axis_zero_skip(self):
         # Arm on both sides of the (nonexistent) tick 0: the linear
@@ -235,7 +200,7 @@ class TestWheelSchedule:
         fired = []
         for now in (-2, -1, 1, 2):
             fired.extend(sched.pop_wave(now))
-        assert [tick for tick, _, _ in fired] == [-2, -1, 1, 2]
+        assert [tick for tick, _ in fired] == [-2, -1, 1, 2]
 
 
 class TestHeapScheduleProtocol:
@@ -246,12 +211,12 @@ class TestHeapScheduleProtocol:
         sched.schedule("r", 5)
         sched.schedule("r", 8)
         assert len(sched) == 1
-        assert sched.pop_wave(10) == [(8, "r", 0)]
+        assert sched.pop_wave(10) == [(8, "r")]
 
     def test_watermark_refuses_stale_rearm(self):
         sched = HeapSchedule()
         sched.schedule("r", 5)
-        assert sched.pop_wave(5) == [(5, "r", 0)]
+        assert sched.pop_wave(5) == [(5, "r")]
         assert not sched.schedule("r", 5)
         assert sched.schedule("r", 6)
 
@@ -370,29 +335,20 @@ class TestWheelDaemon:
 
 class TestProbeReport:
     def test_probe_matches_a_brute_force_count_of_rule_time(self, stack):
-        # The wheel answers the probe from per-shard tick counts; the
-        # count and the per-shard lag gauges must equal a scan of every
-        # rule's stored next fire.
-        registry, db, manager, clock = stack
+        # The wheel answers the probe from its tick counts; the count
+        # must equal a scan of every rule's stored next fire.
+        registry, _, manager, clock = stack
         for i in range(12):
             registry.define(f"C{i}", values=[(d, d) for d in
                                              (3 + i, 9 + 2 * i, 40 + i)],
                             granularity="DAYS")
-        cron = DBCron(manager, clock, period=7,
-                      schedule=WheelSchedule(clock.now, shards=3))
+        cron = DBCron(manager, clock, period=7)
         for i in range(12):
             manager.declare_temporal(f"r{i}", expression=f"C{i}",
                                      callback=lambda d, t: None, after=1)
         for until in (1, 8, 15, 30):
             cron.run_until(until)
             loaded = cron.probe()
-            now, bound = clock.now, clock.now + cron.period
+            bound = clock.now + cron.period
             stored = manager.tables.all_next_fires()
             assert loaded == sum(1 for _, tick in stored if tick <= bound)
-            lags = [0] * 3
-            for name, tick in stored:
-                shard = cron.sched.shard_of(name)
-                lags[shard] = max(lags[shard], now - tick)
-            snap = db.instrumentation.metrics.snapshot()
-            assert [snap[f'dbcron.wheel.shard_lag{{shard="{shard}"}}']
-                    for shard in range(3)] == lags

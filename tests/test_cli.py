@@ -99,6 +99,13 @@ class TestCommands:
     def test_unknown_command(self, session):
         assert "unknown command" in session.run_line("\\frobnicate")
 
+    def test_workers_command_is_gone(self, session):
+        assert "unknown command" in session.run_line("\\workers")
+        assert "unknown command" in session.run_line("\\workers 4")
+
+    def test_help_lists_no_workers_command(self, session):
+        assert "\\workers" not in session.run_line("\\help")
+
     def test_quit_raises_eof(self, session):
         with pytest.raises(EOFError):
             session.run_line("\\quit")
@@ -144,25 +151,6 @@ class TestExplainCommand:
 
     def test_explain_usage(self, session):
         assert "usage" in session.run_line("\\explain")
-
-
-class TestWorkersCommand:
-    def test_show_default_size(self):
-        session = Session(holiday_years=(1987, 1994))
-        out = session.run_line("\\workers")
-        assert out == f"worker pool size: {session.pool.size}"
-
-    def test_resize(self):
-        session = Session(holiday_years=(1987, 1994))
-        assert session.run_line("\\workers 4") == \
-            "worker pool resized to 4"
-        assert session.pool.size == 4
-        assert session.run_line("\\workers") == "worker pool size: 4"
-
-    def test_usage_on_bad_argument(self, session):
-        assert "usage" in session.run_line("\\workers three")
-        assert "usage" in session.run_line("\\workers 0")
-        assert "usage" in session.run_line("\\workers -2")
 
 
 class TestCacheContentionLine:

@@ -1,18 +1,19 @@
-"""Unit tests for the concurrent batch engine: ``Session.eval_many``.
+"""Unit tests for the batch engine: ``Session.eval_many``.
 
 Covers what the Hypothesis parity property does not pin down directly:
 result ordering and object sharing for duplicate inputs, error
-propagation order, the worker knobs (``max_workers``, ``REPRO_WORKERS``,
-``workers=``), and the cross-thread trace rollup under one
-``session.eval_many`` root span.
+propagation order, the one legal ``workers=`` value, and the trace
+rollup under one ``session.eval_many`` root span.
 """
+
+import threading
 
 import pytest
 
 from repro.core import Calendar
+from repro.core.errors import ConfigurationError
 from repro.errors import ReproError
 from repro.obs.instrument import Instrumentation
-from repro.runtime import WorkerPool, default_workers
 from repro.session import Session
 
 WINDOW = ("Jan 1 1993", "Dec 31 1993")
@@ -34,7 +35,7 @@ def session():
 class TestOrderingAndDedup:
     def test_results_in_input_order(self, session):
         expected = [session.eval(t, window=WINDOW) for t in MIXED]
-        got = session.eval_many(MIXED, window=WINDOW, max_workers=4)
+        got = session.eval_many(MIXED, window=WINDOW)
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert g.to_pairs() == e.to_pairs()
@@ -42,7 +43,7 @@ class TestOrderingAndDedup:
     def test_duplicates_share_one_result_object(self, session):
         batch = ["HOLIDAYS", "[1]/MONTHS:during:1993/YEARS", "HOLIDAYS",
                  "HOLIDAYS"]
-        got = session.eval_many(batch, window=WINDOW, max_workers=2)
+        got = session.eval_many(batch, window=WINDOW)
         assert got[0] is got[2]
         assert got[0] is got[3]
         assert got[1] is not got[0]
@@ -64,7 +65,7 @@ class TestErrorPropagation:
         batch = ["HOLIDAYS", "UNDEFINED_B + DAYS", "UNDEFINED_A",
                  "HOLIDAYS"]
         with pytest.raises(ReproError) as excinfo:
-            session.eval_many(batch, window=WINDOW, max_workers=4)
+            session.eval_many(batch, window=WINDOW)
         assert "UNDEFINED_B" in str(excinfo.value)
 
     def test_good_scripts_unaffected_by_bad_sibling(self, session):
@@ -76,39 +77,66 @@ class TestErrorPropagation:
         assert isinstance(got[0], Calendar)
 
 
-class TestWorkerKnobs:
-    def test_session_workers_argument_sets_pool(self):
-        s = Session("Jan 1 1987", holiday_years=(1993, 1994),
-                    workers=3, instrumentation=Instrumentation())
-        assert s.pool.size == 3
+class TestSequentialBatch:
+    def test_jobs_run_in_input_order_on_the_calling_thread(
+            self, session, monkeypatch):
+        ran = []
+        exec_job = session._exec_job
 
-    def test_repro_workers_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert default_workers() == 5
-        monkeypatch.setenv("REPRO_WORKERS", "banana")
-        assert default_workers() == 1
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        assert default_workers() == 1
+        def spy(job, *args):
+            ran.append((job.text, threading.get_ident()))
+            return exec_job(job, *args)
 
-    def test_transient_pool_for_mismatched_max_workers(self, session):
-        # max_workers differing from the session pool must not resize it.
-        before = session.pool.size
-        session.eval_many(MIXED, window=WINDOW, max_workers=before + 3)
-        assert session.pool.size == before
+        monkeypatch.setattr(session, "_exec_job", spy)
+        batch = [MIXED[2], MIXED[0], MIXED[2], MIXED[1]]
+        session.eval_many(batch, window=WINDOW)
+        # One run per unique text, first-seen order, this thread only.
+        assert ran == [(text, threading.get_ident())
+                       for text in (MIXED[2], MIXED[0], MIXED[1])]
 
-    def test_pool_map_preserves_order(self):
-        pool = WorkerPool(4)
+    def test_max_workers_is_not_a_parameter(self, session):
+        with pytest.raises(TypeError, match="max_workers"):
+            session.eval_many(MIXED, window=WINDOW, max_workers=2)
+
+    def test_batch_events_carry_no_workers_field(self, session):
+        session.enable_telemetry()
         try:
-            assert pool.map(lambda x: x * x, range(10)) == \
-                [x * x for x in range(10)]
+            session.eval_many(MIXED + MIXED[:1], window=WINDOW)
+            (start,) = session.events("batch.start")
+            (finish,) = session.events("batch.finish")
         finally:
-            pool.close()
+            session.close()
+        assert start.fields == {"scripts": 5, "unique": 4}
+        assert set(finish.fields) == {"scripts", "unique", "duration_s"}
+        assert not session.events("pool.dispatch")
+
+    def test_root_span_has_no_workers_attribute(self, session):
+        session.instrumentation.tracing = True
+        session.eval_many(MIXED, window=WINDOW)
+        (root,) = [s for s in session.recent_traces()
+                   if s.name == "session.eval_many"]
+        assert "workers" not in root.meta
+
+
+class TestWorkersParameter:
+    def test_one_worker_builds(self):
+        session = Session("Jan 1 1987", workers=1,
+                          instrumentation=Instrumentation())
+        assert isinstance(session.eval(MIXED[0], window=WINDOW), Calendar)
+
+    @pytest.mark.parametrize("workers", [2, 0, None])
+    def test_any_other_value_raises_a_typed_error(self, workers):
+        with pytest.raises(ConfigurationError,
+                           match="worker pool was removed"):
+            Session("Jan 1 1987", workers=workers,
+                    instrumentation=Instrumentation())
+        assert issubclass(ConfigurationError, ReproError)
 
 
 class TestTraceRollup:
-    def test_one_root_with_adopted_job_spans(self, session):
+    def test_one_root_with_job_spans(self, session):
         session.instrumentation.tracing = True
-        session.eval_many(MIXED, window=WINDOW, max_workers=4)
+        session.eval_many(MIXED, window=WINDOW)
         roots = [s for s in session.recent_traces()
                  if s.name == "session.eval_many"]
         assert len(roots) == 1
@@ -124,7 +152,7 @@ class TestTraceRollup:
 
     def test_hoist_span_reports_materialisations(self, session):
         session.instrumentation.tracing = True
-        session.eval_many(MIXED, window=WINDOW, max_workers=1)
+        session.eval_many(MIXED, window=WINDOW)
         root = [s for s in session.recent_traces()
                 if s.name == "session.eval_many"][0]
         hoist = root.find("eval_many.hoist")[0]
@@ -132,6 +160,6 @@ class TestTraceRollup:
 
     def test_tracing_off_is_fine(self, session):
         session.instrumentation.tracing = False
-        got = session.eval_many(MIXED, window=WINDOW, max_workers=4)
+        got = session.eval_many(MIXED, window=WINDOW)
         assert len(got) == len(MIXED)
         assert session.recent_traces() == []

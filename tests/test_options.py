@@ -16,7 +16,7 @@ import re
 import repro
 from repro.catalog import CalendarRegistry
 from repro.db import vector
-from repro.rules import DBCron, RuleManager
+from repro.rules import DBCron, RuleManager, WheelSchedule
 from repro.session import Session
 
 SRC = pathlib.Path(repro.__file__).parent
@@ -36,8 +36,8 @@ def _env_names() -> set[str]:
 
 def test_environment_variables_are_settings_not_path_switches():
     assert _env_names() == {
-        "REPRO_TRACE", "REPRO_PROFILE", "REPRO_WORKERS",
-        "REPRO_SLOWLOG_SECONDS", "REPRO_MATCACHE_SIZE"}
+        "REPRO_TRACE", "REPRO_PROFILE", "REPRO_SLOWLOG_SECONDS",
+        "REPRO_MATCACHE_SIZE"}
 
 
 def test_session_takes_no_code_path_switch():
@@ -55,7 +55,12 @@ def test_no_module_global_engine_toggle():
 def test_dbcron_has_one_schedule_seam():
     parameters = inspect.signature(DBCron).parameters
     assert "schedule" in parameters
-    assert "scheduler" not in parameters and "shards" not in parameters
+    for name in ("scheduler", "shards", "pool"):
+        assert name not in parameters
+
+
+def test_wheel_is_not_sharded():
+    assert "shards" not in inspect.signature(WheelSchedule).parameters
 
 
 def test_deprecated_shims_are_gone():
