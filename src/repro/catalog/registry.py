@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import nullcontext
 
 from repro.core.arithmetic import next_point
 from repro.core.basis import CalendarSystem
@@ -42,6 +43,7 @@ from repro.lang.plan import Plan, PlanVM
 from repro.lang.planner import compile_expression
 from repro.errors import ReproError
 from repro.obs.instrument import Instrumentation, get_default_instrumentation
+from repro.catalog.results import ResultMemo
 from repro.catalog.table import (
     UNBOUNDED_LIFESPAN,
     CalendarRecord,
@@ -57,6 +59,22 @@ _MEMO_TOKENS = itertools.count(1)
 #: How far ahead (days, about ten years) the windowed ``next_occurrence``
 #: search looks for an expression the periodic compiler declines.
 WINDOWED_HORIZON_DAYS = 3700
+
+
+_UNTRACED = nullcontext()
+
+
+def _span(tracer, name: str, **meta):
+    """``tracer.span(name, **meta)``, or a no-op without a tracer."""
+    return _UNTRACED if tracer is None else tracer.span(name, **meta)
+
+
+def _recording(fn, calls: list):
+    """``fn`` that also appends to ``calls`` each time it runs."""
+    def call(context, args):
+        calls.append(fn)
+        return fn(context, args)
+    return call
 
 
 class CalendarRegistry:
@@ -105,7 +123,8 @@ class CalendarRegistry:
         self.default_window: tuple[int, int] = (lo, hi)
         #: Extension functions exposed to scripts (name -> f(ctx, args)).
         self.functions: dict = {}
-        #: Parameterised calendar procedures (name -> (params, Script)).
+        #: Parameterised calendar procedures
+        #: (name -> (params, Script, the callable in :attr:`functions`)).
         self._procedures: dict[str, tuple] = {}
         #: Bumped on every define/drop; every memoised evaluation keys on
         #: it, so stale results for redefined calendars are never served.
@@ -116,8 +135,13 @@ class CalendarRegistry:
         #: ``(version, memo)`` of closed-form name values; see
         #: :meth:`_closed_memo`.
         self._closed_values: tuple[int, dict] = (-1, {})
+        #: Finished evaluation results (the CALENDARS ``values`` column
+        #: for any window); see :meth:`_memoised`.
+        self._results = ResultMemo()
+        self._result_counters: "tuple | None" = None
         self._compile_counters: "tuple | None" = None
         self._compile_handles()
+        self._result_handles()
 
     # -- definition --------------------------------------------------------------
 
@@ -257,9 +281,9 @@ class CalendarRegistry:
                 "calendar or builtin function")
         parsed = parse_script(script)
         parameters = tuple(p.lower() for p in params)
-        self._procedures[key] = (parameters, parsed)
-        self.functions[key] = self._make_procedure(name, parameters,
-                                                   parsed)
+        call = self._make_procedure(name, parameters, parsed)
+        self._procedures[key] = (parameters, parsed, call)
+        self.functions[key] = call
         self.version += 1
 
     def procedures(self) -> list[str]:
@@ -356,25 +380,25 @@ class CalendarRegistry:
         return self.system.day_of(value)
 
     def evaluate(self, name: str, *, window=None, today=None,
-                 use_plan: bool = True):
+                 use_plan: bool = True, memo: bool = True):
         """Evaluate a defined calendar over a window.
 
         Uses the stored evaluation plan when available (and ``use_plan``);
         multi-statement scripts run through the interpreter.  The result is
         clipped to the calendar's lifespan when one was declared.
         ``window``/``today`` accept every form
-        :meth:`_coerce_window`/:meth:`_coerce_tick` understand.
+        :meth:`_coerce_window`/:meth:`_coerce_tick` understand.  With
+        ``use_plan`` a repeated evaluation is served from the result
+        memo (:meth:`_memoised`); ``memo=False`` computes it without
+        touching the memo (``Session.profile``), and ``use_plan=False``
+        always runs the reference interpreter.
         """
         record = self.record(name)
-        tracer = self.instrumentation.tracer
         try:
-            if tracer is not None:
-                with tracer.span("registry.evaluate", calendar=name):
-                    with tracer.span("registry.context"):
-                        ctx = self.context(window, today=today)
-                    return self._evaluate_record(record, ctx, use_plan)
-            ctx = self.context(window, today=today)
-            return self._evaluate_record(record, ctx, use_plan)
+            return self._memoised(
+                "registry.evaluate", "calendar", name, window, today,
+                use_plan and memo, lambda ctx: self._evaluate_record(
+                    record, ctx, use_plan))
         except ReproError as exc:
             raise exc.add_context(calendar=name,
                                   script=record.derivation_script)
@@ -395,24 +419,104 @@ class CalendarRegistry:
         return result
 
     def eval_expression(self, text: str, *, window=None, today=None,
-                        optimize: bool = True):
+                        optimize: bool = True, memo: bool = True):
         """Parse, (optionally) factorize+plan, and evaluate an expression.
 
         See :meth:`_coerce_window` for accepted window forms;
-        ``optimize=False`` runs the reference interpreter.
+        ``optimize=False`` runs the reference interpreter.  An optimised
+        evaluation goes through the result memo unless ``memo=False``.
         """
-        tracer = self.instrumentation.tracer
         try:
-            if tracer is not None:
-                with tracer.span("registry.eval_expression", text=text,
-                                 optimize=optimize):
-                    with tracer.span("registry.context"):
-                        ctx = self.context(window, today=today)
-                    return self._eval_expression(text, ctx, optimize)
-            ctx = self.context(window, today=today)
-            return self._eval_expression(text, ctx, optimize)
+            return self._memoised(
+                "registry.eval_expression", "text", text, window, today,
+                optimize and memo, lambda ctx: self._eval_expression(
+                    text, ctx, optimize), optimize=optimize)
         except ReproError as exc:
             raise exc.add_context(script=text)
+
+    def _memoised(self, span: str, kind: str, text: str, window, today,
+                  memoise: bool, run, **attrs):
+        """``run(ctx)`` in a fresh context, through the result memo.
+
+        The memo key is ``(kind, text, window, today, version)`` with the
+        window and ``today`` coerced to day ticks.  A hit returns the
+        stored object itself; a successful run is stored unless it
+        called a custom :attr:`functions` entry or holds more intervals
+        than the memo's whole budget.  Errors propagate and are never
+        stored.  ``memoise=False`` (a reference path, or a profile) and a
+        disabled cache memo (``memo_maxsize == 0``) bypass the memo
+        entirely.  With tracing on, the call is one ``span`` carrying
+        ``attrs`` (plus ``memo="hit"`` when the memo served it); the
+        coercion and lookup run in its ``registry.context`` child and a
+        store in its last child, ``registry.memo``.
+        """
+        tracer = self.instrumentation.tracer
+        attrs[kind] = text
+        with _span(tracer, span, **attrs) as opened:
+            with _span(tracer, "registry.context"):
+                win = self._coerce_window(window)
+                tick = self._coerce_tick(today)
+                key = None
+                if memoise and self.matcache.memo_maxsize:
+                    version = self.version
+                    key = (kind, text, win, tick, version)
+                    hit = self._results.get(key)
+                    if hit is not ResultMemo.MISSING:
+                        self._count_result("hit")
+                        if opened is not None:
+                            # A span past the trace budget has no meta.
+                            getattr(opened, "meta", {})["memo"] = "hit"
+                        return hit
+                ctx = self.context(win, today=tick)
+                calls = self._watch_custom_calls(ctx) if key else None
+            try:
+                result = run(ctx)
+            except Exception:
+                if key is not None:
+                    self._count_result("skip")
+                raise
+            if key is not None:
+                with _span(tracer, "registry.memo"):
+                    stored = not calls and self._results.put(
+                        key, result, version)
+                    self._count_result("miss" if stored else "skip")
+        return result
+
+    def _watch_custom_calls(self, ctx: EvalContext) -> list:
+        """Wrap ``ctx``'s custom functions (every :attr:`functions` entry
+        but a procedure's own callable) so that each call appends to the
+        returned list: a function added without a version bump may read
+        anything, so a result that called one is not memoised."""
+        calls: list = []
+        functions = ctx.functions
+        for name, fn in functions.items():
+            procedure = self._procedures.get(name)
+            if procedure is None or procedure[2] is not fn:
+                functions[name] = _recording(fn, calls)
+        return calls
+
+    def _result_handles(self) -> "tuple | None":
+        """``(metrics, {outcome: counter})`` of the result-memo counter
+        family, bound once per metrics registry like
+        :meth:`_compile_handles`."""
+        metrics = self.instrumentation.metrics
+        if metrics is None:
+            return None
+        handles = self._result_counters
+        if handles is None or handles[0] is not metrics:
+            family = metrics.counter(
+                "registry.result_memo", "Result-memo lookups by outcome",
+                labels=("outcome",))
+            handles = self._result_counters = (
+                metrics, {outcome: family.labels(outcome)
+                          for outcome in ("hit", "miss", "skip")})
+        return handles
+
+    def _count_result(self, outcome: str) -> None:
+        """Count one result-memo ``hit``/``miss``/``skip``."""
+        handles = self._result_handles()
+        if handles is not None:
+            handles[1][outcome].inc()
 
     def _eval_expression(self, text: str, ctx: EvalContext,
                          optimize: bool):
@@ -714,19 +818,14 @@ class CalendarRegistry:
 
     def _scheduling_result(self, name_or_expr: str,
                            window: tuple[int, int]):
-        """Evaluate for the scheduler, memoised on the quantized window."""
-        key = ("sched", name_or_expr, window, self.memo_token,
-               self.version)
-        cached = self.matcache.memo_get(key)
-        if cached is not None:
-            return cached
+        """Evaluate for the scheduler (served from the result memo on
+        the quantized window), flattened."""
         if name_or_expr in self.table:
             result = self.evaluate(name_or_expr, window=window)
         else:
             result = self.eval_expression(name_or_expr, window=window)
         if isinstance(result, Calendar):
             result = result.flatten()
-        self.matcache.memo_put(key, result)
         return result
 
     def next_occurrence(self, name_or_expr: str, after: "int | str",
@@ -779,8 +878,19 @@ class CalendarRegistry:
     # -- cache introspection -------------------------------------------------------
 
     def cache_stats(self) -> dict:
-        """Snapshot of the shared materialisation-cache counters."""
-        return self.matcache.stats()
+        """Snapshot of the shared materialisation-cache counters, plus
+        the result memo's ``result_entries``/``result_intervals``."""
+        stats = self.matcache.stats()
+        results = self._results.stats()
+        stats["result_entries"] = results["entries"]
+        stats["result_intervals"] = results["intervals"]
+        return stats
+
+    def clear_caches(self) -> None:
+        """Drop the materialisation cache's entries and memo and this
+        registry's result memo (counters are kept)."""
+        self.matcache.clear()
+        self._results.clear()
 
     # -- presentation --------------------------------------------------------------
 

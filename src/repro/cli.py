@@ -14,8 +14,9 @@ Run with ``python -m repro``.  Three kinds of input:
       \show NAME                Figure-1 style catalog record
       \define NAME { script }   define a calendar
       \window START .. END      set the evaluation window
-      \cache [clear]            materialisation-cache stats (or clear it);
-                                includes lock-contention and columnar
+      \cache [clear]            materialisation-cache and result-memo
+                                stats (or clear both); includes
+                                lock-contention and columnar
                                 materialisation-counter lines
       \clock                    show the simulated clock
       \advance N                advance the clock N days (DBCRON fires)
@@ -199,7 +200,7 @@ class Session(CoreSession):
             return f"window set to {self.window[0]} .. {self.window[1]}"
         if command == "cache":
             if argument.lower() == "clear":
-                self.registry.matcache.clear()
+                self.registry.clear_caches()
                 self.registry.matcache.reset_stats()
                 return "materialisation cache cleared"
             if argument:
@@ -216,6 +217,8 @@ class Session(CoreSession):
                 f"generated {stats['generated_intervals']}",
                 f"  memo hits {stats['memo_hits']}  "
                 f"memo misses {stats['memo_misses']}",
+                f"  result memo: {stats['result_entries']} entries, "
+                f"{stats['result_intervals']} intervals",
             ]
             for kind in ("hit", "miss", "extension"):
                 summary = stats.get(f"{kind}_seconds")

@@ -60,6 +60,7 @@ from math import gcd
 from typing import Callable, Iterator
 
 from repro.core.calendar import Calendar
+from repro.core.columnar import IntervalColumns
 from repro.core.granularity import Granularity
 
 __all__ = [
@@ -365,23 +366,29 @@ class PeriodicSet:
         never need to be mixed here.
         """
         lo, hi = _lin(window[0]), _lin(window[1])
-        out: list[tuple[int, int]] = []
-        if self.period and self.elements:
-            span = self._max_element_span
-            first = (lo - span - self.period) // self.period
-            for block in range(first, hi // self.period + 1):
-                base = block * self.period
+        # Endpoint lanes built directly, in axis ticks (``_unlin``
+        # inlined); the order is detected lazily by the columns, since
+        # patch elements follow the periodic blocks.
+        los: list[int] = []
+        his: list[int] = []
+        period = self.period
+        if period and self.elements:
+            first = (lo - self._max_element_span - period) // period
+            for base in range(first * period, (hi // period + 1) * period,
+                              period):
                 for elo, ehi in self.elements:
                     alo, ahi = base + elo, base + ehi
                     if ahi < lo or alo > hi:
                         continue
-                    out.append((alo, ahi))
+                    los.append(alo + 1 if alo >= 0 else alo)
+                    his.append(ahi + 1 if ahi >= 0 else ahi)
         for elo, ehi in self.patch_elements:
             if ehi < lo or elo > hi:
                 continue
-            out.append((elo, ehi))
-        return Calendar.from_intervals(
-            [(_unlin(a), _unlin(b)) for a, b in out], self.granularity)
+            los.append(_unlin(elo))
+            his.append(_unlin(ehi))
+        return Calendar._from_columns(IntervalColumns.from_lists(los, his),
+                                      self.granularity)
 
     def expansion_cost(self, window: tuple[int, int]) -> int:
         """Estimated interval count of :meth:`expand` over ``window``."""

@@ -8,7 +8,7 @@ conventions and business-day arithmetic that financial applications need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.catalog.registry import CalendarRegistry
 from repro.core.arithmetic import (
@@ -31,32 +31,28 @@ class BusinessCalendar:
     calendar_name: str = "AM_BUS_DAYS"
     #: Evaluation window (day ticks); defaults to the registry default.
     window: tuple[int, int] | None = None
-    #: (registry version, flattened calendar) — re-evaluated automatically
-    #: whenever a define/drop bumps the registry version.
-    _cache: "tuple[int, Calendar] | None" = field(default=None, init=False,
-                                                 repr=False)
 
     def _calendar(self) -> Calendar:
-        version = self.registry.version
-        if self._cache is None or self._cache[0] != version:
-            value = self.registry.evaluate(self.calendar_name,
-                                           window=self.window)
-            if not isinstance(value, Calendar):
-                raise CalendarError(
-                    f"{self.calendar_name!r} did not evaluate to a calendar")
-            flat = value.flatten() if value.order != 1 else value
-            self._cache = (version, flat)
-        return self._cache[1]
+        """The business-day calendar, flattened.  The registry's result
+        memo serves it until a define/drop bumps the registry version."""
+        value = self.registry.evaluate(self.calendar_name,
+                                       window=self.window)
+        if not isinstance(value, Calendar):
+            raise CalendarError(
+                f"{self.calendar_name!r} did not evaluate to a calendar")
+        return value.flatten()
 
     def invalidate(self) -> None:
-        """Drop the cached calendar (after redefinitions).
+        """Force a refresh after an out-of-band catalog change.
 
         Redefinitions through :meth:`CalendarRegistry.define` /
         :meth:`~CalendarRegistry.drop` bump the registry version and are
-        picked up automatically; this forces a refresh for out-of-band
-        changes.
+        picked up automatically; a change made without them (assigning
+        a record's ``values``, say) is not seen until this bumps the
+        version too, which retires every memoised result and plan of
+        the registry.
         """
-        self._cache = None
+        self.registry.version += 1
 
     # -- queries --------------------------------------------------------------
 

@@ -521,12 +521,13 @@ class Session:
         """Delegate to :meth:`CalendarRegistry.next_occurrence`."""
         return self.registry.next_occurrence(name_or_expr, after, **kwargs)
 
-    def _run_text(self, text: str, window, today):
+    def _run_text(self, text: str, window, today, memo: bool = True):
         if text in self.registry:
-            return self.registry.evaluate(text, window=window, today=today)
+            return self.registry.evaluate(text, window=window, today=today,
+                                          memo=memo)
         try:
             return self.registry.eval_expression(text, window=window,
-                                                 today=today)
+                                                 today=today, memo=memo)
         except ParseError:
             return self.registry.eval_script(text, window=window,
                                              today=today)
@@ -788,14 +789,15 @@ class Session:
         session's normal tracing state and trace ring are untouched) and
         the root span wraps the whole evaluation, so
         :attr:`Profile.coverage` reports how much of the wall time the
-        leaf spans account for.
+        leaf spans account for.  The text is computed even when the
+        registry's result memo holds it, so the tree shows the work.
         """
         inst = self.instrumentation
         private = Tracer(ring_size=4)
         previous = inst.swap_tracer(private, tracing=True)
         try:
             with private.span("session.profile", source=text):
-                result = self._run_text(text, window, today)
+                result = self._run_text(text, window, today, memo=False)
         finally:
             inst.swap_tracer(*previous)
         root = private.recent()[-1]

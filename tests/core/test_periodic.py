@@ -11,6 +11,8 @@ backend annotation.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.catalog import (
@@ -18,11 +20,14 @@ from repro.catalog import (
     install_standard_calendars,
     install_us_holidays,
 )
+from repro.core.calendar import Calendar
 from repro.core.granularity import Granularity
 from repro.core.matcache import MaterialisationCache
 from repro.core.periodic import (
     GREGORIAN_PERIOD_DAYS,
     PeriodicSet,
+    _lin,
+    _unlin,
     compile_expression_oracle,
     compile_expression_periodic,
 )
@@ -212,9 +217,11 @@ class TestGate:
         for text in ("[2]/DAYS:during:WEEKS", "Weekdays",
                      "DAYS:during:[1]/MONTHS:during:1993/YEARS"):
             registry.eval_expression(text, window=window)  # warm compile
+            # memo=False: computed again (with the periodic backend),
+            # not served from the result memo.
             assert registry.eval_expression(
-                text, window=window).flatten() == plain.eval_expression(
-                    text, window=window).flatten()
+                text, window=window, memo=False).flatten() == \
+                plain.eval_expression(text, window=window).flatten()
             assert registry.next_occurrence(text, 2200) == \
                 plain.next_occurrence(text, 2200)
 
@@ -376,7 +383,10 @@ class TestExplainBackend:
         text = "flatten([1-5]/DAYS:during:WEEKS)"
         window = ("Dec 28 1992", "Jan 4 1993")  # year-straddling window
         first = session.eval(text, window=window).flatten()
-        again = session.eval(text, window=window).flatten()
+        # Computed again, now with the warmed periodic backend (the
+        # result memo would serve ``first`` itself).
+        again = session.registry.eval_expression(
+            text, window=window, memo=False).flatten()
         assert first == again
         gated = self._session_off()
         assert gated.eval(text, window=window).flatten() == first
@@ -387,3 +397,78 @@ class TestExplainBackend:
         session = Session(holiday_years=(1987, 1996))
         session.registry.periodic = False
         return session
+
+
+def _expand_via_from_intervals(pset: PeriodicSet, window) -> Calendar:
+    """``PeriodicSet.expand`` as it was built before its columns were:
+    linear pairs collected, converted and checked one tuple at a time by
+    ``Calendar.from_intervals``."""
+    lo, hi = _lin(window[0]), _lin(window[1])
+    out = []
+    if pset.period and pset.elements:
+        span = max(b - a for a, b in pset.elements)
+        first = (lo - span - pset.period) // pset.period
+        for block in range(first, hi // pset.period + 1):
+            base = block * pset.period
+            for elo, ehi in pset.elements:
+                alo, ahi = base + elo, base + ehi
+                if ahi < lo or alo > hi:
+                    continue
+                out.append((alo, ahi))
+    for elo, ehi in pset.patch_elements:
+        if ehi < lo or elo > hi:
+            continue
+        out.append((elo, ehi))
+    return Calendar.from_intervals(
+        [(_unlin(a), _unlin(b)) for a, b in out], pset.granularity)
+
+
+def _fields(cal: Calendar) -> tuple:
+    cols = cal.columns
+    return (cal.order, cal.granularity, cal.labels, cols.los.tobytes(),
+            cols.his.tobytes(), cols.lo_sorted, cols.hi_sorted,
+            cols.disjoint)
+
+
+class TestExpand:
+    """``expand`` builds its columns directly; the result equals the
+    ``from_intervals`` construction field for field."""
+
+    #: A periodic part plus patch elements that precede it on the axis
+    #: (so the appended patch leaves the lo lane unsorted), straddling
+    #: the missing tick 0 and spanning more than one day.
+    MIXED = PeriodicSet(
+        period=7, offsets=((1, 2), (5, 5)), elements=((1, 2), (5, 5)),
+        patch_elements=((-30, -29), (-3, 1), (40, 40)),
+        granularity=Granularity.DAYS, exact_elements=True)
+
+    def _psets(self, registry):
+        psets = [self.MIXED]
+        for text in ("[2]/DAYS:during:WEEKS",
+                     "flatten([1-5]/DAYS:during:WEEKS)",
+                     "DAYS:during:[1]/MONTHS:during:1993/YEARS",
+                     "[1]/DAYS:during:MONTHS"):
+            pset = registry.periodic_set(text)
+            assert pset is not None and pset.exact_elements, text
+            psets.append(pset)
+        return psets
+
+    def test_expand_equals_from_intervals_over_random_windows(self,
+                                                              registry):
+        rng = random.Random(2024)
+        psets = self._psets(registry)
+        windows = [(-40, 45), (1, 1), (-1, -1), (2190, 2560)]
+        for _ in range(60):
+            lo = rng.randrange(-3000, 6000) or 1
+            hi = lo + rng.randrange(0, 900)
+            windows.append((lo, hi if hi != 0 else 1))
+        for pset in psets:
+            for window in windows:
+                got = pset.expand(window)
+                want = _expand_via_from_intervals(pset, window)
+                assert _fields(got) == _fields(want), (pset.source, window)
+
+    def test_mixed_expansion_keeps_patch_order(self):
+        cal = self.MIXED.expand((-40, 45))
+        assert not cal.columns.lo_sorted
+        assert cal.to_pairs()[-3:] == ((-30, -29), (-3, 2), (41, 41))
