@@ -5,7 +5,10 @@ compiler is compiled twice at each budget tier: by the default compile
 (the closed form, with the interpreter oracle as its fallback) and by
 the oracle compile alone.  Both must compile or fall back alike, with
 the same fallback reasons, and every compiled set must be equal field
-for field.  The corpus, in families:
+for field.  Each compiled set must also come back equal, field for
+field, from the persistence codec (``repro.db.persist``'s
+``encode_periodic_set``/``decode_periodic_set``) through JSON text, as a
+saved database stores it.  The corpus, in families:
 
 * ``dbcron.mix`` — the ``dbcron_month`` set-up expressions;
 * ``dbcron.cold_union`` / ``dbcron.cold_anchor`` — its first-touch
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import json
 import os
 import random
 import sys
@@ -47,6 +51,10 @@ from repro.core.matcache import MaterialisationCache  # noqa: E402
 from repro.core.periodic import (  # noqa: E402
     compile_expression_oracle,
     compile_expression_periodic,
+)
+from repro.db.persist import (  # noqa: E402
+    decode_periodic_set,
+    encode_periodic_set,
 )
 
 #: The PeriodicSet fields a closed-form compile must reproduce.
@@ -137,6 +145,11 @@ def differences(reg: CalendarRegistry, text: str) -> tuple[list, list]:
             found += [f"tier {budget}: field {field}"
                       for field in FIELDS
                       if getattr(closed, field) != getattr(oracle, field)]
+            stored = decode_periodic_set(text, json.loads(json.dumps(
+                encode_periodic_set(closed))))
+            found += [f"tier {budget}: stored field {field}"
+                      for field in FIELDS + ("source",)
+                      if getattr(stored, field) != getattr(closed, field)]
     return found, paths
 
 

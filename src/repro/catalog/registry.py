@@ -723,6 +723,29 @@ class CalendarRegistry:
         self.matcache.memo_put(full_key, (pset,))
         return pset
 
+    def install_periodic(self, sets) -> None:
+        """Serve stored full-tier compiles: ``sets`` is ``(text, set)``
+        pairs, ``set`` a :class:`~repro.core.periodic.PeriodicSet` or
+        ``None`` for a decline, as :meth:`periodic_set` computed them.
+
+        Each goes into the memo under the key :meth:`periodic_set`
+        reads at the current catalog version, so a later catalog write
+        retires it like a compiled one.  Counted as
+        ``periodic.compile{path="stored"}`` and, like a compile, in
+        ``periodic.compiled``/``periodic.fallback``.  A no-op when the
+        ``periodic`` gate or the memo is off.
+        """
+        if not self.periodic or not self.matcache.memo_maxsize:
+            return
+        handles = self._compile_handles()
+        for text, pset in sets:
+            self.matcache.memo_put(("periodic", text, "full",
+                                    self.memo_token, self.version), (pset,))
+            if handles is not None:
+                _, compiled, fallback, by_path = handles
+                by_path["stored"].inc()
+                (compiled if pset is not None else fallback).inc()
+
     def _compile_periodic(self, text: str, max_eval_days: int):
         """Uncached periodic compilation, traced as ``periodic.compile``
         (the closed-form attempt nests a ``periodic.closed`` span in it,
@@ -753,12 +776,13 @@ class CalendarRegistry:
         if handles is None or handles[0] is not metrics:
             family = metrics.counter(
                 "periodic.compile", "Periodic compiles by the path that "
-                "read the expression", labels=("path",))
+                "read the expression (stored: installed from a saved "
+                "database)", labels=("path",))
             handles = self._compile_counters = (
                 metrics, metrics.counter("periodic.compiled"),
                 metrics.counter("periodic.fallback"),
                 {path: family.labels(path)
-                 for path in ("closed", "oracle")})
+                 for path in ("closed", "oracle", "stored")})
         return handles
 
     def _compile_periodic_untraced(self, text: str, max_eval_days: int):

@@ -169,9 +169,10 @@ class PeriodicSet:
 
     ``elements``/``patch_elements`` additionally record the *element
     structure* of the oracle result (per-period offsets resp. absolute
-    linear intervals); when ``exact_elements`` is true they reproduce
-    the materialising backend's order-1 result exactly and the plan
-    optimizer may substitute a :class:`~repro.lang.plan.PeriodicStep`.
+    linear intervals, ``elements`` ascending by start); when
+    ``exact_elements`` is true they reproduce the materialising
+    backend's order-1 result exactly and the plan optimizer may
+    substitute a :class:`~repro.lang.plan.PeriodicStep`.
     """
 
     period: int
@@ -189,12 +190,21 @@ class PeriodicSet:
     _off_his: list = field(init=False, repr=False, default_factory=list)
     _patch_los: list = field(init=False, repr=False, default_factory=list)
     _patch_his: list = field(init=False, repr=False, default_factory=list)
+    #: Element starts (ascending: the compiler keeps only sorted
+    #: element lists), ends and the widest element's span, for
+    #: ``expand``.
+    _el_los: list = field(init=False, repr=False, default_factory=list)
+    _el_his: list = field(init=False, repr=False, default_factory=list)
+    _el_span: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self) -> None:
         self._off_los = [a for a, _ in self.offsets]
         self._off_his = [b for _, b in self.offsets]
         self._patch_los = [a for a, _ in self.patch]
         self._patch_his = [b for _, b in self.patch]
+        self._el_los = [a for a, _ in self.elements]
+        self._el_his = [b for _, b in self.elements]
+        self._el_span = max((b - a for a, b in self.elements), default=0)
 
     # -- point probes ------------------------------------------------------------
 
@@ -352,11 +362,6 @@ class PeriodicSet:
 
     # -- element expansion (plan backend) -----------------------------------------
 
-    @property
-    def _max_element_span(self) -> int:
-        spans = [b - a for a, b in self.elements] or [0]
-        return max(spans)
-
     def expand(self, window: tuple[int, int]) -> Calendar:
         """The order-1 calendar of elements overlapping ``window`` (ticks).
 
@@ -371,17 +376,37 @@ class PeriodicSet:
         # patch elements follow the periodic blocks.
         los: list[int] = []
         his: list[int] = []
-        period = self.period
-        if period and self.elements:
-            first = (lo - self._max_element_span - period) // period
-            for base in range(first * period, (hi // period + 1) * period,
-                              period):
-                for elo, ehi in self.elements:
+        period, elements = self.period, self.elements
+        if period and elements:
+            starts, ends, span = self._el_los, self._el_his, self._el_span
+
+            def edge(block: int) -> None:
+                # Only elements starting within ``span`` of the window
+                # can overlap it: bisected on the sorted starts.
+                base = block * period
+                for elo, ehi in elements[
+                        bisect_left(starts, lo - base - span):
+                        bisect_right(starts, hi - base)]:
                     alo, ahi = base + elo, base + ehi
-                    if ahi < lo or alo > hi:
-                        continue
-                    los.append(alo + 1 if alo >= 0 else alo)
-                    his.append(ahi + 1 if ahi >= 0 else ahi)
+                    if ahi >= lo:
+                        los.append(alo + 1 if alo >= 0 else alo)
+                        his.append(ahi + 1 if ahi >= 0 else ahi)
+
+            first, last = (lo - span - period) // period, hi // period
+            # Blocks ``inner``..``outer`` lie wholly inside the window:
+            # every element of theirs overlaps it.
+            inner, outer = -(-lo // period), (hi + 1) // period - 1
+            for block in range(first, min(inner, last + 1)):
+                edge(block)
+            if inner <= outer:
+                for block in range(inner, min(outer + 1, 0)):
+                    edge(block)
+                bases = range(max(inner, 0) * period + 1,
+                              (outer + 1) * period + 1, period)
+                los += [base + a for base in bases for a in starts]
+                his += [base + b for base in bases for b in ends]
+            for block in range(max(outer + 1, inner), last + 1):
+                edge(block)
         for elo, ehi in self.patch_elements:
             if ehi < lo or elo > hi:
                 continue

@@ -140,6 +140,10 @@ class Relation:
         #: Column names a tuple dict may carry (hidden stamps included).
         self._known = frozenset(schema.column_names()) | {
             "_tid", "_tmin", "_tmax"}
+        #: ``(types.generation, ((column name, validate), ...))``: the
+        #: columns' validators, bound on first use and again after a
+        #: ``TypeRegistry.define(..., replace=True)``.
+        self._bound: "tuple[int, tuple] | None" = None
         #: Bumped on every mutation (insert/delete/update/truncate).
         #: Column values gathered from the rows are only valid while
         #: this stays unchanged — the executor gathers them per
@@ -196,12 +200,18 @@ class Relation:
 
     # -- validation ---------------------------------------------------------------
 
+    def _validators(self) -> tuple:
+        """``(column name, validate)`` per schema column, in order."""
+        types, bound = self._types, self._bound
+        if bound is None or bound[0] != types.generation:
+            bound = self._bound = (types.generation, tuple(
+                (column.name, types.get(column.type_name).validate)
+                for column in self.schema.columns))
+        return bound[1]
+
     def _validate(self, values: dict) -> dict:
-        row: dict = {}
-        for column in self.schema.columns:
-            value = values.get(column.name)
-            row[column.name] = self._types.get(column.type_name).validate(
-                value)
+        row = {name: validate(values.get(name))
+               for name, validate in self._validators()}
         if not self._known.issuperset(values):
             self._raise_unknown(values)
         return row
@@ -258,16 +268,17 @@ class Relation:
         if self.before_access is not None:
             self.before_access()
         rows: list[dict] = []
-        batch_keys: set[tuple] = set()
+        key_map = self._key_map
+        #: The batch's keys, one per row in order, each computed once.
+        keys: dict[tuple, None] = {}
         for values in values_batch:
             row = self._validate(values)
-            self._check_key(row)
-            if self._key_map is not None:
+            if key_map is not None:
                 key_value = self._key_of(row)
-                if key_value in batch_keys:
+                if key_value in key_map or key_value in keys:
                     raise IntegrityError(
                         f"duplicate key {key_value!r} in {self.name}")
-                batch_keys.add(key_value)
+                keys[key_value] = None
             rows.append(row)
         xact = self._xact_source()
         self._version += 1
@@ -275,8 +286,8 @@ class Relation:
             row["_tid"] = next(self._tid_counter)
             row["_tmin"] = xact
             self._rows[row["_tid"]] = row
-            if self._key_map is not None:
-                self._key_map[self._key_of(row)] = row["_tid"]
+        if key_map is not None:
+            key_map.update(zip(keys, [row["_tid"] for row in rows]))
         for index in self.indexes.values():
             if hasattr(index, "insert_batch"):
                 index.insert_batch(rows)
@@ -336,9 +347,8 @@ class Relation:
         if self.before_access is not None:
             self.before_access()
         key_map, key_get, known = self._key_map, self._key_get, self._known
-        rows, types = self._rows, self._types
-        validators = {column.name: types.get(column.type_name).validate
-                      for column in self.schema.columns}
+        rows = self._rows
+        validators = dict(self._validators())
         # Key-map changes the batch makes: key -> new holder (None =
         # freed), consulted before the live map by later checks.
         moved: dict[tuple, "int | None"] = {}

@@ -60,6 +60,9 @@ class TypeRegistry:
 
     def __init__(self) -> None:
         self._types: dict[str, DataType] = {}
+        #: Bumped when ``define`` replaces a type: relations bind their
+        #: columns' validators once and rebind when this moves.
+        self.generation = 0
         for dtype in (
             DataType("int4", _is_int, "32-bit integer"),
             DataType("float8", _is_float, "double precision"),
@@ -81,6 +84,8 @@ class TypeRegistry:
         if key in self._types and not replace:
             raise DataTypeError(f"type {name!r} is already defined")
         dtype = DataType(key, check, description)
+        if key in self._types:
+            self.generation += 1
         self._types[key] = dtype
         return dtype
 

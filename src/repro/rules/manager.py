@@ -141,6 +141,36 @@ class RuleManager:
         self._notify_schedule([(name, next_fire)])
         return rule
 
+    def restore_temporal(self, entries: "Sequence[tuple]"
+                         ) -> list[TemporalRule]:
+        """Re-register saved temporal rules in one batch.
+
+        ``entries`` are ``(name, expression, actions, catchup, enabled,
+        next_fire)``.  Each rule is defined as :meth:`declare_temporal`
+        defines it but keeps its saved ``next_fire`` as is (None: not
+        scheduled), with no next-trigger computation; RULE_INFO takes
+        one ``insert_many``, RULE_TIME one ``set_next_fires`` and the
+        listeners one notification.  The rows, their order and every
+        rule's next fire equal those of declaring the rules one by one
+        and then writing the saved next fires.
+        """
+        rules: dict[str, TemporalRule] = {}
+        for name, expression, actions, catchup, enabled, _ in entries:
+            self._admit(name)
+            if name in rules:
+                raise RuleError(f"rule {name!r} is already defined")
+            rule = rules[name] = TemporalRule.define(
+                name, expression, self.db.calendars, actions=actions,
+                catchup=catchup)
+            rule.enabled = enabled
+        changes = [(entry[0], entry[5]) for entry in entries]
+        with self._mutate_lock:
+            self.temporal_rules.update(rules)
+            self.tables.register_many(rules.values())
+            self.tables.set_next_fires(changes)
+            self._notify_schedule(changes)
+        return list(rules.values())
+
     def drop_rule(self, name: str) -> None:
         """Remove an event or temporal rule (and its catalog rows)."""
         if name in self.event_rules:

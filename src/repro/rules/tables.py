@@ -10,12 +10,13 @@ transaction.
 
 The timing wheel is the schedule of record, so RULE_TIME is a
 durability and query record, **materialised on read**: new next fires
-(declare, each DBCRON wave, a restore) wait in one type-checked pending
-map, which RULE_TIME's ``before_access`` hook applies through the
-relation's write path right before anything reads or writes it.  A
-clear (a dropped rule, an ended schedule) is applied at once, after
-what is pending, so every read sees the rows and row order the writes
-would have left one by one (IMPLEMENTATION_NOTES §11.5).
+(declare, each DBCRON wave, a restore's one batch) wait in one
+type-checked pending map, which RULE_TIME's ``before_access`` hook
+applies through the relation's write path right before anything reads
+or writes it.  A clear (a dropped rule, an ended schedule) is applied
+at once, after what is pending, so every read sees the rows and row
+order the writes would have left one by one (IMPLEMENTATION_NOTES
+§11.5).
 """
 
 from __future__ import annotations
@@ -63,18 +64,24 @@ class RuleTables:
 
     # -- maintenance ------------------------------------------------------------
 
+    @staticmethod
+    def _info_row(rule) -> dict:
+        factorized, eval_plan = rule.catalog_texts
+        return {"rulename": rule.name, "expression": rule.expression_text,
+                "factorized": factorized, "eval_plan": eval_plan}
+
     def register(self, rule, next_fire: int | None) -> None:
         """Insert catalog rows for a newly declared temporal rule."""
-        info = self.db.relation(RULE_INFO)
-        factorized, eval_plan = rule.catalog_texts
-        info.insert({
-            "rulename": rule.name,
-            "expression": rule.expression_text,
-            "factorized": factorized,
-            "eval_plan": eval_plan,
-        }, fire_hooks=False)
+        self.db.relation(RULE_INFO).insert(self._info_row(rule),
+                                           fire_hooks=False)
         if next_fire is not None:
             self.set_next_fire(rule.name, next_fire)
+
+    def register_many(self, rules) -> None:
+        """Insert the RULE_INFO rows of many temporal rules, in order, in
+        one batch (their next fires go through :meth:`set_next_fires`)."""
+        self.db.relation(RULE_INFO).insert_many(
+            [self._info_row(rule) for rule in rules], fire_hooks=False)
 
     def unregister(self, name: str) -> None:
         """Delete a rule's RULE_INFO / RULE_TIME rows."""

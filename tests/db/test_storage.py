@@ -70,6 +70,19 @@ class TestInsert:
         with pytest.raises(IntegrityError):
             rel.insert({"name": "alice"})
 
+    def test_insert_many_key_checks(self):
+        rel = make_relation(key=("name",))
+        rel.insert({"name": "alice"})
+        for batch in ([{"name": "bo"}, {"name": "alice"}],
+                      [{"name": "bo"}, {"name": "cy"}, {"name": "bo"}]):
+            with pytest.raises(IntegrityError,
+                               match="duplicate key"):
+                rel.insert_many(batch)
+            assert [row["name"] for row in rel.scan()] == ["alice"]
+        rows = rel.insert_many([{"name": "bo"}, {"name": "cy"}])
+        assert [rel.tid_of((row["name"],)) for row in rows] == \
+            [row["_tid"] for row in rows]
+
 
 class TestDeleteUpdate:
     def test_delete(self):

@@ -7,6 +7,7 @@ import pytest
 from repro.core import Calendar, CivilDate
 from repro.db import ANY, DataTypeError, FunctionRegistry, \
     OperatorRegistry, TypeRegistry
+from repro.db.storage import Relation, Schema
 
 
 class TestTypeRegistry:
@@ -55,6 +56,50 @@ class TestTypeRegistry:
     def test_unknown_type(self):
         with pytest.raises(DataTypeError):
             TypeRegistry().get("missing")
+
+
+class TestColumnValidators:
+    """A relation binds its columns' validators once and rebinds them
+    when a type is replaced."""
+
+    def _relation(self, types):
+        return Relation("ledger", Schema([("who", "text"),
+                                          ("amount", "money")]), types)
+
+    def test_replaced_type_is_enforced_on_the_next_insert(self):
+        types = TypeRegistry()
+        types.define("money", lambda v: isinstance(v, int))
+        ledger = self._relation(types)
+        ledger.insert({"who": "ana", "amount": -5})
+        types.define("money", lambda v: isinstance(v, int) and v >= 0,
+                     replace=True)
+        with pytest.raises(DataTypeError) as caught:
+            ledger.insert({"who": "bo", "amount": -5})
+        assert str(caught.value) == "value -5 is not a valid money"
+        with pytest.raises(DataTypeError):
+            ledger.insert_many([{"who": "cy", "amount": -1}])
+        (tid,) = [row["_tid"] for row in ledger.scan()]
+        with pytest.raises(DataTypeError):
+            ledger.update(tid, {"amount": -2})
+        ledger.insert({"who": "dee", "amount": 7})
+        assert [row["amount"] for row in ledger.scan()] == [-5, 7]
+
+    def test_defining_a_new_type_keeps_the_binding(self):
+        types = TypeRegistry()
+        types.define("money", lambda v: isinstance(v, int))
+        ledger = self._relation(types)
+        ledger.insert({"who": "ana", "amount": 1})
+        bound = ledger._bound
+        types.define("euro", lambda v: isinstance(v, int))
+        ledger.insert({"who": "bo", "amount": 2})
+        assert ledger._bound is bound
+
+    def test_unknown_column_type_raises_on_every_insert(self):
+        ledger = self._relation(TypeRegistry())
+        for _ in range(2):
+            with pytest.raises(DataTypeError, match="unknown type 'money'"):
+                ledger.insert({"who": "ana", "amount": 1})
+        assert ledger.scan() == []
 
 
 class TestOperatorRegistry:

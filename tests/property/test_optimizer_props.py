@@ -73,13 +73,12 @@ def test_optimized_equals_unoptimized(text):
     if kind_off == "ok":
         _assert_reference_plan(off, text)
     assert kind_on == kind_off, (text, value_on, value_off)
+    # ``Calendar.__eq__`` compares order, granularity and the flattened
+    # lanes; flattening to Python pairs as well would repeat that check
+    # at up to a billion pairs (``DAYS:<:DAYS:<:DAYS``).
+    assert value_on == value_off, text
     if kind_on == "ok" and hasattr(value_on, "to_pairs"):
-        assert value_on == value_off, text
-        assert value_on.flatten().to_pairs() == \
-            value_off.flatten().to_pairs(), text
         assert value_on.granularity == value_off.granularity
-    else:
-        assert value_on == value_off, text
 
 
 @pytest.mark.parametrize("text", [

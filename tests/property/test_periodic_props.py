@@ -38,6 +38,8 @@ from repro.core.matcache import MaterialisationCache
 from repro.core.periodic import (
     GREGORIAN_PERIOD_DAYS,
     PeriodicSet,
+    _lin,
+    _unlin,
     compile_expression_oracle,
     compile_expression_periodic,
 )
@@ -475,3 +477,75 @@ def synthetic_sets(draw):
 @given(synthetic_sets(), st.integers(-40, 40), st.integers(-3, 60))
 def test_runs_between_matches_contains_synthetic(pset, lo, width):
     _assert_runs_match_contains(pset, lo, lo + width)
+
+
+def _expand_by_filter(pset, window) -> tuple:
+    """``expand``'s pairs by testing every element of every block the
+    window can reach, then every patch element (the unbisected form)."""
+    lo, hi = _lin(window[0]), _lin(window[1])
+    out = []
+    if pset.period and pset.elements:
+        span = max(b - a for a, b in pset.elements)
+        for block in range((lo - span - pset.period) // pset.period,
+                           hi // pset.period + 1):
+            base = block * pset.period
+            out += [(base + a, base + b) for a, b in pset.elements
+                    if base + b >= lo and base + a <= hi]
+    out += [(a, b) for a, b in pset.patch_elements if b >= lo and a <= hi]
+    return tuple((_unlin(a), _unlin(b)) for a, b in out)
+
+
+@st.composite
+def element_sets(draw):
+    """Periodic element lists (sorted starts; spans up to two periods,
+    so elements cross block boundaries) with or without patch elements
+    in a patch window around 0."""
+    period = draw(st.integers(1, 30))
+    starts = sorted(draw(st.lists(st.integers(0, period - 1),
+                                  max_size=6)))
+    elements = tuple((a, a + draw(st.integers(0, 2 * period)))
+                     for a in starts)
+    patch_window, patch_elements = None, ()
+    if draw(st.booleans()):
+        start = draw(st.integers(-60, 60))
+        patch_window = (start, start + draw(st.integers(0, 40)))
+        patch_elements = tuple(draw(st.lists(
+            st.tuples(st.integers(*patch_window), st.integers(0, 5)).map(
+                lambda p: (p[0], p[0] + p[1])), max_size=5)))
+    return PeriodicSet(period, elements=elements, patch_window=patch_window,
+                       patch_elements=patch_elements, exact_elements=True)
+
+
+def _window(lo: int, width: int) -> tuple[int, int]:
+    lo = lo or 1
+    hi = lo + width
+    return lo, hi if hi != 0 else 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_sets(), st.integers(-150, 150), st.integers(0, 120))
+def test_expand_equals_the_per_element_filter(pset, lo, width):
+    window = _window(lo, width)
+    if pset.patch_window is not None and lo % 2:
+        # Straddle an edge of the patch window.
+        edge = pset.patch_window[lo % 4 == 1]
+        window = _window(edge - width // 2, width)
+    assert pset.expand(window).to_pairs() == _expand_by_filter(pset,
+                                                               window)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["[1]/DAYS:during:MONTHS", "[n]/DAYS:during:MONTHS",
+                        "[2]/DAYS:during:WEEKS",
+                        "DAYS:during:[1]/MONTHS:during:1993/YEARS"]),
+       st.integers(-160_000, 160_000), st.integers(0, 12_000))
+def test_expand_of_compiled_sets_equals_the_per_element_filter(text, lo,
+                                                                width):
+    pset = _registry().periodic_set(text)
+    assert pset is not None and pset.exact_elements, text
+    window = _window(lo, width)
+    if pset.patch_window is not None and lo % 2:
+        window = _window(_unlin(pset.patch_window[lo % 4 == 1])
+                         - width // 2, width)
+    assert pset.expand(window).to_pairs() == _expand_by_filter(pset,
+                                                               window)
