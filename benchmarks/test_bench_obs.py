@@ -4,9 +4,10 @@ The contract (see docs/IMPLEMENTATION_NOTES.md) is that disabled tracing
 adds a single ``tracer is not None`` branch per plan run.  The smoke
 test here compares the shipping :class:`PlanVM` (tracer disabled)
 against a baseline VM whose ``run`` is the verbatim pre-instrumentation
-loop, and asserts the difference stays under 5%.  The telemetry,
-labelled-metric and profiler gates time paired off/on batches; nothing
-is written.
+loop, and asserts the difference stays under 5%.  The labelled-metric
+and profiler gates time paired off/on batches; nothing is written.
+(That disabled tracing builds no span at all is counted, not timed, in
+``tests/obs/test_tracer.py::TestDisabledPath``.)
 """
 
 from __future__ import annotations
@@ -81,6 +82,12 @@ def _paired(time_off, time_on, repeats: int) -> "list[tuple]":
 
     Which batch runs first alternates from pair to pair, so drift in the
     host's speed within a pair does not always land on the same side.
+    Gating the *median of paired deltas* (:func:`_gate`) lets
+    clock-frequency drift between samples, which biases the minimum of
+    independent batches on shared hardware, hit both sides of every
+    pair equally.  The timed work is a representative warm evaluation,
+    not a micro-eval: a fixed per-call cost divided by a tiny
+    denominator reports a percentage no real workload sees.
     """
     pairs = []
     for index in range(repeats):
@@ -124,64 +131,6 @@ class TestDisabledOverheadSmoke:
             f"baseline={t_base:.6f}s instrumented={t_vm:.6f}s")
 
 
-class TestTelemetryOverhead:
-    """The event pipeline's cost when on.
-
-    Telemetry-enabled evaluation (``eval.start``/``eval.finish`` and
-    ``plan.run`` events per run) must stay within 5% of the disabled
-    path over a warm cache.
-
-    Two deliberate measurement choices, both fixes for a 23.6%
-    overhead measured by an earlier, less careful version:
-
-    * the workload is a *representative* warm evaluation (365 result
-      intervals, ~0.5ms) rather than a degenerate micro-eval — the
-      pipeline's cost is a fixed ~3 events per evaluation, and dividing
-      that constant by an unrepresentatively tiny denominator reports a
-      percentage no real workload sees;
-    * disabled/enabled batches run *interleaved* and the overhead is
-      the **median of paired deltas**, so clock-frequency drift between
-      samples (which biases min-of-independent-batches on shared
-      hardware) hits both sides of every pair equally.
-    """
-
-    #: Dense enough that the per-eval event cost is measured against a
-    #: realistic amount of evaluation work (cf. the module-level
-    #: EXPRESSION, whose warm eval is ~80us and 31 intervals).
-    OVERHEAD_EXPRESSION = "DAYS:during:1993/YEARS"
-    LOOPS, REPEATS = 20, 11
-
-    def _session(self, **kwargs):
-        from repro.session import Session
-
-        return Session(instrumentation=Instrumentation(),
-                       holiday_years=(1987, 1996), **kwargs)
-
-    def test_telemetry_enabled_overhead_under_5_percent(self):
-        expression = self.OVERHEAD_EXPRESSION
-        plain = self._session()
-        telemetered = self._session(telemetry=True)
-        assert telemetered.telemetry is not None
-        assert plain.telemetry is None
-        # Warm both materialisation caches and check agreement.
-        expected = plain.eval(expression, window=WINDOW).flatten()
-        for _ in range(3):
-            got = telemetered.eval(expression, window=WINDOW).flatten()
-            plain.eval(expression, window=WINDOW)
-        assert got == expected
-
-        pairs = _paired(
-            lambda: _batch(lambda: plain.eval(expression, window=WINDOW),
-                           self.LOOPS),
-            lambda: _batch(
-                lambda: telemetered.eval(expression, window=WINDOW),
-                self.LOOPS),
-            self.REPEATS)
-        # 5% relative, plus 2us/eval absolute floor for timer jitter.
-        _gate(pairs, 0.05, self.LOOPS * 2e-6, "telemetry-enabled")
-        assert telemetered.telemetry.emitted > 0
-
-
 class TestLabelledMetricsOverhead:
     """Labelled hot-path emitters vs the honest unlabelled baseline.
 
@@ -190,8 +139,8 @@ class TestLabelledMetricsOverhead:
     ``MaterialisationCache(stripe_metrics=False)`` compiles them out
     entirely — not just a disabled branch — so the pair measures the
     full cost of the labelled pipeline: child binding at construction
-    plus the per-probe guard and increment.  Same paired-median-delta
-    technique as :class:`TestTelemetryOverhead`.
+    plus the per-probe guard and increment, timed as paired batches
+    (:func:`_paired`).
     """
 
     LOOPS, REPEATS = 200, 11

@@ -38,7 +38,7 @@ from repro.lang.errors import EvaluationError, PlanError
 from repro.lang.factorizer import factorize, granularity_of
 from repro.lang.interpreter import EvalContext, Interpreter
 from repro.lang.parser import parse_expression, parse_script
-from repro.lang.optimizer import optimize_plan
+from repro.lang.optimizer import OptimizationResult, optimize_plan
 from repro.lang.plan import Plan, PlanVM
 from repro.lang.planner import compile_expression
 from repro.errors import ReproError
@@ -249,8 +249,7 @@ class CalendarRegistry:
             # windows resolve against the actual context at execution.
             plan = optimize_plan(
                 plan, context_window=self.default_window,
-                reusable=True, metrics=self.instrumentation.metrics,
-                events=self.instrumentation.pipeline).plan
+                reusable=True, metrics=self.instrumentation.metrics).plan
         return plan
 
     # -- procedures ----------------------------------------------------------------
@@ -345,8 +344,7 @@ class CalendarRegistry:
                            functions=dict(self.functions),
                            matcache=self.matcache,
                            tracer=tracer,
-                           metrics=self.instrumentation.metrics,
-                           events=self.instrumentation.pipeline)
+                           metrics=self.instrumentation.metrics)
 
     def _coerce_window(self, window) -> tuple[int, int]:
         """Normalise every accepted ``window=`` form to day ticks.
@@ -464,8 +462,7 @@ class CalendarRegistry:
                     if hit is not ResultMemo.MISSING:
                         self._count_result("hit")
                         if opened is not None:
-                            # A span past the trace budget has no meta.
-                            getattr(opened, "meta", {})["memo"] = "hit"
+                            opened.meta["memo"] = "hit"
                         return hit
                 ctx = self.context(win, today=tick)
                 calls = self._watch_custom_calls(ctx) if key else None
@@ -528,13 +525,15 @@ class CalendarRegistry:
                 if tracer is None:
                     plan = self._compiled_plan(text, factored, ctx)
                     if self.optimize:
-                        plan = self._optimized_plan(text, plan, ctx)
+                        plan = self._optimization(text, plan, ctx).plan
                 else:
                     with tracer.span("planner.compile"):
                         plan = self._compiled_plan(text, factored, ctx)
                     if self.optimize:
-                        with tracer.span("optimizer.run"):
-                            plan = self._optimized_plan(text, plan, ctx)
+                        with tracer.span("optimizer.run") as span:
+                            optimized = self._optimization(text, plan, ctx)
+                            span.meta["rewrites"] = optimized.rewrites
+                        plan = optimized.plan
                 result = PlanVM(ctx).run(plan)
             except PlanError:
                 return Interpreter(ctx).evaluate(factored)
@@ -582,9 +581,9 @@ class CalendarRegistry:
                                             self.version),
                                   tracer=ctx.tracer)
 
-    def _optimized_plan(self, text: str, plan: Plan,
-                        ctx: EvalContext) -> Plan:
-        """The (memoised) optimised plan of a compiled expression plan."""
+    def _optimization(self, text: str, plan: Plan,
+                      ctx: EvalContext) -> OptimizationResult:
+        """The (memoised) optimisation of a compiled expression plan."""
         pset = None
         if self.periodic and ctx.unit is Granularity.DAYS:
             # Memo-peek only: compilation runs *after* a successful
@@ -595,12 +594,11 @@ class CalendarRegistry:
         key = ("optplan", text, self.memo_token, self.version, ctx.unit,
                ctx.window, pset is not None)
         cached = self.matcache.memo_get(key)
-        if isinstance(cached, Plan):
+        if isinstance(cached, OptimizationResult):
             return cached
         optimized = optimize_plan(
             plan, context_window=ctx.window, unit=ctx.unit, periodic=pset,
-            metrics=self.instrumentation.metrics,
-            events=self.instrumentation.pipeline).plan
+            metrics=self.instrumentation.metrics)
         self.matcache.memo_put(key, optimized)
         return optimized
 
@@ -749,12 +747,16 @@ class CalendarRegistry:
     def _compile_periodic(self, text: str, max_eval_days: int):
         """Uncached periodic compilation, traced as ``periodic.compile``
         (the closed-form attempt nests a ``periodic.closed`` span in it,
-        and an oracle compile's interpreter evaluations follow that)."""
+        and an oracle compile's interpreter evaluations follow that).
+        The span's meta records the compile ``path`` and
+        ``oracle_node``, and the compiled set's ``form`` or the decline
+        ``reason``."""
         tracer = self.instrumentation.tracer
         if tracer is None:
             return self._compile_periodic_untraced(text, max_eval_days)
-        with tracer.span("periodic.compile", source=text):
-            return self._compile_periodic_untraced(text, max_eval_days)
+        with tracer.span("periodic.compile", source=text) as span:
+            return self._compile_periodic_untraced(text, max_eval_days,
+                                                   span.meta)
 
     def _closed_memo(self) -> dict:
         """Closed-form values of calendar names at the current catalog
@@ -785,8 +787,10 @@ class CalendarRegistry:
                  for path in ("closed", "oracle", "stored")})
         return handles
 
-    def _compile_periodic_untraced(self, text: str, max_eval_days: int):
-        """Periodic compilation + compiled/fallback/path telemetry."""
+    def _compile_periodic_untraced(self, text: str, max_eval_days: int,
+                                   meta: dict | None = None):
+        """Periodic compilation + compiled/fallback/path counters; with
+        ``meta`` (the traced span's), also what the compile did."""
         tracer = self.instrumentation.tracer
         reasons: list[str] = []
         paths: list[tuple] = []
@@ -809,21 +813,19 @@ class CalendarRegistry:
             except ReproError as exc:
                 reasons.append(str(exc))
         handles = self._compile_handles()
-        events = self.instrumentation.pipeline
         path, oracle_node = paths[-1] if paths else (None, None)
         if handles is not None:
             _, compiled, fallback, by_path = handles
             if path is not None:
                 by_path[path].inc()
             (compiled if pset is not None else fallback).inc()
-        if events is not None and pset is not None:
-            events.emit("periodic.compiled", source=text,
-                        form=pset.describe(), path=path,
-                        oracle_node=oracle_node)
-        elif events is not None:
-            events.emit("periodic.fallback", source=text,
-                        reason=reasons[-1] if reasons else "unknown",
-                        path=path, oracle_node=oracle_node)
+        if meta is not None:
+            meta["path"] = path
+            meta["oracle_node"] = oracle_node
+            if pset is not None:
+                meta["form"] = pset.describe()
+            else:
+                meta["reason"] = reasons[-1] if reasons else "unknown"
         return pset
 
     # -- rule support ------------------------------------------------------------------

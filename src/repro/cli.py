@@ -96,8 +96,8 @@ class Session(CoreSession):
             lowered = text.lower()
             if any(lowered.startswith(k) for k in _QL_KEYWORDS):
                 return self._render(self.db.execute(text))
-            # Through the session facade so telemetry events and the
-            # slow-query log see interactive evaluations too.
+            # Through the session facade so the slow-query log sees
+            # interactive evaluations too.
             value = self.eval(text, window=self.window)
             return self._render(value)
         except (CalendarError, DatabaseError) as exc:

@@ -217,13 +217,6 @@ class MaterialisationCache:
         self.maxsize = maxsize
         self.memo_maxsize = memo_maxsize if maxsize else 0
         self.max_entry_elements = max_entry_elements
-        #: Optional telemetry pipeline (``cache.hit``/``cache.miss``/
-        #: ``cache.extend``/``cache.evict`` events); None keeps every
-        #: event site at a single branch.  Emission may happen while a
-        #: stripe lock is held — the pipeline lock is a leaf lock and
-        #: its acquire is non-blocking, so no ordering cycle is possible
-        #: (docs/IMPLEMENTATION_NOTES.md §8).
-        self.pipeline = None
         self._stripes = tuple(_Stripe(i) for i in range(stripes))
         self._memo: OrderedDict = OrderedDict()
         self._memo_lock = threading.Lock()
@@ -330,11 +323,6 @@ class MaterialisationCache:
                     result = entry.serve(start, end, mode)
                     self._counters["served_intervals"].inc(len(result))
                     self._latency["hit"].observe(perf_counter() - t0)
-                    if self.pipeline is not None:
-                        self.pipeline.emit(
-                            "cache.hit", calendar=cal_g.name,
-                            unit=unit_g.name, lo=start, hi=end,
-                            intervals=len(result))
                     return result
                 flight = stripe.inflight.get(key)
                 if flight is None:
@@ -413,10 +401,6 @@ class MaterialisationCache:
                 self._counters["served_intervals"].inc(len(result))
         finally:
             stripe.lock.release()
-        if self.pipeline is not None:
-            self.pipeline.emit(
-                "cache.miss", calendar=cal_g.name, unit=unit_g.name,
-                lo=start, hi=end, generated=len(cover))
         self._evict_overflow()
         return result
 
@@ -455,10 +439,6 @@ class MaterialisationCache:
             self._counters["served_intervals"].inc(len(result))
         finally:
             stripe.lock.release()
-        if self.pipeline is not None:
-            self.pipeline.emit(
-                "cache.extend", calendar=key[1].name, unit=key[2].name,
-                lo=lo, hi=hi, generated=generated)
         self._evict_overflow()
         return result
 
@@ -554,16 +534,8 @@ class MaterialisationCache:
                 self._acquire(oldest_stripe.lock)
                 try:
                     if oldest_stripe.entries:
-                        evicted_key, _ = oldest_stripe.entries.popitem(
-                            last=False)
+                        oldest_stripe.entries.popitem(last=False)
                         self._counters["evictions"].inc()
-                        if self.pipeline is not None:
-                            # Emitting under the stripe lock is safe: the
-                            # pipeline lock is a non-blocking leaf lock.
-                            self.pipeline.emit(
-                                "cache.evict",
-                                calendar=evicted_key[1].name,
-                                unit=evicted_key[2].name)
                 finally:
                     oldest_stripe.lock.release()
 

@@ -190,9 +190,8 @@ class Executor:
 
         Every execution is timed into the ``db.query.latency`` histogram
         and the per-relation ``db.relation.query_seconds`` family and
-        — with tracing on — wrapped in an ``executor.<Kind>`` span;
-        with a telemetry pipeline attached a ``query.execute`` event
-        records the statement kind and result cardinality.  The
+        — with tracing on — wrapped in an ``executor.<Kind>`` span
+        whose meta records the result's ``rows`` and ``affected``.  The
         instrumentation bundle is looked up per call because a session
         may swap the database's bundle after this executor was built;
         the metric handles are bound once per registry.
@@ -202,8 +201,10 @@ class Executor:
         tracer = inst.tracer
         t0 = perf_counter()
         if tracer is not None:
-            with tracer.span(f"executor.{kind}"):
+            with tracer.span(f"executor.{kind}") as span:
                 result = self._dispatch(statement, bindings)
+                span.meta["rows"] = len(result.rows)
+                span.meta["affected"] = result.affected
         else:
             result = self._dispatch(statement, bindings)
         elapsed = perf_counter() - t0
@@ -226,11 +227,6 @@ class Executor:
             if family.series().get((relation,)) is child:
                 children[relation] = child
         child.observe(elapsed)
-        if inst.pipeline is not None:
-            inst.pipeline.emit("query.execute", kind=kind,
-                               rows=len(result.rows),
-                               affected=result.affected,
-                               duration_s=elapsed)
         return result
 
     @staticmethod

@@ -103,9 +103,6 @@ class EvalContext:
     tracer: object | None = None
     #: Metrics registry for step timings (only written when tracing).
     metrics: object | None = None
-    #: Telemetry event pipeline, or None while telemetry is disabled —
-    #: the same single-branch contract as ``tracer``.
-    events: object | None = None
 
     def spawn_env(self) -> "EvalContext":
         """A child context with a fresh variable environment (shared cache)."""
@@ -115,7 +112,7 @@ class EvalContext:
             functions=self.functions, while_hook=self.while_hook,
             max_loop_iterations=self.max_loop_iterations, cache=self.cache,
             matcache=self.matcache, stats=self.stats,
-            tracer=self.tracer, metrics=self.metrics, events=self.events)
+            tracer=self.tracer, metrics=self.metrics)
 
     # -- materialisation -------------------------------------------------------
 

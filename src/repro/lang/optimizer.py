@@ -657,8 +657,8 @@ class _Optimizer:
 
 def optimize_plan(plan: Plan, *, context_window=None,
                   unit: Granularity = Granularity.DAYS,
-                  reusable: bool = False, periodic=None, metrics=None,
-                  events=None) -> OptimizationResult:
+                  reusable: bool = False, periodic=None,
+                  metrics=None) -> OptimizationResult:
     """Optimise a compiled plan; the input plan is never mutated.
 
     ``context_window`` is the evaluation tick window the plan will run
@@ -669,8 +669,7 @@ def optimize_plan(plan: Plan, *, context_window=None,
     expression's compiled :class:`~repro.core.periodic.PeriodicSet`; when
     its element structure is verified and cheaper, the whole chain is
     replaced by one :class:`PeriodicStep` (the periodic backend).
-    ``metrics``/``events`` receive optimizer counters and one telemetry
-    event per rewrite.
+    ``metrics`` receives the optimizer counters.
     """
     opt = _Optimizer(plan, context_window, unit, reusable, periodic)
     result = opt.run()
@@ -683,8 +682,4 @@ def optimize_plan(plan: Plan, *, context_window=None,
                 metrics.counter(f"optimizer.{kind}").inc(n)
         if result.eliminated:
             metrics.counter("plan.steps.eliminated").inc(result.eliminated)
-    if events is not None:
-        for rewrite in result.rewrites:
-            kind, _, detail = rewrite.partition(": ")
-            events.emit("optimizer.rewrite", kind=kind, detail=detail)
     return result

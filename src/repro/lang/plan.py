@@ -438,9 +438,7 @@ class PlanVM:
 
         When the context carries an active tracer this dispatches to the
         instrumented twin :meth:`_run_traced`; the disabled-tracing cost
-        is this single ``is not None`` branch per plan run (plus one for
-        the telemetry pipeline, which emits a ``plan.run`` event per
-        execution when attached).
+        is this single ``is not None`` branch per plan run.
         """
         ctx = self.context
         publish = False
@@ -448,24 +446,8 @@ class PlanVM:
             self.tracker = PeakTracker()
             publish = True
         try:
-            events = ctx.events
             if ctx.tracer is not None:
-                result = self._run_traced(plan)
-                if events is not None:
-                    events.emit("plan.run", steps=len(plan.steps),
-                                result=plan.result, traced=True)
-                return result
-            if events is not None:
-                from time import perf_counter
-                t0 = perf_counter()
-                registers = {}
-                for step in plan.steps:
-                    registers[step.target] = self._exec(step, registers)
-                result = self._finish(plan, registers)
-                events.emit("plan.run", steps=len(plan.steps),
-                            result=plan.result, traced=False,
-                            duration_s=perf_counter() - t0)
-                return result
+                return self._run_traced(plan)
             registers: dict[str, object] = {}
             for step in plan.steps:
                 registers[step.target] = self._exec(step, registers)

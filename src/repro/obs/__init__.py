@@ -1,4 +1,4 @@
-"""Observability: metrics, tracing, structured events and exporters.
+"""Observability: metrics, tracing, the slow-query log and exporters.
 
 The subsystem behind the unified :class:`repro.Session` instrumentation
 API — see :mod:`repro.obs.metrics` (counters/gauges/histograms, plus
@@ -6,8 +6,8 @@ labelled families with cardinality governance),
 :mod:`repro.obs.tracer` (nested spans, trace ring buffer),
 :mod:`repro.obs.instrument` (the bundle wired through interpreter, plan
 VM, planner, materialisation cache, query executor and DBCRON),
-:mod:`repro.obs.telemetry` (the typed event pipeline and slow-query
-log), :mod:`repro.obs.profiler` (the continuous wall-clock sampling
+:mod:`repro.obs.slowlog` (the slow-query log),
+:mod:`repro.obs.profiler` (the continuous wall-clock sampling
 profiler) and :mod:`repro.obs.export` (JSON snapshots and OTLP-style
 span export).
 """
@@ -35,15 +35,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.profiler import DEFAULT_HERTZ, SamplingProfiler
-from repro.obs.telemetry import (
-    CallbackSink,
-    Event,
-    FileSink,
-    RingSink,
-    SlowQuery,
-    SlowQueryLog,
-    TelemetryPipeline,
-)
+from repro.obs.slowlog import SlowQuery, SlowQueryLog
 from repro.obs.tracer import Span, Tracer
 
 __all__ = [
@@ -54,7 +46,6 @@ __all__ = [
     "Instrumentation", "get_default_instrumentation",
     "set_default_instrumentation",
     "metrics_to_dict", "traces_to_dict", "export_json", "spans_to_otlp",
-    "Event", "RingSink", "FileSink", "CallbackSink", "TelemetryPipeline",
     "SlowQuery", "SlowQueryLog",
     "SamplingProfiler", "DEFAULT_HERTZ",
 ]

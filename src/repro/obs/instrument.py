@@ -21,7 +21,6 @@ import os
 import threading
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import TelemetryPipeline
 from repro.obs.tracer import Span, Tracer
 
 __all__ = ["Instrumentation", "get_default_instrumentation",
@@ -29,26 +28,15 @@ __all__ = ["Instrumentation", "get_default_instrumentation",
 
 
 class Instrumentation:
-    """One metrics registry + one tracer + the tracing on/off switch.
-
-    Since the telemetry pipeline (PR 4), the bundle also carries the
-    optional event-pipeline attachment point: :attr:`pipeline` is
-    **None until telemetry is enabled**, so event emission sites pay
-    the same single-branch cost as disabled tracing
-    (``if pipeline is not None: pipeline.emit(...)``).
-    """
+    """One metrics registry + one tracer + the tracing on/off switch."""
 
     def __init__(self, metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None,
-                 tracing: bool = False,
-                 pipeline: TelemetryPipeline | None = None) -> None:
+                 tracing: bool = False) -> None:
         #: Always-live metrics registry.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else Tracer()
         self._tracing = bool(tracing)
-        #: The structured event pipeline, or None while telemetry is
-        #: off — hot paths emit behind one ``is not None`` branch.
-        self.pipeline = pipeline
 
     # -- tracing switch -------------------------------------------------------
 
@@ -83,22 +71,6 @@ class Instrumentation:
     def raw_tracer(self) -> Tracer:
         """The underlying tracer regardless of the switch (ring access)."""
         return self._tracer
-
-    # -- telemetry ------------------------------------------------------------
-
-    def attach_telemetry(self, pipeline: TelemetryPipeline | None = None
-                         ) -> TelemetryPipeline:
-        """Enable event emission; returns the (possibly new) pipeline."""
-        if pipeline is None:
-            pipeline = self.pipeline if self.pipeline is not None \
-                else TelemetryPipeline()
-        self.pipeline = pipeline
-        return pipeline
-
-    def detach_telemetry(self) -> TelemetryPipeline | None:
-        """Disable event emission; returns the detached pipeline."""
-        pipeline, self.pipeline = self.pipeline, None
-        return pipeline
 
     # -- swapping -------------------------------------------------------------
 

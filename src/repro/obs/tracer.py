@@ -163,6 +163,11 @@ class _DroppedSpan:
 
     __slots__ = ()
 
+    @property
+    def meta(self) -> dict:
+        """A fresh dict each read: meta written to a dropped span is lost."""
+        return {}
+
     def __enter__(self) -> "_DroppedSpan":
         """No-op."""
         return self

@@ -230,10 +230,11 @@ class DBCron:
                 self.sched.cascades())
             inst.metrics.gauge("dbcron.wheel.overflow").set(
                 self.sched.overflow_size())
-        if inst.pipeline is not None:
-            inst.pipeline.emit("dbcron.probe", now=now, loaded=loaded,
-                               heap=sched_size, horizon=self._horizon,
-                               scheduler=self.sched.kind)
+        tracer = inst.tracer
+        if tracer is not None:
+            tracer.event("dbcron.probe", now=now, loaded=loaded,
+                         heap=sched_size, horizon=self._horizon,
+                         scheduler=self.sched.kind)
         return loaded
 
     def _on_schedule_change(self, changes) -> None:
@@ -263,22 +264,26 @@ class DBCron:
         and the re-arm once per wave; its rules fire in order on this
         thread.  Records per-fire latency (``dbcron.fire_seconds``) and
         how far behind schedule the daemon is running
-        (``dbcron.fire_drift_ticks``); with tracing on, each fire gets a
-        ``rule.fire`` span.
+        (``dbcron.fire_drift_ticks``); with tracing on, each wave gets a
+        ``dbcron.wave`` span around one ``rule.fire`` span per fire.
         """
         now = self.clock.now
         inst = self.db.instrumentation
         drift_gauge = inst.metrics.gauge("dbcron.fire_drift_ticks")
+        tracer = inst.tracer
         fired = 0
         while True:
             wave = self.sched.pop_wave(now)
             if not wave:
                 break
-            drift_gauge.set(now - wave[0][0])
-            if inst.pipeline is not None:
-                inst.pipeline.emit("dbcron.wave", tick=wave[0][0],
-                                   rules=len(wave), drift=now - wave[0][0])
-            fired += self._fire_wave(wave, now, inst)
+            drift = now - wave[0][0]
+            drift_gauge.set(drift)
+            if tracer is None:
+                fired += self._fire_wave(wave, now, inst)
+            else:
+                with tracer.span("dbcron.wave", tick=wave[0][0],
+                                 rules=len(wave), drift=drift):
+                    fired += self._fire_wave(wave, now, inst)
         return fired
 
     def _fire_wave(self, wave, now: int, inst) -> int:
@@ -298,8 +303,9 @@ class DBCron:
                     next_fire = fire(position)
                 else:
                     with tracer.span("rule.fire", rule=name, tick=tick,
-                                     drift=now - tick):
+                                     drift=now - tick) as span:
                         next_fire = fire(position)
+                        span.meta["next_fire"] = next_fire
                 results[position] = (next_fire, perf_counter() - t0)
 
         try:
@@ -321,9 +327,6 @@ class DBCron:
             fire_hist.observe(elapsed)
             if next_fire is not None:
                 self.stats.reschedules += 1
-            if inst.pipeline is not None:
-                inst.pipeline.emit("rule.fire", rule=name, tick=tick,
-                                   duration_s=elapsed, next_fire=next_fire)
         if fired:
             metrics.counter("dbcron.fires").inc(fired)
             self.stats.fires += fired

@@ -58,7 +58,7 @@ from repro.lang.planner import compile_expression
 from repro.obs.instrument import Instrumentation
 from repro.obs.export import export_json
 from repro.obs.profiler import SamplingProfiler
-from repro.obs.telemetry import SlowQuery, SlowQueryLog, TelemetryPipeline
+from repro.obs.slowlog import SlowQuery, SlowQueryLog
 from repro.obs.tracer import Span, Tracer
 from repro.rules import DBCron, RuleManager, RulesFacade, SimulatedClock
 
@@ -235,7 +235,6 @@ class Session:
                  matcache: MaterialisationCache | None = None,
                  instrumentation: Instrumentation | None = None,
                  workers: int = 1,
-                 telemetry: bool = False,
                  slow_query_threshold: float | None = None) -> None:
         if workers != 1:
             # The only legal value: batches and DBCRON waves run on the
@@ -257,8 +256,6 @@ class Session:
                 if holiday_years is not None:
                     install_us_holidays(registry, *holiday_years)
             database = Database(calendars=registry)
-        #: Telemetry pipeline (None until enabled).
-        self.telemetry: TelemetryPipeline | None = None
         if slow_query_threshold is None:
             slow_query_threshold = _env_float("REPRO_SLOWLOG_SECONDS")
         #: Slow-query log; disabled while the threshold is None.
@@ -269,8 +266,6 @@ class Session:
         self._profiler: SamplingProfiler | None = None
         self.attach_database(database, clock_start=clock_start,
                              cron_period=cron_period)
-        if telemetry:
-            self.enable_telemetry()
         if _env_truthy("REPRO_PROFILE"):
             self.profiler.start()
 
@@ -301,11 +296,6 @@ class Session:
         #: None check: an empty facade is falsy via ``__len__``.)
         if getattr(self, "rules", None) is None:
             self.rules = RulesFacade(self)
-        # Re-point an already enabled pipeline at the adopted stack.
-        pipeline = getattr(self, "telemetry", None)
-        if pipeline is not None:
-            self.instrumentation.attach_telemetry(pipeline)
-            self.registry.matcache.pipeline = pipeline
         #: Per-script eval_many latency family, bound once so the hot
         #: path pays one dict lookup per job, not a registry round-trip.
         self._script_seconds = self.instrumentation.metrics.histogram(
@@ -383,53 +373,14 @@ class Session:
         """The shared materialisation cache's counters and latencies."""
         return self.registry.cache_stats()
 
-    # -- telemetry -----------------------------------------------------------
-
-    def enable_telemetry(self, pipeline: TelemetryPipeline | None = None
-                         ) -> TelemetryPipeline:
-        """Attach a structured event pipeline to the whole stack.
-
-        Wires the (possibly new) pipeline into the instrumentation
-        bundle, the materialisation cache and the slow-query log, so
-        eval/cache/rule event sites start emitting.  Idempotent;
-        returns the live pipeline.
-        """
-        pipeline = self.instrumentation.attach_telemetry(
-            pipeline if pipeline is not None else self.telemetry)
-        self.telemetry = pipeline
-        self.registry.matcache.pipeline = pipeline
-        self.slowlog.pipeline = pipeline
-        return pipeline
-
-    def disable_telemetry(self) -> TelemetryPipeline | None:
-        """Detach the pipeline everywhere; hot paths go back to one branch."""
-        pipeline = self.instrumentation.detach_telemetry()
-        self.telemetry = None
-        self.registry.matcache.pipeline = None
-        self.slowlog.pipeline = None
-        return pipeline
-
-    def events(self, kind: str | None = None) -> list:
-        """Ring-buffered telemetry events (empty while disabled)."""
-        if self.telemetry is None:
-            return []
-        return self.telemetry.events(kind)
-
     def slow_queries(self) -> list[SlowQuery]:
         """Captured slow-query records, oldest first."""
         return self.slowlog.records()
 
     def close(self) -> None:
-        """Stop the profiler.
-
-        Also detaches the telemetry pipeline: a session built on the
-        process-default instrumentation must not leave its pipeline
-        wired into shared state after it is gone.
-        """
+        """Stop the profiler."""
         if self._profiler is not None:
             self._profiler.stop()
-        if self.telemetry is not None:
-            self.disable_telemetry()
 
     # -- profiling -----------------------------------------------------------
 
@@ -452,66 +403,56 @@ class Session:
 
         Defined calendar names go through the catalog (stored plan),
         expressions through factorize+plan, and anything that does not
-        parse as a single expression is run as a full script.  With
-        telemetry on, the run is bracketed by ``eval.start`` /
-        ``eval.finish`` events; with a slow-query threshold set,
-        evaluations reaching it are captured into the slow-query log.
-        The fully disabled cost is the two ``is not None``/``enabled``
-        branches below.
+        parse as a single expression is run as a full script.  With a
+        slow-query threshold set, evaluations reaching it are captured
+        into the slow-query log; with tracing on as well, the
+        evaluation runs under a ``session.eval`` span whose tree the
+        record carries.  The disabled cost is the ``enabled`` branch
+        below.
         """
-        if self.telemetry is None and not self.slowlog.enabled:
+        if not self.slowlog.enabled:
             return self._run_text(text, window, today)
-        return self._observed_eval(text, window, today, via="eval")
+        return self._observed_eval(text, window, today)
 
-    def _observed_eval(self, text: str, window, today, via: str):
-        """The instrumented twin of :meth:`eval`."""
-        pipeline = self.telemetry
-        if pipeline is not None:
-            pipeline.emit("eval.start", source=text, via=via)
+    def _observed_eval(self, text: str, window, today):
+        """The slow-query-logged twin of :meth:`eval`."""
+        tracer = self.instrumentation.tracer
+        span = None
         error = None
         t0 = perf_counter()
         try:
-            return self._run_text(text, window, today)
+            if tracer is None:
+                return self._run_text(text, window, today)
+            with tracer.span("session.eval", source=text) as span:
+                return self._run_text(text, window, today)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             raise
         finally:
-            duration = perf_counter() - t0
-            if pipeline is not None:
-                pipeline.emit("eval.finish", source=text, via=via,
-                              duration_s=duration, error=error)
-            self._capture_slow(text, duration, via=via, window=window,
-                               error=error)
+            self._capture_slow(text, perf_counter() - t0, via="eval",
+                               window=window, span=span, error=error)
 
     def _capture_slow(self, text: str, duration: float, *, via: str,
-                      window, error: str | None = None) -> None:
-        """Record a slow-query entry when ``duration`` crosses the line.
+                      window, span, error: str | None) -> None:
+        """Offer one evaluation to the slow-query log.
 
-        Plan text is captured lazily (a compile is only paid for
-        genuinely slow evaluations, and its failure is swallowed by the
-        log); the span tree is attached only when tracing is on — the
-        threshold works identically with tracing disabled.
+        The log makes the only threshold check; the window, plan text,
+        cache snapshot and span tree are handed over as callables, so
+        an evaluation under the threshold pays for none of them (and a
+        failure building one is swallowed by the log).  ``span`` is the
+        finished span of this evaluation itself, None when tracing was
+        off — the threshold works identically with tracing disabled.
         """
-        log = self.slowlog
-        if log.threshold_s is None or duration < log.threshold_s:
-            return
-        trace = None
-        if self.instrumentation.tracing:
-            recent = self.instrumentation.recent_traces()
-            if recent:
-                trace = recent[-1].to_dict()
-        try:
-            win = self.registry._coerce_window(window)
-        except Exception:
-            win = None
-        log.maybe_record(
-            text, duration, via=via, window=win,
+        registry = self.registry
+        self.slowlog.maybe_record(
+            text, duration, via=via, error=error,
+            window=lambda: registry._coerce_window(window),
             plan_text=lambda: self.explain(text, window=window).render(),
-            cache_stats={
+            cache_stats=lambda: {
                 key: value
-                for key, value in self.registry.matcache.stats().items()
+                for key, value in registry.matcache.stats().items()
                 if isinstance(value, (int, float))},
-            trace=trace, error=error)
+            trace=span.to_dict if isinstance(span, Span) else None)
 
     def query(self, text: str, bindings: dict | None = None):
         """Execute one Postquel statement against the session database."""
@@ -564,22 +505,12 @@ class Session:
         unique: dict[str, int] = {}
         order = [unique.setdefault(text, len(unique)) for text in scripts]
         texts = list(unique)
-        if self.telemetry is not None:
-            self.telemetry.emit("batch.start", scripts=len(scripts),
-                                unique=len(texts))
-        t0 = perf_counter()
-        try:
-            if tracer is not None:
-                with tracer.span("session.eval_many", scripts=len(scripts),
-                                 unique=len(texts)):
-                    settled = self._eval_batch(texts, window, today)
-            else:
+        if tracer is not None:
+            with tracer.span("session.eval_many", scripts=len(scripts),
+                             unique=len(texts)):
                 settled = self._eval_batch(texts, window, today)
-        finally:
-            if self.telemetry is not None:
-                self.telemetry.emit("batch.finish", scripts=len(scripts),
-                                    unique=len(texts),
-                                    duration_s=perf_counter() - t0)
+        else:
+            settled = self._eval_batch(texts, window, today)
         for idx in order:
             error = settled[idx][1]
             if error is not None:
@@ -665,15 +596,14 @@ class Session:
         stats) private to the job, while ``shared_cache`` carries the
         hoisted materialisations.
         """
-        registry = self.registry
-        tracer = registry.instrumentation.tracer
-        observe = self.telemetry is not None or self.slowlog.enabled
+        tracer = self.registry.instrumentation.tracer
+        span = None
         error = None
         t0 = perf_counter()
         try:
             if tracer is not None:
                 with tracer.span("session.eval_job", script=job.text,
-                                 kind=job.kind):
+                                 kind=job.kind) as span:
                     return self._exec_job_inner(job, window, today,
                                                 shared_cache)
             return self._exec_job_inner(job, window, today, shared_cache)
@@ -685,13 +615,9 @@ class Session:
             # Always-on labelled latency (cardinality-governed by the
             # family cap).
             self._script_seconds.labels(job.text).observe(duration)
-            if observe:
-                if self.telemetry is not None:
-                    self.telemetry.emit("eval.finish", source=job.text,
-                                        via="eval_many",
-                                        duration_s=duration, error=error)
+            if self.slowlog.enabled:
                 self._capture_slow(job.text, duration, via="eval_many",
-                                   window=window, error=error)
+                                   window=window, span=span, error=error)
 
     def _exec_job_inner(self, job: _BatchJob, window, today, shared_cache):
         registry = self.registry

@@ -226,14 +226,27 @@ class TestGate:
                 plain.next_occurrence(text, 2200)
 
 
-class _CacheEvents:
-    """Minimal telemetry sink recording the cache's own events."""
+class _DayRequests(MaterialisationCache):
+    """A cache recording how each (DAYS, DAYS) request was served.
 
-    def __init__(self) -> None:
-        self.events: list[tuple[str, dict]] = []
+    Once ``served`` is a list, every such request that reached an entry
+    appends the counter it moved: ``hits``, ``misses`` or
+    ``extensions`` (a narrow bypass moves none of them).
+    """
 
-    def emit(self, kind: str, **fields) -> None:
-        self.events.append((kind, fields))
+    served: "list[str] | None" = None
+
+    def generate(self, system, cal, unit, window, mode="clip"):
+        days = (Granularity.parse(cal), Granularity.parse(unit)) == \
+            (Granularity.DAYS, Granularity.DAYS)
+        if self.served is None or not days:
+            return super().generate(system, cal, unit, window, mode)
+        before = self.stats()
+        result = super().generate(system, cal, unit, window, mode)
+        after = self.stats()
+        self.served += [kind for kind in ("hits", "misses", "extensions")
+                        if after[kind] > before[kind]]
+        return result
 
 
 def _oracle_compile(registry, text: str, max_eval_days: int = 220_000):
@@ -259,7 +272,7 @@ class TestSharedCacheAnchor:
         narrow bypasses."""
         from repro.session import Session
 
-        cache = MaterialisationCache()
+        cache = _DayRequests()
         registry = Session(holiday_years=(1987, 2006),
                            matcache=cache).registry
         for text in ("LDOM", "[1]/AM_BUS_DAYS:during:MONTHS"):
@@ -267,15 +280,12 @@ class TestSharedCacheAnchor:
             assert pset is not None
             assert pset.period == GREGORIAN_PERIOD_DAYS
         bypasses = cache.stats()["narrow_bypass"]
-        sink = cache.pipeline = _CacheEvents()
+        cache.served = []
         assert _oracle_compile(
             registry, "[3]/DAYS:during:WEEKS:during:2004/YEARS") is not None
         assert cache.stats()["narrow_bypass"] == bypasses
-        days = [kind for kind, fields in sink.events
-                if (fields.get("calendar"), fields.get("unit"))
-                == ("DAYS", "DAYS")]
-        assert days
-        assert set(days) <= {"cache.hit", "cache.extend"}
+        assert cache.served
+        assert set(cache.served) <= {"hits", "extensions"}
 
     def test_closed_form_compiles_leave_the_shared_cache_alone(self):
         """The default compile reads these shapes in closed form: no

@@ -248,20 +248,27 @@ class TestGating:
         assert registry.optimize is False
 
     def test_metrics_and_events_recorded(self, sys87):
-        from repro.obs.instrument import MetricsRegistry
-        from repro.obs.telemetry import TelemetryPipeline
+        from repro.catalog import CalendarRegistry
+        from repro.obs.instrument import Instrumentation, MetricsRegistry
         window = window_of(sys87, 1993, 1994)
         plan = compile_for(sys87, "[1]/(MONTHS:during:YEARS)", window)
         metrics = MetricsRegistry()
-        pipeline = TelemetryPipeline()
-        out = optimize_plan(plan, context_window=window, metrics=metrics,
-                            events=pipeline)
+        out = optimize_plan(plan, context_window=window, metrics=metrics)
         assert out.rewrites
         snap = metrics.snapshot()
         assert snap.get("optimizer.runs", 0) >= 1
         assert snap.get("optimizer.rewrites", 0) >= 1
-        assert any(e.kind == "optimizer.rewrite"
-                   for e in pipeline.events())
+        # A traced evaluation records the rewrites on its optimizer.run
+        # span, also when the optimised plan comes from the memo.
+        inst = Instrumentation(tracing=True)
+        registry = CalendarRegistry(sys87, instrumentation=inst)
+        for _ in range(2):
+            registry.eval_expression("[1]/(MONTHS:during:YEARS)",
+                                     window=window, memo=False)
+        spans = [span for root in inst.recent_traces()
+                 for span in root.find("optimizer.run")]
+        assert [span.meta["rewrites"] for span in spans] == \
+            [out.rewrites, out.rewrites]
 
     def test_costs_annotate_final_registers(self, sys87):
         window = window_of(sys87, 1993, 1994)

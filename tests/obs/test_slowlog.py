@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.obs.instrument import Instrumentation
-from repro.obs.telemetry import SlowQueryLog, TelemetryPipeline
+from repro.obs.slowlog import SlowQueryLog
 from repro.session import Session
 
 
@@ -62,13 +62,24 @@ class TestThresholdEdges:
         assert record is not None
         assert record.plan_text is None
 
-    def test_record_emits_pipeline_event(self):
-        pipeline = TelemetryPipeline()
-        log = SlowQueryLog(0.0, pipeline=pipeline)
-        log.maybe_record("X", 0.25, via="eval")
-        (event,) = pipeline.events("slowquery")
-        assert event.fields["source"] == "X"
-        assert event.fields["duration_s"] == 0.25
+    def test_callables_not_invoked_below_threshold(self):
+        """The log makes the only threshold check: below it, none of
+        the lazily built fields is built."""
+        calls = []
+
+        def field(name):
+            return lambda: calls.append(name)
+
+        log = SlowQueryLog(0.5)
+        assert log.maybe_record(
+            "fast", 0.1, window=field("window"), cache_stats=field("stats"),
+            plan_text=field("plan"), trace=field("trace")) is None
+        assert calls == []
+        record = log.maybe_record(
+            "slow", 1.0, window=lambda: (1, 2),
+            cache_stats=lambda: {"hits": 3}, trace=lambda: {"name": "t"})
+        assert (record.window, record.cache_stats, record.trace) == \
+            ((1, 2), {"hits": 3}, {"name": "t"})
 
 
 class TestSessionCapture:
@@ -111,6 +122,27 @@ class TestSessionCapture:
         (record,) = session.slow_queries()
         assert record.trace is not None
         assert record.trace["name"]
+
+    def test_each_record_carries_its_own_evaluation_tree(self):
+        """A record's trace is the span of the evaluation it records:
+        the ``session.eval_job`` of its own batch job, and for a plain
+        eval the ``session.eval`` root around its own registry span —
+        never the previous evaluation's tree."""
+        session = Session(slow_query_threshold=0.0,
+                          instrumentation=Instrumentation())
+        session.instrumentation.enable_tracing()
+        session.eval("WEEKS:during:1993/YEARS")
+        batch = ["[1]/MONTHS:during:1993/YEARS",
+                 "[2]/MONTHS:during:1993/YEARS"]
+        session.eval_many(batch)
+        single, *jobs = session.slow_queries()
+        assert single.trace["name"] == "session.eval"
+        assert single.trace["meta"]["source"] == "WEEKS:during:1993/YEARS"
+        (registry_span,) = single.trace["children"]
+        assert registry_span["name"] == "registry.eval_expression"
+        assert [(r.source, r.trace["name"], r.trace["meta"]["script"])
+                for r in jobs] == [
+            (text, "session.eval_job", text) for text in batch]
 
     def test_eval_many_batch_produces_records(self):
         """The acceptance shape: a 32-script batch, threshold forced low,

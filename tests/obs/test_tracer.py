@@ -9,7 +9,8 @@ from repro.obs.instrument import (
     get_default_instrumentation,
     set_default_instrumentation,
 )
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Span, Tracer
+from repro.session import Session
 
 
 class TestSpanNesting:
@@ -127,6 +128,17 @@ class TestTraceRing:
         assert len(root.children) == 2
         assert root.meta["dropped_spans"] == 8
 
+    def test_meta_written_past_the_budget_is_dropped(self):
+        t = Tracer(max_spans=2)
+        with t.span("root"):
+            with t.span("kept") as kept:
+                kept.meta["n"] = 1
+            with t.span("dropped") as dropped:
+                dropped.meta["n"] = 2  # a no-op, not an AttributeError
+        [root] = t.recent()
+        assert [(c.name, c.meta) for c in root.children] == \
+            [("kept", {"n": 1})]
+
     def test_span_budget_validated(self):
         with pytest.raises(ValueError):
             Tracer(max_spans=0)
@@ -213,3 +225,36 @@ class TestInstrumentation:
             assert get_default_instrumentation().tracing is False
         finally:
             set_default_instrumentation(previous)
+
+
+class TestDisabledPath:
+    def test_untraced_session_builds_no_span(self, monkeypatch):
+        """Tracing off and no slow-query threshold: evaluations, a
+        batch, a Postquel query and DBCRON fires construct no Span at
+        all — the disabled path is counted, not timed."""
+        monkeypatch.delenv("REPRO_SLOWLOG_SECONDS", raising=False)
+        session = Session("Jan 1 1987", instrumentation=Instrumentation())
+        session.query("create table log (t abstime)")
+        session.rules.on_calendar("tuesdays",
+                                  expression="[2]/DAYS:during:WEEKS",
+                                  do=["append log (t = now.t)"])
+        built = []
+        real_init = Span.__init__
+
+        def counting(span, *args, **kwargs):
+            built.append(args[1] if len(args) > 1 else kwargs.get("name"))
+            real_init(span, *args, **kwargs)
+
+        monkeypatch.setattr(Span, "__init__", counting)
+        session.eval("[2]/MONTHS:during:1993/YEARS")
+        session.eval("[1]/WEEKS:during:1993/YEARS")
+        session.eval_many(["WEEKS:during:1993/YEARS",
+                           "[3]/DAYS:during:WEEKS:during:1993/YEARS"])
+        assert session.cron.run_until(27) == 4  # Tuesdays 6, 13, 20, 27
+        result = session.query("retrieve (l.t) from l in log")
+        assert len(result.rows) == 4
+        assert built == []
+        # The counter sees spans once tracing is on.
+        session.instrumentation.enable_tracing()
+        session.eval("[2]/MONTHS:during:1994/YEARS")
+        assert "registry.eval_expression" in built

@@ -157,18 +157,26 @@ class TestFireMetricsAndSpans:
         assert "dbcron.wheel.overflow" in snap
         assert not [key for key in snap if "shard" in key]
 
-    def test_traced_wave_gives_one_root_span_per_fire(self):
+    def test_traced_wave_groups_its_fires_in_one_wave_span(self):
         inst = Instrumentation()
         inst.tracing = True
         _, manager, _, cron = _stack("wheel", instrumentation=inst)
         names = ["a", "b", "c"]
         _declare(manager, names, [])
-        cron.run_until(6)
-        fires = [span for span in inst.recent_traces()
-                 if span.name == "rule.fire"]
-        # Fires nest through the daemon thread's own span stack: no
-        # wave span wraps them, and each carries its rule and tick.
-        assert [(s.meta["rule"], s.meta["tick"]) for s in fires] == [
-            (name, 6) for name in names]
-        assert not any(span.find("dbcron.fire_wave")
-                       for span in inst.recent_traces())
+        cron.run_until(13)
+        roots = inst.recent_traces()
+        # Each wave is one root span around its rule.fire spans; each
+        # fire carries its rule, tick and the next fire it armed.  The
+        # first wave fires late: one clock step ran from tick 1 to 8.
+        waves = [root for root in roots if root.name == "dbcron.wave"]
+        assert [(w.meta["tick"], w.meta["rules"], w.meta["drift"])
+                for w in waves] == [(6, 3, 2), (13, 3, 0)]
+        for wave, tick in zip(waves, (6, 13)):
+            assert [(s.name, s.meta["rule"], s.meta["tick"],
+                     s.meta["next_fire"]) for s in wave.children] == [
+                ("rule.fire", name, tick, tick + 7) for name in names]
+        # The daemon's probes are point events between the waves.
+        probes = [root for root in roots if root.name == "dbcron.probe"]
+        assert [p.meta["now"] for p in probes] == [1, 8, 13]
+        assert all(p.meta["scheduler"] == "wheel" and p.duration == 0.0
+                   for p in probes)

@@ -22,7 +22,7 @@ from repro.db import Database
 from repro.db.errors import DataTypeError, RuleError
 from repro.db.persist import load_database, save_database
 from repro.obs.instrument import Instrumentation
-from repro.obs.telemetry import CallbackSink
+from repro.obs.tracer import Tracer
 from repro.rules import (
     DBCron,
     HeapSchedule,
@@ -174,35 +174,52 @@ def test_catchup_latest_in_a_shared_wave(stack):
 
 
 def _session_run(tracing: bool):
-    """Fire order (from ``rule.fire`` events), fire counts, RULE_TIME."""
-    session = Session("Jan 1 1987", telemetry=True,
-                      instrumentation=Instrumentation(tracing=tracing),
-                      clock_start=2200)
-    events = []
-    session.telemetry.add_sink(CallbackSink(
-        lambda event: events.append(
-            (event.fields["tick"], event.fields["rule"],
-             event.fields["next_fire"]))
-        if event.kind == "rule.fire" else None))
+    """Fires in order as (tick, rule, next fire), fire counts and
+    RULE_TIME, read from the rule callbacks and RULE_TIME; plus the
+    same triples from the ``rule.fire`` spans (empty when untraced).
+
+    A fire's next fire is its rule's following fire tick, or for the
+    rule's last fire its RULE_TIME row after the run.
+    """
+    # A ring wide enough for every wave and probe of the run.
+    inst = Instrumentation(tracer=Tracer(ring_size=512), tracing=tracing)
+    session = Session("Jan 1 1987", instrumentation=inst, clock_start=2200)
+    fires = []
     try:
         for i, expr in enumerate([TUESDAYS, TUESDAYS,
                                   "[5]/DAYS:during:WEEKS",
                                   "[1]/DAYS:during:MONTHS", TUESDAYS,
                                   "[15]/DAYS:during:MONTHS"]):
             session.rules.on_calendar(
-                f"rule_{i}", expression=expr, callback=lambda d, t: None)
+                f"rule_{i}", expression=expr,
+                callback=lambda d, t, n=f"rule_{i}": fires.append((t, n)))
         session.cron.run_until(2200 + 120)
         counts = sorted((name, rule.fire_count) for name, rule in
                         session.manager.temporal_rules.items())
-        return events, counts, _rule_time(session.db)
+        rule_time = _rule_time(session.db)
+        following = dict(rule_time)
+        ordered = []
+        for tick, name in reversed(fires):
+            ordered.append((tick, name, following[name]))
+            following[name] = tick
+        ordered.reverse()
+        spans = [(span.meta["tick"], span.meta["rule"],
+                  span.meta["next_fire"])
+                 for root in session.recent_traces()
+                 for span in root.find("rule.fire")]
+        return (ordered, counts, rule_time), spans
     finally:
         session.close()
 
 
 def test_tracing_does_not_change_what_fires():
-    untraced = _session_run(tracing=False)
+    untraced, no_spans = _session_run(tracing=False)
     assert untraced[0], "the run fired nothing"
-    assert _session_run(tracing=True) == untraced
+    assert no_spans == []
+    traced, spans = _session_run(tracing=True)
+    assert traced == untraced
+    # Every fire's span records the next fire it armed.
+    assert spans == untraced[0]
 
 
 def test_fire_wave_reports_next_fires_in_entry_order(stack):

@@ -99,16 +99,13 @@ class TestSequentialBatch:
             session.eval_many(MIXED, window=WINDOW, max_workers=2)
 
     def test_batch_events_carry_no_workers_field(self, session):
-        session.enable_telemetry()
-        try:
-            session.eval_many(MIXED + MIXED[:1], window=WINDOW)
-            (start,) = session.events("batch.start")
-            (finish,) = session.events("batch.finish")
-        finally:
-            session.close()
-        assert start.fields == {"scripts": 5, "unique": 4}
-        assert set(finish.fields) == {"scripts", "unique", "duration_s"}
-        assert not session.events("pool.dispatch")
+        session.instrumentation.tracing = True
+        session.eval_many(MIXED + MIXED[:1], window=WINDOW)
+        (root,) = [s for s in session.recent_traces()
+                   if s.name == "session.eval_many"]
+        assert root.meta == {"scripts": 5, "unique": 4}
+        assert root.duration > 0.0
+        assert not root.find("pool.dispatch")
 
     def test_root_span_has_no_workers_attribute(self, session):
         session.instrumentation.tracing = True

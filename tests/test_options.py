@@ -16,6 +16,7 @@ import re
 import repro
 from repro.catalog import CalendarRegistry
 from repro.db import vector
+from repro.obs.instrument import Instrumentation
 from repro.rules import DBCron, RuleManager, WheelSchedule
 from repro.session import Session
 
@@ -43,8 +44,9 @@ def test_environment_variables_are_settings_not_path_switches():
 def test_session_takes_no_code_path_switch():
     parameters = inspect.signature(Session).parameters
     for name in ("optimize", "periodic", "vector_db", "scheduler",
-                 "wheel_shards", "throttle", "telemetry_port"):
+                 "wheel_shards", "throttle", "telemetry_port", "telemetry"):
         assert name not in parameters
+    assert not hasattr(Instrumentation(), "pipeline")
 
 
 def test_no_module_global_engine_toggle():

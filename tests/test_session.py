@@ -196,6 +196,32 @@ class TestProfile:
 
 
 class TestObservability:
+    def test_spans_carry_what_the_run_did(self, session):
+        """The facts of a traced run are read from span meta: a
+        statement's result size, and a periodic compile's path and
+        form, or its decline reason."""
+        session.instrumentation.enable_tracing()
+        session.query("create table emp (name text)")
+        for name in ("ann", "bob"):
+            session.query(f'append emp (name = "{name}")')
+        session.query("retrieve (e.name) from e in emp")
+        assert session.registry.periodic_set("[2]/DAYS:during:WEEKS")
+        assert session.registry.periodic_set(
+            "[2]/DAYS:during:WEEKS:during:DECADES") is None
+        spans = [span for root in session.recent_traces()
+                 for span in root.walk()]
+        assert [(s.name, s.meta["rows"], s.meta["affected"])
+                for s in spans if s.name.startswith("executor.")] == [
+            ("executor.CreateTable", 0, 0), ("executor.Append", 0, 1),
+            ("executor.Append", 0, 1), ("executor.Retrieve", 2, 0)]
+        compiled, declined = [s for s in spans
+                              if s.name == "periodic.compile"]
+        assert compiled.meta["path"] == "closed"
+        assert compiled.meta["form"]
+        assert "reason" not in compiled.meta
+        assert declined.meta["reason"]
+        assert "form" not in declined.meta
+
     def test_metrics_snapshot_after_eval(self, session):
         session.eval("[1]/MONTHS:during:1993/YEARS")
         snap = session.metrics()
