@@ -34,7 +34,7 @@ from repro.lang.defs import (
     ExplicitDef,
     basic_resolver,
 )
-from repro.lang.errors import EvaluationError, PlanError
+from repro.lang.errors import EvaluationError, ParseError, PlanError
 from repro.lang.factorizer import factorize, granularity_of
 from repro.lang.interpreter import EvalContext, Interpreter
 from repro.lang.parser import parse_expression, parse_script
@@ -446,7 +446,8 @@ class CalendarRegistry:
         entirely.  With tracing on, the call is one ``span`` carrying
         ``attrs`` (plus ``memo="hit"`` when the memo served it); the
         coercion and lookup run in its ``registry.context`` child and a
-        store in its last child, ``registry.memo``.
+        store in its last child, ``registry.memo``.  A text that does not
+        parse is no lookup outcome: its ``ParseError`` counts nothing.
         """
         tracer = self.instrumentation.tracer
         attrs[kind] = text
@@ -468,8 +469,8 @@ class CalendarRegistry:
                 calls = self._watch_custom_calls(ctx) if key else None
             try:
                 result = run(ctx)
-            except Exception:
-                if key is not None:
+            except Exception as exc:
+                if key is not None and not isinstance(exc, ParseError):
                     self._count_result("skip")
                 raise
             if key is not None:
@@ -615,34 +616,37 @@ class CalendarRegistry:
             self.periodic_set(text, full=False)
 
     def eval_script(self, text: str, *, window=None, today=None,
-                    env: dict | None = None, while_hook=None):
+                    env: dict | None = None, while_hook=None,
+                    memo: bool = True):
         """Parse and run a full calendar script; returns its result.
 
-        See :meth:`_coerce_window` for accepted window forms.
+        See :meth:`_coerce_window` for accepted window forms.  Without
+        ``env`` bindings or a ``while_hook`` a repeated evaluation is
+        served from the result memo (:meth:`_memoised`); with either, or
+        with ``memo=False``, the script always runs and nothing is stored.
         """
-        tracer = self.instrumentation.tracer
         try:
-            if tracer is None:
-                ctx = self._script_context(window, today, env, while_hook)
-                return Interpreter(ctx).execute(parse_script(text))
-            with tracer.span("registry.eval_script"):
-                with tracer.span("registry.context"):
-                    ctx = self._script_context(window, today, env,
-                                               while_hook)
-                with tracer.span("lang.parse"):
-                    parsed = parse_script(text)
-                return Interpreter(ctx).execute(parsed)
+            return self._memoised(
+                "registry.eval_script", "script", text, window, today,
+                memo and not env and while_hook is None,
+                lambda ctx: self._eval_script(text, ctx, env, while_hook))
         except ReproError as exc:
             raise exc.add_context(script=text)
 
-    def _script_context(self, window, today, env, while_hook
-                        ) -> EvalContext:
-        """An evaluation context primed with script bindings."""
-        ctx = self.context(window, today=today)
+    @staticmethod
+    def _eval_script(text: str, ctx: EvalContext, env: dict | None,
+                     while_hook):
+        """Parse and run a script in a prepared context, with ``env``
+        bound and ``while_hook`` installed."""
         if env:
             ctx.env.update({k.lower(): v for k, v in env.items()})
         ctx.while_hook = while_hook
-        return ctx
+        tracer = ctx.tracer
+        if tracer is None:
+            return Interpreter(ctx).execute(parse_script(text))
+        with tracer.span("lang.parse"):
+            parsed = parse_script(text)
+        return Interpreter(ctx).execute(parsed)
 
     def _clip_lifespan(self, cal: Calendar, record: CalendarRecord
                        ) -> Calendar:

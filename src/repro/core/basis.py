@@ -48,6 +48,10 @@ BASIC_CALENDARS = tuple(g.name for g in Granularity)
 
 _SUBDAY = (Granularity.SECONDS, Granularity.MINUTES, Granularity.HOURS)
 
+#: Date strings whose day numbers one :class:`CalendarSystem` remembers;
+#: the memo is emptied when it reaches this size.
+_DATE_MEMO_SIZE = 1024
+
 
 def _scale_lo(t: int, k: int) -> int:
     """First fine tick of coarse tick ``t`` with ``k`` fine units per coarse."""
@@ -119,6 +123,9 @@ class CalendarSystem:
 
     epoch: Epoch = field(
         default_factory=lambda: Epoch.of(CivilDate(1987, 1, 1)))
+    #: Date string -> axis day number (see :meth:`day_of`).
+    _date_days: dict = field(default_factory=dict, init=False,
+                             repr=False, compare=False)
 
     @classmethod
     def starting(cls, date: "CivilDate | str") -> "CalendarSystem":
@@ -127,8 +134,22 @@ class CalendarSystem:
     # -- window coercion ------------------------------------------------------
 
     def day_of(self, date: "CivilDate | str") -> int:
-        """Axis day number of a civil date."""
-        return self.epoch.day_number(date)
+        """Axis day number of a civil date.
+
+        A date string is parsed once: its day number is remembered (up
+        to :data:`_DATE_MEMO_SIZE` strings).  A string that does not
+        parse raises every time.
+        """
+        if not isinstance(date, str):
+            return self.epoch.day_number(date)
+        days = self._date_days
+        day = days.get(date)
+        if day is None:
+            day = self.epoch.day_number(date)
+            if len(days) >= _DATE_MEMO_SIZE:
+                days.clear()
+            days[date] = day
+        return day
 
     def date_of(self, day: int) -> CivilDate:
         """Civil date of an axis day number."""

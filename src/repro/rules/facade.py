@@ -8,8 +8,9 @@ object with keyword-only arguments mirroring the paper's syntax::
 
     session.rules.on_event("audit", event="append", relation="emp",
                            where="new.hours > 20", do=[...])
-    session.rules.on_calendar("payday", expression="LAST_BUS_DAYS",
-                              do=[...])
+    session.rules.on_calendar("payday",
+                              expression="[n]/AM_BUS_DAYS:during:MONTHS",
+                              do=["append payments (day = now.t)"])
     session.rules.drop("audit")
     session.rules.stats()
 

@@ -403,9 +403,11 @@ class Session:
 
         Defined calendar names go through the catalog (stored plan),
         expressions through factorize+plan, and anything that does not
-        parse as a single expression is run as a full script.  With a
-        slow-query threshold set, evaluations reaching it are captured
-        into the slow-query log; with tracing on as well, the
+        parse as a single expression is run as a full script (a repeat
+        skips the expression attempt; see :meth:`_run_text`).  Each path
+        serves a repeated evaluation from the registry's result memo.
+        With a slow-query threshold set, evaluations reaching it are
+        captured into the slow-query log; with tracing on as well, the
         evaluation runs under a ``session.eval`` span whose tree the
         record carries.  The disabled cost is the ``enabled`` branch
         below.
@@ -463,15 +465,26 @@ class Session:
         return self.registry.next_occurrence(name_or_expr, after, **kwargs)
 
     def _run_text(self, text: str, window, today, memo: bool = True):
-        if text in self.registry:
-            return self.registry.evaluate(text, window=window, today=today,
-                                          memo=memo)
-        try:
-            return self.registry.eval_expression(text, window=window,
-                                                 today=today, memo=memo)
-        except ParseError:
-            return self.registry.eval_script(text, window=window,
-                                             today=today)
+        """Route ``text``: a defined name, else an expression, else a
+        script.  A text found not to parse as an expression is
+        remembered in the matcache memo (syntax alone decides it, so the
+        key holds no catalog version) and goes straight to the script
+        path the next time.  ``memo=False`` neither reads nor fills
+        that memo, as it bypasses the result memo."""
+        registry = self.registry
+        if text in registry:
+            return registry.evaluate(text, window=window, today=today,
+                                     memo=memo)
+        route = ("script text", text)
+        if not (memo and registry.matcache.memo_get(route)):
+            try:
+                return registry.eval_expression(text, window=window,
+                                                today=today, memo=memo)
+            except ParseError:
+                if memo:
+                    registry.matcache.memo_put(route, True)
+        return registry.eval_script(text, window=window, today=today,
+                                    memo=memo)
 
     # -- batch evaluation ----------------------------------------------------
 
@@ -645,11 +658,14 @@ class Session:
 
     def explain(self, text: str, *, window=None,
                 optimized: bool | None = None) -> Explanation:
-        """The evaluation strategy of an expression or defined calendar.
+        """The evaluation strategy of an expression, script or defined
+        calendar.
 
         Parses and factorizes ``text`` (or the derivation script of a
         defined calendar), compiles the evaluation plan and reports the
-        applied rewrites — without executing anything.  With
+        applied rewrites — without executing anything.  A script, like a
+        defined multi-statement calendar, has no plan: the interpreter
+        runs it.  With
         ``optimized`` (default: the registry's optimizer gate) the
         optimizer pass also runs and the explanation carries the
         post-rewrite plan, the applied rewrites, per-step cardinality
@@ -670,7 +686,17 @@ class Session:
                     note="multi-statement script (interpreter)")
             expr = parsed.single_expression()
         else:
-            expr = parse_expression(text)
+            try:
+                expr = parse_expression(text)
+            except ParseError as exc:
+                # Session.eval runs such a text as a script, if it is one.
+                try:
+                    parse_script(text)
+                except ParseError:
+                    raise exc from None
+                return Explanation(
+                    source=text, factored=text,
+                    note="multi-statement script (interpreter)")
         result = factorize(expr, registry.resolver)
         ctx_window = registry._coerce_window(window)
         try:

@@ -31,10 +31,25 @@ from repro.core.errors import CalendarError
 from repro.core.granularity import Granularity
 from repro.core.matcache import MaterialisationCache
 from repro.finance import BusinessCalendar
+from repro.finance.options import expiration_date, last_trading_day
+from repro.lang import parser
+from repro.lang.errors import EvaluationError, LoopLimitError
 from repro.obs.instrument import Instrumentation
 from repro.timeseries import RegularTimeSeries, register_series
 
 LAST_BUS_DAY = "[n]/AM_BUS_DAYS:during:MONTHS"
+#: The section 3.3 scripts: last business day of each month (E6) and
+#: the last-trading-day alert (E8).
+E6 = ("{LDOM_t = [n]/DAYS:during:MONTHS;"
+      " LDOM_HOL = LDOM_t:intersects:HOLIDAYS;"
+      " LAST_BUS_DAY = [n]/AM_BUS_DAYS:<:LDOM_HOL;"
+      " return (LDOM_t - LDOM_HOL + LAST_BUS_DAY);}")
+E8 = ("{EM = [11]/MONTHS:during:1993/YEARS;"
+      " temp1 = [n]/AM_BUS_DAYS:during:EM;"
+      " temp2 = [-7]/AM_BUS_DAYS:<:temp1;"
+      " while (today:<:temp2) ;"
+      " return (\"LAST TRADING DAY\");}")
+YEAR_93 = ("Jan 1 1993", "Dec 31 1993")
 
 
 @pytest.fixture()
@@ -249,6 +264,188 @@ class TestNeverStored:
         registry.eval_expression("[2]/DAYS:during:WEEKS")
         assert outcomes(registry)["skip"] == 1
         assert registry.cache_stats()["result_entries"] == 0
+
+
+class TestScripts:
+    """``eval_script`` without ``env``/``while_hook`` reads and fills the
+    memo under the ``"script"`` kind; everything else about it is as for
+    expressions."""
+
+    def test_repeat_is_served_from_the_memo(self, registry):
+        first = registry.eval_script(E6, window=YEAR_93)
+        assert registry.eval_script(E6, window=YEAR_93) is first
+        assert len(first) == 12
+        assert outcomes(registry) == {"hit": 1, "miss": 1, "skip": 0}
+        assert registry.cache_stats()["result_entries"] == 1
+
+    def test_catalog_writes_force_a_recompute(self, registry):
+        script = "{x = PAYDAY:during:1993/YEARS; return (x);}"
+        registry.define("PAYDAY", script="return ([1]/DAYS:during:MONTHS)")
+        first = registry.eval_script(script)
+        registry.define("PAYDAY", script="return ([2]/DAYS:during:MONTHS)",
+                        replace=True)
+        second = registry.eval_script(script)
+        assert second.to_pairs() == tuple(
+            (lo + 1, hi + 1) for lo, hi in first.to_pairs())
+        registry.drop("PAYDAY")
+        with pytest.raises(CalendarError):
+            registry.eval_script(script)
+        registry.define_procedure("nth_day", ["m"],
+                                  "{return ([1]/DAYS:during:m);}")
+        call = "{return (nth_day([1]/MONTHS:during:1993/YEARS));}"
+        day1 = registry.eval_script(call)
+        assert registry.eval_script(call) is day1
+        registry.define_procedure("nth_day", ["m"],
+                                  "{return ([2]/DAYS:during:m);}",
+                                  replace=True)
+        assert registry.eval_script(call).to_pairs() == (
+            (day1[0].lo + 1, day1[0].hi + 1),)
+        assert outcomes(registry) == {"hit": 1, "miss": 4, "skip": 1}
+
+    def test_today_is_part_of_the_key(self, registry):
+        window = ("Oct 1 1993", "Dec 31 1993")
+        nov30 = registry.eval_script(E8, window=window, today="Nov 30 1993")
+        dec1 = registry.eval_script(E8, window=window, today="Dec 1 1993")
+        assert nov30 == dec1 == "LAST TRADING DAY"
+        assert registry.cache_stats()["result_entries"] == 2
+        assert registry.eval_script(
+            E8, window=window,
+            today=registry.system.day_of("Nov 30 1993")) is nov30
+        assert outcomes(registry) == {"hit": 1, "miss": 2, "skip": 0}
+
+    def test_env_and_while_hook_bypass_the_memo(self, registry):
+        lo, hi = registry.system.epoch.days_of_month(1993, 11)
+        env = {"Expiration-Month": Calendar.interval(lo, hi)}
+        script = "{return ([5]/DAYS:during:WEEKS:during:Expiration-Month);}"
+        first = registry.eval_script(script, window=YEAR_93, env=env)
+        second = registry.eval_script(script, window=YEAR_93, env=env)
+        assert second is not first and second == first
+        hooked = []
+        for _ in range(2):
+            registry.eval_script(E8, window=YEAR_93, today="Nov 15 1993",
+                                 while_hook=lambda ctx: hooked.append(1))
+        assert len(hooked) == 2
+        assert outcomes(registry) == {"hit": 0, "miss": 0, "skip": 0}
+        assert registry.cache_stats()["result_entries"] == 0
+
+    @pytest.mark.parametrize("script,error", [
+        ("{x = 1993/YEARS; while (x) ; return (x);}", LoopLimitError),
+        ("{return (bogus_fn(DAYS));}", EvaluationError),
+    ])
+    def test_failing_script_fails_alike_every_time(self, registry, script,
+                                                   error):
+        raised = []
+        for _ in range(3):
+            with pytest.raises(error) as caught:
+                registry.eval_script(script, window=YEAR_93)
+            raised.append(caught.value)
+        assert len({(type(exc), str(exc)) for exc in raised}) == 1
+        assert all(exc.context == {"script": script} for exc in raised)
+        assert outcomes(registry) == {"hit": 0, "miss": 0, "skip": 3}
+        assert registry.cache_stats()["result_entries"] == 0
+
+    def test_custom_function_is_not_stored(self, registry):
+        calls = []
+
+        def day_one(context, args):
+            calls.append(1)
+            return Calendar.point(len(calls), Granularity.DAYS)
+
+        registry.functions["day_one"] = day_one
+        script = "{x = day_one(); return (x);}"
+        assert registry.eval_script(script).to_pairs() == ((1, 1),)
+        assert registry.eval_script(script).to_pairs() == ((2, 2),)
+        assert outcomes(registry) == {"hit": 0, "miss": 0, "skip": 2}
+
+    def test_finance_options_are_unchanged(self, registry):
+        nov19 = registry.system.day_of("Nov 19 1993")
+        for _ in range(2):
+            assert expiration_date(registry, 1993, 11) == nov19
+            assert last_trading_day(registry, 1993, 11) == nov19
+        assert outcomes(registry) == {"hit": 0, "miss": 0, "skip": 0}
+        assert registry.cache_stats()["result_entries"] == 0
+
+
+class TestSessionRouting:
+    """``Session.eval`` sends a text known not to parse as an expression
+    straight to the script path."""
+
+    @pytest.fixture()
+    def session(self):
+        sess = Session("Jan 1 1987", holiday_years=(1987, 1996),
+                       instrumentation=Instrumentation())
+        yield sess
+        sess.close()
+
+    def test_counts_a_warm_script_as_a_hit(self, session):
+        results = [session.eval(E6, window=YEAR_93) for _ in range(3)]
+        assert results[1] is results[0] and results[2] is results[0]
+        # The failed expression attempt counts nothing.
+        assert outcomes(session.registry) == {"hit": 2, "miss": 1,
+                                              "skip": 0}
+
+    def test_warm_script_runs_no_parser(self, session, monkeypatch):
+        first = session.eval(E6, window=YEAR_93)
+        parses = []
+        for name in ("parse_expression", "parse_script"):
+            original = getattr(parser.Parser, name)
+
+            def counted(self, _original=original, _name=name):
+                parses.append(_name)
+                return _original(self)
+            monkeypatch.setattr(parser.Parser, name, counted)
+        assert session.eval(E6, window=YEAR_93) is first
+        assert session.eval(E6, window=YEAR_93) is first
+        assert parses == []
+        # A new window runs the script path directly: no expression try.
+        session.eval(E6, window=("Jan 1 1994", "Dec 31 1994"))
+        assert parses == ["parse_script"]
+
+    def test_warm_script_span(self):
+        inst = Instrumentation()
+        inst.enable_tracing()
+        session = Session("Jan 1 1987", holiday_years=(1987, 1990),
+                          instrumentation=inst)
+        session.eval(E6, window=("Jan 1 1989", "Dec 31 1989"))
+        session.eval(E6, window=("Jan 1 1989", "Dec 31 1989"))
+        names = [trace.name for trace in inst.recent_traces()
+                 if trace.name.startswith("registry.")]
+        assert names == ["registry.eval_expression", "registry.eval_script",
+                         "registry.eval_script"]
+        computed, served = inst.recent_traces()[-2:]
+        assert computed.meta.get("memo") is None
+        assert computed.meta["script"] == E6
+        assert computed.children[0].name == "registry.context"
+        assert computed.children[-1].name == "registry.memo"
+        assert served.meta["memo"] == "hit"
+        assert [span.name for span in served.children] == \
+            ["registry.context"]
+
+    def test_profile_computes_and_stores_nothing(self, session):
+        registry = session.registry
+        route = ("script text", E6)
+        profile = session.profile(E6, window=YEAR_93)
+        assert registry.matcache.memo_get(route) is None
+        served = session.eval(E6, window=YEAR_93)
+        assert registry.matcache.memo_get(route) is True
+        before = outcomes(registry)
+        profile = session.profile(E6, window=YEAR_93)
+        assert profile.result is not served and profile.result == served
+        assert profile.root.find("lang.parse")
+        session.profile(E6, window=("Jan 1 1994", "Dec 31 1994"))
+        assert outcomes(registry) == before
+        assert registry.cache_stats()["result_entries"] == 1
+
+    def test_text_defined_later_is_served_by_the_name_route(self, session):
+        script = "{return ([1]/DAYS:during:MONTHS:during:1993/YEARS);}"
+        as_script = session.eval(script)
+        session.registry.define(script, script=script)
+        assert script in session.registry
+        as_name = session.eval(script)
+        assert as_name == as_script
+        assert session.registry.cache_stats()["result_entries"] == 1
+        assert outcomes(session.registry) == {"hit": 0, "miss": 2,
+                                              "skip": 0}
 
 
 class TestBudget:

@@ -8,6 +8,8 @@ from repro.core import (
     Granularity,
     GranularityError,
 )
+from repro.core import basis
+from repro.errors import ReproError
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +195,35 @@ class TestTickAxes:
             sys87.month_of_tick(0)
         with pytest.raises(ChronologyError):
             sys87.year_of_tick(0)
+
+
+class TestDateStringMemo:
+    """``day_of`` parses each date string once per system."""
+
+    def test_memoised_day_equals_the_parsed_day(self):
+        system = CalendarSystem.starting("Jan 1 1987")
+        first = system.day_of("Nov 30 1993")
+        assert first == system.epoch.day_number("Nov 30 1993")
+        assert system.day_of("Nov 30 1993") == first
+        assert system._date_days == {"Nov 30 1993": first}
+        assert CalendarSystem.starting("Jan 1 1993").day_of(
+            "Nov 30 1993") != first
+
+    def test_memo_is_bounded(self):
+        system = CalendarSystem.starting("Jan 1 1987")
+        limit = basis._DATE_MEMO_SIZE
+        for day in range(limit + 10):
+            system.day_of(str(system.date_of(day + 1)))
+        assert len(system._date_days) <= limit
+        assert system.day_of("Jan 1 1987") == 1
+
+    def test_bad_date_raises_alike_every_time(self):
+        system = CalendarSystem.starting("Jan 1 1987")
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ReproError) as caught:
+                system.day_of("Feb 30 1993")
+            errors.append(caught.value)
+        assert type(errors[0]) is type(errors[1])
+        assert str(errors[0]) == str(errors[1])
+        assert system._date_days == {}

@@ -1,7 +1,11 @@
 """Tests for the ``Session.rules`` facade."""
 
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro.rules import DBCron, HeapSchedule
 from repro.session import Session
 
@@ -29,6 +33,32 @@ class TestOnCalendar:
     def test_arguments_are_keyword_only(self, session):
         with pytest.raises(TypeError):
             session.rules.on_calendar("ping", "PINGS")
+
+
+class TestPaydayExample:
+    """The payday rule of docs/RULES.md and the facade docstring fires
+    and appends the last business day of the month: Friday Jan 30 1987
+    (Jan 31 is a Saturday)."""
+
+    ACTION = "append payments (day = now.t)"
+    EXPRESSION = "[n]/AM_BUS_DAYS:during:MONTHS"
+
+    def test_documented_example_runs_as_written(self):
+        root = pathlib.Path(repro.__file__).resolve().parents[2]
+        doc = (root / "docs" / "RULES.md").read_text(encoding="utf-8")
+        block = re.search(r"```python\n(.*?)```", doc, re.S).group(1)
+        assert self.EXPRESSION in block and self.ACTION in block
+        namespace: dict = {}
+        exec(compile(block, "docs/RULES.md", "exec"), namespace)
+        sess = namespace["session"]
+        try:
+            days = [row["day"]
+                    for row in sess.db.relation("payments").scan()]
+            assert days == [sess.system.day_of("Jan 30 1987")]
+        finally:
+            sess.close()
+        facade = repro.rules.facade.__doc__
+        assert self.EXPRESSION in facade and self.ACTION in facade
 
 
 class TestOnEvent:

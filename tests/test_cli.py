@@ -149,6 +149,12 @@ class TestExplainCommand:
             "\\explain retrieve (e.k) from e in exp_t where e.k = 1")
         assert "index probe" in out
 
+    def test_explain_script(self, session):
+        out = session.run_line(
+            "\\explain {x = [n]/DAYS:during:MONTHS; return (x);}")
+        assert "plan       : none (multi-statement script (interpreter))" \
+            in out
+
     def test_explain_usage(self, session):
         assert "usage" in session.run_line("\\explain")
 

@@ -1,5 +1,6 @@
 """The :class:`repro.Session` facade: wiring, explain, profile, metrics."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from repro import (
     Database,
     Session,
 )
+from repro.lang.errors import ParseError
 from repro.obs.instrument import Instrumentation
 
 
@@ -112,6 +114,23 @@ class TestExplain:
         exp = session.explain("fixed")
         assert exp.plan is None
         assert "explicit" in exp.note
+
+    def test_explain_script_matches_a_defined_script(self, session):
+        script = ("{LDOM_t = [n]/DAYS:during:MONTHS;"
+                  " return (LDOM_t - HOLIDAYS);}")
+        exp = session.explain(script)
+        session.registry.define("month_ends", script=script)
+        defined = session.explain("month_ends")
+        assert exp.source == script and defined.source == "month_ends"
+        assert dataclasses.replace(exp, source="month_ends") == defined
+        assert exp.plan is None
+        assert "plan       : none (multi-statement script (interpreter))" \
+            in exp.render()
+
+    def test_explain_unparsable_text_raises_the_expression_error(
+            self, session):
+        with pytest.raises(ParseError, match="expected an expression"):
+            session.explain("{return (DAYS)")
 
     def test_explain_does_not_execute(self, session):
         before = session.registry.cache_stats()["served_intervals"]
